@@ -5,6 +5,7 @@ import argparse
 import json
 import random
 import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -243,16 +244,32 @@ def cmd_verify(cfg, out):
     return 0
 
 
+def _progress_reporter():
+    """A `coefficients.progress_hook` printing the orbits scanned, with a
+    rate and an ETA, to stderr."""
+    start = None
+
+    def progress(done, total):
+        nonlocal start
+        if done == 0:
+            start = time.monotonic()
+            return
+        rate = done / max(time.monotonic() - start, 1e-9)
+        print("  scanned %d/%d orbits, %.2f orbits/s, ETA %.0f s"
+              % (done, total, rate, (total - done) / rate), file=sys.stderr)
+
+    return progress
+
+
 def main(argv=None):
     try:
         cfg = config_from_args(argv)
     except OutOfComputedRange as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    previous_hook = coefficients.progress_hook
     if cfg.mode == "long":
-        def _progress(done, total):
-            print("  scanned %d/%d seed trees" % (done, total), file=sys.stderr)
-        coefficients.progress_hook = _progress
+        coefficients.progress_hook = _progress_reporter()
     out = sys.stdout
     try:
         if cfg.command == "coeff":
@@ -266,6 +283,8 @@ def main(argv=None):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    finally:
+        coefficients.progress_hook = previous_hook
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import product
 
 from fatcomplex import ribbon
+from fatcomplex.coefficients import double_factorial
 from fatcomplex.ribbon import GraphError, perm_parity
 
 
@@ -28,15 +29,6 @@ class EvenLength(GraphError):
 
 class LengthMismatch(GraphError):
     pass
-
-
-def double_factorial(n):
-    """(2k-1)!! style double factorial with (-1)!! == 1."""
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
 
 
 def cyclic_sign(elements, ambient):

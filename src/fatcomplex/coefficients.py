@@ -13,6 +13,20 @@ The chain scan never materializes chains: it walks a prefix-sharing DFS
 over collapse orders, carrying region bitmasks per merged blob and the
 permutation parity of the order, so that the sign of a chain is the
 parity times the sign of the reference-order chain of its seed tree.
+
+Only one seed tree per orbit of the leaf rotation i -> i+1 mod 2m+3 is
+scanned, and its sums are weighted by the orbit size.  Rotating the
+leaves relabels the regions cyclically.  Every tuple the cocycle signs
+has 2k+1 entries, an odd number, so a cyclic relabelling composes its
+sorting permutation with a cycle of odd length, which is even: the
+ascending sign and every region-set size stay the same.  The tests
+check exactly that per-seed sums, chain signs included, agree across
+rotation orbits.
+
+The sums are exact integers: the value of a window of a part k is
+scaled by |(-2)^(k+1) (2k-1)!!| (2m+3)!, which makes it an integer (a
+value that is not raises ArithmeticError), and one division per
+composition at the end gives the rational b.
 """
 
 import math
@@ -24,6 +38,7 @@ from fatcomplex.trees import (
     chain_from_order,
     enumerate_trivalent_trees,
     region_touch_sets,
+    rotate_leaves,
 )
 
 
@@ -79,6 +94,7 @@ def parse_partition(text, allow_zero=False):
 
 
 def double_factorial(n):
+    """(2k-1)!! style double factorial with (-1)!! == 1."""
     out = 1
     while n > 1:
         out *= n
@@ -99,10 +115,6 @@ def closed_form_a_diagonal(m):
 # the chain scan
 # ---------------------------------------------------------------------------
 
-def _windows_for(m):
-    return [(a, b) for a in range(0, 2 * m, 2) for b in range(a + 2, 2 * m + 1, 2)]
-
-
 def _composition_windows(comp):
     out = []
     at = 0
@@ -113,7 +125,7 @@ def _composition_windows(comp):
 
 
 def _popcount(x):
-    return bin(x).count("1")
+    return x.bit_count()
 
 
 def _bits(x):
@@ -137,34 +149,51 @@ def _ascending_sign(tup):
     return sign
 
 
-def _cz_from_masks(c0, deltas, cache):
-    """Adjusted cyclic-set cocycle from region bitmasks."""
+def _part_scale(k, leaf_count):
+    """|(-2)^(k+1) (2k-1)!!| * leaf_count!, which clears the denominator of
+    every window value of a part k: along a window whose cocycle does not
+    vanish the region sets grow strictly, so their sizes are distinct
+    integers <= leaf_count and their product divides leaf_count!."""
+    return 2 ** (k + 1) * double_factorial(2 * k - 1) * math.factorial(leaf_count)
+
+
+def _scaled_cz(c0, deltas, scale, cache):
+    """`scale` times the adjusted cyclic-set cocycle of a chain of region
+    bitmasks, as an exact int; raises ArithmeticError when it is not one."""
     key = (c0, deltas)
     val = cache.get(key)
     if val is not None:
         return val
-    k = len(deltas) // 2
     levels = [_bits(c0)] + [_bits(d) for d in deltas]
     total = 0
     for tup in product(*levels):
         total += _ascending_sign(tup)
-    if total == 0:
-        val = Fraction(0)
-    else:
+    val = 0
+    if total:
+        k = len(deltas) // 2
         denom = (-2) ** (k + 1) * double_factorial(2 * k - 1)
         size = _popcount(c0)
-        sizes_prod = size
+        denom *= size
         for d in deltas:
             size += _popcount(d)
-            sizes_prod *= size
-        val = Fraction(total, denom * sizes_prod)
+            denom *= size
+        val, rem = divmod(total * scale, denom)
+        if rem:
+            raise ArithmeticError("scaled cocycle value %d*%d/%d is not an integer"
+                                  % (total, scale, denom))
     cache[key] = val
     return val
 
 
-def _scan_seed(seed, m, comp_windows, totals):
-    """Accumulate per-composition signed cocycle products over all
-    collapse orders of one trivalent seed tree."""
+def _scan_seed(seed, m):
+    """Per-composition sums, over all collapse orders of one trivalent seed
+    tree, of the chain sign times the product of the scaled window values.
+
+    Returns {composition: int}; `_b_from_totals` turns summed totals into
+    the numbers b.
+    """
+    comp_windows = {comp: _composition_windows(comp) for comp in compositions_of(m)}
+    totals = dict.fromkeys(comp_windows, 0)
     edges = seed.internal_edges()
     nedges = len(edges)
     verts = list(seed.vertices)
@@ -178,10 +207,20 @@ def _scan_seed(seed, m, comp_windows, totals):
     s0 = chain_from_order(seed, edges).sign
 
     windows = sorted({w for ws in comp_windows.values() for w in ws})
+    scale_of = {w: _part_scale((w[1] - w[0]) // 2, seed.leaf_count) for w in windows}
     opens_at = {}
     for w in windows:
         opens_at.setdefault(w[0], []).append(w)
     cz_cache = {}
+
+    def window_value(win, entries):
+        scale = scale_of[win]
+        total = 0
+        for _, c0, _, deltas in entries:
+            weight = _popcount(c0) - 2
+            if weight:
+                total += weight * _scaled_cz(c0, deltas, scale, cz_cache)
+        return total
 
     def recurse(depth, remaining, sgn, rep, masks, tracks, wvals):
         step = depth + 1
@@ -200,37 +239,25 @@ def _scan_seed(seed, m, comp_windows, totals):
             tracks2 = {}
             wvals2 = wvals
             for win, tlist in tracks.items():
-                a, b = win
                 live = []
                 for trep, c0, cur, deltas in tlist:
                     if trep == ru:
                         live.append((ru, c0, merged, deltas + (mw & ~mu,)))
                     elif trep == rw:
                         live.append((ru, c0, merged, deltas + (mu & ~mw,)))
-                if b == step:
-                    total = Fraction(0)
-                    for _, c0, _, deltas in live:
-                        weight = _popcount(c0) - 2
-                        if weight:
-                            total += weight * _cz_from_masks(c0, deltas, cz_cache)
+                if win[1] == step:
                     if wvals2 is wvals:
                         wvals2 = dict(wvals)
-                    wvals2[win] = total
+                    wvals2[win] = window_value(win, live)
                 else:
                     tracks2[win] = live
             for win in opens_at.get(step - 1, ()):
-                a, b = win
                 seeded = [(ru, mu, merged, (mw & ~mu,)),
                           (ru, mw, merged, (mu & ~mw,))]
-                if b == step:
-                    total = Fraction(0)
-                    for _, c0, _, deltas in seeded:
-                        weight = _popcount(c0) - 2
-                        if weight:
-                            total += weight * _cz_from_masks(c0, deltas, cz_cache)
+                if win[1] == step:
                     if wvals2 is wvals:
                         wvals2 = dict(wvals)
-                    wvals2[win] = total
+                    wvals2[win] = window_value(win, seeded)
                 else:
                     tracks2[win] = seeded
 
@@ -240,75 +267,101 @@ def _scan_seed(seed, m, comp_windows, totals):
             else:
                 chain_sign = s0 * sgn2
                 for comp, wins in comp_windows.items():
-                    prod = Fraction(1)
+                    prod = chain_sign
                     for win in wins:
-                        v = wvals2.get(win, Fraction(0))
-                        if v == 0:
-                            prod = Fraction(0)
+                        prod *= wvals2[win]
+                        if not prod:
                             break
-                        prod *= v
                     if prod:
-                        totals[comp] += chain_sign * prod
+                        totals[comp] += prod
 
     rep0 = list(range(len(verts)))
     masks0 = {i: base_masks[i] for i in range(len(verts))}
     recurse(0, list(range(nedges)), 1, rep0, masks0, {}, {})
+    return totals
 
 
-def _scan_range(args):
-    m, lo, hi = args
-    seeds = enumerate_trivalent_trees(2 * m + 3)[lo:hi]
-    comp_windows = {comp: _composition_windows(comp) for comp in compositions_of(m)}
-    totals = {comp: Fraction(0) for comp in comp_windows}
-    for seed in seeds:
-        _scan_seed(seed, m, comp_windows, totals)
+def _b_from_totals(m, totals):
+    """The numbers b, including the (-1)^m factor, from scaled chain sums."""
+    sign = (-1) ** m
+    leaf_count = 2 * m + 3
+    return {comp: Fraction(sign * total,
+                           math.prod(_part_scale(part, leaf_count) for part in comp))
+            for comp, total in totals.items()}
+
+
+def _rotation_orbits(leaf_count):
+    """Trivalent trees up to the leaf rotation i -> i+1 mod leaf_count, as
+    [(representative, orbit size)]; the representative of an orbit is its
+    first member in `enumerate_trivalent_trees` order."""
+    seen = set()
+    out = []
+    for seed in enumerate_trivalent_trees(leaf_count):
+        if seed.canonical().literal() in seen:
+            continue
+        orbit = set()
+        t = seed
+        for _ in range(leaf_count):
+            orbit.add(t.canonical().literal())
+            t = rotate_leaves(t)
+        seen |= orbit
+        out.append((seed, len(orbit)))
+    return out
+
+
+def _scan_orbits(args):
+    m, orbits = args
+    totals = dict.fromkeys(compositions_of(m), 0)
+    for seed, size in orbits:
+        for comp, v in _scan_seed(seed, m).items():
+            totals[comp] += size * v
     return totals
 
 
 _B_SINGLE_CACHE = {}
 
-#: optional callable(done, total) reporting seed-tree progress; used by
-#: the command line for the long K^8 runs
+#: optional callable(done, total) reporting how many of the rotation
+#: orbits of seed trees are scanned; it is called once with done = 0
+#: before the scan starts.  The command line sets it for --mode long.
 progress_hook = None
 
 
 def b_single_all(m, workers=1):
-    """Brute-force single-vertex numbers for all ordered compositions of m.
+    """Single-vertex numbers for all ordered compositions of m.
 
     Returns {composition: value} where value includes the (-1)^m factor.
-    The scan is sharded by seed tree; exact partial sums merge in a
-    fixed order, so the result is identical for any worker count.
+    One seed tree per rotation orbit is scanned, weighted by the orbit
+    size.  The scan is sharded by orbit; exact integer partial sums merge,
+    so the result is identical for any worker count.
     """
     if m in _B_SINGLE_CACHE:
         return _B_SINGLE_CACHE[m]
-    nseeds = len(enumerate_trivalent_trees(2 * m + 3))
-    totals = {comp: Fraction(0) for comp in compositions_of(m)}
-    chunk = nseeds if workers <= 1 else max(1, (nseeds + 8 * workers - 1) // (8 * workers))
+    orbits = _rotation_orbits(2 * m + 3)
+    norbits = len(orbits)
+    chunk = norbits if workers <= 1 else max(1, (norbits + 8 * workers - 1) // (8 * workers))
     if progress_hook is not None:
-        chunk = min(chunk, max(1, nseeds // 32))
-    bounds = [(m, lo, min(lo + chunk, nseeds)) for lo in range(0, nseeds, chunk)]
-    if workers > 1 and len(bounds) > 1:
+        chunk = min(chunk, max(1, norbits // 32))
+        progress_hook(0, norbits)
+    shards = [(m, orbits[lo:lo + chunk]) for lo in range(0, norbits, chunk)]
+    totals = dict.fromkeys(compositions_of(m), 0)
+
+    def accumulate(parts):
+        done = 0
+        for (_, shard), part in zip(shards, parts):
+            for comp, v in part.items():
+                totals[comp] += v
+            done += len(shard)
+            if progress_hook is not None:
+                progress_hook(done, norbits)
+
+    if workers > 1 and len(shards) > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            done = 0
-            for part in pool.imap(_scan_range, bounds):
-                for comp, v in part.items():
-                    totals[comp] += v
-                done += 1
-                if progress_hook is not None:
-                    progress_hook(min(done * chunk, nseeds), nseeds)
+            accumulate(pool.imap(_scan_orbits, shards))
     else:
-        done = 0
-        for args in bounds:
-            part = _scan_range(args)
-            for comp, v in part.items():
-                totals[comp] += v
-            done += 1
-            if progress_hook is not None:
-                progress_hook(min(done * chunk, nseeds), nseeds)
-    sign = (-1) ** m
-    out = {comp: sign * v for comp, v in totals.items()}
+        accumulate(map(_scan_orbits, shards))
+    out = _b_from_totals(m, totals)
     _B_SINGLE_CACHE[m] = out
     return out
 
@@ -400,12 +453,16 @@ def max_weight(mode):
     return LONG_MAX_WEIGHT if mode == "long" else FAST_MAX_WEIGHT
 
 
+def _out_of_range(n, mode):
+    return OutOfComputedRange(
+        "weight %d out of range for mode %r (max %d)" % (n, mode, max_weight(mode)))
+
+
 def b_matrix(n, workers=1, mode="fast"):
     """B_n: rows indexed by the target partition, columns by the refining
     one; upper triangular with nonzero diagonal."""
     if n < 1 or n > max_weight(mode):
-        raise OutOfComputedRange(
-            "weight %d out of range for mode %r (max %d)" % (n, mode, max_weight(mode)))
+        raise _out_of_range(n, mode)
     order = partitions_of(n)
     rows = [[b_general(lam, mu, workers=workers) for lam in order] for mu in order]
     return CoefficientMatrix(n, order, rows)
@@ -522,10 +579,6 @@ def format_rational(x):
     return "%d/%d" % (x.numerator, x.denominator)
 
 
-def parse_rational(text):
-    return Fraction(text)
-
-
 def w_polynomial(mu, workers=1, mode="fast"):
     """The polynomial expressing the dual cocycle of the vertex pattern
     mu in adjusted monomials; zero parts count trivalent vertices."""
@@ -534,8 +587,7 @@ def w_polynomial(mu, workers=1, mode="fast"):
     positive = tuple(p for p in mu if p > 0)
     n = sum(positive)
     if n > max_weight(mode):
-        raise OutOfComputedRange(
-            "weight %d out of range for mode %r (max %d)" % (n, mode, max_weight(mode)))
+        raise _out_of_range(n, mode)
     if positive:
         a = a_matrix(n, workers=workers, mode=mode)
         col = a.order.index(positive)
@@ -610,7 +662,8 @@ def _conjecture_formula(n, k):
 def closed_form_checks(n, workers=1, mode="fast"):
     """Evaluate the table identities up to weight n; conjectural ones are
     flagged and never treated as hard failures by callers."""
-    n = min(n, max_weight(mode))
+    if n > max_weight(mode):
+        raise _out_of_range(n, mode)
     out = []
     for k in range(1, n + 1):
         lhs = w_polynomial((k,), workers=workers, mode=mode)
@@ -625,16 +678,12 @@ def closed_form_checks(n, workers=1, mode="fast"):
         out.append(CheckResult("W[4]* = %s (closed-form diagonal)" % rhs.render(),
                                ok, False, rhs.render(), rhs.render()))
     for nn in range(0, n):
-        if nn + 1 > n:
-            break
         mu = (nn, 1) if nn >= 1 else (1, 0)
         lhs = w_polynomial(mu, workers=workers, mode=mode)
         rhs = _w_n1_formula(nn)
         out.append(CheckResult("W[%s]*" % ",".join(str(p) for p in mu),
                                lhs == rhs, False, lhs.render(), rhs.render()))
     for k in range(0, n + 1):
-        if k > max_weight(mode):
-            break
         lhs = w_polynomial((k, 0), workers=workers, mode=mode)
         rhs = _w_k0_formula(k)
         out.append(CheckResult("W[%d,0]*" % k, lhs == rhs, False,

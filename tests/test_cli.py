@@ -101,6 +101,34 @@ def test_verify_closedform_suite():
     assert "[conjecture]" in text
 
 
+def test_verify_closedform_out_of_range_exits_2():
+    code, text = run_cli(["verify", "--suite", "closedform", "--n", "9"])
+    assert code == 2 and text == ""
+    code, _ = run_cli(["verify", "--suite", "closedform", "--n", "4"])
+    assert code == 2
+
+
+def test_long_mode_progress_goes_to_stderr_only(capsys, monkeypatch):
+    from fatcomplex import coefficients
+
+    argv = ["coeff", "--n", "2", "--format", "json"]
+    monkeypatch.setattr(coefficients, "_B_SINGLE_CACHE", {})
+    assert main(argv) == 0
+    fast = capsys.readouterr()
+    monkeypatch.setattr(coefficients, "_B_SINGLE_CACHE", {})
+    assert main(argv + ["--mode", "long"]) == 0
+    long = capsys.readouterr()
+    assert long.out == fast.out
+    assert fast.err == ""
+    lines = long.err.splitlines()
+    # K^4 has six rotation orbits of seed trees, one line each; K^2 has one
+    assert sorted(line.split()[1] for line in lines) \
+        == ["1/1", "1/6", "2/6", "3/6", "4/6", "5/6", "6/6"]
+    assert all(line.startswith("  scanned ") and " orbits, " in line
+               and " orbits/s, ETA " in line for line in lines)
+    assert coefficients.progress_hook is None
+
+
 def test_strict_conjecture_gates_exit_code(monkeypatch):
     from fatcomplex import cli, coefficients
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from fatcomplex import coefficients
 from fatcomplex.coefficients import (
     CheckResult,
     MmmPolynomial,
@@ -24,6 +25,7 @@ from fatcomplex.coefficients import (
     w_polynomial,
 )
 from fatcomplex.linalg import matrix_multiply
+from fatcomplex.trees import PlanarTree, enumerate_trivalent_trees, rotate_leaves
 
 
 def test_partitions_of_descending_lex():
@@ -57,6 +59,91 @@ def test_b_single_workers_agree():
     _B_SINGLE_CACHE.pop(2, None)
     parallel = b_single_all(2, workers=2)
     assert serial == parallel
+
+
+def _rotations(tree, count):
+    out = [tree]
+    for _ in range(count - 1):
+        out.append(rotate_leaves(out[-1]))
+    return out
+
+
+def _orbit_key(tree):
+    return min(t.canonical().literal() for t in _rotations(tree, tree.leaf_count))
+
+
+def _reflect_leaves(tree):
+    """Leaf i relabelled -i mod the leaf count, vertex cycles reversed."""
+    L = tree.leaf_count
+    cycles = [tuple(x if x in tree.pairing else -x % L for x in reversed(c))
+              for c in tree.vertices]
+    return PlanarTree(L, cycles, tree.internal_edges())
+
+
+def test_rotation_orbits_partition_the_seed_trees():
+    for leaves, count, sizes in ((5, 1, {5}), (7, 6, {7}), (9, 49, {3, 9})):
+        orbits = coefficients._rotation_orbits(leaves)
+        seeds = enumerate_trivalent_trees(leaves)
+        assert len(orbits) == count
+        assert {size for _, size in orbits} == sizes
+        assert sum(size for _, size in orbits) == len(seeds)
+        # each representative is the first seed of its orbit
+        firsts = {}
+        for t in seeds:
+            firsts.setdefault(_orbit_key(t), t)
+        assert [rep for rep, _ in orbits] == list(firsts.values())
+
+
+def test_per_seed_sums_agree_across_rotation_orbits_k2_k4():
+    for m in (1, 2):
+        by_orbit = {}
+        for seed in enumerate_trivalent_trees(2 * m + 3):
+            sums = coefficients._scan_seed(seed, m)
+            assert coefficients._scan_seed(rotate_leaves(seed), m) == sums
+            by_orbit.setdefault(_orbit_key(seed), []).append(sums)
+        for members in by_orbit.values():
+            assert all(sums == members[0] for sums in members)
+
+
+def test_per_seed_sums_agree_across_rotation_orbits_k6():
+    # both orbits of size 3 and the first two of size 9
+    orbits = coefficients._rotation_orbits(9)
+    picked = [o for o in orbits if o[1] == 3] + [o for o in orbits if o[1] == 9][:2]
+    assert len(picked) == 4
+    for rep, size in picked:
+        members = _rotations(rep, size)
+        assert len({t.canonical().literal() for t in members}) == size
+        sums = coefficients._scan_seed(rep, 3)
+        assert any(sums.values())
+        for t in members[1:]:
+            assert coefficients._scan_seed(t, 3) == sums
+
+
+def test_per_seed_sums_invariant_under_reflection_k4():
+    # not used by the scan yet: the groundwork for a dihedral reduction
+    for seed in enumerate_trivalent_trees(7):
+        assert coefficients._scan_seed(_reflect_leaves(seed), 2) \
+            == coefficients._scan_seed(seed, 2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_orbit_scan_matches_scan_over_all_seeds(monkeypatch, workers):
+    monkeypatch.setattr(coefficients, "_B_SINGLE_CACHE", {})
+    for m in (1, 2):
+        totals = dict.fromkeys(compositions_of(m), 0)
+        for seed in enumerate_trivalent_trees(2 * m + 3):
+            for comp, v in coefficients._scan_seed(seed, m).items():
+                totals[comp] += v
+        assert b_single_all(m, workers=workers) == coefficients._b_from_totals(m, totals)
+
+
+def test_scaled_cocycle_value_must_be_an_integer():
+    # regions {0, 1, 2} grown by {3} then {4}: cocycle 3 / (4 * 3 * 4 * 5)
+    c0, deltas = 0b111, (0b1000, 0b10000)
+    scale = coefficients._part_scale(1, 5)
+    assert coefficients._scaled_cz(c0, deltas, scale, {}) == 3 * scale // 240
+    with pytest.raises(ArithmeticError):
+        coefficients._scaled_cz(c0, deltas, scale // 7, {})
 
 
 def test_refinements_paper_example():
