@@ -225,6 +225,9 @@ def cmd_verify(cfg, out):
         "closedform": _checks_closedform,
     }
     names = list(suites) if cfg.suite == "all" else [cfg.suite]
+    if "closedform" in names:
+        # fail on the weight before any suite spends time
+        coefficients.check_weight(cfg.n, cfg.mode)
     rows = []
     for name in names:
         for check_name, ok, conjecture in suites[name](cfg):

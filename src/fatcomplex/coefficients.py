@@ -453,16 +453,17 @@ def max_weight(mode):
     return LONG_MAX_WEIGHT if mode == "long" else FAST_MAX_WEIGHT
 
 
-def _out_of_range(n, mode):
-    return OutOfComputedRange(
-        "weight %d out of range for mode %r (max %d)" % (n, mode, max_weight(mode)))
+def check_weight(n, mode, smallest=1):
+    """Raise OutOfComputedRange unless smallest <= n <= max_weight(mode)."""
+    if not smallest <= n <= max_weight(mode):
+        raise OutOfComputedRange("weight %d out of range for mode %r (%d to %d)"
+                                 % (n, mode, smallest, max_weight(mode)))
 
 
 def b_matrix(n, workers=1, mode="fast"):
     """B_n: rows indexed by the target partition, columns by the refining
     one; upper triangular with nonzero diagonal."""
-    if n < 1 or n > max_weight(mode):
-        raise _out_of_range(n, mode)
+    check_weight(n, mode)
     order = partitions_of(n)
     rows = [[b_general(lam, mu, workers=workers) for lam in order] for mu in order]
     return CoefficientMatrix(n, order, rows)
@@ -586,8 +587,7 @@ def w_polynomial(mu, workers=1, mode="fast"):
     zeros = sum(1 for p in mu if p == 0)
     positive = tuple(p for p in mu if p > 0)
     n = sum(positive)
-    if n > max_weight(mode):
-        raise _out_of_range(n, mode)
+    check_weight(n, mode, smallest=0)
     if positive:
         a = a_matrix(n, workers=workers, mode=mode)
         col = a.order.index(positive)
@@ -662,8 +662,7 @@ def _conjecture_formula(n, k):
 def closed_form_checks(n, workers=1, mode="fast"):
     """Evaluate the table identities up to weight n; conjectural ones are
     flagged and never treated as hard failures by callers."""
-    if n > max_weight(mode):
-        raise _out_of_range(n, mode)
+    check_weight(n, mode)
     out = []
     for k in range(1, n + 1):
         lhs = w_polynomial((k,), workers=workers, mode=mode)

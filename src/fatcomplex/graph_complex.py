@@ -7,6 +7,13 @@ to exact rationals.  A key names the isomorphism class with its
 orientation normalized to +1 on the canonical representative; classes
 admitting an orientation-reversing automorphism are identically zero
 and never stored.
+
+The forest complex over a base keeps its boundaries as sparse integer
+matrices.  Its d.d check is an exact sparse product.  Its acyclicity
+check compares ranks taken modulo the prime 2^61 - 1, and recomputes
+them over Q only when the mod-p ranks fail; a mod-p pass is a pass over
+Q because the complex is checked exactly first (see
+`ForestComplex.homology_is_trivial`).
 """
 
 import math
@@ -15,7 +22,6 @@ from itertools import permutations
 
 from fatcomplex import ribbon
 from fatcomplex.coefficients import normalize_partition
-from fatcomplex.linalg import matrix_rank
 from fatcomplex.ribbon import (
     GraphError,
     OrientedRibbonGraph,
@@ -294,7 +300,7 @@ def _canonical_over(base_labels, og):
         fresh += 1
     cycles = ribbon._normalize_cycles([tuple(final[x] for x in c) for c in g.vertices])
     pairs = tuple(sorted((min(final[a], final[b]), max(final[a], final[b]))
-                         for a, b in g.edges()))
+                         for a, b in g.edge_tuple()))
     word = []
     for c in g.vertices:
         image = [final[x] for x in c]
@@ -302,6 +308,54 @@ def _canonical_over(base_labels, og):
         word.extend(image)
     sign = og.sign * word_parity(word, reference_word(cycles))
     return (cycles, pairs), sign
+
+
+RANK_MODULUS = 2 ** 61 - 1
+
+
+def _sparse_product(a, b):
+    """Product of sparse integer matrices given as {(row, col): value}."""
+    by_row = {}
+    for (t, j), v in b.items():
+        by_row.setdefault(t, []).append((j, v))
+    out = {}
+    for (i, t), u in a.items():
+        for j, v in by_row.get(t, ()):
+            out[(i, j)] = out.get((i, j), 0) + u * v
+    return out
+
+
+def sparse_rank(entries, modulus=None):
+    """Rank of a sparse integer matrix {(row, col): value} by row
+    elimination, modulo the prime `modulus`, or over Q when it is None."""
+    if modulus is None:
+        reduce, inverse = Fraction, (lambda x: 1 / x)
+    else:
+        reduce, inverse = (lambda x: x % modulus), (lambda x: pow(x, -1, modulus))
+    rows = {}
+    for (r, c), v in entries.items():
+        v = reduce(v)
+        if v:
+            rows.setdefault(r, {})[c] = v
+    # pivots[c]: a reduced row with leading column c and leading entry 1
+    pivots = {}
+    for r in sorted(rows):
+        row = rows[r]
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = inverse(row[c])
+                pivots[c] = {k: reduce(v * inv) for k, v in row.items()}
+                break
+            f = row[c]
+            for k, v in pivot.items():
+                x = reduce(row.get(k, 0) - f * v)
+                if x:
+                    row[k] = x
+                else:
+                    row.pop(k)
+    return len(pivots)
 
 
 class ForestComplex:
@@ -349,55 +403,51 @@ class ForestComplex:
     def ranks(self):
         return [len(level) for level in self.levels]
 
-    def matrix_dense(self, k):
-        rows = len(self.levels[k - 1])
-        cols = len(self.levels[k])
-        m = [[Fraction(0)] * cols for _ in range(rows)]
-        for (r, c), v in self.matrices[k].items():
-            m[r][c] = Fraction(v)
-        return m
-
     def augmentation(self):
         """Signs of the trivalent generators (all are +-1)."""
         return [1 for _ in self.levels[0]]
 
     def d_squared_is_zero(self):
-        n = self.base.codimension
-        for k in range(2, n + 1):
-            a = self.matrix_dense(k - 1)
-            b = self.matrix_dense(k)
-            for j in range(len(b[0]) if b else 0):
-                col = [sum(a[i][t] * b[t][j] for t in range(len(b)))
-                       for i in range(len(a))]
-                if any(col):
-                    return False
-        return True
+        """d_{k-1} d_k = 0 for every k, as exact sparse integer products."""
+        return all(not any(_sparse_product(self.matrices[k - 1], self.matrices[k]).values())
+                   for k in range(2, self.base.codimension + 1))
 
     def augmentation_kills_boundary(self):
         if self.base.codimension < 1:
             return True
-        eps = self.augmentation()
-        b = self.matrix_dense(1)
-        for j in range(len(b[0]) if b else 0):
-            if sum(eps[i] * b[i][j] for i in range(len(b))):
-                return False
-        return True
+        eps = {(0, i): e for i, e in enumerate(self.augmentation())}
+        return not any(_sparse_product(eps, self.matrices[1]).values())
 
     def homology_is_trivial(self):
-        """Augmented homology vanishes in all degrees 0..n by ranks."""
+        """Augmented homology vanishes in all degrees 0..n by ranks.
+
+        First it checks exactly that the augmented sequence is a complex
+        (d d = 0 and the augmentation kills d_1).  Then it checks that
+        dim C_k = r_k + r_{k+1} in every degree k, where r_k is the rank
+        of d_k, r_0 that of the augmentation and r_{n+1} = 0.
+
+        The ranks are first taken modulo the prime RANK_MODULUS, which is
+        sound.  Over Q an integer matrix has rank r_k at least its rank
+        r'_k mod p, and being a complex gives r_k + r_{k+1} <= dim C_k.
+        If the equations hold for the r'_k, go from the top degree down:
+        with r_{k+1} = r'_{k+1} shown, r'_k <= r_k <= dim C_k - r_{k+1}
+        = r'_k, so r_k = r'_k and the equations hold over Q too.  When
+        they fail mod p, the ranks are recomputed over Q, so an unlucky
+        prime cannot turn the answer False.
+        """
+        if not (self.d_squared_is_zero() and self.augmentation_kills_boundary()):
+            return False
+        return self._rank_equations_hold(RANK_MODULUS) or self._rank_equations_hold(None)
+
+    def _rank_equations_hold(self, modulus):
+        """dim C_k = r_k + r_{k+1} in every degree, with the augmentation
+        as d_0, for ranks mod `modulus` (over Q when None)."""
         n = self.base.codimension
         dims = self.ranks()
-        ranks = [None] * (n + 1)
-        for k in range(1, n + 1):
-            ranks[k] = matrix_rank(self.matrix_dense(k))
-        # degree 0: augmented kernel is the image of d_1
-        eps_rank = 1 if dims[0] else 0
-        ok = dims[0] - eps_rank == (ranks[1] if n >= 1 else 0)
-        for k in range(1, n):
-            ok = ok and dims[k] - ranks[k] == ranks[k + 1]
-        if n >= 1:
-            ok = ok and dims[n] - ranks[n] == 0
-        return ok
+        ranks = [1 if dims[0] else 0]
+        ranks += [sparse_rank(self.matrices[k], modulus) for k in range(1, n + 1)]
+        ranks.append(0)
+        return all(dims[k] == ranks[k] + ranks[k + 1] for k in range(n + 1))
 
     def expected_ranks(self):
         """Convolution of associahedron face counts over the big vertices."""

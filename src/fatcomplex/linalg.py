@@ -7,36 +7,6 @@ class SingularMatrix(ValueError):
     pass
 
 
-def matrix_rank(rows):
-    """Rank of a matrix given as a list of rows of Fractions."""
-    m = [list(map(Fraction, row)) for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(m)):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
-
-
 def matrix_inverse(rows):
     """Exact inverse of a square rational matrix."""
     n = len(rows)

@@ -219,7 +219,7 @@ def corner_collapse_map(cycles, pairing, half_edge):
 class RibbonGraph:
     """An immutable connected ribbon graph with valences >= 3."""
 
-    __slots__ = ("vertices", "pairing", "half_edges", "_sigma", "_vertex_of")
+    __slots__ = ("vertices", "pairing", "half_edges", "_sigma", "_vertex_of", "_edges")
 
     def __init__(self, vertex_cycles, edge_pairs, min_valence=3):
         cycles = [tuple(c) for c in vertex_cycles]
@@ -246,6 +246,7 @@ class RibbonGraph:
         self.half_edges = tuple(sorted(label_set))
         self._sigma = None
         self._vertex_of = None
+        self._edges = None
         if not self._connected():
             raise Disconnected("graph is not connected")
 
@@ -278,8 +279,14 @@ class RibbonGraph:
             self._vertex_of = {x: c for c in self.vertices for x in c}
         return self._vertex_of[h]
 
+    def edge_tuple(self):
+        """The sorted (min, max) edge pairs, computed once per graph."""
+        if self._edges is None:
+            self._edges = tuple(_edge_list(self.pairing))
+        return self._edges
+
     def edges(self):
-        return _edge_list(self.pairing)
+        return list(self.edge_tuple())
 
     def is_loop(self, edge):
         a, b = edge
@@ -333,11 +340,11 @@ class RibbonGraph:
 
     def literal(self):
         """Canonical-comparison form: (vertex cycles, edge pairs)."""
-        return (self.vertices, tuple(self.edges()))
+        return (self.vertices, self.edge_tuple())
 
     def relabel(self, mapping):
         cycles = [tuple(mapping[x] for x in c) for c in self.vertices]
-        pairs = [(mapping[a], mapping[b]) for a, b in self.edges()]
+        pairs = [(mapping[a], mapping[b]) for a, b in self.edge_tuple()]
         return RibbonGraph(cycles, pairs)
 
     def __eq__(self, other):
@@ -497,14 +504,19 @@ def automorphisms(g):
     return isomorphisms_between(g, g)
 
 
-def transport_sign(g1, g2, iso):
-    """Sign picked up by an orientation transported along `iso`."""
+def _transported_word(g1, iso):
+    """The reference word of `g1` carried along `iso`."""
     word = []
     for c in g1.vertices:
         image = [iso[x] for x in c]
         word.append(_vsym(image))
         word.extend(image)
-    return word_parity(word, reference_word(g2.vertices))
+    return word
+
+
+def transport_sign(g1, g2, iso):
+    """Sign picked up by an orientation transported along `iso`."""
+    return word_parity(_transported_word(g1, iso), reference_word(g2.vertices))
 
 
 def orientation_sign_of(g, aut):
@@ -517,43 +529,102 @@ def has_orientation_reversing_automorphism(g):
     return any(orientation_sign_of(g, a) == -1 for a in automorphisms(g))
 
 
+def _index_tables(g):
+    """Half-edges as positions 0..H-1 in sorted order: the position of
+    each label, and sigma and the pairing as lists of positions."""
+    index = {h: i for i, h in enumerate(g.half_edges)}
+    sigma = g.sigma()
+    return (index, [index[sigma[h]] for h in g.half_edges],
+            [index[g.pairing[h]] for h in g.half_edges])
+
+
+def _traverse(succ, mate, root):
+    """Positions labelled 0..H-1 from `root`: each position, in label
+    order, labels its sigma-successor and then its mate if they have no
+    label yet.  Returns (order, label), inverse lists."""
+    label = [-1] * len(succ)
+    label[root] = 0
+    order = [root]
+    for h in order:
+        nxt = succ[h]
+        if label[nxt] < 0:
+            label[nxt] = len(order)
+            order.append(nxt)
+        nxt = mate[h]
+        if label[nxt] < 0:
+            label[nxt] = len(order)
+            order.append(nxt)
+    return order, label
+
+
 def _traversal_labeling(g, seed):
     """Deterministic relabeling 0..H-1 grown from `seed` along sigma/pairing."""
-    sigma = g.sigma()
-    new = {seed: 0}
-    pending = [seed]
-    i = 0
-    while i < len(pending):
-        h = pending[i]
-        i += 1
-        for nxt in (sigma[h], g.pairing[h]):
-            if nxt not in new:
-                new[nxt] = len(new)
-                pending.append(nxt)
-    return new
-
-
-def _relabeled_literal(g, relabel):
-    cycles = _normalize_cycles([tuple(relabel[x] for x in c) for c in g.vertices])
-    pairs = tuple(sorted((min(relabel[a], relabel[b]), max(relabel[a], relabel[b]))
-                         for a, b in g.edges()))
-    return cycles, pairs
+    index, succ, mate = _index_tables(g)
+    order, _ = _traverse(succ, mate, index[seed])
+    return {g.half_edges[h]: i for i, h in enumerate(order)}
 
 
 def canonical_form(g):
     """Lexicographically least relabeled literal, with all relabelings
-    achieving it (one per automorphism)."""
-    best = None
+    achieving it (one per automorphism), in the order of their roots.
+
+    Each root half-edge seeds the labelling of `_traversal_labeling`.
+    That traversal reaches every vertex first at one half-edge, which
+    therefore carries the vertex's least label, and it reaches vertices
+    in increasing order of those labels.  So the relabeled normalized
+    cycles are the cycles read from their entry half-edges, in the order
+    of entry, and the sorted edge pairs are read off the labels in
+    increasing order; nothing needs sorting.  A root is dropped as soon
+    as one of its cycles compares greater than the best literal's, before
+    its pairs are built.
+    """
+    index, succ, mate = _index_tables(g)
+    # rotation[i]: the vertex of position i read from i; vertex_id[i]: which vertex
+    rotation = [None] * len(succ)
+    vertex_id = [0] * len(succ)
+    for v, cycle in enumerate(g.vertices):
+        cycle = [index[h] for h in cycle]
+        for i, h in enumerate(cycle):
+            rotation[h] = cycle[i:] + cycle[:i]
+            vertex_id[h] = v
+
+    best_cycles = best_pairs = None
     best_maps = []
-    for seed in g.half_edges:
-        relabel = _traversal_labeling(g, seed)
-        lit = _relabeled_literal(g, relabel)
-        if best is None or lit < best:
-            best = lit
+    for root in range(len(succ)):
+        order, label = _traverse(succ, mate, root)
+        # whether the literal is already smaller than the best one
+        smaller = best_cycles is None
+        entered = [False] * len(g.vertices)
+        cycles = []
+        for h in order:
+            v = vertex_id[h]
+            if entered[v]:
+                continue
+            entered[v] = True
+            cycle = tuple([label[x] for x in rotation[h]])
+            if not smaller:
+                other = best_cycles[len(cycles)]
+                if cycle > other:
+                    cycles = None
+                    break
+                smaller = cycle < other
+            cycles.append(cycle)
+        if cycles is None:
+            continue
+
+        pairs = tuple([(i, label[mate[h]]) for i, h in enumerate(order)
+                       if label[mate[h]] > i])
+        if not smaller:
+            if pairs > best_pairs:
+                continue
+            smaller = pairs < best_pairs
+        relabel = {g.half_edges[h]: i for i, h in enumerate(order)}
+        if smaller:
+            best_cycles, best_pairs = tuple(cycles), pairs
             best_maps = [relabel]
-        elif lit == best:
+        else:
             best_maps.append(relabel)
-    return best, best_maps
+    return (best_cycles, best_pairs), best_maps
 
 
 def canonical_oriented(og):
@@ -563,8 +634,8 @@ def canonical_oriented(og):
     orientation-reversing automorphism (so <Gamma> = 0).
     """
     lit, maps = canonical_form(og.graph)
-    canon = RibbonGraph(lit[0], lit[1])
-    signs = {og.sign * transport_sign(og.graph, canon, m) for m in maps}
+    target = reference_word(lit[0])
+    signs = {og.sign * word_parity(_transported_word(og.graph, m), target) for m in maps}
     if len(signs) == 2:
         return lit, None
     return lit, signs.pop()
@@ -604,10 +675,10 @@ def expand_vertex(og, cycle, split):
     new_cycles.append((eplus,) + block2)
     pairs = og.graph.edges() + [(eminus, eplus)]
     expanded = RibbonGraph(new_cycles, pairs)
-    back = collapse_edge(OrientedRibbonGraph(expanded, 1), (eminus, eplus))
-    if back.graph != og.graph:
+    cycles, pairing, sign = collapse_oriented(expanded.vertices, expanded.pairing, 1, eminus)
+    if cycles != og.graph.vertices or pairing != og.graph.pairing:
         raise GraphError("expansion failed to collapse back")
-    return OrientedRibbonGraph(expanded, og.sign * back.sign), (eminus, eplus)
+    return OrientedRibbonGraph(expanded, og.sign * sign), (eminus, eplus)
 
 
 def enumerate_expansions(og, cycle, up_to_isomorphism_over=False):
@@ -705,9 +776,6 @@ class GraphMorphism:
         target = og.graph
         return cls(g, target, {h: h for h in target.half_edges}, _checked=True), og.sign
 
-    def is_identity_like(self):
-        return not self.forest and all(k == v for k, v in self.preimage.items())
-
     def corner_map(self):
         """Total map from source half-edges to target half-edges sending
         the corner after h to the corner after its image."""
@@ -723,11 +791,6 @@ class GraphMorphism:
                 m[h] = x
         relabel = {v: k for k, v in self.preimage.items()}
         return {h: relabel[x] for h, x in m.items()}
-
-    def image_vertex(self, cycle):
-        """Cycle of the target vertex the given source vertex maps into."""
-        cm = self.corner_map()
-        return self.target.vertex_of(cm[cycle[0]])
 
     def __eq__(self, other):
         return (isinstance(other, GraphMorphism)

@@ -86,11 +86,6 @@ class PlanarTree:
     def internal_edges(self):
         return sorted({(min(a, b), max(a, b)) for a, b in self.pairing.items()})
 
-    @property
-    def codimension_in_polytope(self):
-        # number of internal edges: a k-face of K^n has n-k of them
-        return len(self.pairing) // 2
-
     def literal(self):
         return (self.leaf_count, self.vertices, tuple(self.internal_edges()))
 

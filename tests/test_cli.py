@@ -108,6 +108,27 @@ def test_verify_closedform_out_of_range_exits_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_verify_closedform_nonpositive_weight_exits_2(n):
+    code, text = run_cli(["verify", "--suite", "closedform", "--n", n])
+    assert code == 2 and text == ""
+    code, text = run_cli(["coeff", "--n", n])
+    assert code == 2 and text == ""
+
+
+def test_verify_all_checks_weight_before_any_suite(monkeypatch):
+    from fatcomplex import cli
+
+    def must_not_run(cfg):
+        raise AssertionError("a suite ran before the weight was checked")
+
+    for suite in ("_checks_orientation", "_checks_complex", "_checks_cocycle",
+                  "_checks_ainf"):
+        monkeypatch.setattr(cli, suite, must_not_run)
+    code, text = run_cli(["verify", "--suite", "all", "--n", "9"])
+    assert code == 2 and text == ""
+
+
 def test_long_mode_progress_goes_to_stderr_only(capsys, monkeypatch):
     from fatcomplex import coefficients
 

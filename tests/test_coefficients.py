@@ -204,6 +204,9 @@ def test_out_of_range():
         w_polynomial((5,))
     with pytest.raises(OutOfComputedRange):
         w_polynomial((4,), mode="fast")
+    for n in (-1, 0, 5):
+        with pytest.raises(OutOfComputedRange):
+            closed_form_checks(n)
 
 
 def test_w_polynomial_weight_low():

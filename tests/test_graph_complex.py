@@ -228,6 +228,81 @@ def test_forest_complex_two_big_vertices():
     assert fc.homology_is_trivial()
 
 
+def _rank_corpus():
+    """Forest complexes over the bases of codimension 1-4 within 8
+    half-edges, and over the first (single 8-valent vertex) of codimension 5."""
+    graphs = enumerate_graphs(8)
+    bases = [g for g in graphs if 1 <= g.codimension <= 4]
+    bases.append(next(g for g in graphs if g.codimension == 5))
+    return [forest_complex(g) for g in bases]
+
+
+def test_modular_and_exact_ranks_agree():
+    from fatcomplex.graph_complex import RANK_MODULUS, sparse_rank
+
+    for fc in _rank_corpus():
+        for k in range(1, fc.base.codimension + 1):
+            assert sparse_rank(fc.matrices[k], RANK_MODULUS) == sparse_rank(fc.matrices[k])
+        assert fc.homology_is_trivial()
+
+
+def test_sparse_rank_small_cases():
+    from fatcomplex.graph_complex import sparse_rank
+
+    assert sparse_rank({}) == 0
+    # rows (1, 2), (2, 4), (0, 3): rank 2 over Q and mod 7, rank 1 mod 3
+    m = {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 4, (2, 1): 3}
+    assert sparse_rank(m) == 2
+    assert sparse_rank(m, 7) == 2
+    assert sparse_rank(m, 3) == 1
+    assert sparse_rank({(0, 0): 5}, 5) == 0
+
+
+def test_flipped_entry_breaks_forest_checks():
+    g = enumerate_graphs(8, valences=(5, 3))[0]
+    fc = forest_complex(g)
+    assert fc.d_squared_is_zero() and fc.homology_is_trivial()
+    for k in (1, 2):
+        for entry in list(fc.matrices[k]):
+            fc.matrices[k][entry] *= -1
+            assert not fc.d_squared_is_zero()
+            assert not fc.homology_is_trivial()
+            if k == 1:
+                assert not fc.augmentation_kills_boundary()
+            fc.matrices[k][entry] *= -1
+    assert fc.d_squared_is_zero() and fc.homology_is_trivial()
+
+
+def test_rank_deficient_complex_is_not_acyclic():
+    # zeroing the top boundary keeps d.d = 0 but leaves homology on top
+    fc = forest_complex(enumerate_graphs(8, valences=(6,))[0])
+    n = fc.base.codimension
+    fc.matrices[n] = {}
+    assert fc.d_squared_is_zero() and fc.augmentation_kills_boundary()
+    assert not fc.homology_is_trivial()
+
+
+def test_homology_falls_back_to_exact_ranks(monkeypatch):
+    from fatcomplex import graph_complex
+    from fatcomplex.graph_complex import RANK_MODULUS
+
+    fc = forest_complex(enumerate_graphs(8, valences=(6,))[0])
+    n = fc.base.codimension
+    # scaling the top boundary by the prime keeps its rank over Q but
+    # kills it mod p, so only the exact ranks can confirm acyclicity
+    fc.matrices[n] = {e: v * RANK_MODULUS for e, v in fc.matrices[n].items()}
+    calls = []
+    rank = graph_complex.sparse_rank
+    monkeypatch.setattr(graph_complex, "sparse_rank",
+                        lambda entries, modulus=None: calls.append(modulus)
+                        or rank(entries, modulus))
+    assert fc.homology_is_trivial()
+    assert RANK_MODULUS in calls and None in calls
+    calls.clear()
+    assert forest_complex(fc.base).homology_is_trivial()
+    assert calls and None not in calls
+
+
 def test_dual_cell_reproduces_b_numbers_on_graphs():
     # the dual cell of a graph with one 5-valent vertex has 10 simplices
     # of composable morphisms; the signed cocycle sum gives b for (1)

@@ -330,6 +330,66 @@ def test_canonical_key_invariant_under_random_relabeling():
             assert sign2 == sign
 
 
+def reference_canonical_form(g):
+    """canonical_form as first written: for every root, label by the
+    sigma-then-pairing traversal, build the whole normalized literal, and
+    keep the least literal with every labelling that reaches it."""
+    sigma = {}
+    for c in g.vertices:
+        for i, h in enumerate(c):
+            sigma[h] = c[(i + 1) % len(c)]
+    best, best_maps = None, []
+    for seed in g.half_edges:
+        relabel = {seed: 0}
+        pending = [seed]
+        for h in pending:
+            for nxt in (sigma[h], g.pairing[h]):
+                if nxt not in relabel:
+                    relabel[nxt] = len(relabel)
+                    pending.append(nxt)
+        cycles = []
+        for c in g.vertices:
+            image = [relabel[x] for x in c]
+            i = image.index(min(image))
+            cycles.append(tuple(image[i:] + image[:i]))
+        pairs = {(min(relabel[a], relabel[b]), max(relabel[a], relabel[b]))
+                 for a, b in g.pairing.items()}
+        lit = (tuple(sorted(cycles)), tuple(sorted(pairs)))
+        if best is None or lit < best:
+            best, best_maps = lit, [relabel]
+        elif lit == best:
+            best_maps.append(relabel)
+    return best, best_maps
+
+
+def test_canonical_form_matches_reference_on_corpus():
+    import random
+
+    from fatcomplex.graph_complex import enumerate_graphs
+    from fatcomplex.ribbon import canonical_form
+
+    rng = random.Random(5)
+    checked = 0
+    for g in enumerate_graphs(8):
+        graphs = [g]
+        og = OrientedRibbonGraph(g, 1)
+        for cycle in g.vertices:
+            if len(cycle) >= 4:
+                graphs.extend(e.graph for e, _ in enumerate_expansions(og, cycle))
+        labels = list(g.half_edges)
+        for _ in range(4):
+            image = rng.sample(range(1, 4 * len(labels)), len(labels))
+            graphs.append(g.relabel(dict(zip(labels, image))))
+        for x in graphs:
+            key, maps = canonical_form(x)
+            want_key, want_maps = reference_canonical_form(x)
+            assert key == want_key
+            # the same labellings, in the same root order and insertion order
+            assert [list(m.items()) for m in maps] == [list(m.items()) for m in want_maps]
+            checked += 1
+    assert checked > 500
+
+
 def test_graph_literal_roundtrip():
     g = theta()
     lit = graph_to_literal(g)
