@@ -1,0 +1,126 @@
+"""The check registry: the verification suites behind `fatcomplex verify`
+and the acceptance suite.
+
+Each suite takes its inputs as keyword arguments, from `max_half_edges`,
+`n`, `seed`, `workers` and `mode`, ignores the ones it does not use, and
+returns rows (suite, name, passed, conjecture).  A check that covers no
+instance emits no row, so every row reports a check that could fail.
+"""
+
+import math
+import random
+from fractions import Fraction
+from itertools import permutations
+
+from fatcomplex import ainfinity, coefficients, graph_complex, trees
+from fatcomplex.ribbon import OrientedRibbonGraph
+
+
+def check_orientation(**_):
+    rows = []
+    for valence in (5, 7, 9):
+        seeds = [t for t in trees.trees_with_edge_count(valence + 2, 2)
+                 if sorted(len(c) for c in t.vertices) == [3, 3, valence]]
+        ok = bool(seeds) and all(
+            trees.lemma_region_sign(t, list(order))
+            == trees.chain_from_order(t, list(order)).sign
+            for t in seeds for order in permutations(t.internal_edges()))
+        rows.append(("orientation",
+                     "region sign rule, big vertex valence %d" % valence, ok, False))
+    for n in (2, 4):
+        ok = True
+        for chain in trees.maximal_chains(n):
+            if trees.chain_region_sign(chain) != chain.sign:
+                ok = False
+            for i in range(n - 1):
+                swapped = list(chain.edges)
+                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+                if trees.chain_from_order(chain.trees[0], swapped).sign != -chain.sign:
+                    ok = False
+        rows.append(("orientation",
+                     "chain signs on K^%d: region rule and antisymmetry" % n, ok, False))
+    return rows
+
+
+def check_complex(max_half_edges, **_):
+    corpus = graph_complex.enumerate_graphs(max_half_edges)
+    rows = []
+    classes = [g for g in corpus if g.codimension >= 2]
+    if classes:
+        ok = all(graph_complex.d_chain(
+            graph_complex.d_integral(OrientedRibbonGraph(g, 1))).is_zero()
+            for g in classes)
+        rows.append(("complex", "d.d = 0 on %d classes within %d half-edges"
+                     % (len(classes), max_half_edges), ok, False))
+    for n in (1, 2, 3):
+        lhs, rhs = trees.dual_cell_boundary_check(n)
+        rows.append(("complex", "dual cell boundary identity on K^%d" % n,
+                     lhs == rhs, False))
+    bases = [g for g in corpus if 1 <= g.codimension <= 4]
+    if bases:
+        ok = all(fc.ranks() == fc.expected_ranks() and fc.d_squared_is_zero()
+                 and fc.homology_is_trivial()
+                 for fc in map(graph_complex.forest_complex, bases))
+        rows.append(("complex", "forest complex ranks/acyclicity on %d bases"
+                     % len(bases), ok, False))
+    ok = all(len(trees.enumerate_trivalent_trees(leaves))
+             == math.comb(2 * (leaves - 2), leaves - 2) // (leaves - 1)
+             for leaves in range(3, 10))
+    rows.append(("complex", "Catalan counts for trivalent trees up to 9 leaves",
+                 ok, False))
+    return rows
+
+
+def check_cocycle(max_half_edges, **_):
+    rows = []
+    for lam in ((), (1,), (2,), (1, 1)):
+        report = graph_complex.verify_cocycle(lam, max_half_edges)
+        if report:
+            name = "W[%s]* kills boundaries (%d classes, <= %d half-edges)" % (
+                ",".join(str(p) for p in lam), len(report), max_half_edges)
+            rows.append(("cocycle", name, all(v == 0 for _, v in report), False))
+    return rows
+
+
+def check_ainf(max_half_edges, seed, **_):
+    """Z_x for three random x, one value per even arity of the algebra,
+    which goes up to max_half_edges + 2."""
+    rng = random.Random(seed)
+    corpus = graph_complex.enumerate_graphs(max_half_edges)
+    positive = [g for g in corpus if g.codimension >= 1]
+    rows = []
+    for trial in range(1, 4):
+        x = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
+             for _ in range(max_half_edges // 2 + 1)]
+        alg = ainfinity.one_dimensional_algebra(x, max_half_edges + 2)
+        report = ainfinity.check_partition_cocycle(alg, positive)
+        if report:
+            rows.append(("ainf", "Z_x cocycle, random x #%d (%d classes)"
+                         % (trial, len(report)), all(v == 0 for _, v in report), False))
+        expansion = ainfinity.zx_expansion_check(x, corpus)
+        if expansion:
+            rows.append(("ainf", "Z_x expansion identity, random x #%d" % trial,
+                         all(lhs == rhs for _, lhs, rhs in expansion), False))
+    return rows
+
+
+def check_closedform(n, workers, mode, **_):
+    return [("closedform", r.name, r.passed, r.conjecture)
+            for r in coefficients.closed_form_checks(n, workers=workers, mode=mode)]
+
+
+SUITES = {
+    "orientation": check_orientation,
+    "complex": check_complex,
+    "cocycle": check_cocycle,
+    "ainf": check_ainf,
+    "closedform": check_closedform,
+}
+
+
+def run(names, **inputs):
+    """The rows of the named suites in order.  The weight is checked
+    before any suite spends time."""
+    if "closedform" in names:
+        coefficients.check_weight(inputs["n"], inputs["mode"])
+    return [row for name in names for row in SUITES[name](**inputs)]

@@ -16,7 +16,7 @@ from itertools import product
 
 from fatcomplex import ribbon
 from fatcomplex.coefficients import double_factorial
-from fatcomplex.ribbon import GraphError, perm_parity
+from fatcomplex.ribbon import GraphError, sort_sign
 
 
 class RepeatedElement(GraphError):
@@ -48,11 +48,7 @@ def cyclic_sign(elements, ambient):
         ranks = [pos[x] for x in elements]
     except KeyError as exc:
         raise GraphError("element %r not in ambient cyclic set" % (exc.args[0],))
-    order = sorted(range(len(ranks)), key=lambda i: ranks[i])
-    inverse = [0] * len(ranks)
-    for rank, i in enumerate(order):
-        inverse[i] = rank
-    return perm_parity(inverse)
+    return sort_sign(ranks)
 
 
 class CyclicSetChain:

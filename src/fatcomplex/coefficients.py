@@ -34,6 +34,7 @@ from fractions import Fraction
 from itertools import product
 
 from fatcomplex.linalg import SingularMatrix, matrix_inverse
+from fatcomplex.ribbon import sort_sign
 from fatcomplex.trees import (
     chain_from_order,
     enumerate_trivalent_trees,
@@ -139,16 +140,6 @@ def _bits(x):
     return out
 
 
-def _ascending_sign(tup):
-    sign = 1
-    n = len(tup)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if tup[i] > tup[j]:
-                sign = -sign
-    return sign
-
-
 def _part_scale(k, leaf_count):
     """|(-2)^(k+1) (2k-1)!!| * leaf_count!, which clears the denominator of
     every window value of a part k: along a window whose cocycle does not
@@ -167,7 +158,7 @@ def _scaled_cz(c0, deltas, scale, cache):
     levels = [_bits(c0)] + [_bits(d) for d in deltas]
     total = 0
     for tup in product(*levels):
-        total += _ascending_sign(tup)
+        total += sort_sign(tup)
     val = 0
     if total:
         k = len(deltas) // 2
@@ -669,13 +660,6 @@ def closed_form_checks(n, workers=1, mode="fast"):
         rhs = _witten_polynomial(k)
         out.append(CheckResult("W[%d]* = %s" % (k, rhs.render()),
                                lhs == rhs, False, lhs.render(), rhs.render()))
-    if n >= FAST_MAX_WEIGHT:
-        # the weight-4 entry follows from the closed-form diagonal alone
-        a4 = closed_form_a_diagonal(4)
-        ok = Fraction(1) / closed_form_b_diagonal(4) == a4
-        rhs = _witten_polynomial(4)
-        out.append(CheckResult("W[4]* = %s (closed-form diagonal)" % rhs.render(),
-                               ok, False, rhs.render(), rhs.render()))
     for nn in range(0, n):
         mu = (nn, 1) if nn >= 1 else (1, 0)
         lhs = w_polynomial(mu, workers=workers, mode=mode)

@@ -403,10 +403,6 @@ class ForestComplex:
     def ranks(self):
         return [len(level) for level in self.levels]
 
-    def augmentation(self):
-        """Signs of the trivalent generators (all are +-1)."""
-        return [1 for _ in self.levels[0]]
-
     def d_squared_is_zero(self):
         """d_{k-1} d_k = 0 for every k, as exact sparse integer products."""
         return all(not any(_sparse_product(self.matrices[k - 1], self.matrices[k]).values())
@@ -415,7 +411,8 @@ class ForestComplex:
     def augmentation_kills_boundary(self):
         if self.base.codimension < 1:
             return True
-        eps = {(0, i): e for i, e in enumerate(self.augmentation())}
+        # the augmentation sends every trivalent generator to 1
+        eps = {(0, i): 1 for i in range(len(self.levels[0]))}
         return not any(_sparse_product(eps, self.matrices[1]).values())
 
     def homology_is_trivial(self):

@@ -83,6 +83,19 @@ def perm_parity(perm):
     return sign
 
 
+def sort_sign(values):
+    """Sign of the permutation sorting distinct `values` ascending, by
+    counting inversions (quadratic, for the short tuples of the chain
+    scan and the region rules; `perm_parity` walks cycles in O(n))."""
+    sign = 1
+    n = len(values)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if values[i] > values[j]:
+                sign = -sign
+    return sign
+
+
 def word_parity(word_a, word_b):
     """Sign of the permutation carrying ordering `word_a` to `word_b`.
 

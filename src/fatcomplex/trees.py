@@ -19,7 +19,7 @@ from fatcomplex.ribbon import (
     GraphError,
     _normalize_cycles,
     collapse_oriented,
-    perm_parity,
+    sort_sign,
 )
 
 
@@ -456,21 +456,8 @@ def region_touch_sets(tree):
 # region sign rules
 # ---------------------------------------------------------------------------
 
-def _ascending_parity(values):
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    pos = [0] * len(values)
-    for rank, i in enumerate(order):
-        pos[i] = rank
-    return perm_parity(pos)
-
-
-def tuple_cyclic_sign(values):
-    """Sign sorting distinct integers into their cyclic (ascending) order.
-
-    Rotating an odd-length tuple is even, so for odd tuples this is the
-    cyclic sign; we use it only with odd total length.
-    """
-    return _ascending_parity(values)
+# Both rules sign odd-length tuples of distinct regions, whose ascending
+# sort sign is their cyclic sign: rotating an odd-length tuple is even.
 
 
 def _flank_regions(tree, edge):
@@ -540,7 +527,7 @@ def lemma_region_sign(tree, edge_order, v0=None):
         cu, cw = tree.vertex_of(e[0]), tree.vertex_of(e[1])
         far = cu if dist[vi[cu]] > dist[vi[cw]] else cw
         bs.append(_off_region(tree, far, e))
-    return (-1) ** k * tuple_cyclic_sign(tuple(a) + tuple(bs))
+    return (-1) ** k * sort_sign(tuple(a) + tuple(bs))
 
 
 def _is_cyclically_sorted(values):
@@ -590,7 +577,7 @@ def chain_region_sign(chain):
         d_cw = min(du[vi[cw]], dw[vi[cw]])
         far = cu if d_cu > d_cw else cw
         bs.append(_off_region(seed, far, e))
-    return (-1) ** k * tuple_cyclic_sign(tuple(a) + tuple(bs))
+    return (-1) ** k * sort_sign(tuple(a) + tuple(bs))
 
 
 # ---------------------------------------------------------------------------

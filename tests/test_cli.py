@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import sys
 
 import pytest
@@ -66,6 +67,8 @@ def test_verify_all_tiny_corpus():
                           "--n", "1"])
     assert code == 0
     assert "FAIL" not in text
+    # a check that covers no class prints no row
+    assert not re.search(r"\b0 (classes|bases)", text)
 
 
 def test_verify_json_roundtrip_and_determinism():
@@ -78,6 +81,23 @@ def test_verify_json_roundtrip_and_determinism():
     rows = json.loads(text1)
     assert all(set(r) == {"suite", "check", "passed", "conjecture"} for r in rows)
     assert all(r["passed"] for r in rows)
+
+
+def test_seed_is_a_verify_flag_only():
+    for argv in (["coeff", "--n", "1"], ["wpoly", "--partition", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "cocycle", "--max-half-edges", "3"],
+    ["verify", "--suite", "orientation", "--workers", "0"],
+    ["coeff", "--n", "1", "--workers", "0"],
+])
+def test_bounds_below_range_exit_2(argv):
+    code, text = run_cli(argv)
+    assert code == 2 and text == ""
 
 
 def test_verify_seed_changes_nothing_semantically():
@@ -117,16 +137,39 @@ def test_verify_closedform_nonpositive_weight_exits_2(n):
 
 
 def test_verify_all_checks_weight_before_any_suite(monkeypatch):
-    from fatcomplex import cli
+    from fatcomplex import checks
 
-    def must_not_run(cfg):
+    def must_not_run(**inputs):
         raise AssertionError("a suite ran before the weight was checked")
 
-    for suite in ("_checks_orientation", "_checks_complex", "_checks_cocycle",
-                  "_checks_ainf"):
-        monkeypatch.setattr(cli, suite, must_not_run)
+    for suite in ("orientation", "complex", "cocycle", "ainf"):
+        monkeypatch.setitem(checks.SUITES, suite, must_not_run)
     code, text = run_cli(["verify", "--suite", "all", "--n", "9"])
     assert code == 2 and text == ""
+
+
+def plus_one(right, *args):
+    return right(*args) + 1
+
+
+@pytest.mark.parametrize("suite, module, name, wrong, row", [
+    ("orientation", "trees", "lemma_region_sign", plus_one, "region sign rule"),
+    ("orientation", "trees", "chain_region_sign", plus_one, "chain signs on K^2"),
+    ("complex", "graph_complex", "d_chain", lambda right, chain: chain, "d.d = 0"),
+    ("cocycle", "graph_complex", "eval_w", plus_one, "W[1]* kills boundaries"),
+    ("ainf", "ainfinity", "partition_function_chain", plus_one, "Z_x cocycle"),
+])
+def test_verify_row_fails_on_a_wrong_library_answer(monkeypatch, suite, module,
+                                                    name, wrong, row):
+    import functools
+    import importlib
+
+    lib = importlib.import_module("fatcomplex." + module)
+    monkeypatch.setattr(lib, name, functools.partial(wrong, getattr(lib, name)))
+    code, text = run_cli(["verify", "--suite", suite, "--max-half-edges", "6"])
+    assert code == 1
+    assert any(line.startswith("FAIL %s: %s" % (suite, row))
+               for line in text.splitlines())
 
 
 def test_long_mode_progress_goes_to_stderr_only(capsys, monkeypatch):

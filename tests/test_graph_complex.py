@@ -204,7 +204,6 @@ def test_forest_complex_trivalent_base():
     theta = build_graph([(1, 2, 3), (6, 5, 4)], [(1, 4), (2, 5), (3, 6)])
     fc = forest_complex(theta)
     assert fc.ranks() == [1]
-    assert fc.augmentation() == [1]
 
 
 def test_forest_complex_five_valent():

@@ -32,6 +32,7 @@ from fatcomplex.ribbon import (
     orientation_sign_of,
     perm_parity,
     single_collapse_morphisms,
+    sort_sign,
     word_parity,
 )
 
@@ -55,6 +56,21 @@ def test_perm_parity():
     assert perm_parity([1, 0, 2]) == -1
     assert perm_parity([2, 0, 1]) == 1
     assert perm_parity([]) == 1
+
+
+def test_sort_sign_matches_perm_parity_of_the_sorting_permutation():
+    import random
+
+    def sorting_parity(values):
+        return perm_parity(sorted(range(len(values)), key=values.__getitem__))
+
+    for perm in itertools.permutations(range(6)):
+        assert sort_sign(perm) == sorting_parity(perm)
+    rng = random.Random(11)
+    for size in range(12):
+        for _ in range(20):
+            values = rng.sample(range(-40, 40), size)
+            assert sort_sign(values) == sorting_parity(values)
 
 
 def test_word_parity_matches_bruteforce():
@@ -458,3 +474,4 @@ def test_corner_chain_single_collapse():
     assert len(images[0]) == 3
     assert len(images[1]) == 4
     assert len(images[1] - images[0]) == 1
+

@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from fatcomplex.ribbon import GraphError
+from fatcomplex.ribbon import GraphError, sort_sign
 from fatcomplex.trees import (
     ConfigurationMismatch,
     PlanarTree,
@@ -23,7 +23,6 @@ from fatcomplex.trees import (
     regions_touching,
     tree_from_literal,
     tree_to_literal,
-    tuple_cyclic_sign,
 )
 
 
@@ -119,7 +118,7 @@ def test_case_2a_orientation_words():
     # the two off-regions b1 = 2, b2 = 3 sort evenly into cyclic order
     v0 = t0.vertex_of(5)
     a = regions_touching(t0, v0)
-    assert tuple_cyclic_sign(tuple(a) + (2, 3)) == 1
+    assert sort_sign(tuple(a) + (2, 3)) == 1
 
 
 def test_case_2b_orientation_words():
