@@ -14,10 +14,10 @@ from itertools import product
 
 from fatcomplex.coefficients import format_rational
 from fatcomplex.graph_complex import (
-    GraphChain,
     chain_of,
-    d_integral,
+    eval_on_boundaries,
     eval_w,
+    nonzero_classes,
 )
 from fatcomplex.linalg import SingularMatrix, matrix_inverse
 from fatcomplex.ribbon import (
@@ -419,9 +419,11 @@ def check_partition_cocycle(algebra, graphs):
     """Z_A vanishes on the boundary of every corpus generator."""
     if not contraction_identity_holds(algebra):
         raise InvalidAlgebra("dual basis does not satisfy the contraction identity")
-    report = []
-    for g in graphs:
-        og = OrientedRibbonGraph(g, 1)
-        value = partition_function_chain(algebra, d_integral(og))
-        report.append((g.literal(), value))
-    return report
+    graphs = list(graphs)
+    classes = nonzero_classes(graphs)
+    values = eval_on_boundaries(
+        lambda key: partition_function(algebra, OrientedRibbonGraph(graph_from_key(key), 1)),
+        classes)
+    # the boundary of a zero class is zero
+    value_of = {og.graph: value for og, value in zip(classes, values)}
+    return [(g.literal(), value_of.get(g, Fraction(0))) for g in graphs]

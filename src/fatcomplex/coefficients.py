@@ -664,7 +664,7 @@ def closed_form_checks(n, workers=1, mode="fast"):
         mu = (nn, 1) if nn >= 1 else (1, 0)
         lhs = w_polynomial(mu, workers=workers, mode=mode)
         rhs = _w_n1_formula(nn)
-        out.append(CheckResult("W[%s]*" % ",".join(str(p) for p in mu),
+        out.append(CheckResult("W[%d,1]*" % nn,
                                lhs == rhs, False, lhs.render(), rhs.render()))
     for k in range(0, n + 1):
         lhs = w_polynomial((k, 0), workers=workers, mode=mode)

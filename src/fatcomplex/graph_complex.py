@@ -8,14 +8,16 @@ orientation normalized to +1 on the canonical representative; classes
 admitting an orientation-reversing automorphism are identically zero
 and never stored.
 
-The forest complex over a base keeps its boundaries as sparse integer
-matrices.  Its d.d check is an exact sparse product.  Its acyclicity
+Every boundary comes from `boundary_matrix`, as a sparse integer matrix
+on classes or, for the forest complex, on objects over a base.  The
+forest complex keeps only these matrices.  Its d.d check is an exact sparse product.  Its acyclicity
 check compares ranks taken modulo the prime 2^61 - 1, and recomputes
 them over Q only when the mod-p ranks fail; a mod-p pass is a pass over
 Q because the complex is checked exactly first (see
 `ForestComplex.homology_is_trivial`).
 """
 
+import functools
 import math
 from fractions import Fraction
 from itertools import permutations
@@ -77,29 +79,67 @@ def chain_of(og, coeff=1):
     return chain
 
 
+def boundary_matrix(columns, canon=canonical_oriented):
+    """The boundary on the oriented graphs `columns`, as a sparse integer
+    matrix: one term per single-vertex expansion of each column, taken as
+    given, keyed by `canon(expanded)` -> (key, sign), where sign None
+    marks a zero class.
+
+    Returns (rows, matrix): the sorted keys of every class hit, and
+    {(row, col): value} over their positions, without zero entries.
+    """
+    found = {}
+    entries = {}
+    for col, og in enumerate(columns):
+        for cycle in og.graph.vertices:
+            if len(cycle) < 4:
+                continue
+            for expanded, _ in enumerate_expansions(og, cycle):
+                key, sign = canon(expanded)
+                if sign is not None:
+                    row = found.setdefault(key, len(found))
+                    entries[row, col] = entries.get((row, col), 0) + sign
+    rows = sorted(found)
+    position = {found[key]: r for r, key in enumerate(rows)}
+    return rows, {(position[r], c): v for (r, c), v in entries.items() if v}
+
+
+def nonzero_classes(graphs):
+    """<g> with orientation +1 for each graph whose class is not zero."""
+    oriented = (OrientedRibbonGraph(g, 1) for g in graphs)
+    return [og for og in oriented if canonical_oriented(og)[1] is not None]
+
+
 def d_integral(og):
     """Boundary of <Gamma> in the integral subcomplex: one term per
     single-vertex expansion, with the orientation induced from Gamma."""
-    _, sign = canonical_oriented(og)
     chain = GraphChain(grading=og.graph.codimension - 1)
-    if sign is None:
-        return chain
-    for cycle in og.graph.vertices:
-        if len(cycle) < 4:
-            continue
-        for expanded, _ in enumerate_expansions(og, cycle):
-            key, s = canonical_oriented(expanded)
-            if s is not None:
-                chain.add(key, s)
+    if canonical_oriented(og)[1] is not None:
+        rows, matrix = boundary_matrix([og])
+        for (r, _), v in matrix.items():
+            chain.add(rows[r], v)
     return chain
 
 
 def d_chain(chain):
     out = GraphChain(grading=None if chain.grading is None else chain.grading - 1)
-    for key, coeff in chain.items():
-        sub = d_integral(OrientedRibbonGraph(graph_from_key(key), 1))
-        for k2, c2 in sub.items():
-            out.add(k2, coeff * c2)
+    terms = chain.items()
+    rows, matrix = boundary_matrix(
+        [OrientedRibbonGraph(graph_from_key(key), 1) for key, _ in terms])
+    for (r, c), v in matrix.items():
+        out.add(rows[r], terms[c][1] * v)
+    return out
+
+
+def eval_on_boundaries(value_of, columns):
+    """<f, d c> for each oriented graph c in `columns`, where the cochain
+    f takes the value `value_of(key)` on the generator `key`: f is
+    evaluated once per class hit, then multiplied by the boundary matrix."""
+    rows, matrix = boundary_matrix(columns)
+    f = [value_of(key) for key in rows]
+    out = [Fraction(0)] * len(columns)
+    for (r, c), v in matrix.items():
+        out[c] += f[r] * v
     return out
 
 
@@ -138,13 +178,12 @@ def hom_counts(source, target):
 # vertex-pattern cocycles
 # ---------------------------------------------------------------------------
 
-def _pattern_of(graph):
-    """(positive pattern, #trivalent) of an odd-valent graph, else None."""
-    if any(len(c) % 2 == 0 for c in graph.vertices):
+def _pattern_of(cycles):
+    """(positive pattern, #trivalent) of odd-valent vertex cycles, else None."""
+    if any(len(c) % 2 == 0 for c in cycles):
         return None
-    positive = sorted(((len(c) - 3) // 2 for c in graph.vertices if len(c) > 3),
-                      reverse=True)
-    trivalent = sum(1 for c in graph.vertices if len(c) == 3)
+    positive = sorted(((len(c) - 3) // 2 for c in cycles if len(c) > 3), reverse=True)
+    trivalent = sum(1 for c in cycles if len(c) == 3)
     return tuple(positive), trivalent
 
 
@@ -153,8 +192,7 @@ def eval_w_key(lam, key):
     lam = normalize_partition(lam, allow_zero=True)
     zeros = sum(1 for p in lam if p == 0)
     positive = tuple(p for p in lam if p > 0)
-    graph = graph_from_key(key)
-    pat = _pattern_of(graph)
+    pat = _pattern_of(key[0])
     if pat is None or pat[0] != positive:
         return Fraction(0)
     # canonical keys carry the natural orientation, so o = +1
@@ -176,17 +214,10 @@ def verify_cocycle(lam, max_half_edges):
     Returns a list of (key, value) with value == 0 expected.
     """
     lam = normalize_partition(lam, allow_zero=True)
-    weight = sum(lam)
-    codim = 2 * weight + 1
-    report = []
-    for g in enumerate_graphs(max_half_edges, codimension=codim):
-        og = OrientedRibbonGraph(g, 1)
-        key, sign = canonical_oriented(og)
-        if sign is None:
-            continue
-        value = eval_w(lam, d_integral(og))
-        report.append((key, value))
-    return report
+    codim = 2 * sum(lam) + 1
+    classes = nonzero_classes(enumerate_graphs(max_half_edges, codimension=codim))
+    values = eval_on_boundaries(lambda key: eval_w_key(lam, key), classes)
+    return [(og.graph.literal(), value) for og, value in zip(classes, values)]
 
 
 # ---------------------------------------------------------------------------
@@ -301,19 +332,14 @@ def _canonical_over(base_labels, og):
     cycles = ribbon._normalize_cycles([tuple(final[x] for x in c) for c in g.vertices])
     pairs = tuple(sorted((min(final[a], final[b]), max(final[a], final[b]))
                          for a, b in g.edge_tuple()))
-    word = []
-    for c in g.vertices:
-        image = [final[x] for x in c]
-        word.append(("v", min(image)))
-        word.extend(image)
-    sign = og.sign * word_parity(word, reference_word(cycles))
+    sign = og.sign * word_parity(ribbon._transported_word(g, final), reference_word(cycles))
     return (cycles, pairs), sign
 
 
 RANK_MODULUS = 2 ** 61 - 1
 
 
-def _sparse_product(a, b):
+def sparse_product(a, b):
     """Product of sparse integer matrices given as {(row, col): value}."""
     by_row = {}
     for (t, j), v in b.items():
@@ -374,38 +400,17 @@ class ForestComplex:
         self.levels = [None] * (n + 1)
         self.levels[n] = [key]
         self.matrices = [None] * (n + 1)
+        over_base = functools.partial(_canonical_over, self.base_labels)
         for k in range(n, 0, -1):
-            self._expand_level(k)
-
-    def _expand_level(self, k):
-        found = {}
-        entries = {}
-        for col, key in enumerate(self.levels[k]):
-            g = graph_from_key(key)
-            og = OrientedRibbonGraph(g, 1)
-            for cycle in g.vertices:
-                if len(cycle) < 4:
-                    continue
-                for expanded, _ in enumerate_expansions(og, cycle):
-                    k2, s = _canonical_over(self.base_labels, expanded)
-                    if k2 not in found:
-                        found[k2] = len(found)
-                    row = found[k2]
-                    entries[(row, col)] = entries.get((row, col), 0) + s
-        self.levels[k - 1] = [key for key, _ in sorted(found.items(), key=lambda kv: kv[1])]
-        # reindex rows in sorted-key order for determinism
-        ordered = sorted(range(len(self.levels[k - 1])),
-                         key=lambda i: self.levels[k - 1][i])
-        rank_of = {old: new for new, old in enumerate(ordered)}
-        self.levels[k - 1] = [self.levels[k - 1][i] for i in ordered]
-        self.matrices[k] = {(rank_of[r], c): v for (r, c), v in entries.items() if v}
+            columns = [OrientedRibbonGraph(graph_from_key(key), 1) for key in self.levels[k]]
+            self.levels[k - 1], self.matrices[k] = boundary_matrix(columns, over_base)
 
     def ranks(self):
         return [len(level) for level in self.levels]
 
     def d_squared_is_zero(self):
         """d_{k-1} d_k = 0 for every k, as exact sparse integer products."""
-        return all(not any(_sparse_product(self.matrices[k - 1], self.matrices[k]).values())
+        return all(not any(sparse_product(self.matrices[k - 1], self.matrices[k]).values())
                    for k in range(2, self.base.codimension + 1))
 
     def augmentation_kills_boundary(self):
@@ -413,7 +418,7 @@ class ForestComplex:
             return True
         # the augmentation sends every trivalent generator to 1
         eps = {(0, i): 1 for i in range(len(self.levels[0]))}
-        return not any(_sparse_product(eps, self.matrices[1]).values())
+        return not any(sparse_product(eps, self.matrices[1]).values())
 
     def homology_is_trivial(self):
         """Augmented homology vanishes in all degrees 0..n by ranks.

@@ -694,13 +694,8 @@ def expand_vertex(og, cycle, split):
     return OrientedRibbonGraph(expanded, og.sign * sign), (eminus, eplus)
 
 
-def enumerate_expansions(og, cycle, up_to_isomorphism_over=False):
-    """All (p^2-3p)/2 expansions of one vertex, with induced orientations.
-
-    With `up_to_isomorphism_over`, expansions giving the same object
-    over `og` (same collapse map up to iso commuting with it) are
-    deduplicated; by rigidity of splits this should change nothing.
-    """
+def enumerate_expansions(og, cycle):
+    """All (p^2-3p)/2 expansions of one vertex, with induced orientations."""
     cycle = tuple(cycle)
     p = len(cycle)
     out = []
@@ -709,26 +704,7 @@ def enumerate_expansions(og, cycle, up_to_isomorphism_over=False):
         if d < 2 or p - d < 2:
             continue
         out.append(expand_vertex(og, cycle, (i, j)))
-    if up_to_isomorphism_over:
-        seen = []
-        kept = []
-        for exp, edge in out:
-            if any(_over_isomorphic(exp.graph, edge, g2, e2) for g2, e2 in seen):
-                continue
-            seen.append((exp.graph, edge))
-            kept.append((exp, edge))
-        out = kept
     return out
-
-
-def _over_isomorphic(g1, e1, g2, e2):
-    """Isomorphism g1 -> g2 sending e1 to e2 and fixing all other labels."""
-    for seeds in ([(e1[0], e2[0]), (e1[1], e2[1])], [(e1[0], e2[1]), (e1[1], e2[0])]):
-        fixed = [(h, h) for h in g1.half_edges if h not in e1]
-        m = _grow_iso(g1, g2, seeds + fixed)
-        if m is not None:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from fatcomplex.ribbon import (
     _normalize_cycles,
     collapse_oriented,
     sort_sign,
+    transport_sign,
 )
 
 
@@ -291,20 +292,13 @@ def collapse_tree_edge(tree, sign, edge):
 def canonical_oriented_tree(tree, sign):
     """Canonical representative with the sign transported along the
     relabeling of internal half-edges."""
-    from fatcomplex.ribbon import reference_word, word_parity
-
     relabel = tree.canonical_relabel()
     canon = PlanarTree(
         tree.leaf_count,
         [tuple(relabel[x] for x in c) for c in tree.vertices],
         [(relabel[a], relabel[b]) for a, b in tree.internal_edges()],
         check=False)
-    word = []
-    for c in tree.vertices:
-        image = [relabel[x] for x in c]
-        word.append(("v", min(image)))
-        word.extend(image)
-    return canon, sign * word_parity(word, reference_word(canon.vertices))
+    return canon, sign * transport_sign(tree, canon, relabel)
 
 
 class TreeChain:

@@ -158,6 +158,20 @@ def test_check_partition_cocycle_grassmann_small():
     assert report and all(v == 0 for _, v in report)
 
 
+def test_check_partition_cocycle_matches_per_class_boundaries():
+    x = [Fraction(2), Fraction(-3), Fraction(5, 2), Fraction(1)]
+    # the last algebra is no A-infinity algebra, so its values are not all 0
+    broken = AInfinityAlgebra([0], [[1]], {2: {(0, 0): {0: 2}}, 3: {(0, 0, 0): {0: 1}}},
+                              strict=False)
+    for alg, bound in ((one_dimensional_algebra(x, 10), 10), (grassmann_two(), 4),
+                       (broken, 8)):
+        corpus = [g for g in enumerate_graphs(bound) if g.codimension >= 1]
+        want = [(g.literal(), partition_function_chain(alg, d_integral(OrientedRibbonGraph(g, 1))))
+                for g in corpus]
+        assert check_partition_cocycle(alg, corpus) == want
+    assert any(value for _, value in want)
+
+
 def test_zx_expansion_check():
     x = [Fraction(3), Fraction(-1, 2), Fraction(7, 3)]
     corpus = enumerate_graphs(8)

@@ -152,12 +152,20 @@ def plus_one(right, *args):
     return right(*args) + 1
 
 
+def first_entry_plus_one(right, *args):
+    rows, matrix = right(*args)
+    if matrix:
+        entry = next(iter(matrix))
+        matrix[entry] += 1
+    return rows, matrix
+
+
 @pytest.mark.parametrize("suite, module, name, wrong, row", [
     ("orientation", "trees", "lemma_region_sign", plus_one, "region sign rule"),
     ("orientation", "trees", "chain_region_sign", plus_one, "chain signs on K^2"),
-    ("complex", "graph_complex", "d_chain", lambda right, chain: chain, "d.d = 0"),
-    ("cocycle", "graph_complex", "eval_w", plus_one, "W[1]* kills boundaries"),
-    ("ainf", "ainfinity", "partition_function_chain", plus_one, "Z_x cocycle"),
+    ("complex", "graph_complex", "boundary_matrix", first_entry_plus_one, "d.d = 0"),
+    ("cocycle", "graph_complex", "eval_w_key", plus_one, "W[1]* kills boundaries"),
+    ("ainf", "ainfinity", "partition_function", plus_one, "Z_x cocycle"),
 ])
 def test_verify_row_fails_on_a_wrong_library_answer(monkeypatch, suite, module,
                                                     name, wrong, row):

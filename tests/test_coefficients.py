@@ -262,6 +262,12 @@ def test_closed_form_checks_weight_two():
     assert any(r.conjecture for r in results)
 
 
+def test_closed_form_check_names_are_distinct():
+    for n in (1, 2, 3):
+        names = [r.name for r in closed_form_checks(n)]
+        assert len(set(names)) == len(names)
+
+
 def test_conjecture_formula_weight_four_values():
     from fatcomplex.coefficients import _conjecture_formula
 

@@ -245,6 +245,60 @@ def test_modular_and_exact_ranks_agree():
         assert fc.homology_is_trivial()
 
 
+def reference_forest_levels(base):
+    """`levels` and `matrices` of the forest complex over `base`, built by
+    the first implementation's per-level expansion loop."""
+    from fatcomplex.graph_complex import _canonical_over
+    from fatcomplex.ribbon import enumerate_expansions
+
+    base_labels = set(base.half_edges)
+    n = base.codimension
+    key, _ = _canonical_over(base_labels, OrientedRibbonGraph(base, 1))
+    levels = [None] * (n + 1)
+    levels[n] = [key]
+    matrices = [None] * (n + 1)
+    for k in range(n, 0, -1):
+        found = {}
+        entries = {}
+        for col, key in enumerate(levels[k]):
+            g = graph_from_key(key)
+            og = OrientedRibbonGraph(g, 1)
+            for cycle in g.vertices:
+                if len(cycle) < 4:
+                    continue
+                for expanded, _ in enumerate_expansions(og, cycle):
+                    k2, s = _canonical_over(base_labels, expanded)
+                    if k2 not in found:
+                        found[k2] = len(found)
+                    row = found[k2]
+                    entries[(row, col)] = entries.get((row, col), 0) + s
+        levels[k - 1] = [key for key, _ in sorted(found.items(), key=lambda kv: kv[1])]
+        ordered = sorted(range(len(levels[k - 1])), key=lambda i: levels[k - 1][i])
+        rank_of = {old: new for new, old in enumerate(ordered)}
+        levels[k - 1] = [levels[k - 1][i] for i in ordered]
+        matrices[k] = {(rank_of[r], c): v for (r, c), v in entries.items() if v}
+    return levels, matrices
+
+
+def test_forest_complex_matches_reference_levels():
+    for fc in _rank_corpus():
+        levels, matrices = reference_forest_levels(fc.base)
+        assert fc.levels == levels
+        assert fc.matrices == matrices
+
+
+def test_verify_cocycle_matches_per_class_boundaries():
+    for lam in ((), (1,), (2,), (1, 1)):
+        codim = 2 * sum(lam) + 1
+        want = []
+        for g in enumerate_graphs(8, codimension=codim):
+            og = OrientedRibbonGraph(g, 1)
+            key, sign = canonical_oriented(og)
+            if sign is not None:
+                want.append((key, eval_w(lam, d_integral(og))))
+        assert verify_cocycle(lam, 8) == want
+
+
 def test_sparse_rank_small_cases():
     from fatcomplex.graph_complex import sparse_rank
 

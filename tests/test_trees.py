@@ -247,6 +247,32 @@ def test_canonical_oriented_tree_transport_is_involutive():
     assert s2 == s
 
 
+def test_canonical_oriented_tree_is_invariant_under_relabelling():
+    # an oriented tree presented with shuffled internal labels, carrying
+    # the transported sign, has the same canonical oriented form
+    import random
+
+    from fatcomplex.ribbon import transport_sign
+
+    rng = random.Random(11)
+    flips = 0
+    # two codimension-1 faces of K^5 have a 4-valent vertex without a
+    # leaf, whose relabelling can reverse the orientation
+    for t in enumerate_faces(5, 1):
+        inner = sorted(t.pairing)
+        images = rng.sample(range(20, 20 + 3 * len(inner)), len(inner))
+        mapping = {h: h for h in range(t.leaf_count)}
+        mapping.update(zip(inner, images))
+        t2 = PlanarTree(t.leaf_count, [tuple(mapping[x] for x in c) for c in t.vertices],
+                        [(mapping[a], mapping[b]) for a, b in t.internal_edges()])
+        canon, s = canonical_oriented_tree(t, 1)
+        sign = transport_sign(t, t2, mapping)
+        flips += sign == -1
+        canon2, s2 = canonical_oriented_tree(t2, sign)
+        assert canon2 == canon and s2 == s
+    assert flips
+
+
 def test_degree_statement_chainwise():
     # the raw region-permutation sign of every maximal chain differs from
     # its bookkeeping sign by exactly (-1)^binom(n+1, 2), the degree of
