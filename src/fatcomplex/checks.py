@@ -13,13 +13,14 @@ from fractions import Fraction
 from itertools import permutations
 
 from fatcomplex import ainfinity, coefficients, graph_complex, trees
+from fatcomplex.linalg import sparse_product
 from fatcomplex.ribbon import OrientedRibbonGraph, graph_from_key
 
 
 def check_orientation(**_):
     rows = []
     for valence in (5, 7, 9):
-        seeds = [t for t in trees.trees_with_edge_count(valence + 2, 2)
+        seeds = [t for t in trees.enumerate_faces(valence - 1, valence - 3)
                  if sorted(len(c) for c in t.vertices) == [3, 3, valence]]
         ok = bool(seeds) and all(
             trees.lemma_region_sign(t, list(order))
@@ -50,7 +51,7 @@ def check_complex(max_half_edges, **_):
         keys, d1 = graph_complex.boundary_matrix(graph_complex.nonzero_classes(classes))
         _, d2 = graph_complex.boundary_matrix(
             [OrientedRibbonGraph(graph_from_key(key), 1) for key in keys])
-        ok = not any(graph_complex.sparse_product(d2, d1).values())
+        ok = not any(sparse_product(d2, d1).values())
         rows.append(("complex", "d.d = 0 on %d classes within %d half-edges"
                      % (len(classes), max_half_edges), ok, False))
     for n in (1, 2, 3):

@@ -17,25 +17,24 @@ Q because the complex is checked exactly first (see
 `ForestComplex.homology_is_trivial`).
 """
 
-import functools
 import math
 from fractions import Fraction
 from itertools import permutations
 
 from fatcomplex import ribbon
 from fatcomplex.coefficients import normalize_partition
+from fatcomplex.linalg import RANK_MODULUS, sparse_product, sparse_rank
 from fatcomplex.ribbon import (
     GraphError,
     OrientedRibbonGraph,
     RibbonGraph,
     automorphisms,
     canonical_oriented,
+    canonical_over,
     enumerate_expansions,
     graph_from_key,
-    reference_word,
-    single_collapse_morphisms,
-    word_parity,
 )
+from fatcomplex.trees import face_count
 
 
 class GraphChain:
@@ -144,34 +143,18 @@ def eval_on_boundaries(value_of, columns):
 
 
 def d_dual(og):
-    """Boundary of the plain dual generator: coefficients are signed
-    counts of left equivalence classes of one-edge collapses onto it."""
-    base_key, base_sign = canonical_oriented(og)
+    """Boundary of the plain dual generator, {key: coefficient}: the
+    integral boundary transposed, each entry times |Aut(source)| /
+    |Aut(target)|.  That is the signed count of one-edge-collapse
+    morphisms from the source onto `og`, over |Aut(og.graph)|."""
     out = {}
-    if base_sign is None:
+    if canonical_oriented(og)[1] is None:
         return out
-    target = og.graph
-    aut_target = len(automorphisms(target))
-    for key, _ in d_integral(og).items():
-        source = graph_from_key(key)
-        net = 0
-        for _, s in single_collapse_morphisms(source, target):
-            net += s * og.sign
-        ell = Fraction(net, aut_target)
-        if ell:
-            out[key] = ell
+    rows, matrix = boundary_matrix([og])
+    aut_target = len(automorphisms(og.graph))
+    for (r, _), v in matrix.items():
+        out[rows[r]] = Fraction(v * len(automorphisms(graph_from_key(rows[r]))), aut_target)
     return out
-
-
-def hom_counts(source, target):
-    """Signed and total counts of one-edge-collapse morphisms."""
-    plus = minus = 0
-    for _, s in single_collapse_morphisms(source, target):
-        if s == 1:
-            plus += 1
-        else:
-            minus += 1
-    return plus, minus
 
 
 # ---------------------------------------------------------------------------
@@ -315,75 +298,6 @@ def chain_from_json(data):
 # the forest complex over a base graph
 # ---------------------------------------------------------------------------
 
-def _canonical_over(base_labels, og):
-    """Canonical form of an object over the base: relabel only the
-    half-edges not in the base, deterministically from the base anchor,
-    and transport the orientation sign."""
-    g = og.graph
-    anchor = min(base_labels)
-    relabel = ribbon._traversal_labeling(g, anchor)
-    order = sorted((h for h in g.half_edges if h not in base_labels),
-                   key=relabel.get)
-    fresh = max(base_labels) + 1
-    final = {h: h for h in base_labels}
-    for h in order:
-        final[h] = fresh
-        fresh += 1
-    cycles = ribbon._normalize_cycles([tuple(final[x] for x in c) for c in g.vertices])
-    pairs = tuple(sorted((min(final[a], final[b]), max(final[a], final[b]))
-                         for a, b in g.edge_tuple()))
-    sign = og.sign * word_parity(ribbon._transported_word(g, final), reference_word(cycles))
-    return (cycles, pairs), sign
-
-
-RANK_MODULUS = 2 ** 61 - 1
-
-
-def sparse_product(a, b):
-    """Product of sparse integer matrices given as {(row, col): value}."""
-    by_row = {}
-    for (t, j), v in b.items():
-        by_row.setdefault(t, []).append((j, v))
-    out = {}
-    for (i, t), u in a.items():
-        for j, v in by_row.get(t, ()):
-            out[(i, j)] = out.get((i, j), 0) + u * v
-    return out
-
-
-def sparse_rank(entries, modulus=None):
-    """Rank of a sparse integer matrix {(row, col): value} by row
-    elimination, modulo the prime `modulus`, or over Q when it is None."""
-    if modulus is None:
-        reduce, inverse = Fraction, (lambda x: 1 / x)
-    else:
-        reduce, inverse = (lambda x: x % modulus), (lambda x: pow(x, -1, modulus))
-    rows = {}
-    for (r, c), v in entries.items():
-        v = reduce(v)
-        if v:
-            rows.setdefault(r, {})[c] = v
-    # pivots[c]: a reduced row with leading column c and leading entry 1
-    pivots = {}
-    for r in sorted(rows):
-        row = rows[r]
-        while row:
-            c = min(row)
-            pivot = pivots.get(c)
-            if pivot is None:
-                inv = inverse(row[c])
-                pivots[c] = {k: reduce(v * inv) for k, v in row.items()}
-                break
-            f = row[c]
-            for k, v in pivot.items():
-                x = reduce(row.get(k, 0) - f * v)
-                if x:
-                    row[k] = x
-                else:
-                    row.pop(k)
-    return len(pivots)
-
-
 class ForestComplex:
     """The augmented chain complex of forested graphs over a base graph.
 
@@ -396,11 +310,14 @@ class ForestComplex:
         self.base = base
         self.base_labels = set(base.half_edges)
         n = base.codimension
-        key, _ = _canonical_over(self.base_labels, OrientedRibbonGraph(base, 1))
+        key, _ = canonical_over(self.base_labels, base.vertices, base.pairing, 1)
         self.levels = [None] * (n + 1)
         self.levels[n] = [key]
         self.matrices = [None] * (n + 1)
-        over_base = functools.partial(_canonical_over, self.base_labels)
+
+        def over_base(og):
+            return canonical_over(self.base_labels, og.graph.vertices, og.graph.pairing, og.sign)
+
         for k in range(n, 0, -1):
             columns = [OrientedRibbonGraph(graph_from_key(key), 1) for key in self.levels[k]]
             self.levels[k - 1], self.matrices[k] = boundary_matrix(columns, over_base)
@@ -453,14 +370,12 @@ class ForestComplex:
 
     def expected_ranks(self):
         """Convolution of associahedron face counts over the big vertices."""
-        from fatcomplex.trees import enumerate_faces
-
         out = [1]
         for cycle in self.base.vertices:
             m = len(cycle) - 3
             if m == 0:
                 continue
-            fv = [len(enumerate_faces(m, k)) for k in range(m + 1)]
+            fv = [face_count(m, k) for k in range(m + 1)]
             new = [0] * (len(out) + m)
             for i, a in enumerate(out):
                 for j, b in enumerate(fv):

@@ -429,11 +429,6 @@ def orientation_from_word(g, word):
     return OrientedRibbonGraph(g, word_parity(word, reference_word(g.vertices)))
 
 
-def orientation_word_sign(cycles, word):
-    """Sign of the ordering `word` relative to the reference ordering."""
-    return word_parity(word, reference_word(cycles))
-
-
 def collapse_edge(og, edge):
     """Collapse a non-loop edge of an oriented graph, with induced sign."""
     a, _ = edge
@@ -517,10 +512,10 @@ def automorphisms(g):
     return isomorphisms_between(g, g)
 
 
-def _transported_word(g1, iso):
-    """The reference word of `g1` carried along `iso`."""
+def _transported_word(cycles, iso):
+    """The reference word of the normalized `cycles` carried along `iso`."""
     word = []
-    for c in g1.vertices:
+    for c in cycles:
         image = [iso[x] for x in c]
         word.append(_vsym(image))
         word.extend(image)
@@ -529,7 +524,7 @@ def _transported_word(g1, iso):
 
 def transport_sign(g1, g2, iso):
     """Sign picked up by an orientation transported along `iso`."""
-    return word_parity(_transported_word(g1, iso), reference_word(g2.vertices))
+    return word_parity(_transported_word(g1.vertices, iso), reference_word(g2.vertices))
 
 
 def orientation_sign_of(g, aut):
@@ -542,13 +537,17 @@ def has_orientation_reversing_automorphism(g):
     return any(orientation_sign_of(g, a) == -1 for a in automorphisms(g))
 
 
-def _index_tables(g):
-    """Half-edges as positions 0..H-1 in sorted order: the position of
-    each label, and sigma and the pairing as lists of positions."""
-    index = {h: i for i, h in enumerate(g.half_edges)}
-    sigma = g.sigma()
-    return (index, [index[sigma[h]] for h in g.half_edges],
-            [index[g.pairing[h]] for h in g.half_edges])
+def _index_tables(cycles, pairing):
+    """Half-edges as positions 0..H-1 in sorted order: the sorted labels,
+    the position of each label, and sigma and the pairing as lists of
+    positions.  An unpaired half-edge (a leaf) is its own mate."""
+    labels = sorted(x for c in cycles for x in c)
+    index = {h: i for i, h in enumerate(labels)}
+    succ = [0] * len(labels)
+    for c in cycles:
+        for i, h in enumerate(c):
+            succ[index[h]] = index[c[i + 1 - len(c)]]
+    return labels, index, succ, [index[pairing.get(h, h)] for h in labels]
 
 
 def _traverse(succ, mate, root):
@@ -570,18 +569,39 @@ def _traverse(succ, mate, root):
     return order, label
 
 
-def _traversal_labeling(g, seed):
-    """Deterministic relabeling 0..H-1 grown from `seed` along sigma/pairing."""
-    index, succ, mate = _index_tables(g)
-    order, _ = _traverse(succ, mate, index[seed])
-    return {g.half_edges[h]: i for i, h in enumerate(order)}
+def canonical_over(fixed, cycles, pairing, sign):
+    """Canonical key of an oriented object over the half-edges `fixed`,
+    which keep their labels.
+
+    The other half-edges get fresh labels from max(fixed) + 1, in the
+    order the `_traverse` walk from min(fixed) reaches them.  `cycles`
+    are normalized and `pairing` maps each paired half-edge to its mate.
+    Returns ((cycles, pairs), sign): the relabeled normalized cycles, the
+    sorted (min, max) pairs, and `sign` transported along the relabeling.
+    """
+    labels, index, succ, mate = _index_tables(cycles, pairing)
+    order, _ = _traverse(succ, mate, index[min(fixed)])
+    fresh = max(fixed) + 1
+    final = {}
+    for i in order:
+        h = labels[i]
+        if h in fixed:
+            final[h] = h
+        else:
+            final[h] = fresh
+            fresh += 1
+    new_cycles = _normalize_cycles([tuple(final[x] for x in c) for c in cycles])
+    pairs = tuple(sorted((final[a], final[b]) for a, b in pairing.items()
+                         if final[a] < final[b]))
+    return (new_cycles, pairs), sign * word_parity(_transported_word(cycles, final),
+                                                   reference_word(new_cycles))
 
 
 def canonical_form(g):
     """Lexicographically least relabeled literal, with all relabelings
     achieving it (one per automorphism), in the order of their roots.
 
-    Each root half-edge seeds the labelling of `_traversal_labeling`.
+    Each root half-edge seeds the labelling of the `_traverse` walk.
     That traversal reaches every vertex first at one half-edge, which
     therefore carries the vertex's least label, and it reaches vertices
     in increasing order of those labels.  So the relabeled normalized
@@ -591,7 +611,7 @@ def canonical_form(g):
     as one of its cycles compares greater than the best literal's, before
     its pairs are built.
     """
-    index, succ, mate = _index_tables(g)
+    _, index, succ, mate = _index_tables(g.vertices, g.pairing)
     # rotation[i]: the vertex of position i read from i; vertex_id[i]: which vertex
     rotation = [None] * len(succ)
     vertex_id = [0] * len(succ)
@@ -648,7 +668,7 @@ def canonical_oriented(og):
     """
     lit, maps = canonical_form(og.graph)
     target = reference_word(lit[0])
-    signs = {og.sign * word_parity(_transported_word(og.graph, m), target) for m in maps}
+    signs = {og.sign * word_parity(_transported_word(og.graph.vertices, m), target) for m in maps}
     if len(signs) == 2:
         return lit, None
     return lit, signs.pop()

@@ -13,14 +13,15 @@ even n and the leaf-0 counterclockwise word for odd n, which in both
 cases is the reference ordering.
 """
 
+import math
 from itertools import permutations
 
 from fatcomplex.ribbon import (
     GraphError,
     _normalize_cycles,
+    canonical_over,
     collapse_oriented,
     sort_sign,
-    transport_sign,
 )
 
 
@@ -90,36 +91,8 @@ class PlanarTree:
     def literal(self):
         return (self.leaf_count, self.vertices, tuple(self.internal_edges()))
 
-    def canonical_relabel(self):
-        """Relabeling of internal half-edges by traversal from leaf 0."""
-        sigma = self.sigma()
-        new = {0: 0}
-        pending = [0]
-        i = 0
-        while i < len(pending):
-            h = pending[i]
-            i += 1
-            nbrs = [sigma[h]]
-            if h in self.pairing:
-                nbrs.append(self.pairing[h])
-            for nxt in nbrs:
-                if nxt not in new:
-                    new[nxt] = len(new)
-                    pending.append(nxt)
-        # leaves keep their labels; internals renumbered in visit order
-        internal_order = [h for h in sorted(new, key=new.get) if h in self.pairing]
-        relabel = {h: h for h in range(self.leaf_count)}
-        nxt_label = self.leaf_count
-        for h in internal_order:
-            relabel[h] = nxt_label
-            nxt_label += 1
-        return relabel
-
     def canonical(self):
-        relabel = self.canonical_relabel()
-        cycles = [tuple(relabel[x] for x in c) for c in self.vertices]
-        pairs = [(relabel[a], relabel[b]) for a, b in self.internal_edges()]
-        return PlanarTree(self.leaf_count, cycles, pairs, check=False)
+        return canonical_oriented_tree(self, 1)[0]
 
     def __eq__(self, other):
         return isinstance(other, PlanarTree) and self.literal() == other.literal()
@@ -258,11 +231,12 @@ def enumerate_faces(n, k):
             if len(t.pairing) // 2 == want]
 
 
-def trees_with_edge_count(leaf_count, edge_count):
-    """All planar trees with the given leaves and internal edge count."""
-    return [t for t in _all_trees(leaf_count, binary_only=False,
-                                  max_vertices=edge_count + 1)
-            if len(t.pairing) // 2 == edge_count]
+def face_count(n, k):
+    """The number of k-faces of K^n: the Kirkman-Cayley number of
+    dissections of an (n+3)-gon by j = n - k diagonals,
+    C(n, j) C(n+j+2, j) / (j+1)."""
+    j = n - k
+    return math.comb(n, j) * math.comb(n + j + 2, j) // (j + 1)
 
 
 def corolla(n):
@@ -290,15 +264,11 @@ def collapse_tree_edge(tree, sign, edge):
 
 
 def canonical_oriented_tree(tree, sign):
-    """Canonical representative with the sign transported along the
-    relabeling of internal half-edges."""
-    relabel = tree.canonical_relabel()
-    canon = PlanarTree(
-        tree.leaf_count,
-        [tuple(relabel[x] for x in c) for c in tree.vertices],
-        [(relabel[a], relabel[b]) for a, b in tree.internal_edges()],
-        check=False)
-    return canon, sign * transport_sign(tree, canon, relabel)
+    """Canonical representative over the fixed leaves, with the sign
+    transported along the relabeling of internal half-edges."""
+    (cycles, pairs), sign = canonical_over(range(tree.leaf_count), tree.vertices,
+                                           tree.pairing, sign)
+    return PlanarTree(tree.leaf_count, cycles, pairs, check=False), sign
 
 
 class TreeChain:
@@ -587,34 +557,26 @@ def dual_cell(n):
 
 
 def dual_cell_boundary_check(n):
-    """Check d D(T) == (-1)^n sum of D(T') over codimension-1 faces.
+    """Both sides of d D(T) == (-1)^n sum of D(T') over the codimension-1
+    faces T', as {chain key: coefficient}.
 
     D(T') uses on T' the orientation induced from the designated
-    orientation of the corolla along the collapse T' -> T.
+    orientation of the corolla along the collapse T' -> T, so each
+    maximal chain truncated at T' enters the right side with (-1)^n
+    times its own sign.  Those are exactly the i = n face terms of the
+    left side, so the identity checks that the face terms for i < n,
+    which drop the seed or an inner tree of a chain, cancel.
     """
-    chains = maximal_chains(n)
     lhs = {}
-    for chain in chains:
+    rhs = {}
+    for chain in maximal_chains(n):
         key = chain.key()
         for i in range(n + 1):
             face = key[:i] + key[i + 1:]
-            s = chain.sign * (-1) ** i
-            lhs[face] = lhs.get(face, 0) + s
-    lhs = {k: v for k, v in lhs.items() if v}
-
-    rhs = {}
-    for chain in chains:
-        # truncated chain ends at the codimension-1 face T'
-        tprime = chain.trees[n - 1]
-        _, s_last = collapse_tree_edge(tprime, 1, chain.edges[-1])
-        # designated orientation of T' collapses to the +1 corolla
-        induced_to_tprime = chain.sign * s_last  # sign of truncation vs +ref(T')
-        o_prime = induced_to_tprime * s_last
-        key = tuple(t.canonical().literal() for t in chain.trees[:n])
-        s = (-1) ** n * o_prime
-        rhs[key] = rhs.get(key, 0) + s
-    rhs = {k: v for k, v in rhs.items() if v}
-    return lhs, rhs
+            lhs[face] = lhs.get(face, 0) + chain.sign * (-1) ** i
+        rhs[key[:n]] = rhs.get(key[:n], 0) + (-1) ** n * chain.sign
+    return ({k: v for k, v in lhs.items() if v},
+            {k: v for k, v in rhs.items() if v})
 
 
 def face_boundary_maps(n):

@@ -13,16 +13,18 @@ from fatcomplex.graph_complex import (
     eval_w,
     eval_w_key,
     forest_complex,
-    hom_counts,
     verify_cocycle,
 )
+from fatcomplex.linalg import RANK_MODULUS, sparse_rank
 from fatcomplex.ribbon import (
     OrientedRibbonGraph,
     RibbonGraph,
     automorphisms,
     build_graph,
     canonical_oriented,
+    canonical_over,
     graph_from_key,
+    single_collapse_morphisms,
 )
 
 
@@ -112,26 +114,59 @@ def test_orientation_reversal_negates_chains():
         assert k1 == k2 and c1 == -c2
 
 
+def reference_d_dual(og):
+    """The dual boundary as first written: the coefficient of each source
+    class is its signed count of one-edge collapses onto `og`, over
+    |Aut(og.graph)|."""
+    out = {}
+    if canonical_oriented(og)[1] is None:
+        return out
+    target = og.graph
+    aut_target = len(automorphisms(target))
+    for key, _ in d_integral(og).items():
+        net = 0
+        for _, s in single_collapse_morphisms(graph_from_key(key), target):
+            net += s * og.sign
+        ell = Fraction(net, aut_target)
+        if ell:
+            out[key] = ell
+    return out
+
+
+def hom_counts(source, target):
+    """Counts of one-edge-collapse morphisms with sign +1 and with -1."""
+    plus = minus = 0
+    for _, s in single_collapse_morphisms(source, target):
+        if s == 1:
+            plus += 1
+        else:
+            minus += 1
+    return plus, minus
+
+
 def test_dual_and_integral_boundaries_are_consistent():
     # ell * |Aut(target)| == r * |Aut(source)| == |Hom+| - |Hom-|
-    for g in enumerate_graphs(8, codimension=1) + enumerate_graphs(8, codimension=2):
-        og = OrientedRibbonGraph(g, 1)
-        key, sign = canonical_oriented(og)
-        if sign is None:
-            continue
-        integral = d_integral(og)
-        dual = d_dual(og)
+    checked = 0
+    for g in enumerate_graphs(8):
         aut_g = len(automorphisms(g))
-        for k, r_coeff in integral.items():
-            source = graph_from_key(k)
-            aut_s = len(automorphisms(source))
-            plus, minus = hom_counts(source, g)
-            net = plus - minus
-            assert r_coeff == Fraction(net, aut_s)
-            assert r_coeff.denominator == 1
-            ell = dual.get(k, Fraction(0))
-            assert ell.denominator == 1
-            assert ell * aut_g == r_coeff * aut_s == net
+        for orientation in (1, -1):
+            og = OrientedRibbonGraph(g, orientation)
+            dual = d_dual(og)
+            assert dual == reference_d_dual(og)
+            integral = d_integral(og)
+            assert set(dual) == set(integral.terms)
+            for k, r_coeff in integral.items():
+                source = graph_from_key(k)
+                aut_s = len(automorphisms(source))
+                plus, minus = hom_counts(source, g)
+                net = orientation * (plus - minus)
+                assert r_coeff == Fraction(net, aut_s)
+                assert r_coeff.denominator == 1
+                ell = dual[k]
+                assert ell.denominator == 1
+                assert ell * aut_g == r_coeff * aut_s == net
+                checked += 1
+    assert checked > 0
 
 
 def test_eval_w_examples():
@@ -237,8 +272,6 @@ def _rank_corpus():
 
 
 def test_modular_and_exact_ranks_agree():
-    from fatcomplex.graph_complex import RANK_MODULUS, sparse_rank
-
     for fc in _rank_corpus():
         for k in range(1, fc.base.codimension + 1):
             assert sparse_rank(fc.matrices[k], RANK_MODULUS) == sparse_rank(fc.matrices[k])
@@ -248,12 +281,11 @@ def test_modular_and_exact_ranks_agree():
 def reference_forest_levels(base):
     """`levels` and `matrices` of the forest complex over `base`, built by
     the first implementation's per-level expansion loop."""
-    from fatcomplex.graph_complex import _canonical_over
     from fatcomplex.ribbon import enumerate_expansions
 
     base_labels = set(base.half_edges)
     n = base.codimension
-    key, _ = _canonical_over(base_labels, OrientedRibbonGraph(base, 1))
+    key, _ = canonical_over(base_labels, base.vertices, base.pairing, 1)
     levels = [None] * (n + 1)
     levels[n] = [key]
     matrices = [None] * (n + 1)
@@ -267,7 +299,8 @@ def reference_forest_levels(base):
                 if len(cycle) < 4:
                     continue
                 for expanded, _ in enumerate_expansions(og, cycle):
-                    k2, s = _canonical_over(base_labels, expanded)
+                    k2, s = canonical_over(base_labels, expanded.graph.vertices,
+                                           expanded.graph.pairing, expanded.sign)
                     if k2 not in found:
                         found[k2] = len(found)
                     row = found[k2]
@@ -300,8 +333,6 @@ def test_verify_cocycle_matches_per_class_boundaries():
 
 
 def test_sparse_rank_small_cases():
-    from fatcomplex.graph_complex import sparse_rank
-
     assert sparse_rank({}) == 0
     # rows (1, 2), (2, 4), (0, 3): rank 2 over Q and mod 7, rank 1 mod 3
     m = {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 4, (2, 1): 3}
@@ -337,7 +368,6 @@ def test_rank_deficient_complex_is_not_acyclic():
 
 def test_homology_falls_back_to_exact_ranks(monkeypatch):
     from fatcomplex import graph_complex
-    from fatcomplex.graph_complex import RANK_MODULUS
 
     fc = forest_complex(enumerate_graphs(8, valences=(6,))[0])
     n = fc.base.codimension

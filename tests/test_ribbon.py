@@ -17,12 +17,14 @@ from fatcomplex.ribbon import (
     automorphisms,
     build_graph,
     canonical_oriented,
+    canonical_over,
     collapse_edge,
     collapse_forest,
     compose,
     corner_chain,
     enumerate_expansions,
     expand_vertex,
+    graph_from_key,
     graph_from_literal,
     graph_to_literal,
     has_orientation_reversing_automorphism,
@@ -286,12 +288,11 @@ def test_collapse_then_expand_is_identity():
 
 def test_expansions_pairwise_distinct_over_base():
     # the forest complex keys expansions by their class over the base
-    from fatcomplex.graph_complex import _canonical_over
-
     g = figure8()
     og = OrientedRibbonGraph(g, 1)
     exps = enumerate_expansions(og, g.vertices[0])
-    keys = {_canonical_over(set(g.half_edges), exp)[0] for exp, _ in exps}
+    keys = {canonical_over(set(g.half_edges), exp.graph.vertices, exp.graph.pairing,
+                           exp.sign)[0] for exp, _ in exps}
     assert len(exps) == len(keys) == 2
 
 
@@ -407,6 +408,136 @@ def test_canonical_form_matches_reference_on_corpus():
             assert [list(m.items()) for m in maps] == [list(m.items()) for m in want_maps]
             checked += 1
     assert checked > 500
+
+
+def reference_canonical_over(base_labels, og):
+    """The forest-complex keyer as first written: label every half-edge
+    by the sigma-then-pairing traversal from the least base label, give
+    the half-edges outside the base fresh labels in that order, and
+    transport the sign."""
+    g = og.graph
+    sigma = g.sigma()
+    anchor = min(base_labels)
+    relabel = {anchor: 0}
+    pending = [anchor]
+    for h in pending:
+        for nxt in (sigma[h], g.pairing[h]):
+            if nxt not in relabel:
+                relabel[nxt] = len(relabel)
+                pending.append(nxt)
+    order = sorted((h for h in g.half_edges if h not in base_labels), key=relabel.get)
+    fresh = max(base_labels) + 1
+    final = {h: h for h in base_labels}
+    for h in order:
+        final[h] = fresh
+        fresh += 1
+    target = g.relabel(final)
+    return target.literal(), og.sign * transport_sign_for_relabel(g, target, final)
+
+
+def reference_canonical_oriented_tree(tree, sign):
+    """The tree keyer as first written: leaves keep their labels, and the
+    internal half-edges are numbered from the leaf count in the order of
+    the sigma-then-pairing traversal from leaf 0."""
+    from fatcomplex.trees import PlanarTree
+
+    sigma = tree.sigma()
+    new = {0: 0}
+    pending = [0]
+    for h in pending:
+        nbrs = [sigma[h]]
+        if h in tree.pairing:
+            nbrs.append(tree.pairing[h])
+        for nxt in nbrs:
+            if nxt not in new:
+                new[nxt] = len(new)
+                pending.append(nxt)
+    relabel = {h: h for h in range(tree.leaf_count)}
+    fresh = tree.leaf_count
+    for h in pending:
+        if h in tree.pairing:
+            relabel[h] = fresh
+            fresh += 1
+    canon = PlanarTree(tree.leaf_count,
+                       [tuple(relabel[x] for x in c) for c in tree.vertices],
+                       [(relabel[a], relabel[b]) for a, b in tree.internal_edges()],
+                       check=False)
+    return canon, sign * transport_sign_for_relabel(tree, canon, relabel)
+
+
+def _reverse_unfixed(labels, fixed):
+    """A relabeling that keeps `fixed` and sends the other labels, in
+    reverse order, to labels above max(fixed)."""
+    free = sorted(h for h in labels if h not in fixed)
+    top = max(fixed) + 2 * len(free)
+    mapping = {h: h for h in labels if h in fixed}
+    mapping.update((h, top - i) for i, h in enumerate(free))
+    return mapping
+
+
+def test_canonical_over_matches_reference_tree_keyer():
+    # each tree as enumerated, and with its internal half-edges relabeled
+    # in reverse order, where the transported sign is not always +1
+    from fatcomplex.trees import (
+        PlanarTree,
+        canonical_oriented_tree,
+        enumerate_faces,
+        enumerate_trivalent_trees,
+    )
+
+    trees = [t for n in range(1, 6) for k in range(n + 1) for t in enumerate_faces(n, k)]
+    trees += enumerate_trivalent_trees(9)
+    checked = flips = 0
+    for t in trees:
+        m = _reverse_unfixed([x for c in t.vertices for x in c], range(t.leaf_count))
+        reversed_tree = PlanarTree(t.leaf_count, [tuple(m[x] for x in c) for c in t.vertices],
+                                   [(m[a], m[b]) for a, b in t.internal_edges()])
+        for tree in (t, reversed_tree):
+            for sign in (1, -1):
+                canon, want = reference_canonical_oriented_tree(tree, sign)
+                got = canonical_over(range(tree.leaf_count), tree.vertices, tree.pairing, sign)
+                assert got == ((canon.vertices, tuple(canon.internal_edges())), want)
+                assert canonical_oriented_tree(tree, sign) == (canon, want)
+                assert tree.canonical() == canon
+                checked += 1
+                flips += want != sign
+    # 1159 faces of K^1..K^5 and 429 trivalent trees, twice each, with both signs
+    assert checked == 4 * (1159 + 429)
+    assert flips
+
+
+def test_canonical_over_matches_reference_forest_keyer():
+    # the base, every object of the forest complex over it, and every
+    # expansion the complex keys, each also with its labels outside the
+    # base relabeled in reverse order.  Every vertex of these objects either has a base
+    # half-edge, which stays its least label, or is trivalent, so the
+    # transported sign is +1 on all of them; the tree keyer test is the
+    # one that sees the sign transported.
+    from fatcomplex.graph_complex import enumerate_graphs, forest_complex
+
+    checked = 0
+    for base in enumerate_graphs(8):
+        if not 1 <= base.codimension <= 3:
+            continue
+        fc = forest_complex(base)
+        objects = [OrientedRibbonGraph(base, 1)]
+        for level in fc.levels:
+            for key in level:
+                og = OrientedRibbonGraph(graph_from_key(key), 1)
+                objects.append(og)
+                objects += [exp for cycle in og.graph.vertices if len(cycle) >= 4
+                            for exp, _ in enumerate_expansions(og, cycle)]
+        for obj in objects:
+            g = obj.graph
+            relabeled = g.relabel(_reverse_unfixed(g.half_edges, fc.base_labels))
+            for og in (obj, obj.reversed(), OrientedRibbonGraph(relabeled, 1),
+                       OrientedRibbonGraph(relabeled, -1)):
+                g = og.graph
+                want = reference_canonical_over(fc.base_labels, og)
+                assert canonical_over(fc.base_labels, g.vertices, g.pairing, og.sign) == want
+                checked += 1
+    # 21 bases, 371 objects and 658 expansions, twice each, with both signs
+    assert checked == 4 * (21 + 371 + 658)
 
 
 def test_graph_literal_roundtrip():

@@ -3,7 +3,9 @@ from itertools import permutations
 
 import pytest
 
-from fatcomplex.ribbon import GraphError, sort_sign
+from fatcomplex import trees
+from fatcomplex.linalg import sparse_product
+from fatcomplex.ribbon import GraphError, reference_word, sort_sign, word_parity
 from fatcomplex.trees import (
     ConfigurationMismatch,
     PlanarTree,
@@ -16,6 +18,7 @@ from fatcomplex.trees import (
     enumerate_faces,
     enumerate_trivalent_trees,
     face_boundary_maps,
+    face_count,
     lemma_region_sign,
     maximal_chains,
     canonical_oriented_tree,
@@ -51,6 +54,12 @@ def test_enumerate_faces_pentagon():
 def test_face_counts_k3_k4():
     assert [len(enumerate_faces(3, k)) for k in range(4)] == [14, 21, 9, 1]
     assert [len(enumerate_faces(4, k)) for k in range(5)] == [42, 84, 56, 14, 1]
+
+
+def test_face_count_matches_enumeration():
+    for n in range(7):
+        for k in range(n + 1):
+            assert face_count(n, k) == len(enumerate_faces(n, k))
 
 
 def test_trees_are_valid_and_deduplicated():
@@ -104,9 +113,9 @@ def test_case_2a_orientation_words():
     t1, s1 = collapse_tree_edge(t0, 1, (5, 6))
     # the merged vertex is (0, 1, 2, 7)
     assert t1.vertices == ((0, 1, 2, 7), (3, 4, 8))
-    from fatcomplex.ribbon import orientation_word_sign
     # paper word for T_1: v0 e2- v2 e2+ h1...h5
-    expected = orientation_word_sign(t1.vertices, [("v", 0), 7, ("v", 3), 8, 0, 1, 2, 3, 4])
+    expected = word_parity([("v", 0), 7, ("v", 3), 8, 0, 1, 2, 3, 4],
+                           reference_word(t1.vertices))
     assert s1 == expected
     t2, s2 = collapse_tree_edge(t1, s1, (7, 8))
     assert t2.vertices == ((0, 1, 2, 3, 4),)
@@ -224,19 +233,33 @@ def test_dual_cell_boundary_identity():
         assert lhs == rhs
 
 
+def test_dual_cell_boundary_identity_fails_on_a_wrong_chain_sign(monkeypatch):
+    # one chain with the wrong sign leaves its face terms for i < n uncancelled
+    chains_of = trees.maximal_chains
+
+    def flipped(n):
+        chains = chains_of(n)
+        chains[0].sign = -chains[0].sign
+        return chains
+
+    monkeypatch.setattr(trees, "maximal_chains", flipped)
+    for n in (2, 3):
+        lhs, rhs = dual_cell_boundary_check(n)
+        assert lhs != rhs
+
+
 def test_cellular_complex_d_squared_zero_and_euler():
     for n in (1, 2, 3, 4):
         faces, maps = face_boundary_maps(n)
         # Euler characteristic of a contractible polytope
         assert sum((-1) ** k * len(faces[k]) for k in range(n + 1)) == 1
         for k in range(2, n + 1):
-            prod = {}
-            for (i, j), a in maps[k].items():
-                for (i2, j2), b in maps[k - 1].items():
-                    if j2 == i:
-                        key = (i2, j)
-                        prod[key] = prod.get(key, 0) + a * b
-            assert all(v == 0 for v in prod.values())
+            assert not any(sparse_product(maps[k - 1], maps[k]).values())
+    # one changed entry of d_2 on K^3 leaves a nonzero product
+    faces, maps = face_boundary_maps(3)
+    entry = min(maps[2])
+    maps[2][entry] += 1
+    assert any(sparse_product(maps[1], maps[2]).values())
 
 
 def test_canonical_oriented_tree_transport_is_involutive():
