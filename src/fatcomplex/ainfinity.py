@@ -7,9 +7,18 @@ of an oriented ribbon graph is the state sum over basis labelings of
 half-edges: a structure-constant factor per vertex read clockwise, a
 dual-pairing factor per edge, and two permutation signs fixed by the
 reference ordering of vertices-and-half-edges.
+
+The sum is computed over labelings of the edges: each vertex factor is
+tabulated once over the states of its own half-edges, and each edge's
+dual-pairing factor is summed into the table of one of its vertices.
+That is exact with odd elements because the scalar product is even, so
+its inverse is too: a nonzero dual-pairing factor joins two labels of
+one parity, and the Koszul sign of a labeling depends only on which
+edge labels are odd.
 """
 
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 from fatcomplex.coefficients import format_rational
@@ -103,20 +112,6 @@ class AInfinityAlgebra:
         """m_k on a tuple of basis indices, as a sparse vector."""
         return self.products.get(len(args), {}).get(tuple(args), {})
 
-    def m_vectors(self, vectors):
-        """Multilinear extension of m_k to sparse vectors."""
-        out = {}
-        supports = [sorted(v) for v in vectors]
-        for combo in product(*supports):
-            coeff = Fraction(1)
-            for v, i in zip(vectors, combo):
-                coeff *= v[i]
-            if not coeff:
-                continue
-            for j, c in self.m_basis(combo).items():
-                out[j] = out.get(j, Fraction(0)) + coeff * c
-        return {j: c for j, c in out.items() if c}
-
     def pair_vectors(self, u, v):
         total = Fraction(0)
         for i, a in u.items():
@@ -162,24 +157,23 @@ class AInfinityAlgebra:
         new_pairing = [[sum(p[i][a] * p[j][b] * self.pairing[i][j]
                             for i in range(n) for j in range(n))
                         for b in range(n)] for a in range(n)]
+        p_rows = [[(a, c) for a, c in enumerate(row) if c] for row in p]
         new_products = {}
-        for k in self.products:
-            table = {}
-            for args in product(range(n), repeat=k):
-                vecs = [{i: p[i][a] for i in range(n) if p[i][a]} for a in args]
-                out_old = self.m_vectors(vecs)
-                if not out_old:
-                    continue
-                out_new = {}
-                for i, c in out_old.items():
-                    for j in range(n):
-                        if pinv[j][i]:
-                            out_new[j] = out_new.get(j, Fraction(0)) + pinv[j][i] * c
-                out_new = {j: c for j, c in out_new.items() if c}
-                if out_new:
-                    table[args] = out_new
-            if table:
-                new_products[k] = table
+        for k, table in self.products.items():
+            # m(P e_a1, ..., P e_ak), moving one argument slot at a time
+            for slot in range(k):
+                moved = {}
+                for args, vec in table.items():
+                    for a, c in p_rows[args[slot]]:
+                        out = moved.setdefault(args[:slot] + (a,) + args[slot + 1:], {})
+                        for j, v in vec.items():
+                            out[j] = out.get(j, 0) + c * v
+                table = {args: {j: v for j, v in vec.items() if v}
+                         for args, vec in moved.items()}
+            # then the outputs in the new basis; the constructor drops zeros
+            new_products[k] = {
+                args: {j: sum(pinv[j][i] * c for i, c in vec.items()) for j in range(n)}
+                for args, vec in sorted(table.items())}
         return AInfinityAlgebra(new_parities, new_pairing, new_products)
 
     def to_json(self):
@@ -262,6 +256,15 @@ def partition_function(algebra, og, vertex_order=None, starts=None):
     `vertex_order` (a permutation of the vertex cycles) and `starts`
     (a chosen first half-edge per cycle) override the reference choices;
     the result is independent of them.
+
+    The sum runs over labelings of the edges, not of the half-edges.
+    Each vertex factor is tabulated once over the states of its own
+    half-edges, and for each edge (h, hbar) with h < hbar the factor
+    ginv[s_h][s_hbar] is summed into the table of hbar's vertex over
+    s_hbar, leaving s_h as the edge's label.  This is exact with odd
+    elements: the scalar product is even, so its inverse is too, and a
+    nonzero ginv[a][b] has parity(a) == parity(b).  The Koszul sign of a
+    state therefore depends only on which edge labels are odd.
     """
     if not isinstance(algebra, AInfinityAlgebra):
         raise InvalidAlgebra("need an AInfinityAlgebra")
@@ -290,53 +293,73 @@ def partition_function(algebra, og, vertex_order=None, starts=None):
         sequence.extend(reversed(c[1:]))
         sequence.append(c[0])
 
-    edges = g.edges()
-    half_edges = list(g.half_edges)
-    pos = {h: i for i, h in enumerate(half_edges)}
+    edges = [(min(a, b), max(a, b)) for a, b in g.edges()]
+    edge_of = {h: e for e, edge in enumerate(edges) for h in edge}
+    hbars = {hbar for _, hbar in edges}
     ginv = algebra.pairing_inverse
+    # column b of ginv as its nonzero (a, ginv[a][b])
+    columns = [[(a, row[b]) for a, row in enumerate(ginv) if row[b]]
+               for b in range(algebra.rank)]
 
+    tables = []
+    cache = {}
+    for c in rotated:
+        absorbed = tuple(i for i, h in enumerate(c) if h in hbars)
+        table = cache.get((len(c), absorbed))
+        if table is None:
+            table = _vertex_table(algebra, len(c))
+            for slot in absorbed:
+                table = _absorb(table, slot, columns)
+            cache[(len(c), absorbed)] = table
+        if not table:
+            return Fraction(0)
+        tables.append((tuple(edge_of[h] for h in c), table))
+
+    parities = algebra.parities
+    eps2 = {}
     total = Fraction(0)
-    for state in product(range(algebra.rank), repeat=len(half_edges)):
+    for labels in product(range(algebra.rank), repeat=len(edges)):
         term = eps1
-        for c in rotated:
-            args = tuple(state[pos[h]] for h in reversed(c[1:]))
-            out = algebra.m_basis(args)
-            if not out:
-                term = 0
-                break
-            x0 = state[pos[c[0]]]
-            factor = Fraction(0)
-            for j, coeff in out.items():
-                factor += coeff * algebra.pairing[j][x0]
-            if not factor:
-                term = 0
+        for slots, table in tables:
+            factor = table.get(tuple(labels[e] for e in slots))
+            if factor is None:
                 break
             term *= factor
-        if not term:
-            continue
-        for a, b in edges:
-            h, hbar = (a, b) if a < b else (b, a)
-            factor = ginv[state[pos[h]]][state[pos[hbar]]]
-            if not factor:
-                term = 0
-                break
-            term *= factor
-        if not term:
-            continue
-        odd_in_sequence = [h for h in sequence if algebra.parities[state[pos[h]]]]
-        paired_order = []
-        for a, b in edges:
-            h, hbar = (a, b) if a < b else (b, a)
-            if algebra.parities[state[pos[h]]]:
-                paired_order.append(h)
-            if algebra.parities[state[pos[hbar]]]:
-                paired_order.append(hbar)
-        if odd_in_sequence:
-            eps2 = word_parity(odd_in_sequence, paired_order)
         else:
-            eps2 = 1
-        total += term * eps2
+            odd = tuple(e for e, s in enumerate(labels) if parities[s])
+            if odd:
+                if odd not in eps2:
+                    odd_in_sequence = [h for h in sequence if edge_of[h] in odd]
+                    paired_order = [h for e in odd for h in edges[e]]
+                    eps2[odd] = word_parity(odd_in_sequence, paired_order)
+                term *= eps2[odd]
+            total += term
     return total
+
+
+def _vertex_table(algebra, valence):
+    """The nonzero vertex factors sum_j m(x_{n-1}, ..., x_1)_j <b_j, x_0>
+    of a cycle of `valence` half-edges, keyed by the states
+    (x_0, x_1, ..., x_{n-1}) of the cycle read from its first half-edge."""
+    table = {}
+    for args, out in algebra.products.get(valence - 1, {}).items():
+        rest = args[::-1]
+        for x0 in range(algebra.rank):
+            factor = sum((c * algebra.pairing[j][x0] for j, c in out.items()), Fraction(0))
+            if factor:
+                table[(x0,) + rest] = factor
+    return table
+
+
+def _absorb(table, slot, columns):
+    """T'(.., a, ..) = sum_b T(.., b, ..) ginv[a][b] at position `slot`,
+    with `columns[b]` the nonzero (a, ginv[a][b])."""
+    out = {}
+    for key, value in table.items():
+        for a, entry in columns[key[slot]]:
+            new = key[:slot] + (a,) + key[slot + 1:]
+            out[new] = out.get(new, 0) + value * entry
+    return {key: value for key, value in out.items() if value}
 
 
 def partition_function_chain(algebra, chain):
@@ -415,15 +438,25 @@ def zx_expansion_check(x, graphs):
     return report
 
 
-def check_partition_cocycle(algebra, graphs):
-    """Z_A vanishes on the boundary of every corpus generator."""
-    if not contraction_identity_holds(algebra):
-        raise InvalidAlgebra("dual basis does not satisfy the contraction identity")
+def check_partition_cocycle(algebras, graphs):
+    """Z_A on the boundary of every corpus generator, for each algebra A
+    in `algebras`: one report per algebra, all from one boundary matrix.
+    Z_A is a cocycle when every value is zero."""
+    algebras = list(algebras)
+    for algebra in algebras:
+        if not contraction_identity_holds(algebra):
+            raise InvalidAlgebra("dual basis does not satisfy the contraction identity")
     graphs = list(graphs)
     classes = nonzero_classes(graphs)
-    values = eval_on_boundaries(
-        lambda key: partition_function(algebra, OrientedRibbonGraph(graph_from_key(key), 1)),
-        classes)
-    # the boundary of a zero class is zero
-    value_of = {og.graph: value for og, value in zip(classes, values)}
-    return [(g.literal(), value_of.get(g, Fraction(0))) for g in graphs]
+    columns = eval_on_boundaries(
+        [partial(_partition_function_key, algebra) for algebra in algebras], classes)
+    reports = []
+    for values in columns:
+        # the boundary of a zero class is zero
+        value_of = {og.graph: value for og, value in zip(classes, values)}
+        reports.append([(g.literal(), value_of.get(g, Fraction(0))) for g in graphs])
+    return reports
+
+
+def _partition_function_key(algebra, key):
+    return partition_function(algebra, OrientedRibbonGraph(graph_from_key(key), 1))

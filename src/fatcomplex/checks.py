@@ -86,16 +86,17 @@ def check_cocycle(max_half_edges, **_):
 
 def check_ainf(max_half_edges, seed, **_):
     """Z_x for three random x, one value per even arity of the algebra,
-    which goes up to max_half_edges + 2."""
+    which goes up to max_half_edges + 2.  The three share one boundary
+    matrix."""
     rng = random.Random(seed)
     corpus = graph_complex.enumerate_graphs(max_half_edges)
     positive = [g for g in corpus if g.codimension >= 1]
+    xs = [[Fraction(rng.randint(1, 9), rng.randint(1, 9))
+           for _ in range(max_half_edges // 2 + 1)] for _ in range(3)]
+    reports = ainfinity.check_partition_cocycle(
+        [ainfinity.one_dimensional_algebra(x, max_half_edges + 2) for x in xs], positive)
     rows = []
-    for trial in range(1, 4):
-        x = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
-             for _ in range(max_half_edges // 2 + 1)]
-        alg = ainfinity.one_dimensional_algebra(x, max_half_edges + 2)
-        report = ainfinity.check_partition_cocycle(alg, positive)
+    for trial, (x, report) in enumerate(zip(xs, reports), 1):
         if report:
             rows.append(("ainf", "Z_x cocycle, random x #%d (%d classes)"
                          % (trial, len(report)), all(v == 0 for _, v in report), False))

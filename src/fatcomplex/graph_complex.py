@@ -130,15 +130,19 @@ def d_chain(chain):
     return out
 
 
-def eval_on_boundaries(value_of, columns):
-    """<f, d c> for each oriented graph c in `columns`, where the cochain
-    f takes the value `value_of(key)` on the generator `key`: f is
-    evaluated once per class hit, then multiplied by the boundary matrix."""
+def eval_on_boundaries(cochains, columns):
+    """<f, d c> for each cochain f in `cochains` and each oriented graph c
+    in `columns`, where f takes the value `f(key)` on the generator `key`:
+    one boundary matrix serves every f, each f is evaluated once per class
+    hit, and the values of f come out as one list over `columns`."""
     rows, matrix = boundary_matrix(columns)
-    f = [value_of(key) for key in rows]
-    out = [Fraction(0)] * len(columns)
-    for (r, c), v in matrix.items():
-        out[c] += f[r] * v
+    out = []
+    for value_of in cochains:
+        f = [value_of(key) for key in rows]
+        values = [Fraction(0)] * len(columns)
+        for (r, c), v in matrix.items():
+            values[c] += f[r] * v
+        out.append(values)
     return out
 
 
@@ -199,7 +203,7 @@ def verify_cocycle(lam, max_half_edges):
     lam = normalize_partition(lam, allow_zero=True)
     codim = 2 * sum(lam) + 1
     classes = nonzero_classes(enumerate_graphs(max_half_edges, codimension=codim))
-    values = eval_on_boundaries(lambda key: eval_w_key(lam, key), classes)
+    [values] = eval_on_boundaries([lambda key: eval_w_key(lam, key)], classes)
     return [(og.graph.literal(), value) for og, value in zip(classes, values)]
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -18,25 +19,182 @@ from fatcomplex.ainfinity import (
     zx_expansion_check,
 )
 from fatcomplex.graph_complex import d_integral, enumerate_graphs
-from fatcomplex.ribbon import OrientedRibbonGraph, build_graph
+from fatcomplex.linalg import matrix_inverse
+from fatcomplex.ribbon import (
+    OrientedRibbonGraph,
+    build_graph,
+    graph_from_key,
+    reference_word,
+    word_parity,
+)
+
+GRASSMANN_PAIRING = [
+    [0, 0, 0, 1],
+    [0, 0, 1, 0],
+    [0, -1, 0, 0],
+    [1, 0, 0, 0],
+]
 
 
 def grassmann_two():
     """The rank-4 superalgebra on 1, t1, t2, t1 t2 with the top-degree
     coefficient pairing; m_2 is the product."""
     parities = [0, 1, 1, 0]
-    pairing = [
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-        [0, -1, 0, 0],
-        [1, 0, 0, 0],
-    ]
     mul = {
         (0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 1},
         (1, 0): {1: 1}, (2, 0): {2: 1}, (3, 0): {3: 1},
         (1, 2): {3: 1}, (2, 1): {3: -1},
     }
+    return AInfinityAlgebra(parities, GRASSMANN_PAIRING, {2: mul})
+
+
+def graded_cyclic_algebra(parities, pairing, arities, seed):
+    """A cyclic algebra with odd elements and nonzero partition functions,
+    which need not satisfy the A-infinity relations: each m_k comes from a
+    seeded (k+1)-linear form phi(x_0, ..., x_k) = <m_k(x_1, ..., x_k), x_0>,
+    summed over its k+1 graded cyclic rotations."""
+    rng = random.Random(seed)
+    n = len(parities)
+    ginv = AInfinityAlgebra(parities, pairing, {}).pairing_inverse
+    products = {}
+    for k in arities:
+        # m_k has degree k, so phi vanishes unless the parities add up to k
+        phi = {x: rng.randint(-3, 3) for x in product(range(n), repeat=k + 1)
+               if sum(parities[i] for i in x) % 2 == k % 2}
+        term = dict(phi)
+        for _ in range(k):
+            # (T f)(x_0, ..., x_k) = (-1)^(k + (k+1) p(x_0)) f(x_k, x_0, ..., x_{k-1})
+            term = {x: (-1) ** (k + (k + 1) * parities[x[0]]) * term[x[-1:] + x[:-1]]
+                    for x in term}
+            for x, v in term.items():
+                phi[x] += v
+        products[k] = {
+            args: {j: sum(phi.get((x0,) + args, 0) * ginv[x0][j] for x0 in range(n))
+                   for j in range(n)}
+            for args in product(range(n), repeat=k)}
+    return AInfinityAlgebra(parities, pairing, products)
+
+
+def odd_grassmann_pairing():
+    """m_2 from a seeded graded-cyclic form on the Grassmann pairing: odd,
+    and nonzero on both theta graphs, unlike `grassmann_two`."""
+    return graded_cyclic_algebra([0, 1, 1, 0], GRASSMANN_PAIRING, (2,), 1)
+
+
+def odd_rank_three():
+    return graded_cyclic_algebra([0, 1, 1], [[1, 0, 0], [0, 0, 1], [0, -1, 0]], (2, 3, 4), 0)
+
+
+def matrix_superalgebra(row_parities):
+    """gl(p|q): the matrix units E_ij, of parity p(i) + p(j), with the
+    supertrace pairing <E_ij, E_ji> = (-1)^p(i).  Associative, so its
+    partition function is a cocycle; for gl(2|1) it is 1 on the three
+    trivalent classes with 6 half-edges."""
+    n = len(row_parities)
+    parities = [(row_parities[i] + row_parities[j]) % 2 for i in range(n) for j in range(n)]
+    pairing = [[0] * (n * n) for _ in range(n * n)]
+    for i in range(n):
+        for j in range(n):
+            pairing[i * n + j][j * n + i] = (-1) ** row_parities[i]
+    mul = {(i * n + j, j * n + l): {i * n + l: 1}
+           for i in range(n) for j in range(n) for l in range(n)}
     return AInfinityAlgebra(parities, pairing, {2: mul})
+
+
+def dense_rank_two(seed):
+    """The dense rank-2 algebra of the state-sum benchmark: the direct sum
+    of two seeded rank-one algebras up to arity 8, in a seeded basis."""
+    rng = random.Random(seed)
+
+    def rational():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    x = [rational() for _ in range(4)]
+    y = [rational() for _ in range(4)]
+    while True:
+        basis = [[rational() for _ in range(2)] for _ in range(2)]
+        if basis[0][0] * basis[1][1] != basis[0][1] * basis[1][0]:
+            break
+    products = {k: {(0,) * k: {0: x[k // 2 - 1]}, (1,) * k: {1: y[k // 2 - 1]}}
+                for k in range(2, 9, 2)}
+    return AInfinityAlgebra([0, 0], [[1, 0], [0, 1]], products), basis
+
+
+def reference_partition_function(algebra, og, vertex_order=None, starts=None):
+    """The state sum as first written: every basis labeling of the
+    half-edges, each vertex factor recomputed per labeling."""
+    g = og.graph
+    cycles = list(g.vertices) if vertex_order is None else [tuple(c) for c in vertex_order]
+    rotated = []
+    for c in cycles:
+        s = starts.get(tuple(sorted(c)), min(c)) if starts is not None else min(c)
+        i = c.index(s)
+        rotated.append(c[i:] + c[:i])
+    word = []
+    for c in rotated:
+        word.append(("v", min(c)))
+        word.extend(c)
+    eps1 = og.sign * word_parity(reference_word(g.vertices), word)
+    sequence = []
+    for c in rotated:
+        sequence.extend(reversed(c[1:]))
+        sequence.append(c[0])
+    edges = g.edges()
+    pos = {h: i for i, h in enumerate(g.half_edges)}
+    ginv = algebra.pairing_inverse
+    total = Fraction(0)
+    for state in product(range(algebra.rank), repeat=len(pos)):
+        term = eps1
+        for c in rotated:
+            out = algebra.m_basis(tuple(state[pos[h]] for h in reversed(c[1:])))
+            x0 = state[pos[c[0]]]
+            term *= sum((coeff * algebra.pairing[j][x0] for j, coeff in out.items()),
+                        Fraction(0))
+            if not term:
+                break
+        for a, b in edges:
+            if not term:
+                break
+            h, hbar = (a, b) if a < b else (b, a)
+            term *= ginv[state[pos[h]]][state[pos[hbar]]]
+        if not term:
+            continue
+        odd_in_sequence = [h for h in sequence if algebra.parities[state[pos[h]]]]
+        paired_order = [h for a, b in edges for h in sorted((a, b))
+                        if algebra.parities[state[pos[h]]]]
+        total += term * word_parity(odd_in_sequence, paired_order)
+    return total
+
+
+def reference_change_basis_products(algebra, matrix):
+    """The structure table in the new basis as first written: m_k
+    extended multilinearly over every product of basis supports."""
+    p = [[Fraction(x) for x in row] for row in matrix]
+    n = algebra.rank
+    pinv = matrix_inverse(p)
+
+    def m_vectors(vectors):
+        out = {}
+        for combo in product(*[sorted(v) for v in vectors]):
+            coeff = Fraction(1)
+            for v, i in zip(vectors, combo):
+                coeff *= v[i]
+            for j, c in algebra.m_basis(combo).items():
+                out[j] = out.get(j, Fraction(0)) + coeff * c
+        return out
+
+    products = {}
+    for k in algebra.products:
+        table = {}
+        for args in product(range(n), repeat=k):
+            out_old = m_vectors([{i: p[i][a] for i in range(n) if p[i][a]} for a in args])
+            out_new = {j: sum(pinv[j][i] * c for i, c in out_old.items()) for j in range(n)}
+            out_new = {j: c for j, c in out_new.items() if c}
+            if out_new:
+                table[args] = out_new
+        if table:
+            products[k] = table
+    return products
 
 
 def theta(planar=True):
@@ -104,17 +262,18 @@ def test_z_x_values():
 
 
 def test_partition_function_invariance_under_presentation():
-    alg = grassmann_two()
-    g = theta(planar=False)
-    og = OrientedRibbonGraph(g, 1)
-    base = partition_function(alg, og)
+    alg = odd_grassmann_pairing()
     rng = random.Random(7)
-    cycles = list(g.vertices)
-    for _ in range(6):
-        order = cycles[:]
-        rng.shuffle(order)
-        starts = {tuple(sorted(c)): rng.choice(c) for c in cycles}
-        assert partition_function(alg, og, vertex_order=order, starts=starts) == base
+    for g in [theta(True), theta(False)]:
+        og = OrientedRibbonGraph(g, 1)
+        base = partition_function(alg, og)
+        assert base != 0
+        cycles = list(g.vertices)
+        for _ in range(6):
+            order = cycles[:]
+            rng.shuffle(order)
+            starts = {tuple(sorted(c)): rng.choice(c) for c in cycles}
+            assert partition_function(alg, og, vertex_order=order, starts=starts) == base
 
 
 def test_partition_function_invariance_under_basis_change():
@@ -124,52 +283,130 @@ def test_partition_function_invariance_under_basis_change():
     og = OrientedRibbonGraph(theta(), 1)
     assert partition_function(alg, og) == partition_function(scaled, og)
 
-    gr = grassmann_two()
+    odd = odd_grassmann_pairing()
     mix = [
         [1, 0, 0, 0],
         [0, 2, 1, 0],
         [0, 1, 1, 0],
         [0, 0, 0, 3],
     ]
-    changed = gr.change_basis(mix)
+    changed = odd.change_basis(mix)
+    assert changed.products != odd.products
     for g in [theta(True), theta(False)]:
         og = OrientedRibbonGraph(g, 1)
-        assert partition_function(gr, og) == partition_function(changed, og)
+        value = partition_function(odd, og)
+        assert value != 0
+        assert partition_function(changed, og) == value
 
 
 def test_partition_function_sign_linearity():
-    alg = grassmann_two()
-    og = OrientedRibbonGraph(theta(False), 1)
-    assert partition_function(alg, og) == -partition_function(alg, og.reversed())
+    alg = odd_grassmann_pairing()
+    for g in [theta(True), theta(False)]:
+        og = OrientedRibbonGraph(g, 1)
+        value = partition_function(alg, og)
+        assert value != 0
+        assert value == -partition_function(alg, og.reversed())
+
+
+def test_partition_function_matches_brute_force_reference():
+    broken = AInfinityAlgebra([0], [[1]], {2: {(0, 0): {0: 2}}, 3: {(0, 0, 0): {0: 1}}},
+                              strict=False)
+    dense, basis = dense_rank_two(3)
+    # grassmann_two vanishes on every class within 6 half-edges
+    cases = [
+        (one_dimensional_algebra([Fraction(3), Fraction(5, 7), Fraction(-2)], 8), 8, True),
+        (broken, 8, True),
+        (grassmann_two(), 6, False),
+        (dense.change_basis(basis), 8, True),
+        (odd_rank_three(), 8, True),
+    ]
+    for alg, bound, nonzero in cases:
+        values = []
+        for g in enumerate_graphs(bound):
+            for sign in (1, -1):
+                og = OrientedRibbonGraph(g, sign)
+                value = partition_function(alg, og)
+                assert value == reference_partition_function(alg, og)
+                values.append(value)
+        assert any(values) == nonzero
+
+
+def test_partition_function_matches_reference_in_random_presentations():
+    rng = random.Random(11)
+    dense, basis = dense_rank_two(5)
+    for alg in (odd_rank_three(), dense.change_basis(basis)):
+        nonzero = 0
+        for g in enumerate_graphs(8):
+            og = OrientedRibbonGraph(g, rng.choice((1, -1)))
+            order = list(g.vertices)
+            rng.shuffle(order)
+            starts = {tuple(sorted(c)): rng.choice(c) for c in order}
+            value = partition_function(alg, og, vertex_order=order, starts=starts)
+            assert value == reference_partition_function(alg, og, order, starts)
+            nonzero += value != 0
+        assert nonzero
+
+
+def test_change_basis_matches_reference():
+    mix = [
+        [1, 0, 0, 0],
+        [0, 2, 1, 0],
+        [0, 1, 1, 0],
+        [0, 0, 0, 3],
+    ]
+    dense, basis = dense_rank_two(3)
+    for alg, matrix in ((grassmann_two(), mix), (odd_grassmann_pairing(), mix),
+                        (dense, basis)):
+        changed = alg.change_basis(matrix)
+        assert changed.products == reference_change_basis_products(alg, matrix)
+        assert changed.products != alg.products
+    assert max(dense.change_basis(basis).products) == 8
 
 
 def test_check_partition_cocycle_one_dimensional():
     x = [Fraction(2), Fraction(-3), Fraction(5, 2), Fraction(1)]
     alg = one_dimensional_algebra(x, 10)
     corpus = [g for g in enumerate_graphs(10) if g.codimension >= 1]
-    report = check_partition_cocycle(alg, corpus)
+    [report] = check_partition_cocycle([alg], corpus)
     assert report and all(v == 0 for _, v in report)
 
 
 def test_check_partition_cocycle_grassmann_small():
-    alg = grassmann_two()
     corpus = [g for g in enumerate_graphs(4) if g.codimension >= 1]
-    report = check_partition_cocycle(alg, corpus)
-    assert report and all(v == 0 for _, v in report)
+    gl21 = matrix_superalgebra([0, 0, 1])
+    reports = check_partition_cocycle([grassmann_two(), gl21, odd_grassmann_pairing()], corpus)
+    assert [len(r) for r in reports] == [len(corpus)] * 3
+    assert all(v == 0 for report in reports[:2] for _, v in report)
+    # gl(2|1) has odd elements and kills the boundaries by cancellation
+    boundary_values = [partition_function(gl21, OrientedRibbonGraph(graph_from_key(key), 1))
+                       for g in corpus for key in d_integral(OrientedRibbonGraph(g, 1)).terms]
+    assert boundary_values and all(boundary_values)
+    # the seeded odd algebra is not associative, and the check sees it
+    assert verify_ainfinity(odd_grassmann_pairing(), 3)
+    assert any(v for _, v in reports[2])
 
 
 def test_check_partition_cocycle_matches_per_class_boundaries():
     x = [Fraction(2), Fraction(-3), Fraction(5, 2), Fraction(1)]
-    # the last algebra is no A-infinity algebra, so its values are not all 0
+    # the last two algebras are no A-infinity algebras, so their values are not all 0
     broken = AInfinityAlgebra([0], [[1]], {2: {(0, 0): {0: 2}}, 3: {(0, 0, 0): {0: 1}}},
                               strict=False)
-    for alg, bound in ((one_dimensional_algebra(x, 10), 10), (grassmann_two(), 4),
-                       (broken, 8)):
-        corpus = [g for g in enumerate_graphs(bound) if g.codimension >= 1]
-        want = [(g.literal(), partition_function_chain(alg, d_integral(OrientedRibbonGraph(g, 1))))
+    cases = ((one_dimensional_algebra(x, 10), 10), (grassmann_two(), 4), (broken, 8),
+             (odd_rank_three(), 6))
+
+    def want(alg, corpus):
+        return [(g.literal(), partition_function_chain(alg, d_integral(OrientedRibbonGraph(g, 1))))
                 for g in corpus]
-        assert check_partition_cocycle(alg, corpus) == want
-    assert any(value for _, value in want)
+
+    for alg, bound in cases:
+        corpus = [g for g in enumerate_graphs(bound) if g.codimension >= 1]
+        assert check_partition_cocycle([alg], corpus) == [want(alg, corpus)]
+    # several algebras on one boundary matrix
+    corpus = [g for g in enumerate_graphs(6) if g.codimension >= 1]
+    algebras = [alg for alg, _ in cases]
+    wants = [want(alg, corpus) for alg in algebras]
+    assert check_partition_cocycle(algebras, corpus) == wants
+    assert any(value for _, value in wants[2]) and any(value for _, value in wants[3])
 
 
 def test_zx_expansion_check():
