@@ -14,6 +14,13 @@ over collapse orders, carrying region bitmasks per merged blob and the
 permutation parity of the order, so that the sign of a chain is the
 parity times the sign of the reference-order chain of its seed tree.
 
+A window contributes only while every collapse in it grows the one blob
+that its first collapse made: a collapse that misses that blob makes the
+window value 0.  So the DFS carries the compositions still alive, with
+the product of their closed window values, and a composition dies when
+a window of it closes with value 0 or misses its blob.  A branch with no
+composition alive is not walked; each chain reached contributes.
+
 Only one seed tree per orbit of the leaf rotation i -> i+1 mod 2m+3 is
 scanned, and its sums are weighted by the orbit size.  Rotating the
 leaves relabels the regions cyclically.  Every tuple the cocycle signs
@@ -21,7 +28,9 @@ has 2k+1 entries, an odd number, so a cyclic relabelling composes its
 sorting permutation with a cycle of odd length, which is even: the
 ascending sign and every region-set size stay the same.  The tests
 check exactly that per-seed sums, chain signs included, agree across
-rotation orbits.
+rotation orbits.  The orbits are listed without canonical forms: a
+trivalent tree is determined by the leaf intervals its internal edges
+cut off, and a rotation moves each interval one leaf on.
 
 The sums are exact integers: the value of a window of a part k is
 scaled by |(-2)^(k+1) (2k-1)!!| (2m+3)!, which makes it an integer (a
@@ -36,10 +45,10 @@ from itertools import product
 from fatcomplex.linalg import SingularMatrix, matrix_inverse
 from fatcomplex.ribbon import sort_sign
 from fatcomplex.trees import (
+    branch_leaves,
     chain_from_order,
     enumerate_trivalent_trees,
     region_touch_sets,
-    rotate_leaves,
 )
 
 
@@ -181,10 +190,12 @@ def _scan_seed(seed, m):
     tree, of the chain sign times the product of the scaled window values.
 
     Returns {composition: int}; `_b_from_totals` turns summed totals into
-    the numbers b.
+    the numbers b.  Orders on which every composition is 0 are cut off
+    at the first collapse that makes them so.
     """
-    comp_windows = {comp: _composition_windows(comp) for comp in compositions_of(m)}
-    totals = dict.fromkeys(comp_windows, 0)
+    comps = compositions_of(m)
+    comp_windows = [_composition_windows(comp) for comp in comps]
+    totals = [0] * len(comps)
     edges = seed.internal_edges()
     nedges = len(edges)
     verts = list(seed.vertices)
@@ -197,79 +208,78 @@ def _scan_seed(seed, m):
     base_masks = [sum(1 << r for r in touch[i]) for i in range(len(verts))]
     s0 = chain_from_order(seed, edges).sign
 
-    windows = sorted({w for ws in comp_windows.values() for w in ws})
-    scale_of = {w: _part_scale((w[1] - w[0]) // 2, seed.leaf_count) for w in windows}
-    opens_at = {}
-    for w in windows:
-        opens_at.setdefault(w[0], []).append(w)
+    # window_at[step][ci]: the window of composition ci holding collapse `step`
+    window_at = [None] + [[next(w for w in wins if w[0] < step <= w[1]) for wins in comp_windows]
+                          for step in range(1, nedges + 1)]
+    scale_of = {w: _part_scale((w[1] - w[0]) // 2, seed.leaf_count)
+                for wins in comp_windows for w in wins}
     cz_cache = {}
 
-    def window_value(win, entries):
+    def window_value(win, tracks):
         scale = scale_of[win]
         total = 0
-        for _, c0, _, deltas in entries:
+        for c0, deltas in tracks:
             weight = _popcount(c0) - 2
             if weight:
                 total += weight * _scaled_cz(c0, deltas, scale, cz_cache)
         return total
 
-    def recurse(depth, remaining, sgn, rep, masks, tracks, wvals):
+    def recurse(depth, remaining, sgn, rep, masks, open_windows, alive):
+        # `alive` pairs each composition not yet known to contribute 0
+        # with the product of its closed window values; `open_windows`
+        # holds (blob, tracks) for each window still open after `depth`
+        # collapses.
         step = depth + 1
+        wins = window_at[step]
         for idx in range(len(remaining)):
             ei = remaining[idx]
-            sgn2 = sgn if idx % 2 == 0 else -sgn
             u, w = endpoints[ei]
             ru, rw = rep[u], rep[w]
             mu, mw = masks[ru], masks[rw]
-            merged = mu | mw
-            rep2 = [ru if r == rw else r for r in rep]
-            masks2 = dict(masks)
-            masks2[ru] = merged
-            del masks2[rw]
-
-            tracks2 = {}
-            wvals2 = wvals
-            for win, tlist in tracks.items():
-                live = []
-                for trep, c0, cur, deltas in tlist:
-                    if trep == ru:
-                        live.append((ru, c0, merged, deltas + (mw & ~mu,)))
-                    elif trep == rw:
-                        live.append((ru, c0, merged, deltas + (mu & ~mw,)))
-                if win[1] == step:
-                    if wvals2 is wvals:
-                        wvals2 = dict(wvals)
-                    wvals2[win] = window_value(win, live)
-                else:
-                    tracks2[win] = live
-            for win in opens_at.get(step - 1, ()):
-                seeded = [(ru, mu, merged, (mw & ~mu,)),
-                          (ru, mw, merged, (mu & ~mw,))]
-                if win[1] == step:
-                    if wvals2 is wvals:
-                        wvals2 = dict(wvals)
-                    wvals2[win] = window_value(win, seeded)
-                else:
-                    tracks2[win] = seeded
-
+            # a window grows one blob; an untouched blob drops the window
+            state = {}
+            alive2 = []
+            for ci, prod in alive:
+                win = wins[ci]
+                st = state.get(win)
+                if st is None:
+                    if win[0] == depth:
+                        tracks = ((mu, (mw & ~mu,)), (mw, (mu & ~mw,)))
+                    else:
+                        blob, tracks = open_windows[win]
+                        if blob == ru:
+                            tracks = tuple((c0, deltas + (mw & ~mu,)) for c0, deltas in tracks)
+                        elif blob == rw:
+                            tracks = tuple((c0, deltas + (mu & ~mw,)) for c0, deltas in tracks)
+                        else:
+                            tracks = None
+                    if tracks is None:
+                        st = 0
+                    elif win[1] == step:
+                        st = window_value(win, tracks)
+                    else:
+                        st = (ru, tracks)
+                    state[win] = st
+                if st:
+                    alive2.append((ci, prod * st) if win[1] == step else (ci, prod))
+            if not alive2:
+                continue
+            sgn2 = sgn if idx % 2 == 0 else -sgn
             rest = remaining[:idx] + remaining[idx + 1:]
             if rest:
-                recurse(depth + 1, rest, sgn2, rep2, masks2, tracks2, wvals2)
+                rep2 = [ru if r == rw else r for r in rep]
+                masks2 = dict(masks)
+                masks2[ru] = mu | mw
+                del masks2[rw]
+                recurse(step, rest, sgn2, rep2, masks2, state, alive2)
             else:
-                chain_sign = s0 * sgn2
-                for comp, wins in comp_windows.items():
-                    prod = chain_sign
-                    for win in wins:
-                        prod *= wvals2[win]
-                        if not prod:
-                            break
-                    if prod:
-                        totals[comp] += prod
+                for ci, prod in alive2:
+                    totals[ci] += s0 * sgn2 * prod
 
     rep0 = list(range(len(verts)))
     masks0 = {i: base_masks[i] for i in range(len(verts))}
-    recurse(0, list(range(nedges)), 1, rep0, masks0, {}, {})
-    return totals
+    recurse(0, list(range(nedges)), 1, rep0, masks0, {}, [(ci, 1) for ci in range(len(comps))])
+    return dict(zip(comps, totals))
 
 
 def _b_from_totals(m, totals):
@@ -281,20 +291,31 @@ def _b_from_totals(m, totals):
             for comp, total in totals.items()}
 
 
+def _cut_intervals(tree):
+    """The leaf intervals, as (first leaf, length), that the internal
+    half-edges of a tree cut off; they determine the tree."""
+    L = tree.leaf_count
+    out = set()
+    for h in tree.pairing:
+        leaves = branch_leaves(tree, h)
+        first = next(x for x in leaves if (x - 1) % L not in leaves)
+        out.add((first, len(leaves)))
+    return frozenset(out)
+
+
 def _rotation_orbits(leaf_count):
     """Trivalent trees up to the leaf rotation i -> i+1 mod leaf_count, as
     [(representative, orbit size)]; the representative of an orbit is its
-    first member in `enumerate_trivalent_trees` order."""
+    first member in `enumerate_trivalent_trees` order.  A rotation moves
+    every cut interval one leaf on."""
     seen = set()
     out = []
     for seed in enumerate_trivalent_trees(leaf_count):
-        if seed.canonical().literal() in seen:
+        key = _cut_intervals(seed)
+        if key in seen:
             continue
-        orbit = set()
-        t = seed
-        for _ in range(leaf_count):
-            orbit.add(t.canonical().literal())
-            t = rotate_leaves(t)
+        orbit = {frozenset(((first + r) % leaf_count, size) for first, size in key)
+                 for r in range(leaf_count)}
         seen |= orbit
         out.append((seed, len(orbit)))
     return out

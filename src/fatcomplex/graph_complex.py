@@ -29,6 +29,7 @@ from fatcomplex.ribbon import (
     OrientedRibbonGraph,
     RibbonGraph,
     automorphisms,
+    canonical_key_over,
     canonical_oriented,
     canonical_over,
     enumerate_expansions,
@@ -314,7 +315,7 @@ class ForestComplex:
         self.base = base
         self.base_labels = set(base.half_edges)
         n = base.codimension
-        key, _ = canonical_over(self.base_labels, base.vertices, base.pairing, 1)
+        key, _ = canonical_key_over(self.base_labels, base.vertices, base.pairing)
         self.levels = [None] * (n + 1)
         self.levels[n] = [key]
         self.matrices = [None] * (n + 1)

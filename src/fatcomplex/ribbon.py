@@ -569,15 +569,15 @@ def _traverse(succ, mate, root):
     return order, label
 
 
-def canonical_over(fixed, cycles, pairing, sign):
-    """Canonical key of an oriented object over the half-edges `fixed`,
-    which keep their labels.
+def canonical_key_over(fixed, cycles, pairing):
+    """Canonical key of an object over the half-edges `fixed`, which keep
+    their labels, and the relabeling that gives it.
 
     The other half-edges get fresh labels from max(fixed) + 1, in the
     order the `_traverse` walk from min(fixed) reaches them.  `cycles`
     are normalized and `pairing` maps each paired half-edge to its mate.
-    Returns ((cycles, pairs), sign): the relabeled normalized cycles, the
-    sorted (min, max) pairs, and `sign` transported along the relabeling.
+    Returns ((cycles, pairs), relabeling): the relabeled normalized
+    cycles, the sorted (min, max) pairs, and the map old -> new label.
     """
     labels, index, succ, mate = _index_tables(cycles, pairing)
     order, _ = _traverse(succ, mate, index[min(fixed)])
@@ -593,8 +593,14 @@ def canonical_over(fixed, cycles, pairing, sign):
     new_cycles = _normalize_cycles([tuple(final[x] for x in c) for c in cycles])
     pairs = tuple(sorted((final[a], final[b]) for a, b in pairing.items()
                          if final[a] < final[b]))
-    return (new_cycles, pairs), sign * word_parity(_transported_word(cycles, final),
-                                                   reference_word(new_cycles))
+    return (new_cycles, pairs), final
+
+
+def canonical_over(fixed, cycles, pairing, sign):
+    """`canonical_key_over` for an oriented object: returns (key, sign)
+    with `sign` transported along the relabeling."""
+    key, final = canonical_key_over(fixed, cycles, pairing)
+    return key, sign * word_parity(_transported_word(cycles, final), reference_word(key[0]))
 
 
 def canonical_form(g):

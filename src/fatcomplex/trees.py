@@ -19,6 +19,7 @@ from itertools import permutations
 from fatcomplex.ribbon import (
     GraphError,
     _normalize_cycles,
+    canonical_key_over,
     canonical_over,
     collapse_oriented,
     sort_sign,
@@ -92,7 +93,10 @@ class PlanarTree:
         return (self.leaf_count, self.vertices, tuple(self.internal_edges()))
 
     def canonical(self):
-        return canonical_oriented_tree(self, 1)[0]
+        """Canonical representative over the fixed leaves."""
+        (cycles, pairs), _ = canonical_key_over(range(self.leaf_count), self.vertices,
+                                                self.pairing)
+        return PlanarTree(self.leaf_count, cycles, pairs, check=False)
 
     def __eq__(self, other):
         return isinstance(other, PlanarTree) and self.literal() == other.literal()
@@ -586,12 +590,10 @@ def face_boundary_maps(n):
     and maps[k] is the matrix of d: C_k -> C_{k-1} as a dict
     {(row, col): coefficient}.
     """
-    faces = [tuple(sorted(t.canonical().literal() for t in enumerate_faces(n, k)))
-             for k in range(n + 1)]
+    trees_by_level = [{c.literal(): c for c in map(PlanarTree.canonical, enumerate_faces(n, k))}
+                      for k in range(n + 1)]
+    faces = [tuple(sorted(level)) for level in trees_by_level]
     index = [{lit: i for i, lit in enumerate(level)} for level in faces]
-    trees_by_level = [
-        {t.canonical().literal(): t.canonical() for t in enumerate_faces(n, k)}
-        for k in range(n + 1)]
     maps = [None]
     for k in range(1, n + 1):
         # entry[(T' row, T col)] of d: C_k -> C_{k-1}

@@ -25,7 +25,13 @@ from fatcomplex.coefficients import (
     w_polynomial,
 )
 from fatcomplex.linalg import matrix_multiply
-from fatcomplex.trees import PlanarTree, enumerate_trivalent_trees, rotate_leaves
+from fatcomplex.trees import (
+    PlanarTree,
+    chain_from_order,
+    enumerate_trivalent_trees,
+    region_touch_sets,
+    rotate_leaves,
+)
 
 
 def test_partitions_of_descending_lex():
@@ -80,18 +86,30 @@ def _reflect_leaves(tree):
     return PlanarTree(L, cycles, tree.internal_edges())
 
 
+def _reference_rotation_orbits(leaf_count):
+    """The rotation orbits listed by canonical literals, one per rotation
+    of every tree: the listing `_rotation_orbits` replaced."""
+    seen = set()
+    out = []
+    for seed in enumerate_trivalent_trees(leaf_count):
+        if seed.canonical().literal() in seen:
+            continue
+        orbit = {t.canonical().literal() for t in _rotations(seed, leaf_count)}
+        seen |= orbit
+        out.append((seed, len(orbit)))
+    return out
+
+
 def test_rotation_orbits_partition_the_seed_trees():
-    for leaves, count, sizes in ((5, 1, {5}), (7, 6, {7}), (9, 49, {3, 9})):
+    # the orbit sizes sum to Catalan(leaves - 2), the number of seeds
+    for leaves, count, sizes, seeds in ((5, 1, {5}, 5), (7, 6, {7}, 42), (9, 49, {3, 9}, 429),
+                                        (11, 442, {11}, 4862)):
         orbits = coefficients._rotation_orbits(leaves)
-        seeds = enumerate_trivalent_trees(leaves)
         assert len(orbits) == count
         assert {size for _, size in orbits} == sizes
-        assert sum(size for _, size in orbits) == len(seeds)
-        # each representative is the first seed of its orbit
-        firsts = {}
-        for t in seeds:
-            firsts.setdefault(_orbit_key(t), t)
-        assert [rep for rep, _ in orbits] == list(firsts.values())
+        assert sum(size for _, size in orbits) == seeds
+        # the same representatives, each the first seed of its orbit, and sizes
+        assert orbits == _reference_rotation_orbits(leaves)
 
 
 def test_per_seed_sums_agree_across_rotation_orbits_k2_k4():
@@ -124,6 +142,117 @@ def test_per_seed_sums_invariant_under_reflection_k4():
     for seed in enumerate_trivalent_trees(7):
         assert coefficients._scan_seed(_reflect_leaves(seed), 2) \
             == coefficients._scan_seed(seed, 2)
+
+
+def _reference_scan_seed(seed, m):
+    """The unpruned chain scan: every collapse order of the seed is walked
+    to a leaf, whatever its window values."""
+    comp_windows = {comp: coefficients._composition_windows(comp)
+                    for comp in compositions_of(m)}
+    totals = dict.fromkeys(comp_windows, 0)
+    edges = seed.internal_edges()
+    nedges = len(edges)
+    verts = list(seed.vertices)
+    vertex_of = {}
+    for i, c in enumerate(verts):
+        for x in c:
+            vertex_of[x] = i
+    endpoints = [(vertex_of[a], vertex_of[b]) for a, b in edges]
+    touch = region_touch_sets(seed)
+    base_masks = [sum(1 << r for r in touch[i]) for i in range(len(verts))]
+    s0 = chain_from_order(seed, edges).sign
+
+    windows = sorted({w for ws in comp_windows.values() for w in ws})
+    scale_of = {w: coefficients._part_scale((w[1] - w[0]) // 2, seed.leaf_count)
+                for w in windows}
+    opens_at = {}
+    for w in windows:
+        opens_at.setdefault(w[0], []).append(w)
+    cz_cache = {}
+
+    def window_value(win, entries):
+        total = 0
+        for _, c0, _, deltas in entries:
+            weight = c0.bit_count() - 2
+            if weight:
+                total += weight * coefficients._scaled_cz(c0, deltas, scale_of[win], cz_cache)
+        return total
+
+    def recurse(depth, remaining, sgn, rep, masks, tracks, wvals):
+        step = depth + 1
+        for idx in range(len(remaining)):
+            ei = remaining[idx]
+            sgn2 = sgn if idx % 2 == 0 else -sgn
+            u, w = endpoints[ei]
+            ru, rw = rep[u], rep[w]
+            mu, mw = masks[ru], masks[rw]
+            merged = mu | mw
+            rep2 = [ru if r == rw else r for r in rep]
+            masks2 = dict(masks)
+            masks2[ru] = merged
+            del masks2[rw]
+
+            tracks2 = {}
+            wvals2 = dict(wvals)
+            for win, tlist in tracks.items():
+                live = []
+                for trep, c0, cur, deltas in tlist:
+                    if trep == ru:
+                        live.append((ru, c0, merged, deltas + (mw & ~mu,)))
+                    elif trep == rw:
+                        live.append((ru, c0, merged, deltas + (mu & ~mw,)))
+                if win[1] == step:
+                    wvals2[win] = window_value(win, live)
+                else:
+                    tracks2[win] = live
+            for win in opens_at.get(step - 1, ()):
+                seeded = [(ru, mu, merged, (mw & ~mu,)),
+                          (ru, mw, merged, (mu & ~mw,))]
+                if win[1] == step:
+                    wvals2[win] = window_value(win, seeded)
+                else:
+                    tracks2[win] = seeded
+
+            rest = remaining[:idx] + remaining[idx + 1:]
+            if rest:
+                recurse(depth + 1, rest, sgn2, rep2, masks2, tracks2, wvals2)
+            else:
+                for comp, wins in comp_windows.items():
+                    prod = s0 * sgn2
+                    for win in wins:
+                        prod *= wvals2[win]
+                    totals[comp] += prod
+
+    rep0 = list(range(len(verts)))
+    masks0 = {i: base_masks[i] for i in range(len(verts))}
+    recurse(0, list(range(nedges)), 1, rep0, masks0, {}, {})
+    return totals
+
+
+def test_pruned_scan_matches_reference_on_every_k2_k4_seed():
+    seeds = enumerate_trivalent_trees(5) + enumerate_trivalent_trees(7)
+    assert len(seeds) == 5 + 42
+    nonzero = 0
+    for seed in seeds:
+        want = _reference_scan_seed(seed, (seed.leaf_count - 3) // 2)
+        assert coefficients._scan_seed(seed, (seed.leaf_count - 3) // 2) == want
+        nonzero += any(want.values())
+    assert nonzero
+
+
+def test_pruned_scan_matches_reference_on_k6_orbits():
+    orbits = coefficients._rotation_orbits(9)
+    assert len(orbits) == 49
+    totals = dict.fromkeys(compositions_of(3), 0)
+    for rep, size in orbits:
+        want = _reference_scan_seed(rep, 3)
+        assert coefficients._scan_seed(rep, 3) == want
+        for comp, v in want.items():
+            totals[comp] += size * v
+    # the reference totals give the frozen weight-3 numbers
+    assert coefficients._b_from_totals(3, totals) == {
+        (3,): Fraction(1, 1680), (2, 1): Fraction(-19, 3360),
+        (1, 2): Fraction(-19, 3360), (1, 1, 1): Fraction(263, 6720)}
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -262,6 +262,34 @@ def test_cellular_complex_d_squared_zero_and_euler():
     assert any(sparse_product(maps[1], maps[2]).values())
 
 
+def _reference_face_boundary_maps(n):
+    """face_boundary_maps as it was: each level enumerated twice, each
+    face keyed three times."""
+    faces = [tuple(sorted(t.canonical().literal() for t in enumerate_faces(n, k)))
+             for k in range(n + 1)]
+    index = [{lit: i for i, lit in enumerate(level)} for level in faces]
+    trees_by_level = [
+        {t.canonical().literal(): t.canonical() for t in enumerate_faces(n, k)}
+        for k in range(n + 1)]
+    maps = [None]
+    for k in range(1, n + 1):
+        mat = {}
+        for lit_prime, tprime in trees_by_level[k - 1].items():
+            row = index[k - 1][lit_prime]
+            for e in tprime.internal_edges():
+                collapsed, s = collapse_tree_edge(tprime, 1, e)
+                canon, s = canonical_oriented_tree(collapsed, s)
+                col = index[k][canon.literal()]
+                mat[(row, col)] = mat.get((row, col), 0) + s
+        maps.append({k2: v for k2, v in mat.items() if v})
+    return faces, maps
+
+
+def test_face_boundary_maps_match_reference():
+    for n in range(1, 6):
+        assert face_boundary_maps(n) == _reference_face_boundary_maps(n)
+
+
 def test_canonical_oriented_tree_transport_is_involutive():
     t = enumerate_trivalent_trees(6)[7]
     canon, s = canonical_oriented_tree(t, 1)
