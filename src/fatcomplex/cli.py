@@ -9,6 +9,11 @@ import time
 from fatcomplex import checks, coefficients
 from fatcomplex.coefficients import format_rational, parse_partition
 
+# The largest `verify --max-half-edges` at which `verify --suite all` has
+# completed in a recorded run.  Half-edges come in pairs, so the bound
+# is even.
+MAX_HALF_EDGES = 10
+
 
 def _parser():
     parser = argparse.ArgumentParser(
@@ -120,8 +125,12 @@ def _progress_reporter():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    if args.workers < 1 or args.command == "verify" and args.max_half_edges < 4:
-        print("error: --workers must be >= 1 and --max-half-edges >= 4",
+    if args.workers < 1:
+        print("error: --workers must be >= 1", file=sys.stderr)
+        return 2
+    if args.command == "verify" and (args.max_half_edges % 2
+                                     or not 4 <= args.max_half_edges <= MAX_HALF_EDGES):
+        print("error: --max-half-edges must be even, from 4 to %d" % MAX_HALF_EDGES,
               file=sys.stderr)
         return 2
     previous_hook = coefficients.progress_hook

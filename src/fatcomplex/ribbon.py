@@ -254,14 +254,26 @@ class RibbonGraph:
         for c in cycles:
             if len(c) < min_valence:
                 raise ValenceTooLow("vertex %r has valence %d < %d" % (c, len(c), min_valence))
-        self.vertices = _normalize_cycles(cycles)
+        self._set(_normalize_cycles(cycles), pairing, tuple(sorted(label_set)))
+        if not self._connected():
+            raise Disconnected("graph is not connected")
+
+    def _set(self, vertices, pairing, half_edges):
+        self.vertices = vertices
         self.pairing = pairing
-        self.half_edges = tuple(sorted(label_set))
+        self.half_edges = half_edges
         self._sigma = None
         self._vertex_of = None
         self._edges = None
-        if not self._connected():
-            raise Disconnected("graph is not connected")
+
+    @classmethod
+    def _trusted(cls, vertices, pairing, half_edges):
+        """A graph from parts known to be valid, with no checks:
+        `vertices` normalized, `pairing` the full involution and
+        `half_edges` the sorted labels."""
+        g = cls.__new__(cls)
+        g._set(vertices, pairing, half_edges)
+        return g
 
     def _connected(self):
         if not self.vertices:
@@ -607,15 +619,22 @@ def canonical_form(g):
     """Lexicographically least relabeled literal, with all relabelings
     achieving it (one per automorphism), in the order of their roots.
 
-    Each root half-edge seeds the labelling of the `_traverse` walk.
-    That traversal reaches every vertex first at one half-edge, which
-    therefore carries the vertex's least label, and it reaches vertices
-    in increasing order of those labels.  So the relabeled normalized
-    cycles are the cycles read from their entry half-edges, in the order
-    of entry, and the sorted edge pairs are read off the labels in
-    increasing order; nothing needs sorting.  A root is dropped as soon
-    as one of its cycles compares greater than the best literal's, before
-    its pairs are built.
+    Each root half-edge seeds the labelling of the `_traverse` walk,
+    inlined here.  That traversal reaches every vertex first at one
+    half-edge, which therefore carries the vertex's least label, and it
+    reaches vertices in increasing order of those labels.  So the
+    relabeled normalized cycles are the cycles read from their entry
+    half-edges, in the order of entry, and the sorted edge pairs are read
+    off the labels in increasing order; nothing needs sorting.
+
+    The first cycle is the root's own vertex read from the root.  During
+    the walk each of its labels is compared, as soon as it is assigned,
+    with the same position of the best literal's first cycle, and the
+    root is dropped at the first greater label, or when its cycle runs
+    longer than the best one with an equal prefix (a plantri-style
+    early abandon).  Roots that tie walk on: after the walk a root is
+    dropped as soon as one of its cycles compares greater than the best
+    literal's, before its pairs are built.
     """
     _, index, succ, mate = _index_tables(g.vertices, g.pairing)
     # rotation[i]: the vertex of position i read from i; vertex_id[i]: which vertex
@@ -630,7 +649,41 @@ def canonical_form(g):
     best_cycles = best_pairs = None
     best_maps = []
     for root in range(len(succ)):
-        order, label = _traverse(succ, mate, root)
+        label = [-1] * len(succ)
+        label[root] = 0
+        order = [root]
+        # `at` is position `k` of the root's cycle while its label is
+        # still to be compared with first[k]; -1 once that is settled
+        if best_cycles is None:
+            at = -1
+        else:
+            first, at, k = best_cycles[0], succ[root], 1
+        lost = False
+        for h in order:
+            nxt = succ[h]
+            if label[nxt] < 0:
+                label[nxt] = len(order)
+                order.append(nxt)
+            nxt = mate[h]
+            if label[nxt] < 0:
+                label[nxt] = len(order)
+                order.append(nxt)
+            while at >= 0 and label[at] >= 0:
+                if k == len(first):
+                    # the cycles tie if the root's closes here, else it is longer
+                    lost = at != root
+                    at = -1
+                elif label[at] != first[k]:
+                    # back at the root, label 0 ends a shorter, smaller cycle
+                    lost = label[at] > first[k]
+                    at = -1
+                else:
+                    at, k = succ[at], k + 1
+            if lost:
+                break
+        if lost:
+            continue
+
         # whether the literal is already smaller than the best one
         smaller = best_cycles is None
         entered = [False] * len(g.vertices)
@@ -681,7 +734,16 @@ def canonical_oriented(og):
 
 
 def graph_from_key(lit):
-    return RibbonGraph(lit[0], lit[1])
+    """The graph of a key made by `canonical_form` or `canonical_key_over`,
+    without validation: such a key is the relabeled literal of a valid
+    graph, with normalized cycles and sorted pairs.  Graphs from outside
+    input go through `build_graph`."""
+    cycles, pairs = lit
+    pairing = {}
+    for a, b in pairs:
+        pairing[a] = b
+        pairing[b] = a
+    return RibbonGraph._trusted(cycles, pairing, tuple(sorted(pairing)))
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +755,29 @@ def expand_vertex(og, cycle, split):
 
     `split` is a pair of cut positions (i, j) in the cyclic order; the
     blocks cycle[i:j] and cycle[j:]+cycle[:i] become the new vertices,
-    each of size >= 2.  The result carries the unique orientation that
-    collapses back to `og`.
+    each of size >= 2, and they get the new half-edges top + 1 and
+    top + 2, with top the largest label.  The result carries the unique
+    orientation that collapses back to `og`.
+
+    The expanded graph is built without validation, because splitting a
+    vertex of a valid graph into blocks of size >= 2, each joined to a
+    fresh edge, keeps the labels distinct, the pairing an involution,
+    every valence >= 3 and the graph connected.
+
+    The sign is that of `collapse_oriented` on the new edge, counted as
+    one parity.  Write the normalized cycle as c = A + X + B, where the
+    new vertex y = A + (hy,) + B keeps c[0], and with it c's symbol and
+    place in the reference word, and the new vertex x is X + (hx,) read
+    from its least label X[r].  In the two words that `collapse_oriented`
+    compares, the other vertices and the edges cancel.  That leaves the
+    parity of [x, hx, hy] + reference_word(V) against the expanded
+    graph's reference word, with x also standing for its symbol.  The
+    transpositions: the first three symbols move to c's place past the
+    `before` symbols of the vertices ahead of c; inside c's segment, c's
+    symbol moves past 3 symbols, A past 3, B past 2 + |X| and X[r:] past
+    1 + r, giving [c] + A + [hy] + B + [x] + X[r:] + [hx] + X[:r]; then
+    the |X| + 2 symbols of x's segment move past the `between` symbols
+    of the vertices whose least label lies between c[0] and X[r].
     """
     cycle = tuple(cycle)
     p = len(cycle)
@@ -703,21 +786,31 @@ def expand_vertex(og, cycle, split):
     i, j = split
     if not (0 <= i < j < p):
         raise BadSplit("cut positions must satisfy 0 <= i < j < valence")
-    block1 = cycle[i:j]
-    block2 = cycle[j:] + cycle[:i]
-    if len(block1) < 2 or len(block2) < 2:
+    if j - i < 2 or p - (j - i) < 2:
         raise BadSplit("both blocks must have size >= 2")
-    top = max(og.graph.half_edges)
+    g = og.graph
+    if cycle not in g.vertices:
+        raise GraphError("%r is not a vertex cycle of the graph" % (cycle,))
+    top = g.half_edges[-1]
     eminus, eplus = top + 1, top + 2
-    new_cycles = [c for c in og.graph.vertices if c != cycle]
-    new_cycles.append((eminus,) + block1)
-    new_cycles.append((eplus,) + block2)
-    pairs = og.graph.edges() + [(eminus, eplus)]
-    expanded = RibbonGraph(new_cycles, pairs)
-    cycles, pairing, sign = collapse_oriented(expanded.vertices, expanded.pairing, 1, eminus)
-    if cycles != og.graph.vertices or pairing != og.graph.pairing:
-        raise GraphError("expansion failed to collapse back")
-    return OrientedRibbonGraph(expanded, og.sign * sign), (eminus, eplus)
+    # cycle[0] is in the first block cycle[i:j] exactly when i == 0
+    a, b, hx, hy = (j, p, eplus, eminus) if i == 0 else (i, j, eminus, eplus)
+    block = cycle[a:b]
+    r = block.index(min(block))
+    x = block[r:] + (hx,) + block[:r]
+    y = cycle[:a] + (hy,) + cycle[b:]
+    vertices = tuple(sorted([c for c in g.vertices if c != cycle] + [x, y]))
+    pairing = dict(g.pairing)
+    pairing[eminus] = eplus
+    pairing[eplus] = eminus
+    expanded = RibbonGraph._trusted(vertices, pairing, g.half_edges + (eminus, eplus))
+
+    before = sum(len(c) + 1 for c in g.vertices if c[0] < cycle[0])
+    between = sum(len(c) + 1 for c in g.vertices if cycle[0] < c[0] < x[0])
+    size = b - a
+    moves = (3 * before + 3 + 3 * a + (2 + size) * (p - b) + (1 + r) * (size - r)
+             + (2 + size) * between)
+    return OrientedRibbonGraph(expanded, og.sign * (-1) ** moves), (eminus, eplus)
 
 
 def enumerate_expansions(og, cycle):

@@ -100,6 +100,13 @@ def test_bounds_below_range_exit_2(argv):
     assert code == 2 and text == ""
 
 
+@pytest.mark.parametrize("bound", ["5", "9", "11", "12", "100"])
+def test_max_half_edges_odd_or_above_range_exit_2(bound, capsys):
+    code, text = run_cli(["verify", "--suite", "all", "--max-half-edges", bound])
+    assert code == 2 and text == ""
+    assert "--max-half-edges must be even, from 4 to 10" in capsys.readouterr().err
+
+
 def test_verify_seed_changes_nothing_semantically():
     for seed in ("1", "2"):
         code, text = run_cli(["verify", "--suite", "ainf", "--seed", seed,

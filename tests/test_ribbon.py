@@ -6,6 +6,7 @@ from fatcomplex.ribbon import (
     BadSplit,
     Disconnected,
     FixedPoint,
+    GraphError,
     LoopCollapse,
     NotAForest,
     NotInvolution,
@@ -301,9 +302,68 @@ def test_expand_vertex_bad_inputs():
     og = OrientedRibbonGraph(g, 1)
     with pytest.raises(BadSplit):
         expand_vertex(og, g.vertices[0], (0, 1))
+    # a rotation of a vertex cycle is not one of the graph's cycles
+    cycle = g.vertices[0]
+    with pytest.raises(GraphError):
+        expand_vertex(og, cycle[1:] + cycle[:1], (0, 2))
     tri = theta()
     with pytest.raises(Exception):
         expand_vertex(OrientedRibbonGraph(tri, 1), tri.vertices[0], (0, 2))
+
+
+def _reference_expand_vertex(og, cycle, split):
+    """expand_vertex as it was before it built expansions unchecked: a
+    validated RibbonGraph, signed by collapsing the new edge back."""
+    from fatcomplex.ribbon import collapse_oriented
+
+    i, j = split
+    block1 = cycle[i:j]
+    block2 = cycle[j:] + cycle[:i]
+    top = max(og.graph.half_edges)
+    eminus, eplus = top + 1, top + 2
+    new_cycles = [c for c in og.graph.vertices if c != cycle]
+    new_cycles.append((eminus,) + block1)
+    new_cycles.append((eplus,) + block2)
+    expanded = RibbonGraph(new_cycles, og.graph.edges() + [(eminus, eplus)])
+    cycles, pairing, sign = collapse_oriented(expanded.vertices, expanded.pairing, 1, eminus)
+    assert cycles == og.graph.vertices and pairing == og.graph.pairing
+    return OrientedRibbonGraph(expanded, og.sign * sign), (eminus, eplus)
+
+
+def test_expand_vertex_matches_reference():
+    # every split of every vertex of every class within 10 half-edges,
+    # and of a seeded random relabeling of it, in both orientations.
+    # The sign's term for the vertices between the two new ones is odd
+    # only from 10 half-edges on.
+    import random
+
+    from fatcomplex.graph_complex import enumerate_graphs
+
+    rng = random.Random(8)
+    checked = flips = 0
+    for g in enumerate_graphs(10):
+        labels = list(g.half_edges)
+        relabeled = g.relabel(dict(zip(labels, rng.sample(range(1, 4 * len(labels)), len(labels)))))
+        for graph in (g, relabeled):
+            for sign in (1, -1):
+                og = OrientedRibbonGraph(graph, sign)
+                for cycle in graph.vertices:
+                    p = len(cycle)
+                    for i, j in itertools.combinations(range(p), 2):
+                        if j - i < 2 or p - (j - i) < 2:
+                            continue
+                        got, edge = expand_vertex(og, cycle, (i, j))
+                        want, want_edge = _reference_expand_vertex(og, cycle, (i, j))
+                        assert edge == want_edge
+                        assert got.sign == want.sign
+                        assert got.graph.vertices == want.graph.vertices
+                        assert got.graph.pairing == want.graph.pairing
+                        assert got.graph.half_edges == want.graph.half_edges
+                        checked += 1
+                        flips += got.sign != sign
+    # 5537 expansions of the 276 classes, twice each, in both orientations
+    assert checked == 4 * 5537
+    assert 0 < flips < checked
 
 
 def test_canonical_oriented_detects_reversing_automorphism():
@@ -408,6 +468,113 @@ def test_canonical_form_matches_reference_on_corpus():
             assert [list(m.items()) for m in maps] == [list(m.items()) for m in want_maps]
             checked += 1
     assert checked > 500
+
+
+def _reference_canonical_form(g):
+    """canonical_form as it was before roots were dropped during the
+    walk: a full `_traverse` from every root, then its cycles and pairs
+    compared with the best literal's."""
+    from fatcomplex.ribbon import _index_tables, _traverse
+
+    _, index, succ, mate = _index_tables(g.vertices, g.pairing)
+    rotation = [None] * len(succ)
+    vertex_id = [0] * len(succ)
+    for v, cycle in enumerate(g.vertices):
+        cycle = [index[h] for h in cycle]
+        for i, h in enumerate(cycle):
+            rotation[h] = cycle[i:] + cycle[:i]
+            vertex_id[h] = v
+    best_cycles = best_pairs = None
+    best_maps = []
+    for root in range(len(succ)):
+        order, label = _traverse(succ, mate, root)
+        smaller = best_cycles is None
+        entered = [False] * len(g.vertices)
+        cycles = []
+        for h in order:
+            v = vertex_id[h]
+            if entered[v]:
+                continue
+            entered[v] = True
+            cycle = tuple([label[x] for x in rotation[h]])
+            if not smaller:
+                other = best_cycles[len(cycles)]
+                if cycle > other:
+                    cycles = None
+                    break
+                smaller = cycle < other
+            cycles.append(cycle)
+        if cycles is None:
+            continue
+        pairs = tuple([(i, label[mate[h]]) for i, h in enumerate(order)
+                       if label[mate[h]] > i])
+        if not smaller:
+            if pairs > best_pairs:
+                continue
+            smaller = pairs < best_pairs
+        relabel = {g.half_edges[h]: i for i, h in enumerate(order)}
+        if smaller:
+            best_cycles, best_pairs = tuple(cycles), pairs
+            best_maps = [relabel]
+        else:
+            best_maps.append(relabel)
+    return (best_cycles, best_pairs), best_maps
+
+
+def _classes_within(max_half_edges):
+    """{key: (graph, maps)} under `_reference_canonical_form` for every
+    class within the bound.  A class with two or more vertices has an
+    edge that is not a loop, so it is an expansion of the class that
+    edge collapses to: the classes with H half-edges are the one-vertex
+    maps and the expansions of the classes with H - 2.  This is several
+    times cheaper than `enumerate_graphs`, which tries every pairing of
+    every valence multiset."""
+    from fatcomplex.graph_complex import _matchings
+
+    found = {}
+    previous = []
+    for total in range(4, max_half_edges + 1, 2):
+        labels = list(range(1, total + 1))
+        graphs = [RibbonGraph([labels], pairing) for pairing in _matchings(labels)]
+        for g in previous:
+            og = OrientedRibbonGraph(g, 1)
+            graphs += [exp.graph for cycle in g.vertices if len(cycle) >= 4
+                       for exp, _ in enumerate_expansions(og, cycle)]
+        previous = []
+        for g in graphs:
+            key, maps = _reference_canonical_form(g)
+            if key not in found:
+                found[key] = g, maps
+                previous.append(g)
+    return found
+
+
+def test_canonical_form_matches_frozen_reference_within_12_half_edges():
+    # every class within 12 half-edges, and 3 seeded random relabelings
+    # of each: the same key and the same maps in the same root order
+    import random
+
+    from fatcomplex.ribbon import canonical_form
+
+    rng = random.Random(12)
+    classes = _classes_within(12)
+    assert len(classes) == 2681
+    symmetric = 0
+    for key, (g, want_maps) in classes.items():
+        got_key, got_maps = canonical_form(g)
+        assert got_key == key
+        assert [list(m.items()) for m in got_maps] == [list(m.items()) for m in want_maps]
+        symmetric += len(want_maps) > 1
+        labels = list(g.half_edges)
+        for _ in range(3):
+            image = rng.sample(range(1, 4 * len(labels)), len(labels))
+            x = g.relabel(dict(zip(labels, image)))
+            got_key, got_maps = canonical_form(x)
+            want_key, want_maps = _reference_canonical_form(x)
+            assert got_key == want_key == key
+            assert [list(m.items()) for m in got_maps] == [list(m.items()) for m in want_maps]
+    # classes with nontrivial automorphisms, where tied roots walk on
+    assert symmetric > 100
 
 
 def reference_canonical_over(base_labels, og):
@@ -538,6 +705,26 @@ def test_canonical_over_matches_reference_forest_keyer():
                 checked += 1
     # 21 bases, 371 objects and 658 expansions, twice each, with both signs
     assert checked == 4 * (21 + 371 + 658)
+
+
+def test_graph_from_key_matches_validated_build():
+    # the key of every class within 10 half-edges, and every key of the
+    # forest complexes over the bases within 8
+    from fatcomplex.graph_complex import enumerate_graphs, forest_complex
+    from fatcomplex.ribbon import canonical_form
+
+    keys = [canonical_form(g)[0] for g in enumerate_graphs(10)]
+    for base in enumerate_graphs(8):
+        if 1 <= base.codimension <= 3:
+            keys += [key for level in forest_complex(base).levels for key in level]
+    for key in keys:
+        got, want = graph_from_key(key), RibbonGraph(*key)
+        assert got == want
+        assert got.vertices == want.vertices
+        assert list(got.pairing.items()) == list(want.pairing.items())
+        assert got.half_edges == want.half_edges
+    # 276 classes, and 371 objects over 21 bases
+    assert len(keys) == 276 + 371
 
 
 def test_graph_literal_roundtrip():
