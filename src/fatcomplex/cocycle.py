@@ -16,7 +16,8 @@ from itertools import product
 
 from fatcomplex import ribbon
 from fatcomplex.coefficients import double_factorial
-from fatcomplex.ribbon import GraphError, sort_sign
+from fatcomplex.ribbon import GraphError, corner_collapse_map, sort_sign
+from fatcomplex.trees import regions_touching
 
 
 class RepeatedElement(GraphError):
@@ -113,11 +114,6 @@ def adjusted_cz(k, chain):
 # evaluation on simplices of ribbon graphs and on tree chains
 # ---------------------------------------------------------------------------
 
-def corner_chain_of(simplex, cycle):
-    ambient, images, sizes = ribbon.corner_chain(simplex, cycle)
-    return CyclicSetChain(ambient, images)
-
-
 def c_fat(k, simplex):
     """Adjusted cocycle of a 2k-simplex of composable graph morphisms:
     sum over the vertices of the first graph, weighted by valence-2."""
@@ -127,7 +123,8 @@ def c_fat(k, simplex):
     total = Fraction(0)
     for cycle in first.vertices:
         mu = len(cycle) - 2
-        total += mu * adjusted_cz(k, corner_chain_of(simplex, cycle))
+        ambient, images, _ = ribbon.corner_chain(simplex, cycle)
+        total += mu * adjusted_cz(k, CyclicSetChain(ambient, images))
     return total
 
 
@@ -139,8 +136,6 @@ def region_chain(chain, start, stop, vertex_cycle):
     cycle.  C_i is the set of regions touching the image vertex of
     chain.trees[start + i]; the ambient cyclic set is all regions.
     """
-    from fatcomplex.trees import regions_touching
-
     trees = chain.trees[start:stop + 1]
     leaf_count = trees[0].leaf_count
     images = []
@@ -177,8 +172,6 @@ class _RegionChain(CyclicSetChain):
 def tree_corner_chain(chain, start, stop, vertex_cycle):
     """Corner-model chain for a tree chain window: corners of the image
     vertex, tracked through each collapse by sector containment."""
-    from fatcomplex.ribbon import corner_collapse_map
-
     trees = chain.trees[start:stop + 1]
     edges = chain.edges[start:stop]
     maps = []

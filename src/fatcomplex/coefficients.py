@@ -134,10 +134,6 @@ def _composition_windows(comp):
     return tuple(out)
 
 
-def _popcount(x):
-    return x.bit_count()
-
-
 def _bits(x):
     out = []
     i = 0
@@ -172,10 +168,10 @@ def _scaled_cz(c0, deltas, scale, cache):
     if total:
         k = len(deltas) // 2
         denom = (-2) ** (k + 1) * double_factorial(2 * k - 1)
-        size = _popcount(c0)
+        size = c0.bit_count()
         denom *= size
         for d in deltas:
-            size += _popcount(d)
+            size += d.bit_count()
             denom *= size
         val, rem = divmod(total * scale, denom)
         if rem:
@@ -219,7 +215,7 @@ def _scan_seed(seed, m):
         scale = scale_of[win]
         total = 0
         for c0, deltas in tracks:
-            weight = _popcount(c0) - 2
+            weight = c0.bit_count() - 2
             if weight:
                 total += weight * _scaled_cz(c0, deltas, scale, cz_cache)
         return total

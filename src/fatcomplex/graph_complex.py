@@ -17,12 +17,13 @@ Q because the complex is checked exactly first (see
 `ForestComplex.homology_is_trivial`).
 """
 
+import json
 import math
 from fractions import Fraction
 from itertools import permutations
 
 from fatcomplex import ribbon
-from fatcomplex.coefficients import normalize_partition
+from fatcomplex.coefficients import format_rational, normalize_partition
 from fatcomplex.linalg import RANK_MODULUS, sparse_product, sparse_rank
 from fatcomplex.ribbon import (
     GraphError,
@@ -212,15 +213,6 @@ def verify_cocycle(lam, max_half_edges):
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _valence_multisets(total, smallest=3):
-    if total == 0:
-        yield ()
-        return
-    for first in range(smallest, total + 1):
-        for rest in _valence_multisets(total - first, first):
-            yield (first,) + rest
-
-
 def _matchings(items):
     if not items:
         yield []
@@ -233,41 +225,50 @@ def _matchings(items):
             yield [(a, b)] + sub
 
 
-def enumerate_graphs(max_half_edges, codimension=None, valences=None,
-                     trivalent=False):
-    """One canonical representative per isomorphism class.
+def enumerate_graphs(max_half_edges, codimension=None, valences=None):
+    """One canonical representative per isomorphism class within the
+    half-edge bound, in key order, optionally only the classes of one
+    codimension or of one valence multiset.
 
-    Generates by valence multiset: vertex cycles are fixed to blocks of
-    consecutive labels (any ribbon graph can be relabeled that way) and
-    all pairings are tried, deduplicating via the canonical key.
+    The classes are grown by vertex expansion.  Those with H half-edges
+    are the one-vertex maps on H labels and the single-vertex expansions
+    of the classes with H - 2, and that is all of them.  A connected
+    graph with at least 2 vertices has an edge that is not a loop.
+    Collapsing it gives a connected graph with H - 2 half-edges, in
+    which two vertices of valences p, q >= 3 merge into one of valence
+    p + q - 2 >= 4, and the graph is the expansion of the merged vertex
+    into blocks of sizes p - 1 >= 2 and q - 1 >= 2.  Every
+    fixed-point-free pairing of one cycle of at least 4 labels is a
+    valid connected graph, so the one-vertex maps are built unchecked.
+    The expansions come from `boundary_matrix`, keyed without their
+    orientation so that zero classes are kept.
     """
     if max_half_edges < 4:
         raise GraphError("need at least 4 half-edges")
-    found = {}
+
+    def unoriented(og):
+        return ribbon.canonical_form(og.graph)[0], 1
+
+    keys = []
+    level = []
     for total in range(4, max_half_edges + 1, 2):
-        for multiset in _valence_multisets(total):
-            vals = tuple(sorted(multiset, reverse=True))
-            if trivalent and any(v != 3 for v in vals):
-                continue
-            if valences is not None and vals != tuple(sorted(valences, reverse=True)):
-                continue
-            if codimension is not None and sum(v - 3 for v in vals) != codimension:
-                continue
-            cycles = []
-            at = 1
-            for v in vals:
-                cycles.append(tuple(range(at, at + v)))
-                at += v
-            labels = list(range(1, total + 1))
-            for pairing in _matchings(labels):
-                try:
-                    g = RibbonGraph(cycles, pairing)
-                except GraphError:
-                    continue
-                key, _ = ribbon.canonical_form(g)
-                if key not in found:
-                    found[key] = graph_from_key(key)
-    return [found[k] for k in sorted(found)]
+        labels = tuple(range(total))
+        found = set(boundary_matrix(level, unoriented)[0])
+        for pairs in _matchings(list(labels)):
+            pairing = {}
+            for a, b in pairs:
+                pairing[a] = b
+                pairing[b] = a
+            found.add(ribbon.canonical_form(RibbonGraph._trusted((labels,), pairing, labels))[0])
+        found = sorted(found)
+        level = [OrientedRibbonGraph(graph_from_key(key), 1) for key in found]
+        keys += found
+    if valences is not None:
+        valences = tuple(sorted(valences, reverse=True))
+    graphs = [graph_from_key(key) for key in sorted(keys)]
+    return [g for g in graphs
+            if (codimension is None or g.codimension == codimension)
+            and (valences is None or g.valences() == valences)]
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +276,6 @@ def enumerate_graphs(max_half_edges, codimension=None, valences=None,
 # ---------------------------------------------------------------------------
 
 def chain_to_json(chain):
-    import json
-
-    from fatcomplex.coefficients import format_rational
-
     out = {}
     for key, coeff in chain.items():
         lit = ribbon.graph_to_literal(graph_from_key(key))
@@ -287,8 +284,6 @@ def chain_to_json(chain):
 
 
 def chain_from_json(data):
-    import json
-
     chain = GraphChain()
     for lit_text, coeff in data.items():
         g = ribbon.graph_from_literal(json.loads(lit_text))

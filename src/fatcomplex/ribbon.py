@@ -941,12 +941,12 @@ def single_collapse_morphisms(g1, g2):
 def corner_chain(simplex, cycle):
     """Corner chain of a vertex along composable morphisms.
 
-    `simplex` is a list of composable GraphMorphism (possibly empty for
-    a graph alone is not expressible; pass [] with care) and `cycle` a
-    vertex of the first source.  Returns (ambient, images, sizes):
+    `simplex` is a nonempty list of composable GraphMorphism and `cycle`
+    a vertex of the first source.  Returns (ambient, images, sizes):
     the final image vertex's cyclic order, and for each step i the set
     of corners of C_i inside the ambient, as frozensets, via corner
-    containment.
+    containment.  An empty `simplex` raises GraphError, and morphisms
+    that do not compose raise BadMorphism.
     """
     if not simplex:
         raise GraphError("corner_chain needs at least one morphism")

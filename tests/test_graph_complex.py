@@ -1,6 +1,8 @@
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
+
 from fatcomplex.graph_complex import (
     GraphChain,
     chain_from_json,
@@ -17,10 +19,12 @@ from fatcomplex.graph_complex import (
 )
 from fatcomplex.linalg import RANK_MODULUS, sparse_rank
 from fatcomplex.ribbon import (
+    GraphError,
     OrientedRibbonGraph,
     RibbonGraph,
     automorphisms,
     build_graph,
+    canonical_form,
     canonical_oriented,
     canonical_over,
     graph_from_key,
@@ -49,7 +53,6 @@ def naive_two_triples_enumeration():
                         g = RibbonGraph([c1, c2], pairing)
                     except Exception:
                         continue
-                    from fatcomplex.ribbon import canonical_form
                     keys.add(canonical_form(g)[0])
     return keys
 
@@ -67,13 +70,72 @@ def _all_matchings(items):
 
 
 def test_enumerate_trivalent_6_matches_naive_oracle():
-    got = {tuple(g.literal()) for g in enumerate_graphs(6, trivalent=True)}
+    got = {tuple(g.literal()) for g in enumerate_graphs(6, codimension=0)}
     want = {tuple(k) for k in naive_two_triples_enumeration()}
     assert got == want
     assert len(got) == 3
     # the two theta structures and the dumbbell
-    specs = sorted(g.boundary_cycles()[1:] for g in enumerate_graphs(6, trivalent=True))
+    specs = sorted(g.boundary_cycles()[1:] for g in enumerate_graphs(6, codimension=0))
     assert specs == [(0, 3), (0, 3), (1, 1)]
+
+
+def _reference_enumerate_graphs(max_half_edges, codimension=None, valences=None):
+    """`enumerate_graphs` as first written: for every valence multiset,
+    fix the vertex cycles to blocks of consecutive labels (any ribbon
+    graph can be relabeled that way), try every pairing through the
+    validated constructor, and deduplicate by canonical key."""
+
+    def multisets(total, smallest=3):
+        if total == 0:
+            yield ()
+            return
+        for first in range(smallest, total + 1):
+            for rest in multisets(total - first, first):
+                yield (first,) + rest
+
+    found = {}
+    for total in range(4, max_half_edges + 1, 2):
+        for vals in multisets(total):
+            vals = tuple(sorted(vals, reverse=True))
+            if valences is not None and vals != tuple(sorted(valences, reverse=True)):
+                continue
+            if codimension is not None and sum(v - 3 for v in vals) != codimension:
+                continue
+            cycles = []
+            at = 1
+            for v in vals:
+                cycles.append(tuple(range(at, at + v)))
+                at += v
+            for pairing in _all_matchings(list(range(1, total + 1))):
+                try:
+                    g = RibbonGraph(cycles, pairing)
+                except GraphError:
+                    continue
+                key, _ = canonical_form(g)
+                if key not in found:
+                    found[key] = graph_from_key(key)
+    return [found[k] for k in sorted(found)]
+
+
+def test_enumerate_graphs_matches_frozen_reference():
+    # the same classes, literal for literal, in the same order
+    def literals(graphs):
+        return [g.literal() for g in graphs]
+
+    for bound in range(4, 11):
+        assert literals(enumerate_graphs(bound)) == literals(_reference_enumerate_graphs(bound))
+    assert len(enumerate_graphs(10)) == 276
+    for codim in range(8):
+        got = enumerate_graphs(10, codimension=codim)
+        assert literals(got) == literals(_reference_enumerate_graphs(10, codimension=codim))
+    # every (bound, valences) that the tests pass
+    for bound, vals in [(6, (6,)), (8, (6,)), (8, (5, 3)), (10, (5, 3)),
+                        (10, (5, 5)), (10, (7, 3)), (10, [3, 7])]:
+        got = enumerate_graphs(bound, valences=vals)
+        assert got
+        assert literals(got) == literals(_reference_enumerate_graphs(bound, valences=vals))
+    with pytest.raises(GraphError):
+        enumerate_graphs(3)
 
 
 def test_enumerate_constraint_examples():

@@ -526,9 +526,9 @@ def _classes_within(max_half_edges):
     class within the bound.  A class with two or more vertices has an
     edge that is not a loop, so it is an expansion of the class that
     edge collapses to: the classes with H half-edges are the one-vertex
-    maps and the expansions of the classes with H - 2.  This is several
-    times cheaper than `enumerate_graphs`, which tries every pairing of
-    every valence multiset."""
+    maps and the expansions of the classes with H - 2.  This is the
+    growth `enumerate_graphs` uses, kept here with the reference keyer
+    so that the test does not rest on `canonical_form`."""
     from fatcomplex.graph_complex import _matchings
 
     found = {}
@@ -782,6 +782,19 @@ def test_corner_chain_identity_simplex():
     ambient, images, sizes = corner_chain([ident, ident], v)
     assert sizes == [3, 3, 3]
     assert images[0] == images[1] == images[2] == frozenset(ambient)
+
+
+def test_corner_chain_rejects_empty_and_non_composable_simplices():
+    from fatcomplex.ribbon import BadMorphism
+
+    g = dumbbell()
+    v = g.vertex_of(1)
+    with pytest.raises(GraphError):
+        corner_chain([], v)
+    # the target of a collapse is not its source, so [mor, mor] does not compose
+    mor, _ = GraphMorphism.collapse(g, [(3, 6)])
+    with pytest.raises(BadMorphism):
+        corner_chain([mor, mor], v)
 
 
 def test_corner_chain_single_collapse():
