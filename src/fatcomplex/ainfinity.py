@@ -22,12 +22,7 @@ from functools import partial
 from itertools import product
 
 from fatcomplex.coefficients import format_rational
-from fatcomplex.graph_complex import (
-    chain_of,
-    eval_on_boundaries,
-    eval_w,
-    nonzero_classes,
-)
+from fatcomplex.graph_complex import chain_of, eval_w
 from fatcomplex.linalg import SingularMatrix, matrix_inverse
 from fatcomplex.ribbon import (
     GraphError,
@@ -438,24 +433,19 @@ def zx_expansion_check(x, graphs):
     return report
 
 
-def check_partition_cocycle(algebras, graphs):
-    """Z_A on the boundary of every corpus generator, for each algebra A
-    in `algebras`: one report per algebra, all from one boundary matrix.
+def check_partition_cocycle(algebras, corpus):
+    """Z_A on the boundary of every class of codimension >= 1 in the
+    corpus, for each algebra A in `algebras`: one report of (key, value)
+    in key order per algebra, all from the corpus's boundary columns.
     Z_A is a cocycle when every value is zero."""
     algebras = list(algebras)
     for algebra in algebras:
         if not contraction_identity_holds(algebra):
             raise InvalidAlgebra("dual basis does not satisfy the contraction identity")
-    graphs = list(graphs)
-    classes = nonzero_classes(graphs)
-    columns = eval_on_boundaries(
-        [partial(_partition_function_key, algebra) for algebra in algebras], classes)
-    reports = []
-    for values in columns:
-        # the boundary of a zero class is zero
-        value_of = {og.graph: value for og, value in zip(classes, values)}
-        reports.append([(g.literal(), value_of.get(g, Fraction(0))) for g in graphs])
-    return reports
+    keys = [g.literal() for g in corpus.graphs() if g.codimension >= 1]
+    columns = corpus.evaluate(
+        [partial(_partition_function_key, algebra) for algebra in algebras], keys)
+    return [list(zip(keys, values)) for values in columns]
 
 
 def _partition_function_key(algebra, key):

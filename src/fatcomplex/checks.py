@@ -1,10 +1,11 @@
 """The check registry: the verification suites behind `fatcomplex verify`
 and the acceptance suite.
 
-Each suite takes its inputs as keyword arguments, from `max_half_edges`,
-`n`, `seed`, `workers` and `mode`, ignores the ones it does not use, and
-returns rows (suite, name, passed, conjecture).  A check that covers no
-instance emits no row, so every row reports a check that could fail.
+Each suite takes its inputs as keyword arguments, from `corpus` (a
+`graph_complex.ClassCorpus`), `n`, `seed`, `workers` and `mode`, ignores
+the ones it does not use, and returns rows (suite, name, passed,
+conjecture).  A check that covers no instance emits no row, so every row
+reports a check that could fail.
 """
 
 import math
@@ -13,8 +14,6 @@ from fractions import Fraction
 from itertools import permutations
 
 from fatcomplex import ainfinity, coefficients, graph_complex, trees
-from fatcomplex.linalg import sparse_product
-from fatcomplex.ribbon import OrientedRibbonGraph, graph_from_key
 
 
 def check_orientation(**_):
@@ -43,22 +42,20 @@ def check_orientation(**_):
     return rows
 
 
-def check_complex(max_half_edges, **_):
-    corpus = graph_complex.enumerate_graphs(max_half_edges)
+def check_complex(corpus, **_):
+    graphs = corpus.graphs()
     rows = []
-    classes = [g for g in corpus if g.codimension >= 2]
+    classes = [g.literal() for g in graphs if g.codimension >= 2]
     if classes:
-        keys, d1 = graph_complex.boundary_matrix(graph_complex.nonzero_classes(classes))
-        _, d2 = graph_complex.boundary_matrix(
-            [OrientedRibbonGraph(graph_from_key(key), 1) for key in keys])
-        ok = not any(sparse_product(d2, d1).values())
+        corpus.columns(classes)  # the columns at the bound in one batch
+        ok = not any(corpus.boundary(corpus.boundary({key: 1})) for key in classes)
         rows.append(("complex", "d.d = 0 on %d classes within %d half-edges"
-                     % (len(classes), max_half_edges), ok, False))
+                     % (len(classes), corpus.max_half_edges), ok, False))
     for n in (1, 2, 3):
         lhs, rhs = trees.dual_cell_boundary_check(n)
         rows.append(("complex", "dual cell boundary identity on K^%d" % n,
                      lhs == rhs, False))
-    bases = [g for g in corpus if 1 <= g.codimension <= 4]
+    bases = [g for g in graphs if 1 <= g.codimension <= 4]
     if bases:
         ok = all(fc.ranks() == fc.expected_ranks() and fc.d_squared_is_zero()
                  and fc.homology_is_trivial()
@@ -73,34 +70,34 @@ def check_complex(max_half_edges, **_):
     return rows
 
 
-def check_cocycle(max_half_edges, **_):
+def check_cocycle(corpus, **_):
     rows = []
     for lam in ((), (1,), (2,), (1, 1)):
-        report = graph_complex.verify_cocycle(lam, max_half_edges)
+        report = graph_complex.check_pattern_cocycle(lam, corpus)
         if report:
             name = "W[%s]* kills boundaries (%d classes, <= %d half-edges)" % (
-                ",".join(str(p) for p in lam), len(report), max_half_edges)
+                ",".join(str(p) for p in lam), len(report), corpus.max_half_edges)
             rows.append(("cocycle", name, all(v == 0 for _, v in report), False))
     return rows
 
 
-def check_ainf(max_half_edges, seed, **_):
+def check_ainf(corpus, seed, **_):
     """Z_x for three random x, one value per even arity of the algebra,
-    which goes up to max_half_edges + 2.  The three share one boundary
-    matrix."""
+    which goes up to the half-edge bound + 2.  The three share the
+    corpus's boundary columns."""
     rng = random.Random(seed)
-    corpus = graph_complex.enumerate_graphs(max_half_edges)
-    positive = [g for g in corpus if g.codimension >= 1]
+    bound = corpus.max_half_edges
     xs = [[Fraction(rng.randint(1, 9), rng.randint(1, 9))
-           for _ in range(max_half_edges // 2 + 1)] for _ in range(3)]
+           for _ in range(bound // 2 + 1)] for _ in range(3)]
     reports = ainfinity.check_partition_cocycle(
-        [ainfinity.one_dimensional_algebra(x, max_half_edges + 2) for x in xs], positive)
+        [ainfinity.one_dimensional_algebra(x, bound + 2) for x in xs], corpus)
+    graphs = corpus.graphs()
     rows = []
     for trial, (x, report) in enumerate(zip(xs, reports), 1):
         if report:
             rows.append(("ainf", "Z_x cocycle, random x #%d (%d classes)"
                          % (trial, len(report)), all(v == 0 for _, v in report), False))
-        expansion = ainfinity.zx_expansion_check(x, corpus)
+        expansion = ainfinity.zx_expansion_check(x, graphs)
         if expansion:
             rows.append(("ainf", "Z_x expansion identity, random x #%d" % trial,
                          all(lhs == rhs for _, lhs, rhs in expansion), False))
@@ -123,7 +120,10 @@ SUITES = {
 
 def run(names, **inputs):
     """The rows of the named suites in order.  The weight is checked
-    before any suite spends time."""
+    before any suite spends time.  The graph-complex suites share one
+    `ClassCorpus` within `max_half_edges`, built once for the run."""
     if "closedform" in names:
         coefficients.check_weight(inputs["n"], inputs["mode"])
+    if any(name in names for name in ("complex", "cocycle", "ainf")):
+        inputs["corpus"] = graph_complex.ClassCorpus(inputs["max_half_edges"])
     return [row for name in names for row in SUITES[name](**inputs)]

@@ -12,7 +12,7 @@ from fatcomplex.coefficients import format_rational, parse_partition
 # The largest `verify --max-half-edges` at which `verify --suite all` has
 # completed in a recorded run.  Half-edges come in pairs, so the bound
 # is even.
-MAX_HALF_EDGES = 10
+MAX_HALF_EDGES = 12
 
 
 def _parser():

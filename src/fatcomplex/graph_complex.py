@@ -1,5 +1,5 @@
 """The associative graph complex: boundary operators on oriented ribbon
-graph classes, vertex-pattern cocycles, graph enumeration, and the
+graph classes, vertex-pattern cocycles, the class corpus, and the
 forest complex over a base graph.
 
 Chains are finitely supported maps from canonical oriented-class keys
@@ -9,21 +9,22 @@ admitting an orientation-reversing automorphism are identically zero
 and never stored.
 
 Every boundary comes from `boundary_matrix`, as a sparse integer matrix
-on classes or, for the forest complex, on objects over a base.  The
-forest complex keeps only these matrices.  Its d.d check is an exact sparse product.  Its acyclicity
-check compares ranks taken modulo the prime 2^61 - 1, and recomputes
-them over Q only when the mod-p ranks fail; a mod-p pass is a pass over
-Q because the complex is checked exactly first (see
-`ForestComplex.homology_is_trivial`).
+on classes or, for the forest complex, on objects over a base.  A
+`ClassCorpus` grows the classes within a half-edge bound and keeps the
+boundary column of each, so the checks that share a corpus build each
+column once.  The forest complex keeps only its matrices.  Its d.d
+check is an exact sparse product.  Its acyclicity check compares ranks
+taken modulo the prime 2^61 - 1, and recomputes them over Q only when
+the mod-p ranks fail; a mod-p pass is a pass over Q because the complex
+is checked exactly first (see `ForestComplex.homology_is_trivial`).
 """
 
-import json
 import math
 from fractions import Fraction
 from itertools import permutations
 
 from fatcomplex import ribbon
-from fatcomplex.coefficients import format_rational, normalize_partition
+from fatcomplex.coefficients import normalize_partition
 from fatcomplex.linalg import RANK_MODULUS, sparse_product, sparse_rank
 from fatcomplex.ribbon import (
     GraphError,
@@ -86,8 +87,9 @@ def boundary_matrix(columns, canon=canonical_oriented):
     given, keyed by `canon(expanded)` -> (key, sign), where sign None
     marks a zero class.
 
-    Returns (rows, matrix): the sorted keys of every class hit, and
-    {(row, col): value} over their positions, without zero entries.
+    Returns (rows, matrix): the sorted keys of every class hit, zero
+    classes included, and {(row, col): value} over their positions,
+    without zero entries; a zero class has no entries.
     """
     found = {}
     entries = {}
@@ -97,18 +99,12 @@ def boundary_matrix(columns, canon=canonical_oriented):
                 continue
             for expanded, _ in enumerate_expansions(og, cycle):
                 key, sign = canon(expanded)
+                row = found.setdefault(key, len(found))
                 if sign is not None:
-                    row = found.setdefault(key, len(found))
                     entries[row, col] = entries.get((row, col), 0) + sign
     rows = sorted(found)
     position = {found[key]: r for r, key in enumerate(rows)}
     return rows, {(position[r], c): v for (r, c), v in entries.items() if v}
-
-
-def nonzero_classes(graphs):
-    """<g> with orientation +1 for each graph whose class is not zero."""
-    oriented = (OrientedRibbonGraph(g, 1) for g in graphs)
-    return [og for og in oriented if canonical_oriented(og)[1] is not None]
 
 
 def d_integral(og):
@@ -129,22 +125,6 @@ def d_chain(chain):
         [OrientedRibbonGraph(graph_from_key(key), 1) for key, _ in terms])
     for (r, c), v in matrix.items():
         out.add(rows[r], terms[c][1] * v)
-    return out
-
-
-def eval_on_boundaries(cochains, columns):
-    """<f, d c> for each cochain f in `cochains` and each oriented graph c
-    in `columns`, where f takes the value `f(key)` on the generator `key`:
-    one boundary matrix serves every f, each f is evaluated once per class
-    hit, and the values of f come out as one list over `columns`."""
-    rows, matrix = boundary_matrix(columns)
-    out = []
-    for value_of in cochains:
-        f = [value_of(key) for key in rows]
-        values = [Fraction(0)] * len(columns)
-        for (r, c), v in matrix.items():
-            values[c] += f[r] * v
-        out.append(values)
     return out
 
 
@@ -195,22 +175,24 @@ def eval_w(lam, chain):
     return total
 
 
-def verify_cocycle(lam, max_half_edges):
-    """Check that the pattern cocycle kills every boundary in range.
-
-    Enumerates all oriented classes of codimension 2|lam|+1 within the
-    half-edge bound and evaluates the cocycle on their boundaries.
-    Returns a list of (key, value) with value == 0 expected.
-    """
+def check_pattern_cocycle(lam, corpus):
+    """The pattern cocycle on the boundary of every nonzero class of
+    codimension 2|lam|+1 in the corpus, as a list of (key, value) in key
+    order; the cocycle kills boundaries when every value is zero."""
     lam = normalize_partition(lam, allow_zero=True)
-    codim = 2 * sum(lam) + 1
-    classes = nonzero_classes(enumerate_graphs(max_half_edges, codimension=codim))
-    [values] = eval_on_boundaries([lambda key: eval_w_key(lam, key)], classes)
-    return [(og.graph.literal(), value) for og, value in zip(classes, values)]
+    keys = [g.literal() for g in corpus.graphs(2 * sum(lam) + 1)]
+    keys = [key for key in keys if corpus.is_nonzero(key)]
+    [values] = corpus.evaluate([lambda key: eval_w_key(lam, key)], keys)
+    return list(zip(keys, values))
+
+
+def verify_cocycle(lam, max_half_edges):
+    """`check_pattern_cocycle` on the classes within the half-edge bound."""
+    return check_pattern_cocycle(lam, ClassCorpus(max_half_edges))
 
 
 # ---------------------------------------------------------------------------
-# enumeration
+# the class corpus
 # ---------------------------------------------------------------------------
 
 def _matchings(items):
@@ -225,10 +207,10 @@ def _matchings(items):
             yield [(a, b)] + sub
 
 
-def enumerate_graphs(max_half_edges, codimension=None, valences=None):
-    """One canonical representative per isomorphism class within the
-    half-edge bound, in key order, optionally only the classes of one
-    codimension or of one valence multiset.
+class ClassCorpus:
+    """Every class within a half-edge bound, each with a nonzero flag and
+    its oriented boundary column, built at most once.  `keys` lists the
+    class keys in key order.
 
     The classes are grown by vertex expansion.  Those with H half-edges
     are the one-vertex maps on H labels and the single-vertex expansions
@@ -240,58 +222,113 @@ def enumerate_graphs(max_half_edges, codimension=None, valences=None):
     into blocks of sizes p - 1 >= 2 and q - 1 >= 2.  Every
     fixed-point-free pairing of one cycle of at least 4 labels is a
     valid connected graph, so the one-vertex maps are built unchecked.
-    The expansions come from `boundary_matrix`, keyed without their
-    orientation so that zero classes are kept.
+
+    The expansions are the rows of `boundary_matrix` on the classes with
+    H - 2 half-edges, zero classes included, so one keying pass grows
+    the corpus and gives the columns of every level below the bound.
+    Classes at the bound, and classes past it that a boundary hits, get
+    their columns on first use.  A column is {row key: integer}, the
+    boundary of the class with orientation +1 on its canonical
+    representative; the column of a zero class is empty.
     """
-    if max_half_edges < 4:
-        raise GraphError("need at least 4 half-edges")
 
-    def unoriented(og):
-        return ribbon.canonical_form(og.graph)[0], 1
+    def __init__(self, max_half_edges):
+        if max_half_edges < 4:
+            raise GraphError("need at least 4 half-edges")
+        self.max_half_edges = max_half_edges
+        self._nonzero = {}
+        self._columns = {}
+        found = []
+        level = []
+        for total in range(4, max_half_edges + 1, 2):
+            labels = tuple(range(total))
+            hit = set(self._build(level))
+            for pairs in _matchings(list(labels)):
+                pairing = {}
+                for a, b in pairs:
+                    pairing[a] = b
+                    pairing[b] = a
+                graph = RibbonGraph._trusted((labels,), pairing, labels)
+                hit.add(self._key(OrientedRibbonGraph(graph, 1))[0])
+            level = sorted(hit)
+            found += level
+        self.keys = sorted(found)
 
-    keys = []
-    level = []
-    for total in range(4, max_half_edges + 1, 2):
-        labels = tuple(range(total))
-        found = set(boundary_matrix(level, unoriented)[0])
-        for pairs in _matchings(list(labels)):
-            pairing = {}
-            for a, b in pairs:
-                pairing[a] = b
-                pairing[b] = a
-            found.add(ribbon.canonical_form(RibbonGraph._trusted((labels,), pairing, labels))[0])
-        found = sorted(found)
-        level = [OrientedRibbonGraph(graph_from_key(key), 1) for key in found]
-        keys += found
-    if valences is not None:
-        valences = tuple(sorted(valences, reverse=True))
-    graphs = [graph_from_key(key) for key in sorted(keys)]
-    return [g for g in graphs
-            if (codimension is None or g.codimension == codimension)
-            and (valences is None or g.valences() == valences)]
+    def _key(self, og):
+        """`canonical_oriented`, noting whether the class is zero."""
+        key, sign = canonical_oriented(og)
+        self._nonzero[key] = sign is not None
+        return key, sign
+
+    def _build(self, keys):
+        """Build the columns of `keys` in one boundary matrix and return
+        the keys of every class hit."""
+        rows, matrix = boundary_matrix(
+            [OrientedRibbonGraph(graph_from_key(key), 1) for key in keys], self._key)
+        columns = [{} for _ in keys]
+        for (r, c), v in matrix.items():
+            columns[c][rows[r]] = v
+        for key, column in zip(keys, columns):
+            self._columns[key] = column if self._nonzero[key] else {}
+        return rows
+
+    def graphs(self, codimension=None, valences=None):
+        """One canonical representative per class, in key order,
+        optionally only the classes of one codimension or of one valence
+        multiset."""
+        if valences is not None:
+            valences = tuple(sorted(valences, reverse=True))
+        graphs = [graph_from_key(key) for key in self.keys]
+        return [g for g in graphs
+                if (codimension is None or g.codimension == codimension)
+                and (valences is None or g.valences() == valences)]
+
+    def is_nonzero(self, key):
+        """Whether <key> is not zero, that is, whether the class has no
+        orientation-reversing automorphism."""
+        if key not in self._nonzero:
+            self._key(OrientedRibbonGraph(graph_from_key(key), 1))
+        return self._nonzero[key]
+
+    def columns(self, keys):
+        """The boundary columns of `keys`, building the missing ones of
+        nonzero classes in one batch."""
+        missing = [key for key in dict.fromkeys(keys)
+                   if key not in self._columns and self.is_nonzero(key)]
+        if missing:
+            self._build(missing)
+        return [self._columns.get(key, {}) for key in keys]
+
+    def column(self, key):
+        return self.columns([key])[0]
+
+    def boundary(self, chain):
+        """The boundary of the chain {key: coefficient}, as {key:
+        coefficient} without zero terms."""
+        out = {}
+        for coeff, column in zip(chain.values(), self.columns(list(chain))):
+            for row, v in column.items():
+                out[row] = out.get(row, 0) + coeff * v
+        return {row: v for row, v in out.items() if v}
+
+    def evaluate(self, cochains, keys):
+        """<f, d key> for each cochain f in `cochains` and each key in
+        `keys`, where f takes the value `f(row)` on the generator `row`:
+        each f is evaluated once per class hit, and its values come out as
+        one list over `keys`."""
+        columns = self.columns(keys)
+        hit = {row for column in columns for row in column}
+        out = []
+        for value_of in cochains:
+            f = {row: value_of(row) for row in hit}
+            out.append([sum((f[row] * v for row, v in column.items()), Fraction(0))
+                        for column in columns])
+        return out
 
 
-# ---------------------------------------------------------------------------
-# chain serialization
-# ---------------------------------------------------------------------------
-
-def chain_to_json(chain):
-    out = {}
-    for key, coeff in chain.items():
-        lit = ribbon.graph_to_literal(graph_from_key(key))
-        out[json.dumps(lit, separators=(",", ":"))] = format_rational(coeff)
-    return out
-
-
-def chain_from_json(data):
-    chain = GraphChain()
-    for lit_text, coeff in data.items():
-        g = ribbon.graph_from_literal(json.loads(lit_text))
-        key, sign = canonical_oriented(OrientedRibbonGraph(g, 1))
-        if sign is None:
-            raise GraphError("orientation-reversing class in serialized chain")
-        chain.add(key, Fraction(coeff) * sign)
-    return chain
+def enumerate_graphs(max_half_edges, codimension=None, valences=None):
+    """`ClassCorpus.graphs` of the classes within the half-edge bound."""
+    return ClassCorpus(max_half_edges).graphs(codimension, valences)
 
 
 # ---------------------------------------------------------------------------

@@ -387,15 +387,6 @@ def build_graph(vertex_cycles, edge_pairs):
     return RibbonGraph(vertex_cycles, edge_pairs)
 
 
-def graph_to_literal(g):
-    return {"vertices": [list(c) for c in g.vertices],
-            "edges": [list(e) for e in g.edges()]}
-
-
-def graph_from_literal(data):
-    return build_graph(data["vertices"], data["edges"])
-
-
 class OrientedRibbonGraph:
     """A ribbon graph with a sign relative to the reference ordering."""
 

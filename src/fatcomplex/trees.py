@@ -109,26 +109,6 @@ class PlanarTree:
                                            self.internal_edges())
 
 
-def tree_to_literal(t):
-    def show(x):
-        return "L%d" % x if x not in t.pairing else x
-    return {"leaves": t.leaf_count,
-            "vertices": [[show(x) for x in c] for c in t.vertices],
-            "edges": [list(e) for e in t.internal_edges()]}
-
-
-def tree_from_literal(data):
-    leaves = data["leaves"]
-    def read(x):
-        if isinstance(x, str):
-            if not x.startswith("L"):
-                raise GraphError("bad leaf label %r" % x)
-            return int(x[1:])
-        return x
-    cycles = [[read(x) for x in c] for c in data["vertices"]]
-    return PlanarTree(leaves, cycles, [tuple(e) for e in data["edges"]])
-
-
 # ---------------------------------------------------------------------------
 # enumeration of faces
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from fatcomplex.coefficients import (
     closed_form_b_diagonal,
     w_polynomial,
 )
+from fatcomplex.graph_complex import ClassCorpus
 
 CORPUS_BOUND = 10
 
@@ -70,14 +71,21 @@ def registry_rows_pass(rows, count):
     return len(rows) == count and all(passed for _, _, passed, _ in rows)
 
 
-def test_criterion_4_cocycle_property():
-    rows = checks.check_cocycle(max_half_edges=CORPUS_BOUND)
+@pytest.fixture(scope="module")
+def corpus():
+    """The class corpus that criteria 4, 5 and 7 share, as in one
+    `fatcomplex verify` run."""
+    return ClassCorpus(CORPUS_BOUND)
+
+
+def test_criterion_4_cocycle_property(corpus):
+    rows = checks.check_cocycle(corpus=corpus)
     report("4: pattern cocycles kill boundaries, <= 10 half-edges",
            registry_rows_pass(rows, 4))
 
 
-def test_criterion_5_partition_function_suite():
-    rows = checks.check_ainf(max_half_edges=CORPUS_BOUND, seed=2026)
+def test_criterion_5_partition_function_suite(corpus):
+    rows = checks.check_ainf(corpus=corpus, seed=2026)
     report("5: Z_x cocycle and expansion identity, 3 random x",
            registry_rows_pass(rows, 6))
 
@@ -87,8 +95,8 @@ def test_criterion_6_orientation_suite():
            registry_rows_pass(checks.check_orientation(), 5))
 
 
-def test_criterion_7_structural_suite():
-    rows = checks.check_complex(max_half_edges=CORPUS_BOUND)
+def test_criterion_7_structural_suite(corpus):
+    rows = checks.check_complex(corpus=corpus)
     report("7: d.d = 0, dual-cell boundary, forest ranks, Catalan counts",
            registry_rows_pass(rows, 6))
 

@@ -18,7 +18,7 @@ from fatcomplex.ainfinity import (
     z_x_chain,
     zx_expansion_check,
 )
-from fatcomplex.graph_complex import d_integral, enumerate_graphs
+from fatcomplex.graph_complex import ClassCorpus, d_integral, enumerate_graphs
 from fatcomplex.linalg import matrix_inverse
 from fatcomplex.ribbon import (
     OrientedRibbonGraph,
@@ -366,15 +366,15 @@ def test_change_basis_matches_reference():
 def test_check_partition_cocycle_one_dimensional():
     x = [Fraction(2), Fraction(-3), Fraction(5, 2), Fraction(1)]
     alg = one_dimensional_algebra(x, 10)
-    corpus = [g for g in enumerate_graphs(10) if g.codimension >= 1]
-    [report] = check_partition_cocycle([alg], corpus)
+    [report] = check_partition_cocycle([alg], ClassCorpus(10))
     assert report and all(v == 0 for _, v in report)
 
 
 def test_check_partition_cocycle_grassmann_small():
     corpus = [g for g in enumerate_graphs(4) if g.codimension >= 1]
     gl21 = matrix_superalgebra([0, 0, 1])
-    reports = check_partition_cocycle([grassmann_two(), gl21, odd_grassmann_pairing()], corpus)
+    reports = check_partition_cocycle([grassmann_two(), gl21, odd_grassmann_pairing()],
+                                      ClassCorpus(4))
     assert [len(r) for r in reports] == [len(corpus)] * 3
     assert all(v == 0 for report in reports[:2] for _, v in report)
     # gl(2|1) has odd elements and kills the boundaries by cancellation
@@ -400,12 +400,12 @@ def test_check_partition_cocycle_matches_per_class_boundaries():
 
     for alg, bound in cases:
         corpus = [g for g in enumerate_graphs(bound) if g.codimension >= 1]
-        assert check_partition_cocycle([alg], corpus) == [want(alg, corpus)]
-    # several algebras on one boundary matrix
+        assert check_partition_cocycle([alg], ClassCorpus(bound)) == [want(alg, corpus)]
+    # several algebras on one corpus
     corpus = [g for g in enumerate_graphs(6) if g.codimension >= 1]
     algebras = [alg for alg, _ in cases]
     wants = [want(alg, corpus) for alg in algebras]
-    assert check_partition_cocycle(algebras, corpus) == wants
+    assert check_partition_cocycle(algebras, ClassCorpus(6)) == wants
     assert any(value for _, value in wants[2]) and any(value for _, value in wants[3])
 
 

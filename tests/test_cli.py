@@ -100,11 +100,11 @@ def test_bounds_below_range_exit_2(argv):
     assert code == 2 and text == ""
 
 
-@pytest.mark.parametrize("bound", ["5", "9", "11", "12", "100"])
+@pytest.mark.parametrize("bound", ["5", "9", "11", "14", "100"])
 def test_max_half_edges_odd_or_above_range_exit_2(bound, capsys):
     code, text = run_cli(["verify", "--suite", "all", "--max-half-edges", bound])
     assert code == 2 and text == ""
-    assert "--max-half-edges must be even, from 4 to 10" in capsys.readouterr().err
+    assert "--max-half-edges must be even, from 4 to 12" in capsys.readouterr().err
 
 
 def test_verify_seed_changes_nothing_semantically():
@@ -185,6 +185,33 @@ def test_verify_row_fails_on_a_wrong_library_answer(monkeypatch, suite, module,
     assert code == 1
     assert any(line.startswith("FAIL %s: %s" % (suite, row))
                for line in text.splitlines())
+
+
+def test_verify_grows_one_corpus_and_each_column_once(monkeypatch):
+    from fatcomplex import graph_complex
+
+    corpora = []
+    columns = []
+    real_corpus = graph_complex.ClassCorpus
+    real_matrix = graph_complex.boundary_matrix
+
+    class CountedCorpus(real_corpus):
+        def __init__(self, *args):
+            corpora.append(args)
+            super().__init__(*args)
+
+    def recorded_matrix(cols, *canon):
+        # the corpus keys its columns with its own bound method
+        if canon and isinstance(getattr(canon[0], "__self__", None), real_corpus):
+            columns.extend(og.graph.literal() for og in cols)
+        return real_matrix(cols, *canon)
+
+    monkeypatch.setattr(graph_complex, "ClassCorpus", CountedCorpus)
+    monkeypatch.setattr(graph_complex, "boundary_matrix", recorded_matrix)
+    code, _ = run_cli(["verify", "--suite", "all", "--max-half-edges", "8"])
+    assert code == 0
+    assert corpora == [(8,)]
+    assert columns and len(columns) == len(set(columns))
 
 
 def test_long_mode_progress_goes_to_stderr_only(capsys, monkeypatch):

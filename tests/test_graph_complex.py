@@ -1,13 +1,14 @@
+import math
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from fatcomplex.graph_complex import (
+    ClassCorpus,
     GraphChain,
-    chain_from_json,
+    _matchings,
     chain_of,
-    chain_to_json,
     d_chain,
     d_dual,
     d_integral,
@@ -529,10 +530,77 @@ def test_boundary_euler_relation_over_corpus():
         assert len(faces) == punctures
 
 
-def test_chain_json_roundtrip():
-    g = enumerate_graphs(8, codimension=2)[0]
-    ch = d_integral(OrientedRibbonGraph(g, 1))
-    data = chain_to_json(ch)
-    back = chain_from_json(data)
-    assert back == ch
-    assert all(isinstance(k, str) and isinstance(v, str) for k, v in data.items())
+def test_corpus_columns_match_d_integral():
+    # levels 4 and 6 get their columns while the corpus grows, level 8
+    # and the classes with 10 half-edges that its boundaries hit on first use
+    corpus = ClassCorpus(8)
+    keys = corpus.keys
+    assert {len(key[1]) for key in keys} == {2, 3, 4}
+    past = sorted({row for key in keys for row in corpus.column(key)} - set(keys))
+    assert past and {len(key[1]) for key in past} == {5}
+    for key in keys + past:
+        og = OrientedRibbonGraph(graph_from_key(key), 1)
+        assert corpus.column(key) == d_integral(og).terms
+        assert corpus.is_nonzero(key) == (canonical_oriented(og)[1] is not None)
+    assert not all(corpus.is_nonzero(key) for key in keys)
+    assert corpus.graphs() == enumerate_graphs(8)
+
+
+def _moduli_euler_characteristic(genus, punctures):
+    """chi(M_{g,n}), the orbifold Euler characteristic of the moduli
+    space of genus g curves with n marked points, for g <= 1:
+    chi(M_{0,n}) = (-1)^(n-3) (n-3)!, chi(M_{1,1}) = zeta(-1) = -1/12, and
+    chi(M_{g,n+1}) = (2 - 2g - n) chi(M_{g,n}) (Harer-Zagier 1986).  So
+    chi(M_{0,3}) = 1, chi(M_{0,4}) = -1, chi(M_{1,1}) = -1/12 and
+    chi(M_{1,2}) = -chi(M_{1,1}) = 1/12."""
+    if genus == 0:
+        return Fraction((-1) ** (punctures - 3) * math.factorial(punctures - 3))
+    if genus == 1 and punctures == 1:
+        return Fraction(-1, 12)
+    assert genus == 1 and punctures > 1
+    return (2 - 2 * genus - (punctures - 1)) * _moduli_euler_characteristic(genus, punctures - 1)
+
+
+def test_orbifold_euler_characteristic_of_moduli_space():
+    """Penner 1988, Kontsevich 1992: the sum over the ribbon graphs of
+    type (g, n), every vertex at least trivalent, of (-1)^V / |Aut| is
+    chi(M_{g,n}) / n!.  A type is complete within H half-edges when its
+    trivalent graphs, with 6g - 6 + 3n edges, fit: 2(6g - 6 + 3n) <= H.
+    Within 12 half-edges these are (0,3), (0,4), (1,1) and (1,2), with
+    sums 1/6, -1/24, -1/12 and 1/24."""
+    totals = {}
+    for g in ClassCorpus(12).graphs():
+        _, genus, punctures = g.boundary_cycles()
+        term = Fraction((-1) ** g.num_vertices, len(automorphisms(g)))
+        totals[genus, punctures] = totals.get((genus, punctures), 0) + term
+    complete = sorted(t for t in totals if 2 * (6 * t[0] - 6 + 3 * t[1]) <= 12)
+    assert complete == [(0, 3), (0, 4), (1, 1), (1, 2)]
+    for genus, punctures in complete:
+        assert totals[genus, punctures] == (_moduli_euler_characteristic(genus, punctures)
+                                            / math.factorial(punctures))
+
+
+def _harer_zagier(genus, n):
+    """epsilon_g(n), the number of ways to glue the sides of a 2n-gon in
+    pairs into a genus g surface, from the Harer-Zagier recursion
+    (n+1) e_g(n) = 2(2n-1) e_g(n-1) + (n-1)(2n-1)(2n-3) e_{g-1}(n-2),
+    with e_g(0) = 1 for g = 0 and 0 otherwise."""
+    if genus < 0 or n < 0:
+        return 0
+    if n == 0:
+        return int(genus == 0)
+    total = (2 * (2 * n - 1) * _harer_zagier(genus, n - 1)
+             + (n - 1) * (2 * n - 1) * (2 * n - 3) * _harer_zagier(genus - 1, n - 2))
+    assert total % (n + 1) == 0
+    return total // (n + 1)
+
+
+def test_one_vertex_maps_by_genus_match_harer_zagier():
+    # n = 4: 14, 70, 21; n = 5: 42, 420, 483
+    for n in (4, 5):
+        labels = list(range(2 * n))
+        counts = {}
+        for pairs in _matchings(labels):
+            genus = build_graph([labels], pairs).boundary_cycles()[1]
+            counts[genus] = counts.get(genus, 0) + 1
+        assert counts == {genus: _harer_zagier(genus, n) for genus in range(n // 2 + 1)}

@@ -26,8 +26,6 @@ from fatcomplex.ribbon import (
     enumerate_expansions,
     expand_vertex,
     graph_from_key,
-    graph_from_literal,
-    graph_to_literal,
     has_orientation_reversing_automorphism,
     isomorphisms_between,
     natural_orientation,
@@ -725,12 +723,6 @@ def test_graph_from_key_matches_validated_build():
         assert got.half_edges == want.half_edges
     # 276 classes, and 371 objects over 21 bases
     assert len(keys) == 276 + 371
-
-
-def test_graph_literal_roundtrip():
-    g = theta()
-    lit = graph_to_literal(g)
-    assert graph_from_literal(lit) == g
 
 
 def test_morphism_identity_and_collapse():

@@ -24,8 +24,6 @@ from fatcomplex.trees import (
     canonical_oriented_tree,
     region_touch_sets,
     regions_touching,
-    tree_from_literal,
-    tree_to_literal,
 )
 
 
@@ -68,14 +66,6 @@ def test_trees_are_valid_and_deduplicated():
             faces = enumerate_faces(n, k)
             lits = {t.canonical().literal() for t in faces}
             assert len(lits) == len(faces)
-
-
-def test_tree_literal_roundtrip():
-    t = enumerate_trivalent_trees(5)[2]
-    lit = tree_to_literal(t)
-    assert tree_from_literal(lit) == t
-    assert lit["leaves"] == 5
-    assert any(isinstance(x, str) and x.startswith("L") for c in lit["vertices"] for x in c)
 
 
 def test_bad_leaf_order_rejected():
