@@ -22,13 +22,12 @@ from functools import partial
 from itertools import product
 
 from fatcomplex.coefficients import format_rational
-from fatcomplex.graph_complex import chain_of, eval_w
+from fatcomplex.graph_complex import eval_w
 from fatcomplex.linalg import SingularMatrix, matrix_inverse
 from fatcomplex.ribbon import (
     GraphError,
     OrientedRibbonGraph,
     graph_from_key,
-    reference_word,
     word_parity,
 )
 
@@ -245,12 +244,12 @@ def contraction_identity_holds(algebra):
 # the partition function
 # ---------------------------------------------------------------------------
 
-def partition_function(algebra, og, vertex_order=None, starts=None):
-    """State sum over basis labelings of the half-edges of <Gamma>.
-
-    `vertex_order` (a permutation of the vertex cycles) and `starts`
-    (a chosen first half-edge per cycle) override the reference choices;
-    the result is independent of them.
+def partition_function(algebra, og):
+    """State sum over basis labelings of the half-edges of <Gamma>, read
+    from the reference choices: the vertices in order of their least
+    half-edge, each read from that half-edge.  The result does not depend
+    on that choice: relabelling the graph and transporting the
+    orientation gives the same value.
 
     The sum runs over labelings of the edges, not of the half-edges.
     Each vertex factor is tabulated once over the states of its own
@@ -264,27 +263,10 @@ def partition_function(algebra, og, vertex_order=None, starts=None):
     if not isinstance(algebra, AInfinityAlgebra):
         raise InvalidAlgebra("need an AInfinityAlgebra")
     g = og.graph
-    cycles = list(g.vertices) if vertex_order is None else [tuple(c) for c in vertex_order]
-    if sorted(tuple(sorted(c)) for c in cycles) != sorted(tuple(sorted(c)) for c in g.vertices):
-        raise GraphError("vertex order must list the vertices of the graph")
-    rotated = []
-    for c in cycles:
-        if starts is not None and tuple(sorted(c)) in starts:
-            s = starts[tuple(sorted(c))]
-        else:
-            s = min(c)
-        i = c.index(s)
-        rotated.append(c[i:] + c[:i])
-
-    word = []
-    for c in rotated:
-        word.append(("v", min(c)))
-        word.extend(c)
-    eps1 = og.sign * word_parity(reference_word(g.vertices), word)
 
     # the global clockwise-labelled sequence e_11 .. e_1n e_10 e_21 ..
     sequence = []
-    for c in rotated:
+    for c in g.vertices:
         sequence.extend(reversed(c[1:]))
         sequence.append(c[0])
 
@@ -298,7 +280,7 @@ def partition_function(algebra, og, vertex_order=None, starts=None):
 
     tables = []
     cache = {}
-    for c in rotated:
+    for c in g.vertices:
         absorbed = tuple(i for i, h in enumerate(c) if h in hbars)
         table = cache.get((len(c), absorbed))
         if table is None:
@@ -314,7 +296,9 @@ def partition_function(algebra, og, vertex_order=None, starts=None):
     eps2 = {}
     total = Fraction(0)
     for labels in product(range(algebra.rank), repeat=len(edges)):
-        term = eps1
+        # read in the reference order, the orientation word is the
+        # reference word, so the orientation contributes og.sign
+        term = og.sign
         for slots, table in tables:
             factor = table.get(tuple(labels[e] for e in slots))
             if factor is None:
@@ -399,18 +383,19 @@ def _partitions_bounded(budget):
     return out
 
 
-def zx_expansion_check(x, graphs):
-    """Check Z_x == x_0^(-2 chi) sum_lambda y^lambda W_lambda* graph by
-    graph; both sides are computed independently."""
+def zx_expansion_check(x, corpus):
+    """Check Z_x == x_0^(-2 chi) sum_lambda y^lambda W_lambda* class by
+    class of the corpus; both sides are computed independently.  The
+    chain of a class is its key with coefficient 1, or 0 if the class
+    is zero."""
     x = [Fraction(v) for v in x]
     if not x or x[0] == 0:
         raise ZeroX0("the expansion needs x_0 nonzero")
     report = []
-    for g in graphs:
-        og = OrientedRibbonGraph(g, 1)
-        chain = chain_of(og)
+    for key in corpus.keys:
+        chain = {key: 1} if corpus.is_nonzero(key) else {}
         lhs = z_x_chain(x, chain)
-        chi = g.euler_characteristic
+        chi = graph_from_key(key).euler_characteristic
         rhs = Fraction(0)
         for lam in _partitions_bounded(-2 * chi):
             r0 = -2 * chi - sum(2 * p + 1 for p in lam)
@@ -429,7 +414,7 @@ def zx_expansion_check(x, graphs):
             value = eval_w(lam, chain)
             if value:
                 rhs += y * value
-        report.append((g.literal(), lhs, rhs))
+        report.append((key, lhs, rhs))
     return report
 
 

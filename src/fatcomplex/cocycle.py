@@ -148,11 +148,9 @@ def region_chain(chain, start, stop, vertex_cycle):
                 break
         images.append(frozenset(regions_touching(t, vertex)))
         current = set(vertex)
-    ambient = tuple(range(leaf_count))
-    # pad the last set to the full ambient via a formal chain on regions:
-    # the region sets are nested along the chain, and the ambient is all
-    # regions only at the corolla; embed everything in the region circle.
-    return _RegionChain(ambient, images)
+    # the ambient is the full region circle, and the last region set need
+    # not fill it (it does only at the corolla): hence _RegionChain
+    return _RegionChain(tuple(range(leaf_count)), images)
 
 
 class _RegionChain(CyclicSetChain):
@@ -195,7 +193,7 @@ def tree_corner_chain(chain, start, stop, vertex_cycle):
         if len(set(xs)) != len(vc):
             raise GraphError("corner monomorphism failed on tree chain")
         images.append(frozenset(xs))
-    return _RegionChain(ambient, images)
+    return CyclicSetChain(ambient, images)
 
 
 def c_fat_tree_window(k, chain, start):

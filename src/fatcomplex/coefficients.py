@@ -45,7 +45,7 @@ from itertools import product
 from fatcomplex.linalg import SingularMatrix, matrix_inverse
 from fatcomplex.ribbon import sort_sign
 from fatcomplex.trees import (
-    branch_leaves,
+    branch_intervals,
     chain_from_order,
     enumerate_trivalent_trees,
     region_touch_sets,
@@ -290,13 +290,8 @@ def _b_from_totals(m, totals):
 def _cut_intervals(tree):
     """The leaf intervals, as (first leaf, length), that the internal
     half-edges of a tree cut off; they determine the tree."""
-    L = tree.leaf_count
-    out = set()
-    for h in tree.pairing:
-        leaves = branch_leaves(tree, h)
-        first = next(x for x in leaves if (x - 1) % L not in leaves)
-        out.add((first, len(leaves)))
-    return frozenset(out)
+    intervals = branch_intervals(tree)
+    return frozenset(intervals[h] for h in tree.pairing)
 
 
 def _rotation_orbits(leaf_count):

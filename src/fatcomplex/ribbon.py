@@ -234,7 +234,7 @@ class RibbonGraph:
 
     __slots__ = ("vertices", "pairing", "half_edges", "_sigma", "_vertex_of", "_edges")
 
-    def __init__(self, vertex_cycles, edge_pairs, min_valence=3):
+    def __init__(self, vertex_cycles, edge_pairs):
         cycles = [tuple(c) for c in vertex_cycles]
         labels = [x for c in cycles for x in c]
         if len(labels) != len(set(labels)):
@@ -252,8 +252,8 @@ class RibbonGraph:
         if set(pairing) != label_set:
             raise DanglingHalfEdge("pairing and vertex cycles use different half-edges")
         for c in cycles:
-            if len(c) < min_valence:
-                raise ValenceTooLow("vertex %r has valence %d < %d" % (c, len(c), min_valence))
+            if len(c) < 3:
+                raise ValenceTooLow("vertex %r has valence %d < 3" % (c, len(c)))
         self._set(_normalize_cycles(cycles), pairing, tuple(sorted(label_set)))
         if not self._connected():
             raise Disconnected("graph is not connected")

@@ -71,20 +71,22 @@ class PlanarTree:
     def vertex_of(self, h):
         return self._vertex_of[h]
 
+    def contour(self):
+        """Half-edges in the order the contour walk from leaf 0 meets them:
+        after a leaf it turns to the next half-edge at the leaf's vertex,
+        after an internal half-edge to the next one at its mate's vertex.
+        Around a tree it meets each half-edge once."""
+        sigma = self.sigma()
+        cur = 0
+        for _ in range(len(sigma)):
+            yield cur
+            cur = sigma[self.pairing.get(cur, cur)]
+            if cur == 0:
+                return
+
     def contour_leaves(self):
         """Leaves in the order the contour walk from leaf 0 meets them."""
-        sigma = self.sigma()
-        out = []
-        cur = 0
-        for _ in range(2 * len(sigma)):
-            if cur not in self.pairing:
-                out.append(cur)
-                cur = sigma[cur]
-            else:
-                cur = sigma[self.pairing[cur]]
-            if cur == 0:
-                break
-        return tuple(out)
+        return tuple(h for h in self.contour() if h not in self.pairing)
 
     def internal_edges(self):
         return sorted({(min(a, b), max(a, b)) for a, b in self.pairing.items()})
@@ -305,99 +307,51 @@ def maximal_chains(n):
 # regions
 # ---------------------------------------------------------------------------
 
-def _vertex_index(tree):
-    return {c: i for i, c in enumerate(tree.vertices)}
+def branch_intervals(tree):
+    """The leaves of the branch through each half-edge h, as (first, size):
+    the cyclic interval first, first+1, ..., first+size-1 mod the leaf
+    count.  The branch through a leaf is the leaf; the branch through an
+    internal h is the subtree reached by crossing h.
+
+    The contour walk meets the leaves in order, and between crossing an
+    internal h and crossing its mate back it walks around exactly the
+    branch through h, so one walk gives every interval.
+    """
+    L = tree.leaf_count
+    met = {}
+    count = 0
+    for h in tree.contour():
+        met[h] = count
+        if h not in tree.pairing:
+            count += 1
+    return {h: (h, 1) if h not in tree.pairing
+            else (met[h] % L, (met[tree.pairing[h]] - met[h]) % L)
+            for h in met}
 
 
-def _adjacency(tree):
-    vi = _vertex_index(tree)
-    adj = {i: [] for i in range(len(tree.vertices))}
-    for a, b in tree.internal_edges():
-        u, w = vi[tree.vertex_of(a)], vi[tree.vertex_of(b)]
-        adj[u].append(w)
-        adj[w].append(u)
-    return adj
-
-
-def _vertex_path(tree, start, goal):
-    if start == goal:
-        return {start}
-    adj = _adjacency(tree)
-    prev = {start: None}
-    queue = [start]
-    i = 0
-    while i < len(queue):
-        v = queue[i]
-        i += 1
-        for w in adj[v]:
-            if w not in prev:
-                prev[w] = v
-                queue.append(w)
-    path = {goal}
-    v = goal
-    while prev[v] is not None:
-        v = prev[v]
-        path.add(v)
-    return path
+def corner_regions(tree):
+    """The region of the corner following each half-edge at its vertex:
+    region j is the gap between leaf j and leaf j+1, and the corner after
+    h closes off the branch through h, so its region is that branch's
+    last leaf."""
+    L = tree.leaf_count
+    return {h: (first + size - 1) % L for h, (first, size) in branch_intervals(tree).items()}
 
 
 def regions_touching(tree, cycle):
     """Regions around a vertex, cyclically ordered by its corners.
 
-    Region j is the gap between leaf j and leaf j+1; it touches the
-    vertices on the tree path between those leaves.  The corner after
-    half-edge h belongs to the region closing off the branch through h.
+    A region touches the vertices on the tree path between its two
+    leaves, which are the vertices with a corner in it.
     """
-    return tuple(corner_region(tree, h) for h in cycle)
-
-
-def corner_region(tree, h):
-    """Region of the corner following half-edge h at its vertex."""
-    L = tree.leaf_count
-    branch = branch_leaves(tree, h)
-    for leaf in branch:
-        if (leaf + 1) % L not in branch:
-            return leaf
-    raise GraphError("branch through %r has no boundary leaf" % (h,))
-
-
-def branch_leaves(tree, h):
-    """Leaves of the subtree hanging off half-edge h (h itself if a leaf)."""
-    if h not in tree.pairing:
-        return {h}
-    seen = set()
-    stack = [tree.pairing[h]]
-    leaves = set()
-    while stack:
-        x = stack.pop()
-        if x in seen:
-            continue
-        seen.add(x)
-        for y in tree.vertex_of(x):
-            if y == x:
-                continue
-            if y in tree.pairing:
-                if tree.pairing[y] not in seen:
-                    stack.append(tree.pairing[y])
-            else:
-                leaves.add(y)
-    return leaves
+    corners = corner_regions(tree)
+    return tuple(corners[h] for h in cycle)
 
 
 def region_touch_sets(tree):
-    """For each vertex index, the set of regions touching it (path model)."""
-    vi = _vertex_index(tree)
-    leaf_vertex = {}
-    for c in tree.vertices:
-        for x in c:
-            if x not in tree.pairing:
-                leaf_vertex[x] = vi[c]
-    L = tree.leaf_count
-    touch = {i: set() for i in range(len(tree.vertices))}
-    for j in range(L):
-        for v in _vertex_path(tree, leaf_vertex[j], leaf_vertex[(j + 1) % L]):
-            touch[v].add(j)
-    return touch
+    """For each vertex index, the set of regions touching it."""
+    corners = corner_regions(tree)
+    return {i: {corners[h] for h in c} for i, c in enumerate(tree.vertices)}
 
 
 # ---------------------------------------------------------------------------
@@ -408,40 +362,42 @@ def region_touch_sets(tree):
 # sort sign is their cyclic sign: rotating an odd-length tuple is even.
 
 
-def _flank_regions(tree, edge):
-    vi = _vertex_index(tree)
-    touch = region_touch_sets(tree)
-    u, w = vi[tree.vertex_of(edge[0])], vi[tree.vertex_of(edge[1])]
-    shared = touch[u] & touch[w]
+def _flank_regions(tree, corners, edge):
+    shared = ({corners[h] for h in tree.vertex_of(edge[0])}
+              & {corners[h] for h in tree.vertex_of(edge[1])})
     if len(shared) != 2:
         raise ConfigurationMismatch("edge must have exactly two flanking regions")
     return shared
 
 
-def _off_region(tree, vertex_cycle, edge):
+def _off_region(tree, corners, vertex_cycle, edge):
     """The region touching `edge` only at this trivalent endpoint."""
     if len(vertex_cycle) != 3:
         raise ConfigurationMismatch("off-region needs a trivalent vertex")
-    regs = set(regions_touching(tree, vertex_cycle))
-    rest = regs - _flank_regions(tree, edge)
+    rest = {corners[h] for h in vertex_cycle} - _flank_regions(tree, corners, edge)
     if len(rest) != 1:
         raise ConfigurationMismatch("vertex does not touch the edge as required")
     return rest.pop()
 
 
-def _vertex_distances(tree, start_idx):
-    adj = _adjacency(tree)
-    dist = {start_idx: 0}
-    queue = [start_idx]
-    i = 0
-    while i < len(queue):
-        v = queue[i]
-        i += 1
-        for w in adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
+def _far_end(tree, corners, intervals, edge, near):
+    """The endpoint of edge (a, b) further from the vertex `near`: a's
+    vertex when `near` lies in the branch through a, b's otherwise.
+
+    A vertex lies in the branch through a exactly when one of its corner
+    regions r is strictly between two leaves of the branch, that is
+    (r - first) mod L < size - 1.  Both leaves of such a region lie in
+    the branch, so does the tree path between them, and the region
+    touches only the vertices on that path.  Conversely every vertex of
+    the branch has such a corner: the corner between two consecutive
+    half-edges of it that point away from a.
+    """
+    a, b = edge
+    first, size = intervals[a]
+    L = tree.leaf_count
+    if any((corners[h] - first) % L < size - 1 for h in near):
+        return tree.vertex_of(a)
+    return tree.vertex_of(b)
 
 
 def lemma_region_sign(tree, edge_order, v0=None):
@@ -467,15 +423,12 @@ def lemma_region_sign(tree, edge_order, v0=None):
     k = len(edge_order) // 2
     if set(edge_order) != set(tree.internal_edges()):
         raise ConfigurationMismatch("edge order must list all internal edges")
-    vi = _vertex_index(tree)
-    dist = _vertex_distances(tree, vi[v0])
-    a = regions_touching(tree, v0)
-    bs = []
-    for e in edge_order:
-        cu, cw = tree.vertex_of(e[0]), tree.vertex_of(e[1])
-        far = cu if dist[vi[cu]] > dist[vi[cw]] else cw
-        bs.append(_off_region(tree, far, e))
-    return (-1) ** k * sort_sign(tuple(a) + tuple(bs))
+    intervals = branch_intervals(tree)
+    corners = corner_regions(tree)
+    a = tuple(corners[h] for h in v0)
+    bs = tuple(_off_region(tree, corners, _far_end(tree, corners, intervals, e, v0), e)
+               for e in edge_order)
+    return (-1) ** k * sort_sign(a + bs)
 
 
 def _is_cyclically_sorted(values):
@@ -501,9 +454,11 @@ def chain_region_sign(chain):
         raise ConfigurationMismatch("region rule applies to even-dimensional cells")
     k = n // 2
     e1 = chain.edges[0]
-    flank = sorted(_flank_regions(seed, e1))
+    intervals = branch_intervals(seed)
+    corners = corner_regions(seed)
+    flank = sorted(_flank_regions(seed, corners, e1))
     u, w = seed.vertex_of(e1[0]), seed.vertex_of(e1[1])
-    off_u, off_w = _off_region(seed, u, e1), _off_region(seed, w, e1)
+    off_u, off_w = _off_region(seed, corners, u, e1), _off_region(seed, corners, w, e1)
     a = None
     for cand_u, cand_w in ((off_u, off_w), (off_w, off_u)):
         for a1, a3 in ((flank[0], flank[1]), (flank[1], flank[0])):
@@ -515,17 +470,10 @@ def chain_region_sign(chain):
             break
     if a is None:
         raise ConfigurationMismatch("could not orient the regions around e_1")
-    vi = _vertex_index(seed)
-    du = _vertex_distances(seed, vi[u])
-    dw = _vertex_distances(seed, vi[w])
-    bs = [b1]
-    for e in chain.edges[1:]:
-        cu, cw = seed.vertex_of(e[0]), seed.vertex_of(e[1])
-        d_cu = min(du[vi[cu]], dw[vi[cu]])
-        d_cw = min(du[vi[cw]], dw[vi[cw]])
-        far = cu if d_cu > d_cw else cw
-        bs.append(_off_region(seed, far, e))
-    return (-1) ** k * sort_sign(tuple(a) + tuple(bs))
+    # every later edge has u and w on one side, so u alone decides the far end
+    bs = (b1,) + tuple(_off_region(seed, corners, _far_end(seed, corners, intervals, e, u), e)
+                       for e in chain.edges[1:])
+    return (-1) ** k * sort_sign(a + bs)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from fatcomplex.ainfinity import (
     AInfinityAlgebra,
+    _partitions_bounded,
     InvalidAlgebra,
     ZeroX0,
     check_partition_cocycle,
@@ -18,13 +19,14 @@ from fatcomplex.ainfinity import (
     z_x_chain,
     zx_expansion_check,
 )
-from fatcomplex.graph_complex import ClassCorpus, d_integral, enumerate_graphs
+from fatcomplex.graph_complex import ClassCorpus, chain_of, d_integral, enumerate_graphs, eval_w
 from fatcomplex.linalg import matrix_inverse
 from fatcomplex.ribbon import (
     OrientedRibbonGraph,
     build_graph,
     graph_from_key,
     reference_word,
+    transport_sign,
     word_parity,
 )
 
@@ -261,6 +263,20 @@ def test_z_x_values():
     assert z_x(x, OrientedRibbonGraph(f8, 1)) == 0
 
 
+def presented(og, starts):
+    """`og` relabelled so that its reference choices read the vertices
+    from `starts`, one half-edge per vertex, in that order: the i-th
+    start gets label i and the other half-edges labels >= V.  The
+    orientation is transported along the relabelling."""
+    g = og.graph
+    phi = {h: i for i, h in enumerate(starts)}
+    rest = [h for h in g.half_edges if h not in phi]
+    phi.update((h, len(starts) + j) for j, h in enumerate(rest))
+    g2 = build_graph([tuple(phi[h] for h in c) for c in g.vertices],
+                     [(phi[a], phi[b]) for a, b in g.edges()])
+    return OrientedRibbonGraph(g2, og.sign * transport_sign(g, g2, phi))
+
+
 def test_partition_function_invariance_under_presentation():
     alg = odd_grassmann_pairing()
     rng = random.Random(7)
@@ -272,8 +288,8 @@ def test_partition_function_invariance_under_presentation():
         for _ in range(6):
             order = cycles[:]
             rng.shuffle(order)
-            starts = {tuple(sorted(c)): rng.choice(c) for c in cycles}
-            assert partition_function(alg, og, vertex_order=order, starts=starts) == base
+            starts = [rng.choice(c) for c in order]
+            assert partition_function(alg, presented(og, starts)) == base
 
 
 def test_partition_function_invariance_under_basis_change():
@@ -340,9 +356,10 @@ def test_partition_function_matches_reference_in_random_presentations():
             og = OrientedRibbonGraph(g, rng.choice((1, -1)))
             order = list(g.vertices)
             rng.shuffle(order)
-            starts = {tuple(sorted(c)): rng.choice(c) for c in order}
-            value = partition_function(alg, og, vertex_order=order, starts=starts)
-            assert value == reference_partition_function(alg, og, order, starts)
+            starts = [rng.choice(c) for c in order]
+            value = partition_function(alg, presented(og, starts))
+            assert value == reference_partition_function(
+                alg, og, order, {tuple(sorted(c)): s for c, s in zip(order, starts)})
             nonzero += value != 0
         assert nonzero
 
@@ -409,13 +426,35 @@ def test_check_partition_cocycle_matches_per_class_boundaries():
     assert any(value for _, value in wants[2]) and any(value for _, value in wants[3])
 
 
+def _reference_zx_expansion_check(x, graphs):
+    """zx_expansion_check as it was: each graph keyed again by chain_of."""
+    x = [Fraction(v) for v in x]
+    report = []
+    for g in graphs:
+        chain = chain_of(OrientedRibbonGraph(g, 1))
+        lhs = z_x_chain(x, chain)
+        chi = g.euler_characteristic
+        rhs = Fraction(0)
+        for lam in _partitions_bounded(-2 * chi):
+            r0 = -2 * chi - sum(2 * p + 1 for p in lam)
+            if r0 < 0 or any(p >= len(x) for p in lam):
+                continue
+            y = x[0] ** r0
+            for p in lam:
+                y *= x[p]
+            rhs += y * eval_w(lam, chain)
+        report.append((g.literal(), lhs, rhs))
+    return report
+
+
 def test_zx_expansion_check():
     x = [Fraction(3), Fraction(-1, 2), Fraction(7, 3)]
-    corpus = enumerate_graphs(8)
+    corpus = ClassCorpus(8)
     report = zx_expansion_check(x, corpus)
     assert report
     for _, lhs, rhs in report:
         assert lhs == rhs
+    assert report == _reference_zx_expansion_check(x, corpus.graphs())
     with pytest.raises(ZeroX0):
         zx_expansion_check([0, 1], corpus)
 

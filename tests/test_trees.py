@@ -182,14 +182,78 @@ def test_regions_touching_counts():
     assert len(regs) == 3
 
 
+def _reference_vertex_path(adj, start, goal):
+    """The vertex indices on the tree path from `start` to `goal`, by BFS."""
+    prev = {start: None}
+    queue = [start]
+    for v in queue:
+        for w in adj[v]:
+            if w not in prev:
+                prev[w] = v
+                queue.append(w)
+    path = {goal}
+    v = goal
+    while prev[v] is not None:
+        v = prev[v]
+        path.add(v)
+    return path
+
+
+def _reference_region_touch_sets(tree):
+    """The path model: region j touches the vertices on the tree path
+    between leaf j and leaf j+1."""
+    index = {c: i for i, c in enumerate(tree.vertices)}
+    adj = {i: [] for i in index.values()}
+    for a, b in tree.internal_edges():
+        u, w = index[tree.vertex_of(a)], index[tree.vertex_of(b)]
+        adj[u].append(w)
+        adj[w].append(u)
+    leaf_vertex = {x: i for c, i in index.items() for x in c if x not in tree.pairing}
+    L = tree.leaf_count
+    touch = {i: set() for i in index.values()}
+    for j in range(L):
+        for v in _reference_vertex_path(adj, leaf_vertex[j], leaf_vertex[(j + 1) % L]):
+            touch[v].add(j)
+    return touch
+
+
+def _reference_branch_leaves(tree, h):
+    """Leaves of the subtree hanging off half-edge h (h itself if a leaf), by DFS."""
+    if h not in tree.pairing:
+        return {h}
+    seen = set()
+    stack = [tree.pairing[h]]
+    leaves = set()
+    while stack:
+        x = stack.pop()
+        if x in seen:
+            continue
+        seen.add(x)
+        for y in tree.vertex_of(x):
+            if y == x:
+                continue
+            if y in tree.pairing:
+                if tree.pairing[y] not in seen:
+                    stack.append(tree.pairing[y])
+            else:
+                leaves.add(y)
+    return leaves
+
+
+def _reference_corner_region(tree, h):
+    """The corner model: the corner after h belongs to the region closing
+    off the branch through h."""
+    branch = _reference_branch_leaves(tree, h)
+    return next(leaf for leaf in branch if (leaf + 1) % tree.leaf_count not in branch)
+
+
 def test_regions_touching_agrees_with_path_model():
-    for n in (1, 2, 3):
-        for k in range(n + 1):
-            for t in enumerate_faces(n, k):
-                touch = region_touch_sets(t)
-                for i, c in enumerate(t.vertices):
-                    assert set(regions_touching(t, c)) == touch[i]
-                    assert len(regions_touching(t, c)) == len(c)
+    # every face of K^0..K^5 and the trivalent trees with 9 and 11 leaves
+    faces = [t for n in range(6) for k in range(n + 1) for t in enumerate_faces(n, k)]
+    for t in faces + enumerate_trivalent_trees(9) + enumerate_trivalent_trees(11):
+        assert region_touch_sets(t) == _reference_region_touch_sets(t)
+        for c in t.vertices:
+            assert regions_touching(t, c) == tuple(_reference_corner_region(t, h) for h in c)
 
 
 def test_region_growth_along_chains_of_k2():
