@@ -9,17 +9,23 @@ model.  General b-numbers reduce to products of single-vertex ones over
 refinements; the matrices B_n are upper triangular and invert exactly
 to the tables A_n whose columns are the cocycle polynomials.
 
-The chain scan never materializes chains: it walks a prefix-sharing DFS
-over collapse orders, carrying region bitmasks per merged blob and the
-permutation parity of the order, so that the sign of a chain is the
-parity times the sign of the reference-order chain of its seed tree.
+The chain scan never materializes chains.  A chain of a seed tree is
+an order of its internal edges, and its sign is the sign s0 of the
+reference-order chain times, for each collapse of an edge e, -1 to the
+number of edges before e in the reference order that are not yet
+collapsed.  So the sign of a collapse depends only on the set of edges
+collapsed before it, and so do the blobs (the merged vertices) and their
+region bitmasks, whatever order that set was collapsed in.
 
-A window contributes only while every collapse in it grows the one blob
-that its first collapse made: a collapse that misses that blob makes the
-window value 0.  So the DFS carries the compositions still alive, with
-the product of their closed window values, and a composition dies when
-a window of it closes with value 0 or misses its blob.  A branch with no
-composition alive is not walked; each chain reached contributes.
+A window therefore contributes a factor, the product of its collapses'
+signs times its value, that depends only on the set `done` collapsed
+before it and on its own order.  The total of a composition is s0 times
+a sum over the chains of edge sets at its window boundaries: start from
+{0: 1}, for each part add sums[done] * windows(done, part)[used] into
+the entry done | used, and read the entry of all edges.  A window is
+nonzero only while every collapse in it grows the one blob that its
+first collapse made, so `windows` walks only those orders, once per
+(done, part) in a seed.
 
 Only one seed tree per orbit of the leaf rotation i -> i+1 mod 2m+3 is
 scanned, and its sums are weighted by the orbit size.  Rotating the
@@ -39,6 +45,7 @@ composition at the end gives the rational b.
 """
 
 import math
+import os
 from fractions import Fraction
 from itertools import product
 
@@ -125,15 +132,6 @@ def closed_form_a_diagonal(m):
 # the chain scan
 # ---------------------------------------------------------------------------
 
-def _composition_windows(comp):
-    out = []
-    at = 0
-    for part in comp:
-        out.append((at, at + 2 * part))
-        at += 2 * part
-    return tuple(out)
-
-
 def _bits(x):
     out = []
     i = 0
@@ -186,12 +184,10 @@ def _scan_seed(seed, m):
     tree, of the chain sign times the product of the scaled window values.
 
     Returns {composition: int}; `_b_from_totals` turns summed totals into
-    the numbers b.  Orders on which every composition is 0 are cut off
-    at the first collapse that makes them so.
+    the numbers b.  Each window is walked once per set of edges collapsed
+    before it, and a composition's total is a sum over the edge sets
+    collapsed at its window boundaries.
     """
-    comps = compositions_of(m)
-    comp_windows = [_composition_windows(comp) for comp in comps]
-    totals = [0] * len(comps)
     edges = seed.internal_edges()
     nedges = len(edges)
     verts = list(seed.vertices)
@@ -203,79 +199,62 @@ def _scan_seed(seed, m):
     touch = region_touch_sets(seed)
     base_masks = [sum(1 << r for r in touch[i]) for i in range(len(verts))]
     s0 = chain_from_order(seed, edges).sign
-
-    # window_at[step][ci]: the window of composition ci holding collapse `step`
-    window_at = [None] + [[next(w for w in wins if w[0] < step <= w[1]) for wins in comp_windows]
-                          for step in range(1, nedges + 1)]
-    scale_of = {w: _part_scale((w[1] - w[0]) // 2, seed.leaf_count)
-                for wins in comp_windows for w in wins}
     cz_cache = {}
+    memo = {}
 
-    def window_value(win, tracks):
-        scale = scale_of[win]
-        total = 0
-        for c0, deltas in tracks:
-            weight = c0.bit_count() - 2
-            if weight:
-                total += weight * _scaled_cz(c0, deltas, scale, cz_cache)
-        return total
+    def windows(done, k):
+        # {edges used: signed scaled value} of the windows of part k that
+        # collapse 2k edges after the edges in `done`
+        key = (done, k)
+        if key in memo:
+            return memo[key]
+        rep = list(range(len(verts)))
+        masks = list(base_masks)
+        for ei in _bits(done):
+            ru, rw = rep[endpoints[ei][0]], rep[endpoints[ei][1]]
+            masks[ru] |= masks[rw]
+            rep = [ru if r == rw else r for r in rep]
+        scale = _part_scale(k, seed.leaf_count)
+        out = {}
 
-    def recurse(depth, remaining, sgn, rep, masks, open_windows, alive):
-        # `alive` pairs each composition not yet known to contribute 0
-        # with the product of its closed window values; `open_windows`
-        # holds (blob, tracks) for each window still open after `depth`
-        # collapses.
-        step = depth + 1
-        wins = window_at[step]
-        for idx in range(len(remaining)):
-            ei = remaining[idx]
-            u, w = endpoints[ei]
-            ru, rw = rep[u], rep[w]
-            mu, mw = masks[ru], masks[rw]
-            # a window grows one blob; an untouched blob drops the window
-            state = {}
-            alive2 = []
-            for ci, prod in alive:
-                win = wins[ci]
-                st = state.get(win)
-                if st is None:
-                    if win[0] == depth:
-                        tracks = ((mu, (mw & ~mu,)), (mw, (mu & ~mw,)))
-                    else:
-                        blob, tracks = open_windows[win]
-                        if blob == ru:
-                            tracks = tuple((c0, deltas + (mw & ~mu,)) for c0, deltas in tracks)
-                        elif blob == rw:
-                            tracks = tuple((c0, deltas + (mu & ~mw,)) for c0, deltas in tracks)
-                        else:
-                            tracks = None
-                    if tracks is None:
-                        st = 0
-                    elif win[1] == step:
-                        st = window_value(win, tracks)
-                    else:
-                        st = (ru, tracks)
-                    state[win] = st
-                if st:
-                    alive2.append((ci, prod * st) if win[1] == step else (ci, prod))
-            if not alive2:
-                continue
-            sgn2 = sgn if idx % 2 == 0 else -sgn
-            rest = remaining[:idx] + remaining[idx + 1:]
-            if rest:
-                rep2 = [ru if r == rw else r for r in rep]
-                masks2 = dict(masks)
-                masks2[ru] = mu | mw
-                del masks2[rw]
-                recurse(step, rest, sgn2, rep2, masks2, state, alive2)
-            else:
-                for ci, prod in alive2:
-                    totals[ci] += s0 * sgn2 * prod
+        def walk(left, used, sgn, blob, blob_mask, tracks):
+            if not left:
+                value = sum((c0.bit_count() - 2) * _scaled_cz(c0, deltas, scale, cz_cache)
+                            for c0, deltas in tracks)
+                if value:
+                    out[used] = out.get(used, 0) + sgn * value
+                return
+            for ei in range(nedges):
+                if (done | used) >> ei & 1:
+                    continue
+                ru, rw = rep[endpoints[ei][0]], rep[endpoints[ei][1]]
+                mu, mw = masks[ru], masks[rw]
+                if not used:
+                    walk(left - 1, 1 << ei, sgn, {ru, rw}, mu | mw,
+                         ((mu, (mw & ~mu,)), (mw, (mu & ~mw,))))
+                elif ru in blob or rw in blob:
+                    # a tree edge never has both endpoints in the blob
+                    other = rw if ru in blob else ru
+                    delta = masks[other] & ~blob_mask
+                    walk(left - 1, used | 1 << ei, sgn, blob | {other}, blob_mask | delta,
+                         tuple((c0, deltas + (delta,)) for c0, deltas in tracks))
+                sgn = -sgn
 
-    rep0 = list(range(len(verts)))
-    masks0 = {i: base_masks[i] for i in range(len(verts))}
-    recurse(0, list(range(nedges)), 1, rep0, masks0, {}, [(ci, 1) for ci in range(len(comps))])
-    return dict(zip(comps, totals))
+        walk(2 * k, 0, 1, None, 0, ())
+        memo[key] = out
+        return out
+
+    totals = {}
+    for comp in compositions_of(m):
+        sums = {0: 1}
+        for part in comp:
+            nxt = {}
+            for done, value in sums.items():
+                for used, factor in windows(done, part).items():
+                    nxt[done | used] = nxt.get(done | used, 0) + value * factor
+            sums = nxt
+        totals[comp] = s0 * sums.get((1 << nedges) - 1, 0)
+    return totals
 
 
 def _b_from_totals(m, totals):
@@ -335,7 +314,8 @@ def b_single_all(m, workers=1):
     Returns {composition: value} where value includes the (-1)^m factor.
     One seed tree per rotation orbit is scanned, weighted by the orbit
     size.  The scan is sharded by orbit; exact integer partial sums merge,
-    so the result is identical for any worker count.
+    so the result is identical for any worker count.  The pool has at most
+    as many processes as there are shards or CPUs.
     """
     if m in _B_SINGLE_CACHE:
         return _B_SINGLE_CACHE[m]
@@ -357,10 +337,11 @@ def b_single_all(m, workers=1):
             if progress_hook is not None:
                 progress_hook(done, norbits)
 
-    if workers > 1 and len(shards) > 1:
+    processes = min(workers, len(shards), os.cpu_count() or 1)
+    if processes > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(processes) as pool:
             accumulate(pool.imap(_scan_orbits, shards))
     else:
         accumulate(map(_scan_orbits, shards))

@@ -3,8 +3,8 @@ tolerances).  Run with `pytest -s tests/test_acceptance.py` to see one
 pass/fail line per criterion.  Criteria 4-7 assert over the rows of the
 check registry (`fatcomplex.checks`), the rows `fatcomplex verify` prints.
 
-The long-run stretch check (criterion 8) walks the chains of K^8 and
-takes about 11 minutes on one core; it is skipped unless
+The long-run stretch check (criterion 8) sums over the chains of K^8 and
+takes about 1.5 minutes on one core; it is skipped unless
 FATCOMPLEX_LONG=1 is set and never gates the suite.
 """
 

@@ -278,18 +278,29 @@ def presented(og, starts):
 
 
 def test_partition_function_invariance_under_presentation():
-    alg = odd_grassmann_pairing()
+    # every presentation of a theta graph has transport sign +1; the class
+    # with two 4-valent vertices (value -4 for `odd_rank_three`) also has
+    # presentations of sign -1, whose value changes if the sign is dropped
+    two_four_valent = graph_from_key((((0, 1, 2, 3), (4, 6, 5, 7)),
+                                      ((0, 1), (2, 4), (3, 5), (6, 7))))
+    cases = [(odd_grassmann_pairing(), theta(True), 6),
+             (odd_grassmann_pairing(), theta(False), 6),
+             (odd_rank_three(), two_four_valent, 12)]
     rng = random.Random(7)
-    for g in [theta(True), theta(False)]:
+    signs = []
+    for alg, g, count in cases:
         og = OrientedRibbonGraph(g, 1)
         base = partition_function(alg, og)
         assert base != 0
         cycles = list(g.vertices)
-        for _ in range(6):
+        for _ in range(count):
             order = cycles[:]
             rng.shuffle(order)
             starts = [rng.choice(c) for c in order]
-            assert partition_function(alg, presented(og, starts)) == base
+            other = presented(og, starts)
+            signs.append(other.sign)
+            assert partition_function(alg, other) == base
+    assert -1 in signs
 
 
 def test_partition_function_invariance_under_basis_change():

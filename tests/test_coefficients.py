@@ -24,11 +24,13 @@ from fatcomplex.coefficients import (
     refinements,
     w_polynomial,
 )
+from fatcomplex.cocycle import cup_product
 from fatcomplex.linalg import matrix_multiply
 from fatcomplex.trees import (
     PlanarTree,
     chain_from_order,
     enumerate_trivalent_trees,
+    maximal_chains,
     region_touch_sets,
     rotate_leaves,
 )
@@ -144,11 +146,19 @@ def test_per_seed_sums_invariant_under_reflection_k4():
             == coefficients._scan_seed(seed, 2)
 
 
+def _composition_windows(comp):
+    out = []
+    at = 0
+    for part in comp:
+        out.append((at, at + 2 * part))
+        at += 2 * part
+    return tuple(out)
+
+
 def _reference_scan_seed(seed, m):
     """The unpruned chain scan: every collapse order of the seed is walked
     to a leaf, whatever its window values."""
-    comp_windows = {comp: coefficients._composition_windows(comp)
-                    for comp in compositions_of(m)}
+    comp_windows = {comp: _composition_windows(comp) for comp in compositions_of(m)}
     totals = dict.fromkeys(comp_windows, 0)
     edges = seed.internal_edges()
     nedges = len(edges)
@@ -253,6 +263,56 @@ def test_pruned_scan_matches_reference_on_k6_orbits():
     assert coefficients._b_from_totals(3, totals) == {
         (3,): Fraction(1, 1680), (2, 1): Fraction(-19, 3360),
         (1, 2): Fraction(-19, 3360), (1, 1, 1): Fraction(263, 6720)}
+
+
+def test_pruned_scan_matches_reference_on_k8_orbits():
+    orbits = coefficients._rotation_orbits(11)
+    nonzero = 0
+    for i in (0, 100, 441):
+        want = _reference_scan_seed(orbits[i][0], 4)
+        assert coefficients._scan_seed(orbits[i][0], 4) == want
+        nonzero += any(want.values())
+    assert nonzero
+
+
+def test_scan_matches_fraction_cocycle_over_maximal_chains():
+    # the integer bitmask scan against the Fraction path through
+    # `cyclic_sign`, `cz` and `region_chain`, chain by chain
+    for m, count in ((1, 10), (2, 1008)):
+        chains = maximal_chains(2 * m)
+        assert len(chains) == count
+        want = {comp: (-1) ** m * sum(chain.sign * cup_product(comp, chain) for chain in chains)
+                for comp in compositions_of(m)}
+        assert all(want.values())
+        assert b_single_all(m) == want
+
+
+@pytest.mark.parametrize("cpus, size", [(64, 6), (3, 3), (None, None)])
+def test_pool_never_exceeds_shards_or_cpus(monkeypatch, cpus, size):
+    import multiprocessing
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, items):
+            return map(func, items)
+
+    serial = b_single_all(2)
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(coefficients.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(coefficients, "_B_SINGLE_CACHE", {})
+    # 100000 workers cut the 6 orbits of K^4 into 6 shards
+    assert b_single_all(2, workers=100000) == serial
+    assert sizes == ([] if size is None else [size])
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -561,7 +561,28 @@ def _moduli_euler_characteristic(genus, punctures):
     return (2 - 2 * genus - (punctures - 1)) * _moduli_euler_characteristic(genus, punctures - 1)
 
 
-def test_orbifold_euler_characteristic_of_moduli_space():
+@pytest.fixture(scope="module")
+def corpus12():
+    """The class corpus within 12 half-edges, shared by the checks against
+    the moduli spaces of curves."""
+    return ClassCorpus(12)
+
+
+def _complete_types(corpus):
+    """The nonzero classes of each type (g, n) whose trivalent graphs fit
+    in the corpus, as {(g, n): {vertex count: [key]}}."""
+    out = {}
+    for key in corpus.keys:
+        if not corpus.is_nonzero(key):
+            continue
+        g = graph_from_key(key)
+        _, genus, punctures = g.boundary_cycles()
+        if 2 * (6 * genus - 6 + 3 * punctures) <= corpus.max_half_edges:
+            out.setdefault((genus, punctures), {}).setdefault(g.num_vertices, []).append(key)
+    return out
+
+
+def test_orbifold_euler_characteristic_of_moduli_space(corpus12):
     """Penner 1988, Kontsevich 1992: the sum over the ribbon graphs of
     type (g, n), every vertex at least trivalent, of (-1)^V / |Aut| is
     chi(M_{g,n}) / n!.  A type is complete within H half-edges when its
@@ -569,7 +590,7 @@ def test_orbifold_euler_characteristic_of_moduli_space():
     Within 12 half-edges these are (0,3), (0,4), (1,1) and (1,2), with
     sums 1/6, -1/24, -1/12 and 1/24."""
     totals = {}
-    for g in ClassCorpus(12).graphs():
+    for g in corpus12.graphs():
         _, genus, punctures = g.boundary_cycles()
         term = Fraction((-1) ** g.num_vertices, len(automorphisms(g)))
         totals[genus, punctures] = totals.get((genus, punctures), 0) + term
@@ -578,6 +599,58 @@ def test_orbifold_euler_characteristic_of_moduli_space():
     for genus, punctures in complete:
         assert totals[genus, punctures] == (_moduli_euler_characteristic(genus, punctures)
                                             / math.factorial(punctures))
+
+
+def test_homology_per_type_is_that_of_moduli_space(corpus12):
+    """Kontsevich 1992: the classes of type (g, n), graded by vertex
+    count, with the corpus columns (vertex expansions) as differential,
+    compute the rational cohomology of M_{g,n}/S_n.  The metric ribbon
+    graphs of type (g, n) form an orbifold X = (M_{g,n} x R^n_{>0})/S_n of
+    dimension d = 6g - 6 + 3n, one cell per graph, of dimension its edge
+    count E.  The corpus columns are, up to |Aut| factors, the transpose
+    of its Borel-Moore cellular boundary (edge collapse), which has the
+    same ranks, so the level with E edges carries H^{d-E}, and the
+    trivalent level (E = d) carries H^0.
+
+    The coefficients: ordering the vertices and half-edges is the same as
+    orienting R^E tensor det H_1(graph) (Conant-Vogtmann 2003).  R^E
+    orients the cell, and det H_1 of the punctured surface is the sign of
+    S_n on its boundary loops, which cancels the sign of S_n on the
+    perimeters R^n_{>0}, the orientation character of X.  By Poincare
+    duality the coefficients are trivial: H^*(M_{g,n}; Q)^{S_n}.  (With
+    the sign twist, M_{0,3} would give 0: S_3 fixes its one point.)
+
+    The four types complete within 12 half-edges have the rational
+    cohomology of a point, so the homology is Q at the trivalent level and
+    0 elsewhere:
+    - M_{0,3} is a point;
+    - M_{0,4} is P^1 minus {0, 1, oo}, whose H^1 is the sum-zero part of
+      Q^3, one coordinate per puncture; S_4 acts through S_3 (the Klein
+      group fixes the cross-ratio) as the 2-dimensional irreducible, which
+      has no invariants;
+    - M_{1,1} is coarsely the j-line C;
+    - M_{1,2} -> M_{1,1} has fibre E minus a point, whose H^1 is the
+      standard representation of SL_2(Z); -1 acts on it by -1, so
+      H^*(SL_2(Z); H^1) = 0 and H^*(M_{1,2}) = H^*(M_{1,1}) = Q."""
+    types = _complete_types(corpus12)
+    assert sorted(types) == [(0, 3), (0, 4), (1, 1), (1, 2)]
+    dims = {t: [len(levels[v]) for v in sorted(levels)] for t, levels in types.items()}
+    assert dims == {(0, 3): [1, 2], (0, 4): [1, 3, 7, 6], (1, 1): [1], (1, 2): [1, 5, 8, 5]}
+    for t, levels in types.items():
+        vs = sorted(levels)
+        assert vs == list(range(vs[0], vs[-1] + 1))
+        ranks = [0]
+        for v in vs[:-1]:
+            targets = set(levels[v + 1])
+            entries = {}
+            for j, column in enumerate(corpus12.columns(levels[v])):
+                for row, value in column.items():
+                    assert row in targets
+                    entries[row, j] = value
+            ranks.append(sparse_rank(entries))
+        ranks.append(0)
+        homology = [len(levels[v]) - ranks[i] - ranks[i + 1] for i, v in enumerate(vs)]
+        assert homology == [0] * (len(vs) - 1) + [1], t
 
 
 def _harer_zagier(genus, n):
