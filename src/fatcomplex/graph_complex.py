@@ -13,10 +13,8 @@ on classes or, for the forest complex, on objects over a base.  A
 `ClassCorpus` grows the classes within a half-edge bound and keeps the
 boundary column of each, so the checks that share a corpus build each
 column once.  The forest complex keeps only its matrices.  Its d.d
-check is an exact sparse product.  Its acyclicity check compares ranks
-taken modulo the prime 2^61 - 1, and recomputes them over Q only when
-the mod-p ranks fail; a mod-p pass is a pass over Q because the complex
-is checked exactly first (see `ForestComplex.homology_is_trivial`).
+check is an exact sparse product, and its acyclicity check compares
+exact integer ranks (`linalg.sparse_rank`).
 """
 
 import math
@@ -25,7 +23,7 @@ from itertools import permutations
 
 from fatcomplex import ribbon
 from fatcomplex.coefficients import normalize_partition
-from fatcomplex.linalg import RANK_MODULUS, sparse_product, sparse_rank
+from fatcomplex.linalg import sparse_product, sparse_rank
 from fatcomplex.ribbon import (
     GraphError,
     OrientedRibbonGraph,
@@ -379,29 +377,15 @@ class ForestComplex:
 
         First it checks exactly that the augmented sequence is a complex
         (d d = 0 and the augmentation kills d_1).  Then it checks that
-        dim C_k = r_k + r_{k+1} in every degree k, where r_k is the rank
-        of d_k, r_0 that of the augmentation and r_{n+1} = 0.
-
-        The ranks are first taken modulo the prime RANK_MODULUS, which is
-        sound.  Over Q an integer matrix has rank r_k at least its rank
-        r'_k mod p, and being a complex gives r_k + r_{k+1} <= dim C_k.
-        If the equations hold for the r'_k, go from the top degree down:
-        with r_{k+1} = r'_{k+1} shown, r'_k <= r_k <= dim C_k - r_{k+1}
-        = r'_k, so r_k = r'_k and the equations hold over Q too.  When
-        they fail mod p, the ranks are recomputed over Q, so an unlucky
-        prime cannot turn the answer False.
+        dim C_k = r_k + r_{k+1} in every degree k, where r_k is the exact
+        rank of d_k, r_0 that of the augmentation and r_{n+1} = 0.
         """
         if not (self.d_squared_is_zero() and self.augmentation_kills_boundary()):
             return False
-        return self._rank_equations_hold(RANK_MODULUS) or self._rank_equations_hold(None)
-
-    def _rank_equations_hold(self, modulus):
-        """dim C_k = r_k + r_{k+1} in every degree, with the augmentation
-        as d_0, for ranks mod `modulus` (over Q when None)."""
         n = self.base.codimension
         dims = self.ranks()
         ranks = [1 if dims[0] else 0]
-        ranks += [sparse_rank(self.matrices[k], modulus) for k in range(1, n + 1)]
+        ranks += [sparse_rank(self.matrices[k]) for k in range(1, n + 1)]
         ranks.append(0)
         return all(dims[k] == ranks[k] + ranks[k + 1] for k in range(n + 1))
 

@@ -1,6 +1,7 @@
 """Small exact linear algebra: dense rational matrices as lists of rows,
 and sparse integer matrices as {(row, col): value}."""
 
+import math
 from fractions import Fraction
 
 
@@ -33,16 +34,6 @@ def matrix_inverse(rows):
     return [row[n:] for row in m]
 
 
-def matrix_multiply(a, b):
-    if not a or not b:
-        return []
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
-             for col in zip(*b)] for row in a]
-
-
-RANK_MODULUS = 2 ** 61 - 1
-
-
 def sparse_product(a, b):
     """Product of sparse integer matrices given as {(row, col): value}."""
     by_row = {}
@@ -55,19 +46,23 @@ def sparse_product(a, b):
     return out
 
 
-def sparse_rank(entries, modulus=None):
-    """Rank of a sparse integer matrix {(row, col): value} by row
-    elimination, modulo the prime `modulus`, or over Q when it is None."""
-    if modulus is None:
-        reduce, inverse = Fraction, (lambda x: 1 / x)
-    else:
-        reduce, inverse = (lambda x: x % modulus), (lambda x: pow(x, -1, modulus))
+def sparse_rank(entries):
+    """Rank over Q of a sparse integer matrix {(row, col): value}, by
+    fraction-free row elimination.
+
+    When a row meets the pivot row p at its leading column c, it becomes
+    a*row - b*p with a, b = p[c], row[c] divided by their gcd, and is then
+    divided by the gcd of its entries.  Both steps are invertible row
+    operations over Q (a and the content are nonzero), so the rank is
+    unchanged.  The first clears column c (a*row[c] - b*p[c] = 0), so the
+    leading column grows and each row ends as a new pivot or as zero; a
+    variant that does not clear c loops forever.
+    """
     rows = {}
     for (r, c), v in entries.items():
-        v = reduce(v)
         if v:
             rows.setdefault(r, {})[c] = v
-    # pivots[c]: a reduced row with leading column c and leading entry 1
+    # pivots[c]: a reduced row with leading column c
     pivots = {}
     for r in sorted(rows):
         row = rows[r]
@@ -75,14 +70,18 @@ def sparse_rank(entries, modulus=None):
             c = min(row)
             pivot = pivots.get(c)
             if pivot is None:
-                inv = inverse(row[c])
-                pivots[c] = {k: reduce(v * inv) for k, v in row.items()}
+                pivots[c] = row
                 break
-            f = row[c]
+            g = math.gcd(pivot[c], row[c])
+            a, b = pivot[c] // g, row[c] // g
+            row = {k: a * v for k, v in row.items()}
             for k, v in pivot.items():
-                x = reduce(row.get(k, 0) - f * v)
+                x = row.get(k, 0) - b * v
                 if x:
                     row[k] = x
                 else:
                     row.pop(k)
+            content = math.gcd(*row.values())
+            if content > 1:
+                row = {k: v // content for k, v in row.items()}
     return len(pivots)

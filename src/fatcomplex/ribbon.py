@@ -424,14 +424,6 @@ def natural_orientation(g):
     return OrientedRibbonGraph(g, 1)
 
 
-def orientation_from_word(g, word):
-    """Orientation determined by an explicit vertices-and-half-edges word.
-
-    Vertices are named in the word by ('v', min half-edge of the cycle).
-    """
-    return OrientedRibbonGraph(g, word_parity(word, reference_word(g.vertices)))
-
-
 def collapse_edge(og, edge):
     """Collapse a non-loop edge of an oriented graph, with induced sign."""
     a, _ = edge
@@ -528,16 +520,6 @@ def _transported_word(cycles, iso):
 def transport_sign(g1, g2, iso):
     """Sign picked up by an orientation transported along `iso`."""
     return word_parity(_transported_word(g1.vertices, iso), reference_word(g2.vertices))
-
-
-def orientation_sign_of(g, aut):
-    """Parity of the permutation an automorphism induces on the reference
-    ordering of vertices-and-half-edges."""
-    return transport_sign(g, g, aut)
-
-
-def has_orientation_reversing_automorphism(g):
-    return any(orientation_sign_of(g, a) == -1 for a in automorphisms(g))
 
 
 def _index_tables(cycles, pairing):
@@ -908,25 +890,6 @@ def compose(first, second):
         raise BadMorphism("morphisms not composable")
     pre = {h: first.preimage[second.preimage[h]] for h in second.preimage}
     return GraphMorphism(first.source, second.target, pre, _checked=True)
-
-
-def single_collapse_morphisms(g1, g2):
-    """All morphisms g1 -> g2 collapsing exactly one edge, with the sign
-    relating the pushed-forward natural-reference orientation of g1 to
-    the reference orientation of g2.
-
-    Returns a list of (GraphMorphism, sign).
-    """
-    out = []
-    for e in g1.edges():
-        if g1.is_loop(e):
-            continue
-        collapsed = collapse_edge(OrientedRibbonGraph(g1, 1), e)
-        for iso in isomorphisms_between(collapsed.graph, g2):
-            pre = {iso[h]: h for h in collapsed.graph.half_edges}
-            mor = GraphMorphism(g1, g2, pre, _checked=True)
-            out.append((mor, collapsed.sign * transport_sign(collapsed.graph, g2, iso)))
-    return out
 
 
 def corner_chain(simplex, cycle):

@@ -229,15 +229,6 @@ def corolla(n):
     return PlanarTree(n + 3, [tuple(range(n + 3))], [])
 
 
-def rotate_leaves(tree):
-    """The tree with leaf i relabelled i+1 mod the leaf count; internal
-    half-edges keep their labels."""
-    L = tree.leaf_count
-    cycles = [tuple(x if x in tree.pairing else (x + 1) % L for x in c)
-              for c in tree.vertices]
-    return PlanarTree(L, cycles, tree.internal_edges())
-
-
 # ---------------------------------------------------------------------------
 # collapses and chains
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_criterion_7_structural_suite(corpus):
                     reason="long-run stretch check; set FATCOMPLEX_LONG=1")
 def test_criterion_8_stretch_weight_four():
     from fatcomplex.coefficients import _conjecture_formula, a_matrix, b_matrix
-    from fatcomplex.linalg import matrix_multiply
+    from test_coefficients import matrix_multiply
 
     w22 = w_polynomial((2, 2), mode="long")
     want22 = MmmPolynomial({(2, 2): 7200, (4,): 159120})

@@ -25,15 +25,29 @@ from fatcomplex.coefficients import (
     w_polynomial,
 )
 from fatcomplex.cocycle import cup_product
-from fatcomplex.linalg import matrix_multiply
 from fatcomplex.trees import (
     PlanarTree,
     chain_from_order,
     enumerate_trivalent_trees,
     maximal_chains,
     region_touch_sets,
-    rotate_leaves,
 )
+
+
+def matrix_multiply(a, b):
+    if not a or not b:
+        return []
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+             for col in zip(*b)] for row in a]
+
+
+def rotate_leaves(tree):
+    """The tree with leaf i relabelled i+1 mod the leaf count; internal
+    half-edges keep their labels."""
+    L = tree.leaf_count
+    cycles = [tuple(x if x in tree.pairing else (x + 1) % L for x in c)
+              for c in tree.vertices]
+    return PlanarTree(L, cycles, tree.internal_edges())
 
 
 def test_partitions_of_descending_lex():

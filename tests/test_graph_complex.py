@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -18,7 +19,7 @@ from fatcomplex.graph_complex import (
     forest_complex,
     verify_cocycle,
 )
-from fatcomplex.linalg import RANK_MODULUS, sparse_rank
+from fatcomplex.linalg import sparse_product, sparse_rank
 from fatcomplex.ribbon import (
     GraphError,
     OrientedRibbonGraph,
@@ -29,8 +30,9 @@ from fatcomplex.ribbon import (
     canonical_oriented,
     canonical_over,
     graph_from_key,
-    single_collapse_morphisms,
 )
+from fatcomplex.trees import face_boundary_maps
+from test_ribbon import has_orientation_reversing_automorphism, single_collapse_morphisms
 
 
 def naive_two_triples_enumeration():
@@ -254,8 +256,6 @@ def test_eval_w_examples():
 def test_orientation_reversing_class_is_zero():
     # the twisted figure-8 admits an orientation-reversing automorphism,
     # so its class vanishes and it never appears in any chain
-    from fatcomplex.ribbon import has_orientation_reversing_automorphism
-
     f8 = build_graph([(1, 2, 3, 4)], [(1, 3), (2, 4)])
     assert has_orientation_reversing_automorphism(f8)
     key, sign = canonical_oriented(OrientedRibbonGraph(f8, 1))
@@ -334,11 +334,69 @@ def _rank_corpus():
     return [forest_complex(g) for g in bases]
 
 
-def test_modular_and_exact_ranks_agree():
+def _fraction_rank(entries):
+    """Rank over Q of a sparse integer matrix by row elimination with
+    Fraction pivots normalised to 1: the reference for `sparse_rank`."""
+    rows = {}
+    for (r, c), v in entries.items():
+        v = Fraction(v)
+        if v:
+            rows.setdefault(r, {})[c] = v
+    pivots = {}
+    for r in sorted(rows):
+        row = rows[r]
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = 1 / row[c]
+                pivots[c] = {k: v * inv for k, v in row.items()}
+                break
+            f = row[c]
+            for k, v in pivot.items():
+                x = row.get(k, 0) - f * v
+                if x:
+                    row[k] = x
+                else:
+                    row.pop(k)
+    return len(pivots)
+
+
+def _random_dependent_matrices(count, seed):
+    """Sparse integer matrices with entries as large as 2^61 - 1, where
+    about half the rows are integer combinations of earlier rows."""
+    rng = random.Random(seed)
+    big = 2 ** 61 - 1
+    out = []
+    for _ in range(count):
+        cols = rng.randint(1, 7)
+        rows = []
+        for _ in range(rng.randint(1, 8)):
+            if rows and rng.random() < 0.5:
+                row = [0] * cols
+                for base in rng.sample(rows, rng.randint(1, len(rows))):
+                    f = rng.choice((-3, -1, 1, 2, big))
+                    row = [x + f * y for x, y in zip(row, base)]
+            else:
+                row = [rng.choice((0, 0, 1, -2, rng.randint(-big, big))) for _ in range(cols)]
+            rows.append(row)
+        out.append({(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row) if v})
+    return out
+
+
+def test_sparse_rank_matches_fraction_reference():
     for fc in _rank_corpus():
         for k in range(1, fc.base.codimension + 1):
-            assert sparse_rank(fc.matrices[k], RANK_MODULUS) == sparse_rank(fc.matrices[k])
+            assert sparse_rank(fc.matrices[k]) == _fraction_rank(fc.matrices[k])
         assert fc.homology_is_trivial()
+    for n in range(1, 6):
+        _, maps = face_boundary_maps(n)
+        for k in range(1, n + 1):
+            assert sparse_rank(maps[k]) == _fraction_rank(maps[k])
+    matrices = _random_dependent_matrices(300, 14)
+    assert any(_fraction_rank(m) < len({r for r, _ in m}) for m in matrices)
+    for m in matrices:
+        assert sparse_rank(m) == _fraction_rank(m)
 
 
 def reference_forest_levels(base):
@@ -397,12 +455,17 @@ def test_verify_cocycle_matches_per_class_boundaries():
 
 def test_sparse_rank_small_cases():
     assert sparse_rank({}) == 0
-    # rows (1, 2), (2, 4), (0, 3): rank 2 over Q and mod 7, rank 1 mod 3
+    # rows (1, 2), (2, 4), (0, 3): rank 2
     m = {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 4, (2, 1): 3}
     assert sparse_rank(m) == 2
-    assert sparse_rank(m, 7) == 2
-    assert sparse_rank(m, 3) == 1
-    assert sparse_rank({(0, 0): 5}, 5) == 0
+    # rows (2, 4, 6), (3, 6, 10), (0, 0, 5), (1, 3, 0): the second row
+    # reduces to (0, 0, 2) with content 2 and then clears the third; the
+    # fourth reduces to (0, 2, -6) with content 2
+    m = {(0, 0): 2, (0, 1): 4, (0, 2): 6, (1, 0): 3, (1, 1): 6, (1, 2): 10,
+         (2, 2): 5, (3, 0): 1, (3, 1): 3}
+    assert sparse_rank(m) == 3
+    # a multiple of the prime 2^61 - 1 is not zero over Q
+    assert sparse_rank({(0, 0): 2 ** 61 - 1}) == 1
 
 
 def test_flipped_entry_breaks_forest_checks():
@@ -429,24 +492,15 @@ def test_rank_deficient_complex_is_not_acyclic():
     assert not fc.homology_is_trivial()
 
 
-def test_homology_falls_back_to_exact_ranks(monkeypatch):
-    from fatcomplex import graph_complex
-
+def test_homology_exact_with_boundary_scaled_by_large_prime():
     fc = forest_complex(enumerate_graphs(8, valences=(6,))[0])
     n = fc.base.codimension
-    # scaling the top boundary by the prime keeps its rank over Q but
-    # kills it mod p, so only the exact ranks can confirm acyclicity
-    fc.matrices[n] = {e: v * RANK_MODULUS for e, v in fc.matrices[n].items()}
-    calls = []
-    rank = graph_complex.sparse_rank
-    monkeypatch.setattr(graph_complex, "sparse_rank",
-                        lambda entries, modulus=None: calls.append(modulus)
-                        or rank(entries, modulus))
+    # scaling the top boundary by the prime 2^61 - 1 kills it mod that
+    # prime but keeps its rank over Q
+    top = fc.matrices[n]
+    fc.matrices[n] = {e: v * (2 ** 61 - 1) for e, v in top.items()}
+    assert sparse_rank(fc.matrices[n]) == sparse_rank(top) > 0
     assert fc.homology_is_trivial()
-    assert RANK_MODULUS in calls and None in calls
-    calls.clear()
-    assert forest_complex(fc.base).homology_is_trivial()
-    assert calls and None not in calls
 
 
 def test_dual_cell_reproduces_b_numbers_on_graphs():
@@ -639,16 +693,19 @@ def test_homology_per_type_is_that_of_moduli_space(corpus12):
     for t, levels in types.items():
         vs = sorted(levels)
         assert vs == list(range(vs[0], vs[-1] + 1))
-        ranks = [0]
+        matrices = []
         for v in vs[:-1]:
             targets = set(levels[v + 1])
             entries = {}
-            for j, column in enumerate(corpus12.columns(levels[v])):
+            for key, column in zip(levels[v], corpus12.columns(levels[v])):
                 for row, value in column.items():
                     assert row in targets
-                    entries[row, j] = value
-            ranks.append(sparse_rank(entries))
-        ranks.append(0)
+                    entries[row, key] = value
+            matrices.append(entries)
+        # homology is defined only on a complex
+        for first, second in zip(matrices, matrices[1:]):
+            assert not any(sparse_product(second, first).values()), t
+        ranks = [0] + [sparse_rank(m) for m in matrices] + [0]
         homology = [len(levels[v]) - ranks[i] - ranks[i + 1] for i, v in enumerate(vs)]
         assert homology == [0] * (len(vs) - 1) + [1], t
 

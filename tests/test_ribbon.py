@@ -26,16 +26,51 @@ from fatcomplex.ribbon import (
     enumerate_expansions,
     expand_vertex,
     graph_from_key,
-    has_orientation_reversing_automorphism,
     isomorphisms_between,
     natural_orientation,
-    orientation_from_word,
-    orientation_sign_of,
     perm_parity,
-    single_collapse_morphisms,
+    reference_word,
     sort_sign,
+    transport_sign,
     word_parity,
 )
+
+
+def orientation_from_word(g, word):
+    """Orientation determined by an explicit vertices-and-half-edges word.
+
+    Vertices are named in the word by ('v', min half-edge of the cycle).
+    """
+    return OrientedRibbonGraph(g, word_parity(word, reference_word(g.vertices)))
+
+
+def orientation_sign_of(g, aut):
+    """Parity of the permutation an automorphism induces on the reference
+    ordering of vertices-and-half-edges."""
+    return transport_sign(g, g, aut)
+
+
+def has_orientation_reversing_automorphism(g):
+    return any(orientation_sign_of(g, a) == -1 for a in automorphisms(g))
+
+
+def single_collapse_morphisms(g1, g2):
+    """All morphisms g1 -> g2 collapsing exactly one edge, with the sign
+    relating the pushed-forward natural-reference orientation of g1 to
+    the reference orientation of g2.
+
+    Returns a list of (GraphMorphism, sign).
+    """
+    out = []
+    for e in g1.edges():
+        if g1.is_loop(e):
+            continue
+        collapsed = collapse_edge(OrientedRibbonGraph(g1, 1), e)
+        for iso in isomorphisms_between(collapsed.graph, g2):
+            pre = {iso[h]: h for h in collapsed.graph.half_edges}
+            mor = GraphMorphism(g1, g2, pre, _checked=True)
+            out.append((mor, collapsed.sign * transport_sign(collapsed.graph, g2, iso)))
+    return out
 
 
 def theta(planar=True):

@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from fatcomplex import trees
-from fatcomplex.linalg import sparse_product
+from fatcomplex.linalg import sparse_product, sparse_rank
 from fatcomplex.ribbon import GraphError, reference_word, sort_sign, word_parity
 from fatcomplex.trees import (
     ConfigurationMismatch,
@@ -309,6 +309,10 @@ def test_cellular_complex_d_squared_zero_and_euler():
         assert sum((-1) ** k * len(faces[k]) for k in range(n + 1)) == 1
         for k in range(2, n + 1):
             assert not any(sparse_product(maps[k - 1], maps[k]).values())
+        # K^n is a convex polytope, so its homology is that of a point
+        ranks = [0] + [sparse_rank(maps[k]) for k in range(1, n + 1)] + [0]
+        homology = [len(faces[k]) - ranks[k] - ranks[k + 1] for k in range(n + 1)]
+        assert homology == [1] + [0] * n
     # one changed entry of d_2 on K^3 leaves a nonzero product
     faces, maps = face_boundary_maps(3)
     entry = min(maps[2])
