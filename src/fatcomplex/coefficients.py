@@ -27,16 +27,51 @@ nonzero only while every collapse in it grows the one blob that its
 first collapse made, so `windows` walks only those orders, once per
 (done, part) in a seed.
 
-Only one seed tree per orbit of the leaf rotation i -> i+1 mod 2m+3 is
-scanned, and its sums are weighted by the orbit size.  Rotating the
-leaves relabels the regions cyclically.  Every tuple the cocycle signs
-has 2k+1 entries, an odd number, so a cyclic relabelling composes its
-sorting permutation with a cycle of odd length, which is even: the
-ascending sign and every region-set size stay the same.  The tests
-check exactly that per-seed sums, chain signs included, agree across
-rotation orbits.  The orbits are listed without canonical forms: a
-trivalent tree is determined by the leaf intervals its internal edges
-cut off, and a rotation moves each interval one leaf on.
+Only one seed tree per dihedral orbit of the leaves is scanned, and its
+sums are weighted by the orbit size: the orbits of the rotation
+i -> i+1 and the reflection i -> -i mod L = 2m+3.  Either symmetry g
+maps a seed T to a tree gT with the same internal half-edges and edges,
+and each chain of T to the chain of gT that collapses the same edges in
+the same order.  The composition totals of T and gT agree because the
+window values and the chain sign change by the same factor:
+
+- Windows.  Region j, the gap between leaves j and j+1, touches the
+  vertices on the tree path between those leaves, so g relabels the
+  regions: the rotation by j -> j+1, the reflection by j -> -j-1 mod L,
+  which is the order-reversing j -> L-1-j (any other reflection is that
+  followed by a rotation).  Region-set sizes, and so the weights and
+  denominators, stay the same.  Every tuple the cocycle of a part k signs
+  has 2k+1 distinct entries.  A cyclic relabelling composes its sorting
+  permutation with a cycle of odd length, which is even; reversing the
+  order flips each of its k(2k+1) pairs, so the sort sign picks up
+  (-1)^k.  A composition of m picks up (-1)^m from its windows under the
+  reflection and 1 under a rotation.
+- Chain signs.  `collapse_oriented` maps the orientation
+  [u, w, h, hbar, rest], u the vertex of h and w that of its mate, to
+  [merged vertex, rest]; it never reads the cyclic orders, so it
+  commutes with relabelling the leaves.  Collapsing a chain of gT from
+  the image g_* o of an orientation o of T ends at the image of where
+  the chain of T ends from o, and two words compare the ends with the
+  reference words.  (1) Against the reference word of gT, g_* of that of
+  T changes each vertex block (vertex, its three half-edges) by keeping
+  (rotation) or reversing (reflection) its cycle, an odd permutation of
+  three; blocks of 4 symbols reorder evenly, so over the 2m+1 vertices
+  the factor is 1 or -1.  (2) g_* of the corolla's word
+  [v, 0, 1, ..., L-1] moves the leaves by one cycle of odd length L
+  (rotation, 1), or fixes 0 and reverses the 2m+2 leaves 1..L-1
+  (reflection, (-1)^((m+1)(2m+1)) = (-1)^(m+1)).  Every chain sign of gT
+  is that of T times 1 (rotation) or -(-1)^(m+1) = (-1)^m (reflection):
+  the reflection has degree (-1)^m on K^{2m}.  In the s0 and
+  per-collapse convention above, s0 takes the whole factor, since the
+  per-collapse signs read only the edge order, which g keeps.
+
+The tests check that the per-seed sums agree with those of the mirror on
+every K^4 seed, every K^6 rotation-orbit representative and three K^8
+seeds, and the chain-sign factors on every seed with 5, 7 and 9 leaves.
+The orbits are listed without canonical forms: a trivalent tree is
+determined by the leaf intervals its internal edges cut off, a rotation
+moves each interval one leaf on and the reflection maps the leaves
+first..first+size-1 to -(first+size-1)..-first.
 
 The sums are exact integers: the value of a window of a part k is
 scaled by |(-2)^(k+1) (2k-1)!!| (2m+3)!, which makes it an integer (a
@@ -273,19 +308,21 @@ def _cut_intervals(tree):
     return frozenset(intervals[h] for h in tree.pairing)
 
 
-def _rotation_orbits(leaf_count):
-    """Trivalent trees up to the leaf rotation i -> i+1 mod leaf_count, as
-    [(representative, orbit size)]; the representative of an orbit is its
-    first member in `enumerate_trivalent_trees` order.  A rotation moves
-    every cut interval one leaf on."""
+def _dihedral_orbits(leaf_count):
+    """Trivalent trees up to the rotations and reflections of the leaves,
+    as [(representative, orbit size)]; the representative of an orbit is
+    its first member in `enumerate_trivalent_trees` order.  A rotation
+    moves every cut interval one leaf on, and the reflection i -> -i maps
+    (first, size) to (-(first + size - 1), size)."""
     seen = set()
     out = []
     for seed in enumerate_trivalent_trees(leaf_count):
         key = _cut_intervals(seed)
         if key in seen:
             continue
-        orbit = {frozenset(((first + r) % leaf_count, size) for first, size in key)
-                 for r in range(leaf_count)}
+        mirror = frozenset((-(first + size - 1) % leaf_count, size) for first, size in key)
+        orbit = {frozenset(((first + r) % leaf_count, size) for first, size in k)
+                 for k in (key, mirror) for r in range(leaf_count)}
         seen |= orbit
         out.append((seed, len(orbit)))
     return out
@@ -302,7 +339,7 @@ def _scan_orbits(args):
 
 _B_SINGLE_CACHE = {}
 
-#: optional callable(done, total) reporting how many of the rotation
+#: optional callable(done, total) reporting how many of the dihedral
 #: orbits of seed trees are scanned; it is called once with done = 0
 #: before the scan starts.  The command line sets it for --mode long.
 progress_hook = None
@@ -312,14 +349,15 @@ def b_single_all(m, workers=1):
     """Single-vertex numbers for all ordered compositions of m.
 
     Returns {composition: value} where value includes the (-1)^m factor.
-    One seed tree per rotation orbit is scanned, weighted by the orbit
-    size.  The scan is sharded by orbit; exact integer partial sums merge,
-    so the result is identical for any worker count.  The pool has at most
-    as many processes as there are shards or CPUs.
+    One seed tree per dihedral orbit (leaf rotations and reflections) is
+    scanned, weighted by the orbit size.  The scan is sharded by orbit;
+    exact integer partial sums merge, so the result is identical for any
+    worker count.  The pool has at most as many processes as there are
+    shards or CPUs.
     """
     if m in _B_SINGLE_CACHE:
         return _B_SINGLE_CACHE[m]
-    orbits = _rotation_orbits(2 * m + 3)
+    orbits = _dihedral_orbits(2 * m + 3)
     norbits = len(orbits)
     chunk = norbits if workers <= 1 else max(1, (norbits + 8 * workers - 1) // (8 * workers))
     if progress_hook is not None:

@@ -4,7 +4,7 @@ pass/fail line per criterion.  Criteria 4-7 assert over the rows of the
 check registry (`fatcomplex.checks`), the rows `fatcomplex verify` prints.
 
 The long-run stretch check (criterion 8) sums over the chains of K^8 and
-takes about 1.5 minutes on one core; it is skipped unless
+takes about 45 s on one core; it is skipped unless
 FATCOMPLEX_LONG=1 is set and never gates the suite.
 """
 

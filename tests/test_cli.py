@@ -227,9 +227,9 @@ def test_long_mode_progress_goes_to_stderr_only(capsys, monkeypatch):
     assert long.out == fast.out
     assert fast.err == ""
     lines = long.err.splitlines()
-    # K^4 has six rotation orbits of seed trees, one line each; K^2 has one
+    # K^4 has four dihedral orbits of seed trees, one line each; K^2 has one
     assert sorted(line.split()[1] for line in lines) \
-        == ["1/1", "1/6", "2/6", "3/6", "4/6", "5/6", "6/6"]
+        == ["1/1", "1/4", "2/4", "3/4", "4/4"]
     assert all(line.startswith("  scanned ") and " orbits, " in line
                and " orbits/s, ETA " in line for line in lines)
     assert coefficients.progress_hook is None

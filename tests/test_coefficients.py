@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -7,6 +8,7 @@ from fatcomplex.coefficients import (
     CheckResult,
     MmmPolynomial,
     OutOfComputedRange,
+    _cut_intervals,
     a_matrix,
     b_general,
     b_matrix,
@@ -102,6 +104,24 @@ def _reflect_leaves(tree):
     return PlanarTree(L, cycles, tree.internal_edges())
 
 
+def _rotation_orbits(leaf_count):
+    """Trivalent trees up to the leaf rotation i -> i+1 mod leaf_count, as
+    [(representative, orbit size)]; the representative of an orbit is its
+    first member in `enumerate_trivalent_trees` order.  A rotation moves
+    every cut interval one leaf on."""
+    seen = set()
+    out = []
+    for seed in enumerate_trivalent_trees(leaf_count):
+        key = _cut_intervals(seed)
+        if key in seen:
+            continue
+        orbit = {frozenset(((first + r) % leaf_count, size) for first, size in key)
+                 for r in range(leaf_count)}
+        seen |= orbit
+        out.append((seed, len(orbit)))
+    return out
+
+
 def _reference_rotation_orbits(leaf_count):
     """The rotation orbits listed by canonical literals, one per rotation
     of every tree: the listing `_rotation_orbits` replaced."""
@@ -116,16 +136,42 @@ def _reference_rotation_orbits(leaf_count):
     return out
 
 
+def _reference_dihedral_orbits(leaf_count):
+    """The dihedral orbits listed by canonical literals, one per rotation
+    of every tree and of its mirror."""
+    seen = set()
+    out = []
+    for seed in enumerate_trivalent_trees(leaf_count):
+        if seed.canonical().literal() in seen:
+            continue
+        orbit = {t.canonical().literal()
+                 for s in (seed, _reflect_leaves(seed)) for t in _rotations(s, leaf_count)}
+        seen |= orbit
+        out.append((seed, len(orbit)))
+    return out
+
+
 def test_rotation_orbits_partition_the_seed_trees():
     # the orbit sizes sum to Catalan(leaves - 2), the number of seeds
     for leaves, count, sizes, seeds in ((5, 1, {5}, 5), (7, 6, {7}, 42), (9, 49, {3, 9}, 429),
                                         (11, 442, {11}, 4862)):
-        orbits = coefficients._rotation_orbits(leaves)
+        orbits = _rotation_orbits(leaves)
         assert len(orbits) == count
         assert {size for _, size in orbits} == sizes
         assert sum(size for _, size in orbits) == seeds
         # the same representatives, each the first seed of its orbit, and sizes
         assert orbits == _reference_rotation_orbits(leaves)
+
+
+def test_dihedral_orbits_partition_the_seed_trees():
+    # the orbits `b_single_all` scans; the orbit sizes sum to Catalan(leaves - 2)
+    for leaves, count, sizes, seeds in ((5, 1, {5}, 5), (7, 4, {7, 14}, 42),
+                                        (9, 27, {6, 9, 18}, 429), (11, 228, {11, 22}, 4862)):
+        orbits = coefficients._dihedral_orbits(leaves)
+        assert len(orbits) == count
+        assert {size for _, size in orbits} == sizes
+        assert sum(size for _, size in orbits) == seeds
+        assert orbits == _reference_dihedral_orbits(leaves)
 
 
 def test_per_seed_sums_agree_across_rotation_orbits_k2_k4():
@@ -141,7 +187,7 @@ def test_per_seed_sums_agree_across_rotation_orbits_k2_k4():
 
 def test_per_seed_sums_agree_across_rotation_orbits_k6():
     # both orbits of size 3 and the first two of size 9
-    orbits = coefficients._rotation_orbits(9)
+    orbits = _rotation_orbits(9)
     picked = [o for o in orbits if o[1] == 3] + [o for o in orbits if o[1] == 9][:2]
     assert len(picked) == 4
     for rep, size in picked:
@@ -154,10 +200,47 @@ def test_per_seed_sums_agree_across_rotation_orbits_k6():
 
 
 def test_per_seed_sums_invariant_under_reflection_k4():
-    # not used by the scan yet: the groundwork for a dihedral reduction
     for seed in enumerate_trivalent_trees(7):
         assert coefficients._scan_seed(_reflect_leaves(seed), 2) \
             == coefficients._scan_seed(seed, 2)
+
+
+def test_per_seed_sums_invariant_under_reflection_k6_k8():
+    # with rotation invariance, the 49 rotation orbits cover every K^6 seed
+    orbits = _rotation_orbits(9)
+    assert len(orbits) == 49
+    for rep, _ in orbits:
+        sums = coefficients._scan_seed(rep, 3)
+        assert coefficients._scan_seed(_reflect_leaves(rep), 3) == sums
+    orbits = _rotation_orbits(11)
+    for i in (0, 100, 441):
+        rep = orbits[i][0]
+        assert coefficients._scan_seed(_reflect_leaves(rep), 4) \
+            == coefficients._scan_seed(rep, 4)
+
+
+def test_reflection_has_degree_minus_one_to_the_m():
+    # the chain-sign factors the module docstring derives: 1 under the
+    # rotation and (-1)^m under the reflection, on every chain of K^2 and
+    # K^4 and on the reference-order chain of every K^6 seed
+    for leaves in (5, 7, 9):
+        m = (leaves - 3) // 2
+        for seed in enumerate_trivalent_trees(leaves):
+            edges = seed.internal_edges()
+            for order in (permutations(edges) if leaves < 9 else [edges]):
+                sign = chain_from_order(seed, order).sign
+                assert chain_from_order(rotate_leaves(seed), order).sign == sign
+                assert chain_from_order(_reflect_leaves(seed), order).sign == (-1) ** m * sign
+
+
+def test_dihedral_scan_matches_rotation_orbit_scan(monkeypatch):
+    monkeypatch.setattr(coefficients, "_B_SINGLE_CACHE", {})
+    for m in (1, 2, 3):
+        totals = dict.fromkeys(compositions_of(m), 0)
+        for rep, size in _rotation_orbits(2 * m + 3):
+            for comp, v in coefficients._scan_seed(rep, m).items():
+                totals[comp] += size * v
+        assert b_single_all(m) == coefficients._b_from_totals(m, totals)
 
 
 def _composition_windows(comp):
@@ -265,7 +348,7 @@ def test_pruned_scan_matches_reference_on_every_k2_k4_seed():
 
 
 def test_pruned_scan_matches_reference_on_k6_orbits():
-    orbits = coefficients._rotation_orbits(9)
+    orbits = _rotation_orbits(9)
     assert len(orbits) == 49
     totals = dict.fromkeys(compositions_of(3), 0)
     for rep, size in orbits:
@@ -280,7 +363,7 @@ def test_pruned_scan_matches_reference_on_k6_orbits():
 
 
 def test_pruned_scan_matches_reference_on_k8_orbits():
-    orbits = coefficients._rotation_orbits(11)
+    orbits = _rotation_orbits(11)
     nonzero = 0
     for i in (0, 100, 441):
         want = _reference_scan_seed(orbits[i][0], 4)
@@ -301,7 +384,7 @@ def test_scan_matches_fraction_cocycle_over_maximal_chains():
         assert b_single_all(m) == want
 
 
-@pytest.mark.parametrize("cpus, size", [(64, 6), (3, 3), (None, None)])
+@pytest.mark.parametrize("cpus, size", [(64, 4), (3, 3), (None, None)])
 def test_pool_never_exceeds_shards_or_cpus(monkeypatch, cpus, size):
     import multiprocessing
 
@@ -324,7 +407,7 @@ def test_pool_never_exceeds_shards_or_cpus(monkeypatch, cpus, size):
     monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
     monkeypatch.setattr(coefficients.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(coefficients, "_B_SINGLE_CACHE", {})
-    # 100000 workers cut the 6 orbits of K^4 into 6 shards
+    # 100000 workers cut the 4 dihedral orbits of K^4 into 4 shards
     assert b_single_all(2, workers=100000) == serial
     assert sizes == ([] if size is None else [size])
 

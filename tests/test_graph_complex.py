@@ -600,6 +600,19 @@ def test_corpus_columns_match_d_integral():
     assert corpus.graphs() == enumerate_graphs(8)
 
 
+def test_corpus_nonzero_flag_matches_orientation_reversing_automorphisms():
+    # the flag against |Aut| rather than against `canonical_oriented`, which
+    # sets it: every class within 10 half-edges and the rows of their columns
+    corpus = ClassCorpus(10)
+    keys = corpus.keys
+    past = sorted({row for column in corpus.columns(keys) for row in column} - set(keys))
+    assert (len(keys), len(past)) == (276, 1297)
+    for key in keys + past:
+        assert corpus.is_nonzero(key) \
+            == (not has_orientation_reversing_automorphism(graph_from_key(key)))
+    assert sum(not corpus.is_nonzero(key) for key in keys) == 33
+
+
 def _moduli_euler_characteristic(genus, punctures):
     """chi(M_{g,n}), the orbifold Euler characteristic of the moduli
     space of genus g curves with n marked points, for g <= 1:
