@@ -3,7 +3,6 @@
 from fatcomplex.ribbon import (
     RibbonGraph,
     OrientedRibbonGraph,
-    GraphMorphism,
     build_graph,
     natural_orientation,
 )
@@ -27,7 +26,6 @@ from fatcomplex.ainfinity import AInfinityAlgebra, partition_function, z_x
 __all__ = [
     "RibbonGraph",
     "OrientedRibbonGraph",
-    "GraphMorphism",
     "build_graph",
     "natural_orientation",
     "PlanarTree",

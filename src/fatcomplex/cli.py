@@ -7,7 +7,7 @@ import sys
 import time
 
 from fatcomplex import checks, coefficients
-from fatcomplex.coefficients import format_rational, parse_partition
+from fatcomplex.coefficients import OutOfComputedRange, format_rational, parse_partition
 
 # The largest `verify --max-half-edges` at which `verify --suite all` has
 # completed in a recorded run.  Half-edges come in pairs, so the bound
@@ -74,9 +74,9 @@ def cmd_coeff(args, out):
 
 
 def cmd_wpoly(args, out):
-    mu = parse_partition(args.partition, allow_zero=True)
-    poly = coefficients.w_polynomial(mu, workers=args.workers, mode=args.mode)
-    name = ",".join(str(p) for p in mu)
+    poly = coefficients.w_polynomial(args.partition, workers=args.workers,
+                                     mode=args.mode)
+    name = ",".join(str(p) for p in args.partition)
     if args.fmt == "json":
         out.write(json.dumps({"partition": name, "terms": poly.to_json()},
                              separators=(",", ":")) + "\n")
@@ -133,6 +133,12 @@ def main(argv=None):
         print("error: --max-half-edges must be even, from 4 to %d" % MAX_HALF_EDGES,
               file=sys.stderr)
         return 2
+    if args.command == "wpoly":
+        try:
+            args.partition = parse_partition(args.partition, allow_zero=True)
+        except ValueError as exc:
+            print("error: --partition: %s" % exc, file=sys.stderr)
+            return 2
     previous_hook = coefficients.progress_hook
     if args.mode == "long":
         coefficients.progress_hook = _progress_reporter()
@@ -143,7 +149,7 @@ def main(argv=None):
         if args.command == "wpoly":
             return cmd_wpoly(args, out)
         return cmd_verify(args, out)
-    except ValueError as exc:  # OutOfComputedRange and malformed partitions
+    except OutOfComputedRange as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     finally:

@@ -16,7 +16,7 @@ from itertools import product
 
 from fatcomplex import ribbon
 from fatcomplex.coefficients import double_factorial
-from fatcomplex.ribbon import GraphError, corner_collapse_map, sort_sign
+from fatcomplex.ribbon import GraphError, sort_sign
 from fatcomplex.trees import regions_touching
 
 
@@ -115,16 +115,16 @@ def adjusted_cz(k, chain):
 # ---------------------------------------------------------------------------
 
 def c_fat(k, simplex):
-    """Adjusted cocycle of a 2k-simplex of composable graph morphisms:
-    sum over the vertices of the first graph, weighted by valence-2."""
-    if len(simplex) != 2 * k:
-        raise LengthMismatch("need a simplex of 2k morphisms")
-    first = simplex[0].source
+    """Adjusted cocycle of a 2k-simplex (top, steps): sum over the
+    vertices of the top graph, weighted by valence-2."""
+    top, steps = simplex
+    if len(steps) != 2 * k:
+        raise LengthMismatch("need a simplex of 2k steps")
     total = Fraction(0)
-    for cycle in first.vertices:
+    for cycle in top.vertices:
         mu = len(cycle) - 2
-        ambient, images, _ = ribbon.corner_chain(simplex, cycle)
-        total += mu * adjusted_cz(k, CyclicSetChain(ambient, images))
+        chain = CyclicSetChain(*ribbon.corner_chain(top, steps, cycle))
+        total += mu * adjusted_cz(k, chain)
     return total
 
 
@@ -134,66 +134,16 @@ def region_chain(chain, start, stop, vertex_cycle):
     `chain` is a TreeChain; the tracked vertex is the image, from step
     `start` on, of the vertex of chain.trees[start] with the given
     cycle.  C_i is the set of regions touching the image vertex of
-    chain.trees[start + i]; the ambient cyclic set is all regions.
+    chain.trees[start + i]; the ambient cyclic set is the last of them.
     """
-    trees = chain.trees[start:stop + 1]
-    leaf_count = trees[0].leaf_count
     images = []
     current = set(vertex_cycle)
-    for i, t in enumerate(trees):
-        vertex = None
-        for c in t.vertices:
-            if current & set(c):
-                vertex = c
-                break
+    for t in chain.trees[start:stop + 1]:
+        vertex = next(c for c in t.vertices if current & set(c))
         images.append(frozenset(regions_touching(t, vertex)))
         current = set(vertex)
-    # the ambient is the full region circle, and the last region set need
-    # not fill it (it does only at the corolla): hence _RegionChain
-    return _RegionChain(tuple(range(leaf_count)), images)
-
-
-class _RegionChain(CyclicSetChain):
-    """A chain of region sets; the ambient is the full region circle,
-    which the last set need not fill."""
-
-    def __init__(self, ambient, images):
-        self.ambient = tuple(ambient)
-        self.images = [frozenset(s) for s in images]
-        prev = None
-        for s in self.images:
-            if prev is not None and not prev <= s:
-                raise GraphError("region sets must grow along the chain")
-            prev = s
-
-
-def tree_corner_chain(chain, start, stop, vertex_cycle):
-    """Corner-model chain for a tree chain window: corners of the image
-    vertex, tracked through each collapse by sector containment."""
-    trees = chain.trees[start:stop + 1]
-    edges = chain.edges[start:stop]
-    maps = []
-    for t, e in zip(trees, edges):
-        maps.append(corner_collapse_map(t.vertices, t.pairing, e[0]))
-
-    vertex_cycles = [tuple(vertex_cycle)]
-    current = set(vertex_cycle)
-    for i, t in enumerate(trees[1:]):
-        survivors = current - set(edges[i])
-        vertex = next(c for c in t.vertices if survivors & set(c))
-        vertex_cycles.append(vertex)
-        current = set(vertex)
-
-    ambient = vertex_cycles[-1]
-    images = []
-    for i, vc in enumerate(vertex_cycles):
-        xs = list(vc)
-        for step in maps[i:]:
-            xs = [step.get(x, x) for x in xs]
-        if len(set(xs)) != len(vc):
-            raise GraphError("corner monomorphism failed on tree chain")
-        images.append(frozenset(xs))
-    return CyclicSetChain(ambient, images)
+    # regions are numbered in circle order, so the sorted last set keeps it
+    return CyclicSetChain(sorted(images[-1]), images)
 
 
 def c_fat_tree_window(k, chain, start):
@@ -227,14 +177,20 @@ def cup_product(parts, chain):
 
 
 def cup_product_graph(parts, simplex):
-    """Front/back-face cup product on a simplex of graph morphisms."""
-    if 2 * sum(parts) != len(simplex):
+    """Front/back-face cup product on a simplex (top, steps): each face
+    starts at the graph that the steps before it collapse the top to."""
+    top, steps = simplex
+    if 2 * sum(parts) != len(steps):
         raise LengthMismatch("parts must tile the simplex")
     total = Fraction(1)
     at = 0
     for p in parts:
-        total *= c_fat(p, simplex[at:at + 2 * p])
+        face = steps[at:at + 2 * p]
+        total *= c_fat(p, (top, face))
         if total == 0:
             return Fraction(0)
+        for step in face:
+            for edge in step:
+                top = ribbon.collapse_edge(ribbon.OrientedRibbonGraph(top), edge).graph
         at += 2 * p
     return total

@@ -21,7 +21,6 @@ import math
 from fractions import Fraction
 from itertools import permutations
 
-from fatcomplex import ribbon
 from fatcomplex.coefficients import normalize_partition
 from fatcomplex.linalg import sparse_product, sparse_rank
 from fatcomplex.ribbon import (
@@ -32,6 +31,7 @@ from fatcomplex.ribbon import (
     canonical_key_over,
     canonical_oriented,
     canonical_over,
+    collapse_oriented,
     enumerate_expansions,
     graph_from_key,
 )
@@ -410,15 +410,14 @@ def forest_complex(base):
 
 
 def dual_cell_simplices(base):
-    """The dual cell of an oriented base graph, as morphism simplices.
+    """The dual cell of an oriented base graph, as simplices (top, steps).
 
-    Yields (morphisms, sign) over every maximal chain of objects over
-    the base: a trivalent object together with an ordering of its
-    forest edges.  The sign compares the orientation induced from the
-    natural orientation of the trivalent object with the +1 orientation
-    of the base's reference ordering.
+    Yields ((top, steps), sign) over every maximal chain of objects over
+    the base: a trivalent object `top` together with an ordering of its
+    forest edges, one edge per step.  The sign compares the orientation
+    induced from the natural orientation of the trivalent object with the
+    +1 orientation of the base's reference ordering.
     """
-    n = base.codimension
     fc = ForestComplex(base)
     base_labels = set(base.half_edges)
     for key in fc.levels[0]:
@@ -426,14 +425,9 @@ def dual_cell_simplices(base):
         forest = [e for e in top.edges()
                   if e[0] not in base_labels and e[1] not in base_labels]
         for order in permutations(forest):
-            morphisms = []
-            current = top
-            sign = 1
-            for e in order:
-                mor, s = ribbon.GraphMorphism.collapse(current, [e])
-                morphisms.append(mor)
-                current = mor.target
-                sign *= s
-            if current != base:
+            cycles, pairing, sign = top.vertices, top.pairing, 1
+            for a, _ in order:
+                cycles, pairing, sign = collapse_oriented(cycles, pairing, sign, a)
+            if cycles != base.vertices or pairing != base.pairing:
                 raise GraphError("dual cell chain did not land on the base")
-            yield morphisms, sign
+            yield (top, tuple((e,) for e in order)), sign

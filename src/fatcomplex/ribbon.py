@@ -44,19 +44,11 @@ class LoopCollapse(GraphError):
     pass
 
 
-class NotAForest(GraphError):
-    pass
-
-
 class VertexTooSmall(GraphError):
     pass
 
 
 class BadSplit(GraphError):
-    pass
-
-
-class BadMorphism(GraphError):
     pass
 
 
@@ -223,6 +215,34 @@ def corner_collapse_map(cycles, pairing, half_edge):
             pred[hbar] = c[i - 1]
     # corner after h lands after pred(hbar), and vice versa
     return {h: pred[hbar], hbar: pred[h]}
+
+
+def corner_chain(top, steps, cycle):
+    """Corner chain of a vertex along a simplex (top, steps).
+
+    `top` is a ribbon graph or a planar tree, of which only `vertices`
+    and `pairing` are read; each step is a tuple of edges collapsed in
+    order (an identity step is ()), and `cycle` is a vertex of `top`.
+    Returns (ambient, images): the cyclic order of the vertex's image
+    after the last step, and for each step i the corners of its image
+    after step i carried into the ambient, as frozensets.  An edge absent
+    at its step raises GraphError.
+    """
+    cycles, pairing = top.vertices, top.pairing
+    levels = [tuple(cycle)]
+    for step in steps:
+        for a, b in step:
+            if pairing.get(a) != b:
+                raise GraphError("edge %r is not in the graph at its step" % ((a, b),))
+            moved = corner_collapse_map(cycles, pairing, a)
+            cycles, pairing, _ = collapse_cycles(cycles, pairing, a)
+            levels = [tuple(moved.get(x, x) for x in xs) for xs in levels]
+        corner = levels[-1][0]
+        levels.append(next(c for c in cycles if corner in c))
+    images = [frozenset(xs) for xs in levels]
+    if any(len(s) != len(xs) for s, xs in zip(images, levels)):
+        raise GraphError("corner monomorphism failed")
+    return levels[-1], images
 
 
 # ---------------------------------------------------------------------------
@@ -430,21 +450,6 @@ def collapse_edge(og, edge):
     cycles, pairing, sign = collapse_oriented(
         og.graph.vertices, og.graph.pairing, og.sign, a)
     return OrientedRibbonGraph(RibbonGraph(cycles, [tuple(e) for e in _edge_list(pairing)]), sign)
-
-
-def collapse_forest(og, forest_edges):
-    """Collapse a set of edges forming a forest, in sorted-label order."""
-    edges = sorted((min(e), max(e)) for e in forest_edges)
-    if len(edges) != len(set(edges)):
-        raise NotAForest("repeated edge in forest")
-    out = og
-    for e in edges:
-        if e[0] not in out.graph.pairing:
-            raise NotAForest("edge %r gone before its collapse" % (e,))
-        if out.graph.is_loop(e):
-            raise NotAForest("edges contain a cycle")
-        out = collapse_edge(out, e)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -797,134 +802,3 @@ def enumerate_expansions(og, cycle):
             continue
         out.append(expand_vertex(og, cycle, (i, j)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# morphisms by forest collapse
-# ---------------------------------------------------------------------------
-
-class GraphMorphism:
-    """A morphism of ribbon graphs: collapse a spanning forest, relabel.
-
-    Determined by `preimage`, the injection of the target's half-edges
-    into the source's (the inverse-image assignment); the forest is the
-    complement of its image.
-    """
-
-    __slots__ = ("source", "target", "preimage", "forest")
-
-    def __init__(self, source, target, preimage, _checked=False):
-        self.source = source
-        self.target = target
-        self.preimage = dict(preimage)
-        image = set(self.preimage.values())
-        if len(image) != len(self.preimage):
-            raise BadMorphism("preimage assignment is not injective")
-        forest_halves = [h for h in source.half_edges if h not in image]
-        forest = set()
-        for h in forest_halves:
-            mate = source.pairing[h]
-            if mate in image:
-                raise BadMorphism("forest half-edges must pair among themselves")
-            forest.add((min(h, mate), max(h, mate)))
-        self.forest = tuple(sorted(forest))
-        if not _checked:
-            self._check()
-
-    def _check(self):
-        cycles, pairing = self.source.vertices, self.source.pairing
-        for e in self.forest:
-            if pairing.get(e[0]) != e[1]:
-                raise BadMorphism("forest edge missing")
-            try:
-                cycles, pairing, _ = collapse_cycles(cycles, pairing, e[0])
-            except LoopCollapse:
-                raise BadMorphism("forest contains a cycle") from None
-        relabel = {v: k for k, v in self.preimage.items()}
-        got = _normalize_cycles([tuple(relabel[x] for x in c) for c in cycles])
-        want = self.target.vertices
-        if got != want:
-            raise BadMorphism("collapsing the forest does not give the target")
-
-    @classmethod
-    def identity(cls, g):
-        return cls(g, g, {h: h for h in g.half_edges}, _checked=True)
-
-    @classmethod
-    def collapse(cls, g, forest_edges):
-        """Collapse the given forest; the target keeps surviving labels."""
-        og = collapse_forest(OrientedRibbonGraph(g, 1), forest_edges)
-        target = og.graph
-        return cls(g, target, {h: h for h in target.half_edges}, _checked=True), og.sign
-
-    def corner_map(self):
-        """Total map from source half-edges to target half-edges sending
-        the corner after h to the corner after its image."""
-        cycles, pairing = self.source.vertices, self.source.pairing
-        m = {h: h for h in self.source.half_edges}
-        for e in self.forest:
-            step = corner_collapse_map(cycles, pairing, e[0])
-            cycles, pairing, _ = collapse_cycles(cycles, pairing, e[0])
-            for h in m:
-                x = m[h]
-                while x in step:
-                    x = step[x]
-                m[h] = x
-        relabel = {v: k for k, v in self.preimage.items()}
-        return {h: relabel[x] for h, x in m.items()}
-
-    def __eq__(self, other):
-        return (isinstance(other, GraphMorphism)
-                and self.source == other.source
-                and self.target == other.target
-                and self.preimage == other.preimage)
-
-    def __hash__(self):
-        return hash((self.source.literal(), self.target.literal(),
-                     tuple(sorted(self.preimage.items()))))
-
-
-def compose(first, second):
-    """Composite of composable morphisms (first: A->B, second: B->C)."""
-    if second.source != first.target:
-        raise BadMorphism("morphisms not composable")
-    pre = {h: first.preimage[second.preimage[h]] for h in second.preimage}
-    return GraphMorphism(first.source, second.target, pre, _checked=True)
-
-
-def corner_chain(simplex, cycle):
-    """Corner chain of a vertex along composable morphisms.
-
-    `simplex` is a nonempty list of composable GraphMorphism and `cycle`
-    a vertex of the first source.  Returns (ambient, images, sizes):
-    the final image vertex's cyclic order, and for each step i the set
-    of corners of C_i inside the ambient, as frozensets, via corner
-    containment.  An empty `simplex` raises GraphError, and morphisms
-    that do not compose raise BadMorphism.
-    """
-    if not simplex:
-        raise GraphError("corner_chain needs at least one morphism")
-    for a, b in zip(simplex, simplex[1:]):
-        if a.target != b.source:
-            raise BadMorphism("simplex morphisms are not composable")
-    graphs = [simplex[0].source] + [m.target for m in simplex]
-    maps = [m.corner_map() for m in simplex]
-
-    # image vertex cycle in each graph
-    vertex_cycles = [tuple(cycle)]
-    current = cycle[0]
-    for i, m in enumerate(maps):
-        current = m[current]
-        vertex_cycles.append(graphs[i + 1].vertex_of(current))
-
-    ambient = vertex_cycles[-1]
-    images = []
-    for i, vc in enumerate(vertex_cycles):
-        xs = list(vc)
-        for m in maps[i:]:
-            xs = [m[x] for x in xs]
-        if len(set(xs)) != len(vc):
-            raise GraphError("corner monomorphism failed")
-        images.append(frozenset(xs))
-    sizes = [len(vc) for vc in vertex_cycles]
-    return ambient, images, sizes

@@ -107,6 +107,31 @@ def test_max_half_edges_odd_or_above_range_exit_2(bound, capsys):
     assert "--max-half-edges must be even, from 4 to 12" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["wpoly", "--partition", "a"],
+    ["wpoly", "--partition", "1,-1"],
+    ["coeff", "--n", "4"],
+])
+def test_malformed_partition_or_weight_out_of_range_exits_2(argv, capsys):
+    code, text = run_cli(argv)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_internal_error_in_a_suite_is_not_a_usage_error(monkeypatch):
+    # a failed invariant inside a suite propagates instead of exiting 2
+    from fatcomplex import checks
+    from fatcomplex.ribbon import GraphError
+    from fatcomplex.trees import ConfigurationMismatch
+
+    def broken(**_):
+        raise ConfigurationMismatch("invariant failed inside the suite")
+
+    monkeypatch.setitem(checks.SUITES, "orientation", broken)
+    with pytest.raises(GraphError):
+        run_cli(["verify", "--suite", "orientation"])
+
+
 def test_verify_seed_changes_nothing_semantically():
     for seed in ("1", "2"):
         code, text = run_cli(["verify", "--suite", "ainf", "--seed", seed,

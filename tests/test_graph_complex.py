@@ -190,7 +190,7 @@ def reference_d_dual(og):
     aut_target = len(automorphisms(target))
     for key, _ in d_integral(og).items():
         net = 0
-        for _, s in single_collapse_morphisms(graph_from_key(key), target):
+        for _, _, s in single_collapse_morphisms(graph_from_key(key), target):
             net += s * og.sign
         ell = Fraction(net, aut_target)
         if ell:
@@ -201,7 +201,7 @@ def reference_d_dual(og):
 def hom_counts(source, target):
     """Counts of one-edge-collapse morphisms with sign +1 and with -1."""
     plus = minus = 0
-    for _, s in single_collapse_morphisms(source, target):
+    for _, _, s in single_collapse_morphisms(source, target):
         if s == 1:
             plus += 1
         else:
@@ -505,7 +505,7 @@ def test_homology_exact_with_boundary_scaled_by_large_prime():
 
 def test_dual_cell_reproduces_b_numbers_on_graphs():
     # the dual cell of a graph with one 5-valent vertex has 10 simplices
-    # of composable morphisms; the signed cocycle sum gives b for (1)
+    # of one-edge collapse steps; the signed cocycle sum gives b for (1)
     from fractions import Fraction
 
     from fatcomplex.cocycle import cup_product_graph

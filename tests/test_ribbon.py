@@ -8,20 +8,16 @@ from fatcomplex.ribbon import (
     FixedPoint,
     GraphError,
     LoopCollapse,
-    NotAForest,
     NotInvolution,
     OrientedRibbonGraph,
     RibbonGraph,
     ValenceTooLow,
     DanglingHalfEdge,
-    GraphMorphism,
     automorphisms,
     build_graph,
     canonical_oriented,
     canonical_over,
     collapse_edge,
-    collapse_forest,
-    compose,
     corner_chain,
     enumerate_expansions,
     expand_vertex,
@@ -59,7 +55,8 @@ def single_collapse_morphisms(g1, g2):
     relating the pushed-forward natural-reference orientation of g1 to
     the reference orientation of g2.
 
-    Returns a list of (GraphMorphism, sign).
+    Returns a list of (edge, iso, sign): collapse `edge` of g1, then
+    relabel by the isomorphism `iso` onto g2.
     """
     out = []
     for e in g1.edges():
@@ -67,9 +64,7 @@ def single_collapse_morphisms(g1, g2):
             continue
         collapsed = collapse_edge(OrientedRibbonGraph(g1, 1), e)
         for iso in isomorphisms_between(collapsed.graph, g2):
-            pre = {iso[h]: h for h in collapsed.graph.half_edges}
-            mor = GraphMorphism(g1, g2, pre, _checked=True)
-            out.append((mor, collapsed.sign * transport_sign(collapsed.graph, g2, iso)))
+            out.append((e, iso, collapsed.sign * transport_sign(collapsed.graph, g2, iso)))
     return out
 
 
@@ -213,23 +208,10 @@ def test_two_collapse_orders_give_opposite_signs():
             assert first.sign == -second.sign
 
 
-def test_collapse_forest_empty_and_single():
-    og = natural_orientation(theta())
-    assert collapse_forest(og, []) == og
-    assert collapse_forest(og, [(1, 4)]) == collapse_edge(og, (1, 4))
-
-
 def test_collapse_spanning_tree_of_theta():
-    og = natural_orientation(theta())
-    out = collapse_forest(og, [(1, 4)])
+    out = collapse_edge(natural_orientation(theta()), (1, 4))
     assert out.graph.num_vertices == 1
     assert out.graph.num_edges == 2
-
-
-def test_collapse_forest_rejects_cycles():
-    g = build_graph([(1, 2, 3), (4, 5, 6)], [(1, 4), (2, 5), (3, 6)])
-    with pytest.raises(NotAForest):
-        collapse_forest(natural_orientation(g), [(1, 4), (2, 5)])
 
 
 def test_natural_orientation_invariance():
@@ -760,79 +742,48 @@ def test_graph_from_key_matches_validated_build():
     assert len(keys) == 276 + 371
 
 
-def test_morphism_identity_and_collapse():
-    g = dumbbell()
-    ident = GraphMorphism.identity(g)
-    assert ident.forest == ()
-    mor, sign = GraphMorphism.collapse(g, [(3, 6)])
-    assert mor.target.num_vertices == 1
-    assert sign in (1, -1)
-    comp = compose(mor, GraphMorphism.identity(mor.target))
-    assert comp == mor
-
-
 def test_single_collapse_morphisms_consistency():
     g = dumbbell()
     target = collapse_edge(OrientedRibbonGraph(g, 1), (3, 6)).graph
     mors = single_collapse_morphisms(g, target)
     assert mors
-    for mor, sign in mors:
-        assert mor.source == g and mor.target == target
+    for edge, iso, sign in mors:
         assert sign in (1, -1)
-        # the preimage assignments revalidate from scratch
-        rebuilt = GraphMorphism(mor.source, mor.target, mor.preimage)
-        assert rebuilt == mor
-
-
-def test_morphism_validation_rejects_bad_preimage():
-    from fatcomplex.ribbon import BadMorphism
-
-    g = dumbbell()
-    mor, _ = GraphMorphism.collapse(g, [(3, 6)])
-    # swapping two preimage values breaks the cyclic structure
-    pre = dict(mor.preimage)
-    keys = sorted(pre)
-    pre[keys[0]], pre[keys[1]] = pre[keys[1]], pre[keys[0]]
-    with pytest.raises(BadMorphism):
-        GraphMorphism(g, mor.target, pre)
-    # dropping a half-edge into the forest breaks the pairing closure
-    pre2 = dict(mor.preimage)
-    del pre2[keys[0]]
-    with pytest.raises(BadMorphism):
-        GraphMorphism(g, mor.target, pre2)
+        # collapsing the edge and relabelling by the isomorphism gives the target
+        collapsed = collapse_edge(OrientedRibbonGraph(g, 1), edge).graph
+        relabelled = build_graph([[iso[h] for h in c] for c in collapsed.vertices],
+                                 [(iso[a], iso[b]) for a, b in collapsed.edges()])
+        assert relabelled == target
 
 
 def test_corner_chain_identity_simplex():
+    # two identity steps: three equal corner sets, each the whole vertex
     g = theta()
-    ident = GraphMorphism.identity(g)
     v = g.vertices[0]
-    ambient, images, sizes = corner_chain([ident, ident], v)
-    assert sizes == [3, 3, 3]
-    assert images[0] == images[1] == images[2] == frozenset(ambient)
+    ambient, images = corner_chain(g, [(), ()], v)
+    assert ambient == v
+    assert images == [frozenset(v)] * 3
 
 
-def test_corner_chain_rejects_empty_and_non_composable_simplices():
-    from fatcomplex.ribbon import BadMorphism
-
+def test_corner_chain_rejects_an_edge_absent_at_its_step():
     g = dumbbell()
     v = g.vertex_of(1)
+    # (3, 6) is gone after the first step
     with pytest.raises(GraphError):
-        corner_chain([], v)
-    # the target of a collapse is not its source, so [mor, mor] does not compose
-    mor, _ = GraphMorphism.collapse(g, [(3, 6)])
-    with pytest.raises(BadMorphism):
-        corner_chain([mor, mor], v)
+        corner_chain(g, [((3, 6),), ((3, 6),)], v)
+    # (1, 4) is no edge at all; a step whose edges close a cycle collapses a loop
+    with pytest.raises(GraphError):
+        corner_chain(g, [((1, 4),)], v)
+    with pytest.raises(GraphError):
+        corner_chain(theta(), [((1, 4), (2, 5))], theta().vertices[0])
 
 
 def test_corner_chain_single_collapse():
     # merging a trivalent vertex with a trivalent neighbour: 3 corners
     # embed into 4, exactly one corner of the target is missed
     g = dumbbell()
-    mor, _ = GraphMorphism.collapse(g, [(3, 6)])
     v = g.vertex_of(1)
-    ambient, images, sizes = corner_chain([mor], v)
-    assert sizes == [3, 4]
-    assert len(images[0]) == 3
-    assert len(images[1]) == 4
+    ambient, images = corner_chain(g, [((3, 6),)], v)
+    assert [len(s) for s in images] == [3, 4]
+    assert images[1] == frozenset(ambient)
     assert len(images[1] - images[0]) == 1
-
