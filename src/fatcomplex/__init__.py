@@ -6,7 +6,7 @@ from fatcomplex.ribbon import (
     build_graph,
     natural_orientation,
 )
-from fatcomplex.trees import PlanarTree, TreeChain, maximal_chains
+from fatcomplex.trees import PlanarTree, maximal_chains
 from fatcomplex.graph_complex import (
     GraphChain,
     d_integral,
@@ -29,7 +29,6 @@ __all__ = [
     "build_graph",
     "natural_orientation",
     "PlanarTree",
-    "TreeChain",
     "maximal_chains",
     "GraphChain",
     "d_integral",

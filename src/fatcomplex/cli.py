@@ -5,6 +5,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 
 from fatcomplex import checks, coefficients
 from fatcomplex.coefficients import OutOfComputedRange, format_rational, parse_partition
@@ -152,6 +153,9 @@ def main(argv=None):
     except OutOfComputedRange as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
     finally:
         coefficients.progress_hook = previous_hook
 

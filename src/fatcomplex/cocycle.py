@@ -17,7 +17,7 @@ from itertools import product
 from fatcomplex import ribbon
 from fatcomplex.coefficients import double_factorial
 from fatcomplex.ribbon import GraphError, sort_sign
-from fatcomplex.trees import regions_touching
+from fatcomplex.trees import collapse_tree_edge, regions_touching
 
 
 class RepeatedElement(GraphError):
@@ -111,86 +111,46 @@ def adjusted_cz(k, chain):
 
 
 # ---------------------------------------------------------------------------
-# evaluation on simplices of ribbon graphs and on tree chains
+# evaluation on simplices (top, steps) of ribbon graphs and planar trees
 # ---------------------------------------------------------------------------
 
 def c_fat(k, simplex):
-    """Adjusted cocycle of a 2k-simplex (top, steps): sum over the
-    vertices of the top graph, weighted by valence-2."""
-    top, steps = simplex
-    if len(steps) != 2 * k:
-        raise LengthMismatch("need a simplex of 2k steps")
-    total = Fraction(0)
-    for cycle in top.vertices:
-        mu = len(cycle) - 2
-        chain = CyclicSetChain(*ribbon.corner_chain(top, steps, cycle))
-        total += mu * adjusted_cz(k, chain)
-    return total
+    """Adjusted cocycle of a 2k-simplex (top, steps), the cup product of
+    one part: sum over the vertices of the top graph or tree, weighted by
+    valence-2, of the cocycle on their corner chains."""
+    return cup_product((k,), simplex)
 
 
-def region_chain(chain, start, stop, vertex_cycle):
-    """Region-model cyclic set chain for a tree chain window.
-
-    `chain` is a TreeChain; the tracked vertex is the image, from step
-    `start` on, of the vertex of chain.trees[start] with the given
-    cycle.  C_i is the set of regions touching the image vertex of
-    chain.trees[start + i]; the ambient cyclic set is the last of them.
-    """
-    images = []
-    current = set(vertex_cycle)
-    for t in chain.trees[start:stop + 1]:
-        vertex = next(c for c in t.vertices if current & set(c))
-        images.append(frozenset(regions_touching(t, vertex)))
-        current = set(vertex)
-    # regions are numbered in circle order, so the sorted last set keeps it
-    return CyclicSetChain(sorted(images[-1]), images)
-
-
-def c_fat_tree_window(k, chain, start):
-    """Adjusted cocycle on the window [start, start+2k] of a tree chain,
-    summed over the vertices of the window's first tree with
-    multiplicity valence-2."""
-    stop = start + 2 * k
-    if stop > len(chain.edges):
-        raise LengthMismatch("window exceeds the chain")
-    first = chain.trees[start]
-    total = Fraction(0)
-    for cycle in first.vertices:
-        mu = len(cycle) - 2
-        total += mu * adjusted_cz(k, region_chain(chain, start, stop, cycle))
-    return total
-
-
-def cup_product(parts, chain):
-    """Product of adjusted cocycles on consecutive windows of a tree
-    chain, one factor of degree 2*part per part, in the given order."""
-    if 2 * sum(parts) != len(chain.edges):
-        raise LengthMismatch("parts must tile the chain")
-    total = Fraction(1)
-    at = 0
-    for p in parts:
-        total *= c_fat_tree_window(p, chain, at)
-        if total == 0:
-            return Fraction(0)
-        at += 2 * p
-    return total
-
-
-def cup_product_graph(parts, simplex):
-    """Front/back-face cup product on a simplex (top, steps): each face
-    starts at the graph that the steps before it collapse the top to."""
+def cup_product(parts, simplex):
+    """Front/back-face cup product on a simplex (top, steps), one
+    adjusted cocycle of degree 2*part per part, in the given order.
+    Each face starts at the object the steps before it collapse the top
+    to, of which only the vertex cycles and pairing are read."""
     top, steps = simplex
     if 2 * sum(parts) != len(steps):
         raise LengthMismatch("parts must tile the simplex")
+    cycles, pairing = top.vertices, top.pairing
     total = Fraction(1)
-    at = 0
     for p in parts:
-        face = steps[at:at + 2 * p]
-        total *= c_fat(p, (top, face))
+        face, steps = steps[:2 * p], steps[2 * p:]
+        total *= sum((len(c) - 2) * adjusted_cz(p, CyclicSetChain(
+            *ribbon.corner_chain(cycles, pairing, face, c))) for c in cycles)
         if total == 0:
-            return Fraction(0)
-        for step in face:
-            for edge in step:
-                top = ribbon.collapse_edge(ribbon.OrientedRibbonGraph(top), edge).graph
-        at += 2 * p
+            return total
+        cycles, pairing, _ = ribbon.collapse_steps(cycles, pairing, face)
     return total
+
+
+def region_chain(top, steps, cycle):
+    """Region-model cyclic set chain of a vertex along a tree simplex
+    (top, steps): C_i is the set of regions touching the image of the
+    vertex after step i; the ambient cyclic set is the last of them."""
+    tree, vertex = top, tuple(cycle)
+    images = [frozenset(regions_touching(tree, vertex))]
+    for step in steps:
+        for edge in step:
+            tree, _ = collapse_tree_edge(tree, 1, edge)
+        vertex = next(c for c in tree.vertices if set(vertex) & set(c))
+        images.append(frozenset(regions_touching(tree, vertex)))
+    # regions are numbered in circle order, so the sorted last set keeps it
+    return CyclicSetChain(sorted(images[-1]), images)

@@ -85,10 +85,9 @@ from fractions import Fraction
 from itertools import product
 
 from fatcomplex.linalg import SingularMatrix, matrix_inverse
-from fatcomplex.ribbon import sort_sign
+from fatcomplex.ribbon import collapse_steps, sort_sign
 from fatcomplex.trees import (
     branch_intervals,
-    chain_from_order,
     enumerate_trivalent_trees,
     region_touch_sets,
 )
@@ -233,7 +232,7 @@ def _scan_seed(seed, m):
     endpoints = [(vertex_of[a], vertex_of[b]) for a, b in edges]
     touch = region_touch_sets(seed)
     base_masks = [sum(1 << r for r in touch[i]) for i in range(len(verts))]
-    s0 = chain_from_order(seed, edges).sign
+    s0 = collapse_steps(seed.vertices, seed.pairing, [edges])[2]
     cz_cache = {}
     memo = {}
 

@@ -31,7 +31,7 @@ from fatcomplex.ribbon import (
     canonical_key_over,
     canonical_oriented,
     canonical_over,
-    collapse_oriented,
+    collapse_steps,
     enumerate_expansions,
     graph_from_key,
 )
@@ -425,9 +425,8 @@ def dual_cell_simplices(base):
         forest = [e for e in top.edges()
                   if e[0] not in base_labels and e[1] not in base_labels]
         for order in permutations(forest):
-            cycles, pairing, sign = top.vertices, top.pairing, 1
-            for a, _ in order:
-                cycles, pairing, sign = collapse_oriented(cycles, pairing, sign, a)
+            steps = tuple((e,) for e in order)
+            cycles, pairing, sign = collapse_steps(top.vertices, top.pairing, steps)
             if cycles != base.vertices or pairing != base.pairing:
                 raise GraphError("dual cell chain did not land on the base")
-            yield (top, tuple((e,) for e in order)), sign
+            yield (top, steps), sign

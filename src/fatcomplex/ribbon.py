@@ -195,6 +195,16 @@ def collapse_oriented(cycles, pairing, sign, half_edge):
     return new_cycles, new_pairing, s
 
 
+def collapse_steps(cycles, pairing, steps):
+    """Collapse the edges of each step in order, as `collapse_oriented`
+    from sign +1.  Returns the end (cycles, pairing, sign)."""
+    sign = 1
+    for step in steps:
+        for a, _ in step:
+            cycles, pairing, sign = collapse_oriented(cycles, pairing, sign, a)
+    return cycles, pairing, sign
+
+
 def corner_collapse_map(cycles, pairing, half_edge):
     """Corner tracking for one edge collapse.
 
@@ -217,18 +227,17 @@ def corner_collapse_map(cycles, pairing, half_edge):
     return {h: pred[hbar], hbar: pred[h]}
 
 
-def corner_chain(top, steps, cycle):
-    """Corner chain of a vertex along a simplex (top, steps).
+def corner_chain(cycles, pairing, steps, cycle):
+    """Corner chain of a vertex along a simplex whose top has these
+    vertex cycles and pairing: a ribbon graph or a planar tree.
 
-    `top` is a ribbon graph or a planar tree, of which only `vertices`
-    and `pairing` are read; each step is a tuple of edges collapsed in
-    order (an identity step is ()), and `cycle` is a vertex of `top`.
-    Returns (ambient, images): the cyclic order of the vertex's image
-    after the last step, and for each step i the corners of its image
-    after step i carried into the ambient, as frozensets.  An edge absent
-    at its step raises GraphError.
+    Each step is a tuple of edges collapsed in order (an identity step
+    is ()), and `cycle` is a vertex of the top.  Returns (ambient,
+    images): the cyclic order of the vertex's image after the last step,
+    and for each step i the corners of its image after step i carried
+    into the ambient, as frozensets.  An edge absent at its step raises
+    GraphError.
     """
-    cycles, pairing = top.vertices, top.pairing
     levels = [tuple(cycle)]
     for step in steps:
         for a, b in step:

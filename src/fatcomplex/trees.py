@@ -6,11 +6,11 @@ edges is a k-face.  Trees are stored like ribbon graphs whose pairing is
 partial: leaves are unpaired half-edge labels 0..n+2, internal
 half-edges are labels >= n+3.
 
-Chains T_0 -> ... -> T_m collapse one internal edge at a time.  Signs
-follow the same Conant-Vogtmann bookkeeping as for graphs; the
-designated orientation of the terminal corolla is the natural one for
-even n and the leaf-0 counterclockwise word for odd n, which in both
-cases is the reference ordering.
+A chain T_0 -> ... -> T_m is a simplex (seed, steps) that collapses one
+internal edge per step.  Signs follow the same Conant-Vogtmann
+bookkeeping as for graphs; the designated orientation of the terminal
+corolla is the natural one for even n and the leaf-0 counterclockwise
+word for odd n, which in both cases is the reference ordering.
 """
 
 import math
@@ -22,6 +22,7 @@ from fatcomplex.ribbon import (
     canonical_key_over,
     canonical_over,
     collapse_oriented,
+    collapse_steps,
     sort_sign,
 )
 
@@ -248,49 +249,18 @@ def canonical_oriented_tree(tree, sign):
     return PlanarTree(tree.leaf_count, cycles, pairs, check=False), sign
 
 
-class TreeChain:
-    """A chain T_0 -> ... -> T_m of single-edge collapses with its sign.
-
-    The sign compares the orientation induced from the natural
-    orientation of T_0 with the designated orientation of T_m.
-    """
-
-    __slots__ = ("trees", "edges", "sign")
-
-    def __init__(self, trees, edges, sign):
-        self.trees = trees
-        self.edges = tuple(edges)
-        self.sign = sign
-
-    def key(self):
-        return tuple(t.canonical().literal() for t in self.trees)
-
-    def __repr__(self):
-        return "TreeChain(len=%d, sign=%+d)" % (len(self.edges), self.sign)
-
-
-def chain_from_order(seed, edge_order):
-    """Collapse the given edges of `seed` in order, tracking the sign."""
-    trees = [seed]
-    sign = 1
-    t = seed
-    for e in edge_order:
-        t, sign = collapse_tree_edge(t, sign, e)
-        trees.append(t)
-    return TreeChain(trees, edge_order, sign)
-
-
 def maximal_chains(n):
-    """All maximal chains of K^n, ending at the corolla.
+    """All maximal chains of K^n, ending at the corolla, as
+    [((seed, steps), sign)]: a trivalent seed and one edge per step.
 
     Catalan(n+1) * n! chains; the sign is the induced-orientation
     bookkeeping against the designated orientation of the corolla.
     """
     out = []
     for seed in enumerate_trivalent_trees(n + 3):
-        edges = seed.internal_edges()
-        for order in permutations(edges):
-            out.append(chain_from_order(seed, list(order)))
+        for order in permutations(seed.internal_edges()):
+            steps = tuple((e,) for e in order)
+            out.append(((seed, steps), collapse_steps(seed.vertices, seed.pairing, steps)[2]))
     return out
 
 
@@ -428,8 +398,9 @@ def _is_cyclically_sorted(values):
     return descents == 1
 
 
-def chain_region_sign(chain):
-    """Predicted sign of a maximal chain of K^{2k} from its regions.
+def chain_region_sign(simplex):
+    """Predicted sign of a maximal chain (seed, steps) of K^{2k} from its
+    regions.
 
     a_1, a_3 flank the first collapsed edge and a_2, b_1 are the two
     regions touching it only at an endpoint, labelled so that
@@ -437,14 +408,14 @@ def chain_region_sign(chain):
     region touching e_i only at its endpoint furthest from e_1.  The
     chain sign is (-1)^k sgn(a_1, a_2, a_3, b_1, ..., b_2k).
     """
-    seed = chain.trees[0]
+    seed, steps = simplex
     if any(len(c) != 3 for c in seed.vertices):
         raise ConfigurationMismatch("maximal-chain rule needs a trivalent seed")
-    n = len(chain.edges)
-    if n % 2 != 0:
+    edges = [e for (e,) in steps]
+    if len(edges) % 2 != 0:
         raise ConfigurationMismatch("region rule applies to even-dimensional cells")
-    k = n // 2
-    e1 = chain.edges[0]
+    k = len(edges) // 2
+    e1 = edges[0]
     intervals = branch_intervals(seed)
     corners = corner_regions(seed)
     flank = sorted(_flank_regions(seed, corners, e1))
@@ -463,7 +434,7 @@ def chain_region_sign(chain):
         raise ConfigurationMismatch("could not orient the regions around e_1")
     # every later edge has u and w on one side, so u alone decides the far end
     bs = (b1,) + tuple(_off_region(seed, corners, _far_end(seed, corners, intervals, e, u), e)
-                       for e in chain.edges[1:])
+                       for e in edges[1:])
     return (-1) ** k * sort_sign(a + bs)
 
 
@@ -471,11 +442,24 @@ def chain_region_sign(chain):
 # dual cells and the cellular complex
 # ---------------------------------------------------------------------------
 
+def _chain_key(seed, steps):
+    """The canonical literals of the trees along a chain (seed, steps),
+    each the seed collapsed by the steps before it."""
+    leaves = range(seed.leaf_count)
+    cycles, pairing = seed.vertices, seed.pairing
+    key = [canonical_key_over(leaves, cycles, pairing)[0]]
+    for step in steps:
+        cycles, pairing, _ = collapse_steps(cycles, pairing, [step])
+        key.append(canonical_key_over(leaves, cycles, pairing)[0])
+    return tuple(key)
+
+
 def dual_cell(n):
     """The signed sum of maximal chains of K^n, as {chain key: sign}."""
     out = {}
-    for chain in maximal_chains(n):
-        out[chain.key()] = out.get(chain.key(), 0) + chain.sign
+    for simplex, sign in maximal_chains(n):
+        key = _chain_key(*simplex)
+        out[key] = out.get(key, 0) + sign
     return out
 
 
@@ -492,12 +476,12 @@ def dual_cell_boundary_check(n):
     """
     lhs = {}
     rhs = {}
-    for chain in maximal_chains(n):
-        key = chain.key()
+    for simplex, sign in maximal_chains(n):
+        key = _chain_key(*simplex)
         for i in range(n + 1):
             face = key[:i] + key[i + 1:]
-            lhs[face] = lhs.get(face, 0) + chain.sign * (-1) ** i
-        rhs[key[:n]] = rhs.get(key[:n], 0) + (-1) ** n * chain.sign
+            lhs[face] = lhs.get(face, 0) + sign * (-1) ** i
+        rhs[key[:n]] = rhs.get(key[:n], 0) + (-1) ** n * sign
     return ({k: v for k, v in lhs.items() if v},
             {k: v for k, v in rhs.items() if v})
 

@@ -118,18 +118,21 @@ def test_malformed_partition_or_weight_out_of_range_exits_2(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_internal_error_in_a_suite_is_not_a_usage_error(monkeypatch):
-    # a failed invariant inside a suite propagates instead of exiting 2
+def test_internal_error_in_a_suite_is_not_a_usage_error(monkeypatch, capsys):
+    # a failed invariant inside a suite exits 3 with its traceback, apart
+    # from a usage error (2) and a FAIL row (1)
     from fatcomplex import checks
-    from fatcomplex.ribbon import GraphError
     from fatcomplex.trees import ConfigurationMismatch
 
     def broken(**_):
         raise ConfigurationMismatch("invariant failed inside the suite")
 
     monkeypatch.setitem(checks.SUITES, "orientation", broken)
-    with pytest.raises(GraphError):
-        run_cli(["verify", "--suite", "orientation"])
+    code, text = run_cli(["verify", "--suite", "orientation"])
+    assert code == 3 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert "ConfigurationMismatch: invariant failed inside the suite" in err
 
 
 def test_verify_seed_changes_nothing_semantically():

@@ -9,7 +9,6 @@ from fatcomplex.cocycle import (
     RepeatedElement,
     adjusted_cz,
     c_fat,
-    c_fat_tree_window,
     cup_product,
     cyclic_sign,
     cz,
@@ -24,7 +23,8 @@ from fatcomplex.ribbon import (
     corner_chain,
     corner_collapse_map,
 )
-from fatcomplex.trees import PlanarTree, chain_from_order, maximal_chains
+from fatcomplex.trees import PlanarTree, maximal_chains
+from test_trees import tree_at
 
 
 def test_double_factorial():
@@ -155,25 +155,22 @@ def test_case_1_full_cocycle_value():
             v1 = (e1p, 2 * n + 3, 2 * n + 4)
             v2 = (e2p, m - 1, m)
             t = PlanarTree(L, [v0, v1, v2], [(e1m, e1p), (e2m, e2p)])
-            chain = chain_from_order(t, [(e1m, e1p), (e2m, e2p)])
-            value = c_fat_tree_window(1, chain, 0)
+            value = c_fat(1, (t, [((e1m, e1p),), ((e2m, e2p),)]))
             expected = Fraction(-(2 * n - 2 * m + 3),
                                 2 * (2 * n + 3) * (2 * n + 4) * (2 * n + 5))
             assert value == expected
 
 
-def window_corner_chain(chain, start, stop, cycle):
-    """The corner chain of a tree chain window, one edge per step."""
-    steps = [(e,) for e in chain.edges[start:stop]]
-    return CyclicSetChain(*corner_chain(chain.trees[start], steps, cycle))
+def window_corner_chain(top, steps, cycle):
+    """The corner chain of a vertex along a window (top, steps)."""
+    return CyclicSetChain(*corner_chain(top.vertices, top.pairing, steps, cycle))
 
 
-def reference_tree_corner_chain(chain, start, stop, vertex_cycle):
+def reference_tree_corner_chain(trees, edges, vertex_cycle):
     """The tree-only corner tracker as first written, frozen: corners of
     the image vertex, tracked through each collapse by sector
-    containment, the image vertex found from the surviving half-edges."""
-    trees = chain.trees[start:stop + 1]
-    edges = chain.edges[start:stop]
+    containment, the image vertex found from the surviving half-edges.
+    `trees` are the trees of a window and `edges` its collapsed edges."""
     maps = []
     for t, e in zip(trees, edges):
         maps.append(corner_collapse_map(t.vertices, t.pairing, e[0]))
@@ -199,20 +196,21 @@ def reference_tree_corner_chain(chain, start, stop, vertex_cycle):
 
 
 def test_corner_model_agrees_with_region_model_on_k2():
-    for chain in maximal_chains(2):
-        for cycle in chain.trees[0].vertices:
-            corner = window_corner_chain(chain, 0, 2, cycle)
-            region = region_chain(chain, 0, 2, cycle)
+    for simplex, _ in maximal_chains(2):
+        for cycle in simplex[0].vertices:
+            corner = window_corner_chain(*simplex, cycle)
+            region = region_chain(*simplex, cycle)
             assert corner.sizes() == region.sizes()
             assert adjusted_cz(1, corner) == adjusted_cz(1, region)
 
 
 def test_corner_model_agrees_with_region_model_on_k4_windows():
-    for chain in maximal_chains(4)[:200]:
+    for simplex, _ in maximal_chains(4)[:200]:
         for start, k in ((0, 1), (2, 1), (0, 2)):
-            for cycle in chain.trees[start].vertices:
-                corner = window_corner_chain(chain, start, start + 2 * k, cycle)
-                region = region_chain(chain, start, start + 2 * k, cycle)
+            top, steps = tree_at(simplex, start), simplex[1][start:start + 2 * k]
+            for cycle in top.vertices:
+                corner = window_corner_chain(top, steps, cycle)
+                region = region_chain(top, steps, cycle)
                 assert adjusted_cz(k, corner) == adjusted_cz(k, region)
 
 
@@ -221,12 +219,15 @@ def test_corner_chain_matches_frozen_tree_tracker_on_k2_k4_windows():
     # vertex of its first tree: the same ambient and corner sets
     checked = 0
     for n in (2, 4):
-        for chain in maximal_chains(n):
+        for simplex, _ in maximal_chains(n):
+            trees = [tree_at(simplex, i) for i in range(n + 1)]
+            edges = [e for (e,) in simplex[1]]
             for start in range(n + 1):
                 for stop in range(start, n + 1):
-                    for cycle in chain.trees[start].vertices:
-                        got = window_corner_chain(chain, start, stop, cycle)
-                        want = reference_tree_corner_chain(chain, start, stop, cycle)
+                    for cycle in trees[start].vertices:
+                        got = window_corner_chain(trees[start], simplex[1][start:stop], cycle)
+                        want = reference_tree_corner_chain(trees[start:stop + 1],
+                                                           edges[start:stop], cycle)
                         assert got.ambient == want.ambient
                         assert got.images == want.images
                         checked += 1
@@ -234,8 +235,12 @@ def test_corner_chain_matches_frozen_tree_tracker_on_k2_k4_windows():
 
 
 def test_cup_product_single_part_is_window():
-    chain = maximal_chains(2)[3]
-    assert cup_product((1,), chain) == c_fat_tree_window(1, chain, 0)
+    # against the region model, summed over the seed's vertices
+    simplex, _ = maximal_chains(2)[3]
+    seed, steps = simplex
+    want = sum((len(c) - 2) * adjusted_cz(1, region_chain(seed, steps, c))
+               for c in seed.vertices)
+    assert want and cup_product((1,), simplex) == want
 
 
 def test_cocycle_coboundary_vanishes_on_nerve_simplices():
@@ -266,6 +271,6 @@ def test_cup_product_vanishing_factor():
     # if some window has no growing vertex the product vanishes; windows
     # always have a growing vertex on maximal chains, so force a length
     # mismatch error instead
-    chain = maximal_chains(2)[0]
+    simplex, _ = maximal_chains(2)[0]
     with pytest.raises(LengthMismatch):
-        cup_product((1, 1), chain)
+        cup_product((1, 1), simplex)

@@ -29,11 +29,11 @@ from fatcomplex.coefficients import (
 from fatcomplex.cocycle import cup_product
 from fatcomplex.trees import (
     PlanarTree,
-    chain_from_order,
     enumerate_trivalent_trees,
     maximal_chains,
     region_touch_sets,
 )
+from test_trees import order_sign
 
 
 def matrix_multiply(a, b):
@@ -228,9 +228,9 @@ def test_reflection_has_degree_minus_one_to_the_m():
         for seed in enumerate_trivalent_trees(leaves):
             edges = seed.internal_edges()
             for order in (permutations(edges) if leaves < 9 else [edges]):
-                sign = chain_from_order(seed, order).sign
-                assert chain_from_order(rotate_leaves(seed), order).sign == sign
-                assert chain_from_order(_reflect_leaves(seed), order).sign == (-1) ** m * sign
+                sign = order_sign(seed, order)
+                assert order_sign(rotate_leaves(seed), order) == sign
+                assert order_sign(_reflect_leaves(seed), order) == (-1) ** m * sign
 
 
 def test_dihedral_scan_matches_rotation_orbit_scan(monkeypatch):
@@ -267,7 +267,7 @@ def _reference_scan_seed(seed, m):
     endpoints = [(vertex_of[a], vertex_of[b]) for a, b in edges]
     touch = region_touch_sets(seed)
     base_masks = [sum(1 << r for r in touch[i]) for i in range(len(verts))]
-    s0 = chain_from_order(seed, edges).sign
+    s0 = order_sign(seed, edges)
 
     windows = sorted({w for ws in comp_windows.values() for w in ws})
     scale_of = {w: coefficients._part_scale((w[1] - w[0]) // 2, seed.leaf_count)
@@ -373,12 +373,14 @@ def test_pruned_scan_matches_reference_on_k8_orbits():
 
 
 def test_scan_matches_fraction_cocycle_over_maximal_chains():
-    # the integer bitmask scan against the Fraction path through
-    # `cyclic_sign`, `cz` and `region_chain`, chain by chain
+    # the integer bitmask scan (region model) against the Fraction path
+    # through `corner_chain`, `cyclic_sign` and `cz` (corner model),
+    # chain by chain
     for m, count in ((1, 10), (2, 1008)):
         chains = maximal_chains(2 * m)
         assert len(chains) == count
-        want = {comp: (-1) ** m * sum(chain.sign * cup_product(comp, chain) for chain in chains)
+        want = {comp: (-1) ** m * sum(sign * cup_product(comp, simplex)
+                                      for simplex, sign in chains)
                 for comp in compositions_of(m)}
         assert all(want.values())
         assert b_single_all(m) == want

@@ -508,14 +508,14 @@ def test_dual_cell_reproduces_b_numbers_on_graphs():
     # of one-edge collapse steps; the signed cocycle sum gives b for (1)
     from fractions import Fraction
 
-    from fatcomplex.cocycle import cup_product_graph
+    from fatcomplex.cocycle import cup_product
     from fatcomplex.graph_complex import dual_cell_simplices
 
     base = enumerate_graphs(8, valences=(5, 3))[0]
     total = Fraction(0)
     count = 0
     for simplex, sign in dual_cell_simplices(base):
-        total += sign * cup_product_graph((1,), simplex)
+        total += sign * cup_product((1,), simplex)
         count += 1
     assert count == 10
     assert -total == Fraction(1, 12)
@@ -526,7 +526,7 @@ def test_dual_cell_b_independent_of_base_choice():
     # the base, not on which graph in the pattern class is used
     from fractions import Fraction
 
-    from fatcomplex.cocycle import cup_product_graph
+    from fatcomplex.cocycle import cup_product
     from fatcomplex.graph_complex import dual_cell_simplices
 
     bases = enumerate_graphs(10, valences=(7, 3))[:2]
@@ -536,8 +536,8 @@ def test_dual_cell_b_independent_of_base_choice():
         t2 = Fraction(0)
         t11 = Fraction(0)
         for simplex, sign in dual_cell_simplices(base):
-            t2 += sign * cup_product_graph((2,), simplex)
-            t11 += sign * cup_product_graph((1, 1), simplex)
+            t2 += sign * cup_product((2,), simplex)
+            t11 += sign * cup_product((1, 1), simplex)
         values.append((t2, t11))
     assert values[0] == values[1] == (Fraction(-1, 120), Fraction(29, 720))
 
@@ -545,16 +545,15 @@ def test_dual_cell_b_independent_of_base_choice():
 def test_graph_and_tree_cocycle_values_correspond():
     # the ten 2-simplices in the dual cell of a graph with one 5-valent
     # vertex carry the same multiset of (sign, cocycle value) pairs as
-    # the ten maximal chains of the pentagon in the region model
-    from fatcomplex.cocycle import c_fat, c_fat_tree_window
+    # the ten maximal chains of the pentagon, both through one `c_fat`
+    from fatcomplex.cocycle import c_fat
     from fatcomplex.graph_complex import dual_cell_simplices
     from fatcomplex.trees import maximal_chains
 
     base = enumerate_graphs(8, valences=(5, 3))[0]
     graph_side = sorted((sign, c_fat(1, simplex))
                         for simplex, sign in dual_cell_simplices(base))
-    tree_side = sorted((chain.sign, c_fat_tree_window(1, chain, 0))
-                       for chain in maximal_chains(2))
+    tree_side = sorted((sign, c_fat(1, simplex)) for simplex, sign in maximal_chains(2))
     assert graph_side == tree_side
 
 

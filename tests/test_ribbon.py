@@ -760,7 +760,7 @@ def test_corner_chain_identity_simplex():
     # two identity steps: three equal corner sets, each the whole vertex
     g = theta()
     v = g.vertices[0]
-    ambient, images = corner_chain(g, [(), ()], v)
+    ambient, images = corner_chain(g.vertices, g.pairing, [(), ()], v)
     assert ambient == v
     assert images == [frozenset(v)] * 3
 
@@ -770,12 +770,13 @@ def test_corner_chain_rejects_an_edge_absent_at_its_step():
     v = g.vertex_of(1)
     # (3, 6) is gone after the first step
     with pytest.raises(GraphError):
-        corner_chain(g, [((3, 6),), ((3, 6),)], v)
+        corner_chain(g.vertices, g.pairing, [((3, 6),), ((3, 6),)], v)
     # (1, 4) is no edge at all; a step whose edges close a cycle collapses a loop
     with pytest.raises(GraphError):
-        corner_chain(g, [((1, 4),)], v)
+        corner_chain(g.vertices, g.pairing, [((1, 4),)], v)
     with pytest.raises(GraphError):
-        corner_chain(theta(), [((1, 4), (2, 5))], theta().vertices[0])
+        g = theta()
+        corner_chain(g.vertices, g.pairing, [((1, 4), (2, 5))], g.vertices[0])
 
 
 def test_corner_chain_single_collapse():
@@ -783,7 +784,7 @@ def test_corner_chain_single_collapse():
     # embed into 4, exactly one corner of the target is missed
     g = dumbbell()
     v = g.vertex_of(1)
-    ambient, images = corner_chain(g, [((3, 6),)], v)
+    ambient, images = corner_chain(g.vertices, g.pairing, [((3, 6),)], v)
     assert [len(s) for s in images] == [3, 4]
     assert images[1] == frozenset(ambient)
     assert len(images[1] - images[0]) == 1

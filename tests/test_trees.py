@@ -5,11 +5,10 @@ import pytest
 
 from fatcomplex import trees
 from fatcomplex.linalg import sparse_product, sparse_rank
-from fatcomplex.ribbon import GraphError, reference_word, sort_sign, word_parity
+from fatcomplex.ribbon import GraphError, collapse_steps, reference_word, sort_sign, word_parity
 from fatcomplex.trees import (
     ConfigurationMismatch,
     PlanarTree,
-    chain_from_order,
     chain_region_sign,
     collapse_tree_edge,
     corolla,
@@ -25,6 +24,18 @@ from fatcomplex.trees import (
     region_touch_sets,
     regions_touching,
 )
+
+
+def order_sign(tree, order):
+    """The chain sign of collapsing the edges of `tree` in this order."""
+    return collapse_steps(tree.vertices, tree.pairing, [order])[2]
+
+
+def tree_at(simplex, i):
+    """The tree of a chain (seed, steps) after step i, by collapsing the seed."""
+    seed, steps = simplex
+    cycles, pairing, _ = collapse_steps(seed.vertices, seed.pairing, steps[:i])
+    return PlanarTree(seed.leaf_count, cycles, [(a, b) for a, b in pairing.items() if a < b])
 
 
 def catalan(n):
@@ -76,7 +87,7 @@ def test_bad_leaf_order_rejected():
 
 def test_maximal_chain_counts():
     assert len(maximal_chains(0)) == 1
-    assert maximal_chains(0)[0].sign == 1
+    assert maximal_chains(0)[0][1] == 1
     assert len(maximal_chains(2)) == 10
     assert len(maximal_chains(4)) == 1008
 
@@ -86,12 +97,11 @@ def test_chain_sign_antisymmetry_under_transposition():
         for seed in enumerate_trivalent_trees(n + 3):
             edges = seed.internal_edges()
             for order in permutations(edges):
-                base = chain_from_order(seed, list(order))
+                base = order_sign(seed, order)
                 for i in range(n - 1):
                     swapped = list(order)
                     swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                    other = chain_from_order(seed, swapped)
-                    assert other.sign == -base.sign
+                    assert order_sign(seed, swapped) == -base
 
 
 def test_case_2a_orientation_words():
@@ -110,8 +120,7 @@ def test_case_2a_orientation_words():
     t2, s2 = collapse_tree_edge(t1, s1, (7, 8))
     assert t2.vertices == ((0, 1, 2, 3, 4),)
     assert s2 == -1
-    chain = chain_from_order(t0, [(5, 6), (7, 8)])
-    assert chain.sign == -1
+    assert order_sign(t0, [(5, 6), (7, 8)]) == -1
     assert lemma_region_sign(t0, [(5, 6), (7, 8)], v0=(5, 0, 1)) == -1
     # the underlying region permutation sign is +1: regions at v0 plus
     # the two off-regions b1 = 2, b2 = 3 sort evenly into cyclic order
@@ -124,8 +133,7 @@ def test_case_2b_orientation_words():
     # v0 = (e1-, 0, 1), v1 = (e1+, e2-, 4), v2 = (e2+, 2, 3): collapsing
     # e1 then e2 induces plus the natural orientation on the corolla.
     t0 = PlanarTree(5, [(5, 0, 1), (6, 7, 4), (8, 2, 3)], [(5, 6), (7, 8)])
-    chain = chain_from_order(t0, [(5, 6), (7, 8)])
-    assert chain.sign == 1
+    assert order_sign(t0, [(5, 6), (7, 8)]) == 1
     assert lemma_region_sign(t0, [(5, 6), (7, 8)], v0=(5, 0, 1)) == 1
 
 
@@ -135,15 +143,15 @@ def test_case_1_sign_parametrized():
     # m=1: v0 = (e1-, e2-, h3), v1 = (e1+, h4, h5), v2 = (e2+, h1, h2)
     # with leaves h1..h5 = 0..4
     t_m1 = PlanarTree(5, [(5, 7, 2), (6, 3, 4), (8, 0, 1)], [(5, 6), (7, 8)])
-    chain = chain_from_order(t_m1, [(5, 6), (7, 8)])
-    assert chain.sign == 1  # (-1)^(m-1) with m=1
-    assert lemma_region_sign(t_m1, [(5, 6), (7, 8)], v0=(5, 7, 2)) == chain.sign
+    sign = order_sign(t_m1, [(5, 6), (7, 8)])
+    assert sign == 1  # (-1)^(m-1) with m=1
+    assert lemma_region_sign(t_m1, [(5, 6), (7, 8)], v0=(5, 7, 2)) == sign
     # n=1, m=2: v0 = (e1-, h1, e2-, h4, h5) of valence 5, leaves 0..6
     t_m2 = PlanarTree(7, [(7, 0, 9, 3, 4), (8, 5, 6), (10, 1, 2)],
                       [(7, 8), (9, 10)])
-    chain2 = chain_from_order(t_m2, [(7, 8), (9, 10)])
-    assert chain2.sign == -1  # (-1)^(m-1) with m=2
-    assert lemma_region_sign(t_m2, [(7, 8), (9, 10)]) == chain2.sign
+    sign2 = order_sign(t_m2, [(7, 8), (9, 10)])
+    assert sign2 == -1  # (-1)^(m-1) with m=2
+    assert lemma_region_sign(t_m2, [(7, 8), (9, 10)]) == sign2
 
 
 def test_lemma_region_sign_exhaustive_small():
@@ -156,20 +164,9 @@ def test_lemma_region_sign_exhaustive_small():
         if valences[0] == 3:
             continue
         for order in permutations(t.internal_edges()):
-            chain = chain_from_order(t, list(order))
-            assert lemma_region_sign(t, list(order)) == chain.sign
+            assert lemma_region_sign(t, list(order)) == order_sign(t, order)
             count += 1
     assert count > 0
-
-
-def test_chain_region_sign_matches_bookkeeping_on_k2():
-    for chain in maximal_chains(2):
-        assert chain_region_sign(chain) == chain.sign
-
-
-def test_chain_region_sign_matches_bookkeeping_on_k4():
-    for chain in maximal_chains(4):
-        assert chain_region_sign(chain) == chain.sign
 
 
 def test_regions_touching_counts():
@@ -257,10 +254,10 @@ def test_regions_touching_agrees_with_path_model():
 
 
 def test_region_growth_along_chains_of_k2():
-    for chain in maximal_chains(2):
-        for i, e in enumerate(chain.edges):
-            before = chain.trees[i]
-            after = chain.trees[i + 1]
+    for simplex, _ in maximal_chains(2):
+        for i, (e,) in enumerate(simplex[1]):
+            before = tree_at(simplex, i)
+            after = tree_at(simplex, i + 1)
             u, w = before.vertex_of(e[0]), before.vertex_of(e[1])
             merged = [c for c in after.vertices if c not in before.vertices][0]
             ru = set(regions_touching(before, u))
@@ -293,7 +290,8 @@ def test_dual_cell_boundary_identity_fails_on_a_wrong_chain_sign(monkeypatch):
 
     def flipped(n):
         chains = chains_of(n)
-        chains[0].sign = -chains[0].sign
+        simplex, sign = chains[0]
+        chains[0] = (simplex, -sign)
         return chains
 
     monkeypatch.setattr(trees, "maximal_chains", flipped)
@@ -390,9 +388,9 @@ def test_degree_statement_chainwise():
         k = n // 2
         twist = (-1) ** math.comb(n + 1, 2)
         assert twist == (-1) ** k
-        for chain in maximal_chains(n):
-            raw_region_sign = chain_region_sign(chain) * (-1) ** k
-            assert raw_region_sign * chain.sign == twist
+        for simplex, sign in maximal_chains(n):
+            raw_region_sign = chain_region_sign(simplex) * (-1) ** k
+            assert raw_region_sign * sign == twist
 
 
 def test_lemma_region_sign_k0_and_bad_configuration():
