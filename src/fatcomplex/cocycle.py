@@ -17,7 +17,7 @@ from itertools import product
 from fatcomplex import ribbon
 from fatcomplex.coefficients import double_factorial
 from fatcomplex.ribbon import GraphError, sort_sign
-from fatcomplex.trees import collapse_tree_edge, regions_touching
+from fatcomplex.trees import corner_regions
 
 
 class RepeatedElement(GraphError):
@@ -144,13 +144,23 @@ def cup_product(parts, simplex):
 def region_chain(top, steps, cycle):
     """Region-model cyclic set chain of a vertex along a tree simplex
     (top, steps): C_i is the set of regions touching the image of the
-    vertex after step i; the ambient cyclic set is the last of them."""
-    tree, vertex = top, tuple(cycle)
-    images = [frozenset(regions_touching(tree, vertex))]
+    vertex after step i; the ambient cyclic set is the last of them.
+
+    The corner after a half-edge closes off the same branch in every tree
+    of the chain, so its region is read once from the top tree, and an
+    image vertex touches the union of the regions of the top vertices
+    merged into it (the mask model of the `K^{2m}` scan)."""
+    corners = corner_regions(top)
+    regions = [{corners[h] for h in c} for c in top.vertices]
+    index = {h: i for i, c in enumerate(top.vertices) for h in c}
+    rep = list(range(len(regions)))
+    vertex = index[cycle[0]]
+    images = [frozenset(regions[vertex])]
     for step in steps:
-        for edge in step:
-            tree, _ = collapse_tree_edge(tree, 1, edge)
-        vertex = next(c for c in tree.vertices if set(vertex) & set(c))
-        images.append(frozenset(regions_touching(tree, vertex)))
+        for a, b in step:
+            ra, rb = rep[index[a]], rep[index[b]]
+            regions[ra] |= regions[rb]
+            rep = [ra if r == rb else r for r in rep]
+        images.append(frozenset(regions[rep[vertex]]))
     # regions are numbered in circle order, so the sorted last set keeps it
     return CyclicSetChain(sorted(images[-1]), images)

@@ -10,22 +10,48 @@ refinements; the matrices B_n are upper triangular and invert exactly
 to the tables A_n whose columns are the cocycle polynomials.
 
 The chain scan never materializes chains.  A chain of a seed tree is
-an order of its internal edges, and its sign is the sign s0 of the
-reference-order chain times, for each collapse of an edge e, -1 to the
-number of edges before e in the reference order that are not yet
-collapsed.  So the sign of a collapse depends only on the set of edges
-collapsed before it, and so do the blobs (the merged vertices) and their
-region bitmasks, whatever order that set was collapsed in.
+an order of its internal edges.  Its sign is the sign s0 of the chain
+that collapses the edges in a reference order, times, for each collapse
+of an edge e, -1 to the number of edges before e in the reference order
+that are not yet collapsed: the product of those flips is the sign of
+the collapse order relative to the reference order.  Reordering the
+reference order by a permutation pi therefore changes only s0, by
+sgn pi, and the scan may pick any reference order.  It sorts each seed's
+edges by their cut intervals, min(iv[a], iv[b]) for an edge (a, b) with
+iv = `trees.branch_intervals(seed)`.  Collapsing edges of a seed gives
+a face of K^{2m}, a planar tree whose edges are the uncollapsed ones,
+each cutting the leaves into the same two intervals as in the seed.  So
+the edges not yet collapsed are the face's own edges, their order is
+that of the face's cut intervals, and the flip of every collapse
+depends only on the face it collapses from.  The blobs (the merged
+vertices) are the face's vertices, and their region bitmasks the regions
+touching them.  A face is the set of its edges' cut intervals, kept as a
+bitmask with bit first * L + size for the interval (first, size), L the
+leaf count; the bits are ordered like the intervals.
 
 A window therefore contributes a factor, the product of its collapses'
-signs times its value, that depends only on the set `done` collapsed
-before it and on its own order.  The total of a composition is s0 times
-a sum over the chains of edge sets at its window boundaries: start from
-{0: 1}, for each part add sums[done] * windows(done, part)[used] into
-the entry done | used, and read the entry of all edges.  A window is
+signs times its value, that depends only on the face it starts from and
+on its own order, whatever seed and order reached that face.  The total
+of a composition is a sum over the chains of faces at its window
+boundaries: start from size * s0 at the top face of each seed of a
+shard (size its orbit size, below), for each part add
+sums[face] * windows(face, part)[end face] into the entry of the end
+face, and read the entry of the corolla, the empty face.  A window is
 nonzero only while every collapse in it grows the one blob that its
 first collapse made, so `windows` walks only those orders, once per
-(done, part) in a seed.
+(face, part) for the whole shard, in the first seed that reached the
+face.
+
+The cyclic-set cocycle of a window signs the tuples (a_0, ..., a_2k)
+with a_i a region new at level i, by the sign of the permutation that
+sorts them.  Appending a region x to a tuple whose entries form the
+region set S flips that sign once for each entry above x, so by the
+parity of (S >> x).bit_count().  Each walk track (one per endpoint of
+the window's first collapse) carries its signed tuples as pairs
+(S, sign), extended level by level as the walk descends, so windows
+that share a prefix share its tuples; the last level is only summed.
+The track also carries the product of the sizes of its region sets
+C_0, C_1, ..., so the end of a window makes one division.
 
 Only one seed tree per dihedral orbit of the leaves is scanned, and its
 sums are weighted by the orbit size: the orbits of the rotation
@@ -61,9 +87,8 @@ window values and the chain sign change by the same factor:
   (rotation, 1), or fixes 0 and reverses the 2m+2 leaves 1..L-1
   (reflection, (-1)^((m+1)(2m+1)) = (-1)^(m+1)).  Every chain sign of gT
   is that of T times 1 (rotation) or -(-1)^(m+1) = (-1)^m (reflection):
-  the reflection has degree (-1)^m on K^{2m}.  In the s0 and
-  per-collapse convention above, s0 takes the whole factor, since the
-  per-collapse signs read only the edge order, which g keeps.
+  the reflection has degree (-1)^m on K^{2m}.  This holds for chain
+  signs, so for any reference order that computes them.
 
 The tests check that the per-seed sums agree with those of the mirror on
 every K^4 seed, every K^6 rotation-orbit representative and three K^8
@@ -82,10 +107,9 @@ composition at the end gives the rational b.
 import math
 import os
 from fractions import Fraction
-from itertools import product
 
 from fatcomplex.linalg import SingularMatrix, matrix_inverse
-from fatcomplex.ribbon import collapse_steps, sort_sign
+from fatcomplex.ribbon import collapse_steps
 from fatcomplex.trees import (
     branch_intervals,
     enumerate_trivalent_trees,
@@ -166,14 +190,13 @@ def closed_form_a_diagonal(m):
 # the chain scan
 # ---------------------------------------------------------------------------
 
-def _bits(x):
-    out = []
-    i = 0
-    while x:
-        if x & 1:
-            out.append(i)
-        x >>= 1
-        i += 1
+def _region_bits(leaf_count):
+    """The set bits of every bitmask below 2^leaf_count, as tuples: the
+    regions of a region mask, or the edges of an edge mask."""
+    out = [()]
+    for x in range(1, 1 << leaf_count):
+        low = x & -x
+        out.append((low.bit_length() - 1,) + out[x ^ low])
     return out
 
 
@@ -185,109 +208,141 @@ def _part_scale(k, leaf_count):
     return 2 ** (k + 1) * double_factorial(2 * k - 1) * math.factorial(leaf_count)
 
 
-def _scaled_cz(c0, deltas, scale, cache):
-    """`scale` times the adjusted cyclic-set cocycle of a chain of region
-    bitmasks, as an exact int; raises ArithmeticError when it is not one."""
-    key = (c0, deltas)
-    val = cache.get(key)
-    if val is not None:
-        return val
-    levels = [_bits(c0)] + [_bits(d) for d in deltas]
-    total = 0
-    for tup in product(*levels):
-        total += sort_sign(tup)
-    val = 0
-    if total:
-        k = len(deltas) // 2
-        denom = (-2) ** (k + 1) * double_factorial(2 * k - 1)
-        size = c0.bit_count()
-        denom *= size
-        for d in deltas:
-            size += d.bit_count()
-            denom *= size
-        val, rem = divmod(total * scale, denom)
-        if rem:
-            raise ArithmeticError("scaled cocycle value %d*%d/%d is not an integer"
-                                  % (total, scale, denom))
-    cache[key] = val
-    return val
+def _append_level(tuples, regions):
+    """Signed tuples [(region mask S, sign)] extended by each region x of
+    the next level, which is not in S: x follows every entry of S, so each
+    entry above x is one more inversion, and the sign flips when their
+    number, (S >> x).bit_count(), is odd."""
+    return [(s | 1 << x, -sign if (s >> x).bit_count() & 1 else sign)
+            for s, sign in tuples for x in regions]
 
 
-def _scan_seed(seed, m):
-    """Per-composition sums, over all collapse orders of one trivalent seed
-    tree, of the chain sign times the product of the scaled window values.
+def _level_sum(tuples, regions):
+    """The sign sum of `_append_level(tuples, regions)`."""
+    return sum(-sign if (s >> x).bit_count() & 1 else sign
+               for s, sign in tuples for x in regions)
+
+
+def _scaled_value(total, size_product, k, scale):
+    """`scale` times the adjusted cyclic-set cocycle of a chain of 2k+1
+    region sets whose sizes multiply to `size_product` and whose signed
+    tuples sum to `total`, as an exact int; raises ArithmeticError when it
+    is not one."""
+    if not total:
+        return 0
+    denom = (-2) ** (k + 1) * double_factorial(2 * k - 1) * size_product
+    value, rem = divmod(total * scale, denom)
+    if rem:
+        raise ArithmeticError("scaled cocycle value %d*%d/%d is not an integer"
+                              % (total, scale, denom))
+    return value
+
+
+def _scan_orbits(args):
+    """Per-composition sums, over the seed trees of a shard [(seed,
+    weight)] and all their collapse orders, of the weight times the chain
+    sign times the product of the scaled window values.
 
     Returns {composition: int}; `_b_from_totals` turns summed totals into
-    the numbers b.  Each window is walked once per set of edges collapsed
-    before it, and a composition's total is a sum over the edge sets
-    collapsed at its window boundaries.
+    the numbers b.  The sums run over the faces of K^{2m} that the window
+    boundaries reach, and each window is walked once per (face, part)
+    for the whole shard.
     """
-    edges = seed.internal_edges()
-    nedges = len(edges)
-    verts = list(seed.vertices)
-    vertex_of = {}
-    for i, c in enumerate(verts):
-        for x in c:
-            vertex_of[x] = i
-    endpoints = [(vertex_of[a], vertex_of[b]) for a, b in edges]
-    touch = region_touch_sets(seed)
-    base_masks = [sum(1 << r for r in touch[i]) for i in range(len(verts))]
-    s0 = collapse_steps(seed.vertices, seed.pairing, [edges])[2]
-    cz_cache = {}
+    m, orbits = args
+    leaf_count = 2 * m + 3
+    bits = _region_bits(leaf_count)
+    # face -> (seed layout, edges done): a seed and the edges whose
+    # collapse gives the face, in which its windows are walked
+    origin = {}
+    tops = {}
+    for seed, size in orbits:
+        intervals = branch_intervals(seed)
+        keyed = sorted((min(intervals[a], intervals[b]), (a, b)) for a, b in seed.internal_edges())
+        edges = [e for _, e in keyed]
+        vertex_of = {x: i for i, c in enumerate(seed.vertices) for x in c}
+        touch = region_touch_sets(seed)
+        # the face bit of each edge, its endpoints, each vertex's regions
+        layout = ([1 << first * leaf_count + length for (first, length), _ in keyed],
+                  [(vertex_of[a], vertex_of[b]) for a, b in edges],
+                  [sum(1 << r for r in touch[i]) for i in range(len(touch))])
+        top = sum(layout[0])
+        origin[top] = (layout, 0)
+        tops[top] = size * collapse_steps(seed.vertices, seed.pairing, [edges])[2]
     memo = {}
 
-    def windows(done, k):
-        # {edges used: signed scaled value} of the windows of part k that
-        # collapse 2k edges after the edges in `done`
-        key = (done, k)
+    def windows(face, k):
+        # {end face: signed scaled value} of the windows of part k that
+        # collapse 2k edges of `face`
+        key = (face, k)
         if key in memo:
             return memo[key]
-        rep = list(range(len(verts)))
+        layout, done = origin[face]
+        codes, endpoints, base_masks = layout
+        nedges = len(codes)
+        rep = list(range(len(base_masks)))
         masks = list(base_masks)
-        for ei in _bits(done):
-            ru, rw = rep[endpoints[ei][0]], rep[endpoints[ei][1]]
-            masks[ru] |= masks[rw]
-            rep = [ru if r == rw else r for r in rep]
-        scale = _part_scale(k, seed.leaf_count)
-        out = {}
-
-        def walk(left, used, sgn, blob, blob_mask, tracks):
-            if not left:
-                value = sum((c0.bit_count() - 2) * _scaled_cz(c0, deltas, scale, cz_cache)
-                            for c0, deltas in tracks)
-                if value:
-                    out[used] = out.get(used, 0) + sgn * value
-                return
-            for ei in range(nedges):
-                if (done | used) >> ei & 1:
-                    continue
+        incident = [0] * len(base_masks)
+        for ei in range(nedges):
+            incident[endpoints[ei][0]] |= 1 << ei
+            incident[endpoints[ei][1]] |= 1 << ei
+        for ei in range(nedges):
+            if done >> ei & 1:
                 ru, rw = rep[endpoints[ei][0]], rep[endpoints[ei][1]]
-                mu, mw = masks[ru], masks[rw]
-                if not used:
-                    walk(left - 1, 1 << ei, sgn, {ru, rw}, mu | mw,
-                         ((mu, (mw & ~mu,)), (mw, (mu & ~mw,))))
-                elif ru in blob or rw in blob:
-                    # a tree edge never has both endpoints in the blob
-                    other = rw if ru in blob else ru
-                    delta = masks[other] & ~blob_mask
-                    walk(left - 1, used | 1 << ei, sgn, blob | {other}, blob_mask | delta,
-                         tuple((c0, deltas + (delta,)) for c0, deltas in tracks))
-                sgn = -sgn
+                masks[ru] |= masks[rw]
+                incident[ru] |= incident[rw]
+                rep = [ru if r == rw else r for r in rep]
+        scale = _part_scale(k, leaf_count)
+        out = {}
+        free0 = (1 << nedges) - 1 & ~done
 
-        walk(2 * k, 0, 1, None, 0, ())
+        def walk(left, used, end, blob, blob_mask, blob_edges, sgn0, tracks):
+            # the collapse of face edge ei flips the sign once for each
+            # face edge before it
+            free = free0 & ~used
+            for ei in bits[blob_edges & free]:
+                sgn = -sgn0 if (free & ((1 << ei) - 1)).bit_count() & 1 else sgn0
+                ru, rw = rep[endpoints[ei][0]], rep[endpoints[ei][1]]
+                # a tree edge never has both endpoints in the blob
+                other = rw if ru in blob else ru
+                delta = masks[other] & ~blob_mask
+                size = (blob_mask | delta).bit_count()
+                if left > 1:
+                    walk(left - 1, used | 1 << ei, end & ~codes[ei], blob | {other},
+                         blob_mask | delta, blob_edges | incident[other], sgn,
+                         [(weight, size_product * size, _append_level(tuples, bits[delta]))
+                          for weight, size_product, tuples in tracks])
+                else:
+                    value = sum(weight * _scaled_value(_level_sum(tuples, bits[delta]),
+                                                       size_product * size, k, scale)
+                                for weight, size_product, tuples in tracks)
+                    if value:
+                        last = end & ~codes[ei]
+                        out[last] = out.get(last, 0) + sgn * value
+                        origin.setdefault(last, (layout, done | used | 1 << ei))
+
+        for ei in bits[free0]:
+            ru, rw = rep[endpoints[ei][0]], rep[endpoints[ei][1]]
+            mu, mw = masks[ru], masks[rw]
+            size = (mu | mw).bit_count()
+            walk(2 * k - 1, 1 << ei, face & ~codes[ei], {ru, rw}, mu | mw,
+                 incident[ru] | incident[rw],
+                 -1 if (free0 & ((1 << ei) - 1)).bit_count() & 1 else 1,
+                 [(c0.bit_count() - 2, c0.bit_count() * size,
+                   _append_level([(1 << x, 1) for x in bits[c0]], bits[c1 & ~c0]))
+                  for c0, c1 in ((mu, mw), (mw, mu))])
         memo[key] = out
         return out
 
     totals = {}
     for comp in compositions_of(m):
-        sums = {0: 1}
+        sums = tops
         for part in comp:
             nxt = {}
-            for done, value in sums.items():
-                for used, factor in windows(done, part).items():
-                    nxt[done | used] = nxt.get(done | used, 0) + value * factor
+            for face, value in sums.items():
+                for end, factor in windows(face, part).items():
+                    nxt[end] = nxt.get(end, 0) + value * factor
             sums = nxt
-        totals[comp] = s0 * sums.get((1 << nedges) - 1, 0)
+        totals[comp] = sums.get(0, 0)
     return totals
 
 
@@ -327,15 +382,6 @@ def _dihedral_orbits(leaf_count):
     return out
 
 
-def _scan_orbits(args):
-    m, orbits = args
-    totals = dict.fromkeys(compositions_of(m), 0)
-    for seed, size in orbits:
-        for comp, v in _scan_seed(seed, m).items():
-            totals[comp] += size * v
-    return totals
-
-
 _B_SINGLE_CACHE = {}
 
 #: optional callable(done, total) reporting how many of the dihedral
@@ -349,8 +395,9 @@ def b_single_all(m, workers=1):
 
     Returns {composition: value} where value includes the (-1)^m factor.
     One seed tree per dihedral orbit (leaf rotations and reflections) is
-    scanned, weighted by the orbit size.  The scan is sharded by orbit;
-    exact integer partial sums merge, so the result is identical for any
+    scanned, weighted by the orbit size.  The scan is sharded by orbit,
+    and the seeds of a shard share its window walks by face; exact
+    integer partial sums merge, so the result is identical for any
     worker count.  The pool has at most as many processes as there are
     shards or CPUs.
     """

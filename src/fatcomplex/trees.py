@@ -299,16 +299,6 @@ def corner_regions(tree):
     return {h: (first + size - 1) % L for h, (first, size) in branch_intervals(tree).items()}
 
 
-def regions_touching(tree, cycle):
-    """Regions around a vertex, cyclically ordered by its corners.
-
-    A region touches the vertices on the tree path between its two
-    leaves, which are the vertices with a corner in it.
-    """
-    corners = corner_regions(tree)
-    return tuple(corners[h] for h in cycle)
-
-
 def region_touch_sets(tree):
     """For each vertex index, the set of regions touching it."""
     corners = corner_regions(tree)

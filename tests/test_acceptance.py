@@ -3,12 +3,10 @@ tolerances).  Run with `pytest -s tests/test_acceptance.py` to see one
 pass/fail line per criterion.  Criteria 4-7 assert over the rows of the
 check registry (`fatcomplex.checks`), the rows `fatcomplex verify` prints.
 
-The long-run stretch check (criterion 8) sums over the chains of K^8 and
-takes about 45 s on one core; it is skipped unless
-FATCOMPLEX_LONG=1 is set and never gates the suite.
+The stretch check (criterion 8) sums over the chains of K^8 and takes
+about 8.5 s on one core.
 """
 
-import os
 from fractions import Fraction
 
 import pytest
@@ -101,8 +99,6 @@ def test_criterion_7_structural_suite(corpus):
            registry_rows_pass(rows, 6))
 
 
-@pytest.mark.skipif(os.environ.get("FATCOMPLEX_LONG") != "1",
-                    reason="long-run stretch check; set FATCOMPLEX_LONG=1")
 def test_criterion_8_stretch_weight_four():
     from fatcomplex.coefficients import _conjecture_formula, a_matrix, b_matrix
     from test_coefficients import matrix_multiply

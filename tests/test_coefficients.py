@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -18,6 +18,7 @@ from fatcomplex.coefficients import (
     closed_form_b_diagonal,
     closed_form_checks,
     compositions_of,
+    double_factorial,
     format_rational,
     monomial_text,
     normalize_partition,
@@ -27,6 +28,7 @@ from fatcomplex.coefficients import (
     w_polynomial,
 )
 from fatcomplex.cocycle import cup_product
+from fatcomplex.ribbon import sort_sign
 from fatcomplex.trees import (
     PlanarTree,
     enumerate_trivalent_trees,
@@ -50,6 +52,11 @@ def rotate_leaves(tree):
     cycles = [tuple(x if x in tree.pairing else (x + 1) % L for x in c)
               for c in tree.vertices]
     return PlanarTree(L, cycles, tree.internal_edges())
+
+
+def scan_seed(seed, m):
+    """The face scan of one seed with weight 1."""
+    return coefficients._scan_orbits((m, [(seed, 1)]))
 
 
 def test_partitions_of_descending_lex():
@@ -178,8 +185,8 @@ def test_per_seed_sums_agree_across_rotation_orbits_k2_k4():
     for m in (1, 2):
         by_orbit = {}
         for seed in enumerate_trivalent_trees(2 * m + 3):
-            sums = coefficients._scan_seed(seed, m)
-            assert coefficients._scan_seed(rotate_leaves(seed), m) == sums
+            sums = scan_seed(seed, m)
+            assert scan_seed(rotate_leaves(seed), m) == sums
             by_orbit.setdefault(_orbit_key(seed), []).append(sums)
         for members in by_orbit.values():
             assert all(sums == members[0] for sums in members)
@@ -193,16 +200,15 @@ def test_per_seed_sums_agree_across_rotation_orbits_k6():
     for rep, size in picked:
         members = _rotations(rep, size)
         assert len({t.canonical().literal() for t in members}) == size
-        sums = coefficients._scan_seed(rep, 3)
+        sums = scan_seed(rep, 3)
         assert any(sums.values())
         for t in members[1:]:
-            assert coefficients._scan_seed(t, 3) == sums
+            assert scan_seed(t, 3) == sums
 
 
 def test_per_seed_sums_invariant_under_reflection_k4():
     for seed in enumerate_trivalent_trees(7):
-        assert coefficients._scan_seed(_reflect_leaves(seed), 2) \
-            == coefficients._scan_seed(seed, 2)
+        assert scan_seed(_reflect_leaves(seed), 2) == scan_seed(seed, 2)
 
 
 def test_per_seed_sums_invariant_under_reflection_k6_k8():
@@ -210,13 +216,12 @@ def test_per_seed_sums_invariant_under_reflection_k6_k8():
     orbits = _rotation_orbits(9)
     assert len(orbits) == 49
     for rep, _ in orbits:
-        sums = coefficients._scan_seed(rep, 3)
-        assert coefficients._scan_seed(_reflect_leaves(rep), 3) == sums
+        sums = scan_seed(rep, 3)
+        assert scan_seed(_reflect_leaves(rep), 3) == sums
     orbits = _rotation_orbits(11)
     for i in (0, 100, 441):
         rep = orbits[i][0]
-        assert coefficients._scan_seed(_reflect_leaves(rep), 4) \
-            == coefficients._scan_seed(rep, 4)
+        assert scan_seed(_reflect_leaves(rep), 4) == scan_seed(rep, 4)
 
 
 def test_reflection_has_degree_minus_one_to_the_m():
@@ -238,7 +243,7 @@ def test_dihedral_scan_matches_rotation_orbit_scan(monkeypatch):
     for m in (1, 2, 3):
         totals = dict.fromkeys(compositions_of(m), 0)
         for rep, size in _rotation_orbits(2 * m + 3):
-            for comp, v in coefficients._scan_seed(rep, m).items():
+            for comp, v in scan_seed(rep, m).items():
                 totals[comp] += size * v
         assert b_single_all(m) == coefficients._b_from_totals(m, totals)
 
@@ -250,6 +255,117 @@ def _composition_windows(comp):
         out.append((at, at + 2 * part))
         at += 2 * part
     return tuple(out)
+
+
+def _bits(x):
+    out = []
+    i = 0
+    while x:
+        if x & 1:
+            out.append(i)
+        x >>= 1
+        i += 1
+    return out
+
+
+def _scaled_cz(c0, deltas, scale, cache):
+    """`scale` times the adjusted cyclic-set cocycle of a chain of region
+    bitmasks, as an exact int; raises ArithmeticError when it is not one."""
+    key = (c0, deltas)
+    val = cache.get(key)
+    if val is not None:
+        return val
+    levels = [_bits(c0)] + [_bits(d) for d in deltas]
+    total = 0
+    for tup in product(*levels):
+        total += sort_sign(tup)
+    val = 0
+    if total:
+        k = len(deltas) // 2
+        denom = (-2) ** (k + 1) * double_factorial(2 * k - 1)
+        size = c0.bit_count()
+        denom *= size
+        for d in deltas:
+            size += d.bit_count()
+            denom *= size
+        val, rem = divmod(total * scale, denom)
+        if rem:
+            raise ArithmeticError("scaled cocycle value %d*%d/%d is not an integer"
+                                  % (total, scale, denom))
+    cache[key] = val
+    return val
+
+
+def _per_seed_scan(seed, m):
+    """The scan the face scan replaced: one seed, its edges in
+    `internal_edges()` order, each window walked once per (edges done,
+    part) inside the seed, and its value summed by `_scaled_cz`."""
+    edges = seed.internal_edges()
+    nedges = len(edges)
+    verts = list(seed.vertices)
+    vertex_of = {}
+    for i, c in enumerate(verts):
+        for x in c:
+            vertex_of[x] = i
+    endpoints = [(vertex_of[a], vertex_of[b]) for a, b in edges]
+    touch = region_touch_sets(seed)
+    base_masks = [sum(1 << r for r in touch[i]) for i in range(len(verts))]
+    s0 = order_sign(seed, edges)
+    cz_cache = {}
+    memo = {}
+
+    def windows(done, k):
+        # {edges used: signed scaled value} of the windows of part k that
+        # collapse 2k edges after the edges in `done`
+        key = (done, k)
+        if key in memo:
+            return memo[key]
+        rep = list(range(len(verts)))
+        masks = list(base_masks)
+        for ei in _bits(done):
+            ru, rw = rep[endpoints[ei][0]], rep[endpoints[ei][1]]
+            masks[ru] |= masks[rw]
+            rep = [ru if r == rw else r for r in rep]
+        scale = coefficients._part_scale(k, seed.leaf_count)
+        out = {}
+
+        def walk(left, used, sgn, blob, blob_mask, tracks):
+            if not left:
+                value = sum((c0.bit_count() - 2) * _scaled_cz(c0, deltas, scale, cz_cache)
+                            for c0, deltas in tracks)
+                if value:
+                    out[used] = out.get(used, 0) + sgn * value
+                return
+            for ei in range(nedges):
+                if (done | used) >> ei & 1:
+                    continue
+                ru, rw = rep[endpoints[ei][0]], rep[endpoints[ei][1]]
+                mu, mw = masks[ru], masks[rw]
+                if not used:
+                    walk(left - 1, 1 << ei, sgn, {ru, rw}, mu | mw,
+                         ((mu, (mw & ~mu,)), (mw, (mu & ~mw,))))
+                elif ru in blob or rw in blob:
+                    other = rw if ru in blob else ru
+                    delta = masks[other] & ~blob_mask
+                    walk(left - 1, used | 1 << ei, sgn, blob | {other}, blob_mask | delta,
+                         tuple((c0, deltas + (delta,)) for c0, deltas in tracks))
+                sgn = -sgn
+
+        walk(2 * k, 0, 1, None, 0, ())
+        memo[key] = out
+        return out
+
+    totals = {}
+    for comp in compositions_of(m):
+        sums = {0: 1}
+        for part in comp:
+            nxt = {}
+            for done, value in sums.items():
+                for used, factor in windows(done, part).items():
+                    nxt[done | used] = nxt.get(done | used, 0) + value * factor
+            sums = nxt
+        totals[comp] = s0 * sums.get((1 << nedges) - 1, 0)
+    return totals
 
 
 def _reference_scan_seed(seed, m):
@@ -282,7 +398,7 @@ def _reference_scan_seed(seed, m):
         for _, c0, _, deltas in entries:
             weight = c0.bit_count() - 2
             if weight:
-                total += weight * coefficients._scaled_cz(c0, deltas, scale_of[win], cz_cache)
+                total += weight * _scaled_cz(c0, deltas, scale_of[win], cz_cache)
         return total
 
     def recurse(depth, remaining, sgn, rep, masks, tracks, wvals):
@@ -337,12 +453,16 @@ def _reference_scan_seed(seed, m):
 
 
 def test_pruned_scan_matches_reference_on_every_k2_k4_seed():
+    # the face scan of one seed against the per-seed scan it replaced and
+    # the unpruned scan
     seeds = enumerate_trivalent_trees(5) + enumerate_trivalent_trees(7)
     assert len(seeds) == 5 + 42
     nonzero = 0
     for seed in seeds:
-        want = _reference_scan_seed(seed, (seed.leaf_count - 3) // 2)
-        assert coefficients._scan_seed(seed, (seed.leaf_count - 3) // 2) == want
+        m = (seed.leaf_count - 3) // 2
+        want = _reference_scan_seed(seed, m)
+        assert _per_seed_scan(seed, m) == want
+        assert scan_seed(seed, m) == want
         nonzero += any(want.values())
     assert nonzero
 
@@ -350,10 +470,14 @@ def test_pruned_scan_matches_reference_on_every_k2_k4_seed():
 def test_pruned_scan_matches_reference_on_k6_orbits():
     orbits = _rotation_orbits(9)
     assert len(orbits) == 49
+    # the first seed of a dihedral orbit is the first of its rotation orbit
+    reps = [rep for rep, _ in orbits]
+    assert all(rep in reps for rep, _ in coefficients._dihedral_orbits(9))
     totals = dict.fromkeys(compositions_of(3), 0)
     for rep, size in orbits:
         want = _reference_scan_seed(rep, 3)
-        assert coefficients._scan_seed(rep, 3) == want
+        assert _per_seed_scan(rep, 3) == want
+        assert scan_seed(rep, 3) == want
         for comp, v in want.items():
             totals[comp] += size * v
     # the reference totals give the frozen weight-3 numbers
@@ -363,13 +487,26 @@ def test_pruned_scan_matches_reference_on_k6_orbits():
 
 
 def test_pruned_scan_matches_reference_on_k8_orbits():
-    orbits = _rotation_orbits(11)
+    orbits = coefficients._dihedral_orbits(11)
     nonzero = 0
-    for i in (0, 100, 441):
+    for i in (0, 100, 227):
         want = _reference_scan_seed(orbits[i][0], 4)
-        assert coefficients._scan_seed(orbits[i][0], 4) == want
+        assert _per_seed_scan(orbits[i][0], 4) == want
+        assert scan_seed(orbits[i][0], 4) == want
         nonzero += any(want.values())
     assert nonzero
+
+
+def test_shard_scan_is_the_sum_of_its_seed_scans():
+    # seeds of one shard share their window walks by face
+    k8 = coefficients._dihedral_orbits(11)
+    for m, orbits in ((3, coefficients._dihedral_orbits(9)),
+                      (4, [k8[i] for i in (0, 1, 2, 3, 100, 227)])):
+        want = dict.fromkeys(compositions_of(m), 0)
+        for seed, size in orbits:
+            for comp, v in scan_seed(seed, m).items():
+                want[comp] += size * v
+        assert coefficients._scan_orbits((m, orbits)) == want
 
 
 def test_scan_matches_fraction_cocycle_over_maximal_chains():
@@ -386,27 +523,31 @@ def test_scan_matches_fraction_cocycle_over_maximal_chains():
         assert b_single_all(m) == want
 
 
+class InProcessPool:
+    """A stand-in for `multiprocessing.Pool` that maps in this process and
+    records the number of processes asked for."""
+
+    def __init__(self, processes, sizes=None):
+        if sizes is not None:
+            sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, func, items):
+        return map(func, items)
+
+
 @pytest.mark.parametrize("cpus, size", [(64, 4), (3, 3), (None, None)])
 def test_pool_never_exceeds_shards_or_cpus(monkeypatch, cpus, size):
     import multiprocessing
 
     sizes = []
-
-    class InProcessPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, func, items):
-            return map(func, items)
-
     serial = b_single_all(2)
-    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(multiprocessing, "Pool", lambda processes: InProcessPool(processes, sizes))
     monkeypatch.setattr(coefficients.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(coefficients, "_B_SINGLE_CACHE", {})
     # 100000 workers cut the 4 dihedral orbits of K^4 into 4 shards
@@ -416,22 +557,30 @@ def test_pool_never_exceeds_shards_or_cpus(monkeypatch, cpus, size):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_orbit_scan_matches_scan_over_all_seeds(monkeypatch, workers):
+    import multiprocessing
+
     monkeypatch.setattr(coefficients, "_B_SINGLE_CACHE", {})
-    for m in (1, 2):
+    for m in (1, 2, 3):
+        if m == 3:
+            # with 2 workers, the 27 orbits of K^6 go in 14 shards of up
+            # to 2, each with its own face memo; no process is started
+            monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
         totals = dict.fromkeys(compositions_of(m), 0)
         for seed in enumerate_trivalent_trees(2 * m + 3):
-            for comp, v in coefficients._scan_seed(seed, m).items():
+            for comp, v in scan_seed(seed, m).items():
                 totals[comp] += v
         assert b_single_all(m, workers=workers) == coefficients._b_from_totals(m, totals)
 
 
 def test_scaled_cocycle_value_must_be_an_integer():
     # regions {0, 1, 2} grown by {3} then {4}: cocycle 3 / (4 * 3 * 4 * 5)
-    c0, deltas = 0b111, (0b1000, 0b10000)
+    tuples = coefficients._append_level([(1 << x, 1) for x in (0, 1, 2)], (3,))
+    total = coefficients._level_sum(tuples, (4,))
+    assert total == 3
     scale = coefficients._part_scale(1, 5)
-    assert coefficients._scaled_cz(c0, deltas, scale, {}) == 3 * scale // 240
+    assert coefficients._scaled_value(total, 3 * 4 * 5, 1, scale) == 3 * scale // 240
     with pytest.raises(ArithmeticError):
-        coefficients._scaled_cz(c0, deltas, scale // 7, {})
+        coefficients._scaled_value(total, 3 * 4 * 5, 1, scale // 7)
 
 
 def test_refinements_paper_example():

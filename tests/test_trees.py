@@ -21,9 +21,19 @@ from fatcomplex.trees import (
     lemma_region_sign,
     maximal_chains,
     canonical_oriented_tree,
+    corner_regions,
     region_touch_sets,
-    regions_touching,
 )
+
+
+def regions_touching(tree, cycle):
+    """Regions around a vertex, cyclically ordered by its corners.
+
+    A region touches the vertices on the tree path between its two
+    leaves, which are the vertices with a corner in it.
+    """
+    corners = corner_regions(tree)
+    return tuple(corners[h] for h in cycle)
 
 
 def order_sign(tree, order):
