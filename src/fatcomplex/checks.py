@@ -31,7 +31,8 @@ def check_orientation(**_):
     for n in (2, 4):
         ok = True
         for (seed, steps), sign in trees.maximal_chains(n):
-            if trees.chain_region_sign((seed, steps)) != sign:
+            edges = [e for (e,) in steps]
+            if trees.lemma_region_sign(seed, edges, v0=seed.vertex_of(edges[0][0])) != sign:
                 ok = False
             for i in range(n - 1):
                 swapped = list(steps)

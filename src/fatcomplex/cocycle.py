@@ -16,8 +16,8 @@ from itertools import product
 
 from fatcomplex import ribbon
 from fatcomplex.coefficients import double_factorial
-from fatcomplex.ribbon import GraphError, sort_sign
-from fatcomplex.trees import corner_regions
+from fatcomplex.ribbon import GraphError, word_parity
+from fatcomplex.trees import region_touch_sets
 
 
 class RepeatedElement(GraphError):
@@ -49,7 +49,7 @@ def cyclic_sign(elements, ambient):
         ranks = [pos[x] for x in elements]
     except KeyError as exc:
         raise GraphError("element %r not in ambient cyclic set" % (exc.args[0],))
-    return sort_sign(ranks)
+    return word_parity(ranks, sorted(ranks))
 
 
 class CyclicSetChain:
@@ -147,11 +147,10 @@ def region_chain(top, steps, cycle):
     vertex after step i; the ambient cyclic set is the last of them.
 
     The corner after a half-edge closes off the same branch in every tree
-    of the chain, so its region is read once from the top tree, and an
-    image vertex touches the union of the regions of the top vertices
-    merged into it (the mask model of the `K^{2m}` scan)."""
-    corners = corner_regions(top)
-    regions = [{corners[h] for h in c} for c in top.vertices]
+    of the chain, so the regions touching each vertex are read once from
+    the top tree, and an image vertex touches the union of the regions of
+    the top vertices merged into it (the mask model of the `K^{2m}` scan)."""
+    regions = list(region_touch_sets(top).values())
     index = {h: i for i, c in enumerate(top.vertices) for h in c}
     rep = list(range(len(regions)))
     vertex = index[cycle[0]]

@@ -112,6 +112,7 @@ from fatcomplex.linalg import SingularMatrix, matrix_inverse
 from fatcomplex.ribbon import collapse_steps
 from fatcomplex.trees import (
     branch_intervals,
+    cut_intervals,
     enumerate_trivalent_trees,
     region_touch_sets,
 )
@@ -355,13 +356,6 @@ def _b_from_totals(m, totals):
             for comp, total in totals.items()}
 
 
-def _cut_intervals(tree):
-    """The leaf intervals, as (first leaf, length), that the internal
-    half-edges of a tree cut off; they determine the tree."""
-    intervals = branch_intervals(tree)
-    return frozenset(intervals[h] for h in tree.pairing)
-
-
 def _dihedral_orbits(leaf_count):
     """Trivalent trees up to the rotations and reflections of the leaves,
     as [(representative, orbit size)]; the representative of an orbit is
@@ -371,7 +365,7 @@ def _dihedral_orbits(leaf_count):
     seen = set()
     out = []
     for seed in enumerate_trivalent_trees(leaf_count):
-        key = _cut_intervals(seed)
+        key = cut_intervals(seed)
         if key in seen:
             continue
         mirror = frozenset((-(first + size - 1) % leaf_count, size) for first, size in key)

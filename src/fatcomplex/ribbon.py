@@ -56,8 +56,18 @@ class BadSplit(GraphError):
 # permutation parity and orientation words
 # ---------------------------------------------------------------------------
 
-def perm_parity(perm):
-    """Sign of a permutation given as a list with entries 0..n-1."""
+def word_parity(word_a, word_b):
+    """Sign of the permutation carrying ordering `word_a` to `word_b`,
+    by walking its cycles: a cycle of even length is odd.
+
+    Both words must list the same distinct symbols.  As orientations,
+    [word_a] == word_parity(word_a, word_b) * [word_b].  The sign of the
+    permutation sorting distinct values w is word_parity(w, sorted(w)).
+    """
+    pos = {x: i for i, x in enumerate(word_b)}
+    if len(pos) != len(word_a) or len(word_a) != len(word_b):
+        raise ValueError("words must list the same distinct symbols")
+    perm = [pos[x] for x in word_a]
     n = len(perm)
     seen = [False] * n
     sign = 1
@@ -73,31 +83,6 @@ def perm_parity(perm):
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def sort_sign(values):
-    """Sign of the permutation sorting distinct `values` ascending, by
-    counting inversions (quadratic, for the short tuples of the chain
-    scan and the region rules; `perm_parity` walks cycles in O(n))."""
-    sign = 1
-    n = len(values)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if values[i] > values[j]:
-                sign = -sign
-    return sign
-
-
-def word_parity(word_a, word_b):
-    """Sign of the permutation carrying ordering `word_a` to `word_b`.
-
-    Both words must list the same distinct symbols.  As orientations,
-    [word_a] == word_parity(word_a, word_b) * [word_b].
-    """
-    pos = {x: i for i, x in enumerate(word_b)}
-    if len(pos) != len(word_a) or len(word_a) != len(word_b):
-        raise ValueError("words must list the same distinct symbols")
-    return perm_parity([pos[x] for x in word_a])
 
 
 def _rotate_min(cycle):

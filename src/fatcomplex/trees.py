@@ -11,6 +11,13 @@ internal edge per step.  Signs follow the same Conant-Vogtmann
 bookkeeping as for graphs; the designated orientation of the terminal
 corolla is the natural one for even n and the leaf-0 counterclockwise
 word for odd n, which in both cases is the reference ordering.
+
+Every region fact comes from one table per tree, `branch_intervals`:
+region j is the gap between leaf j and leaf j+1, the corner after a
+half-edge lies in the region closing off its branch, and a face of K^n
+is keyed by the intervals its internal half-edges cut off.  One region
+sign rule, `lemma_region_sign`, predicts chain signs from those corner
+regions, for seeds with one big vertex and for maximal chains alike.
 """
 
 import math
@@ -18,12 +25,13 @@ from itertools import permutations
 
 from fatcomplex.ribbon import (
     GraphError,
+    _edge_list,
     _normalize_cycles,
     canonical_key_over,
     canonical_over,
     collapse_oriented,
     collapse_steps,
-    sort_sign,
+    word_parity,
 )
 
 
@@ -36,17 +44,27 @@ class PlanarTree:
 
     __slots__ = ("leaf_count", "vertices", "pairing", "_vertex_of")
 
-    def __init__(self, leaf_count, vertex_cycles, edge_pairs, check=True):
+    def __init__(self, leaf_count, vertex_cycles, edge_pairs):
+        self._set(leaf_count, _normalize_cycles([tuple(c) for c in vertex_cycles]), edge_pairs)
+        self._validate()
+
+    def _set(self, leaf_count, vertices, edge_pairs):
         self.leaf_count = leaf_count
-        self.vertices = _normalize_cycles([tuple(c) for c in vertex_cycles])
+        self.vertices = vertices
         pairing = {}
         for a, b in edge_pairs:
             pairing[a] = b
             pairing[b] = a
         self.pairing = pairing
-        self._vertex_of = {x: c for c in self.vertices for x in c}
-        if check:
-            self._validate()
+        self._vertex_of = {x: c for c in vertices for x in c}
+
+    @classmethod
+    def _trusted(cls, leaf_count, vertices, edge_pairs):
+        """A tree from parts known to be valid, with no checks:
+        `vertices` normalized and `edge_pairs` its internal edges."""
+        t = cls.__new__(cls)
+        t._set(leaf_count, vertices, edge_pairs)
+        return t
 
     def _validate(self):
         labels = [x for c in self.vertices for x in c]
@@ -90,7 +108,7 @@ class PlanarTree:
         return tuple(h for h in self.contour() if h not in self.pairing)
 
     def internal_edges(self):
-        return sorted({(min(a, b), max(a, b)) for a, b in self.pairing.items()})
+        return _edge_list(self.pairing)
 
     def literal(self):
         return (self.leaf_count, self.vertices, tuple(self.internal_edges()))
@@ -99,7 +117,7 @@ class PlanarTree:
         """Canonical representative over the fixed leaves."""
         (cycles, pairs), _ = canonical_key_over(range(self.leaf_count), self.vertices,
                                                 self.pairing)
-        return PlanarTree(self.leaf_count, cycles, pairs, check=False)
+        return PlanarTree._trusted(self.leaf_count, cycles, pairs)
 
     def __eq__(self, other):
         return isinstance(other, PlanarTree) and self.literal() == other.literal()
@@ -237,8 +255,7 @@ def corolla(n):
 def collapse_tree_edge(tree, sign, edge):
     """Collapse an internal edge, returning (tree, induced sign)."""
     cycles, pairing, s = collapse_oriented(tree.vertices, tree.pairing, sign, edge[0])
-    pairs = sorted({(min(a, b), max(a, b)) for a, b in pairing.items()})
-    return PlanarTree(tree.leaf_count, cycles, pairs, check=False), s
+    return PlanarTree._trusted(tree.leaf_count, cycles, _edge_list(pairing)), s
 
 
 def canonical_oriented_tree(tree, sign):
@@ -246,7 +263,7 @@ def canonical_oriented_tree(tree, sign):
     transported along the relabeling of internal half-edges."""
     (cycles, pairs), sign = canonical_over(range(tree.leaf_count), tree.vertices,
                                            tree.pairing, sign)
-    return PlanarTree(tree.leaf_count, cycles, pairs, check=False), sign
+    return PlanarTree._trusted(tree.leaf_count, cycles, pairs), sign
 
 
 def maximal_chains(n):
@@ -299,6 +316,14 @@ def corner_regions(tree):
     return {h: (first + size - 1) % L for h, (first, size) in branch_intervals(tree).items()}
 
 
+def cut_intervals(tree):
+    """The leaf intervals, as (first leaf, length), that the internal
+    half-edges of a tree cut off; they determine the tree, so they key
+    its face."""
+    intervals = branch_intervals(tree)
+    return frozenset(intervals[h] for h in tree.pairing)
+
+
 def region_touch_sets(tree):
     """For each vertex index, the set of regions touching it."""
     corners = corner_regions(tree)
@@ -306,61 +331,38 @@ def region_touch_sets(tree):
 
 
 # ---------------------------------------------------------------------------
-# region sign rules
+# the region sign rule
 # ---------------------------------------------------------------------------
 
-# Both rules sign odd-length tuples of distinct regions, whose ascending
-# sort sign is their cyclic sign: rotating an odd-length tuple is even.
+def lemma_region_sign(tree, edge_order, v0=None):
+    """Predicted chain sign for a seed whose vertices are trivalent except
+    possibly one vertex v0.
 
+    With 2k internal edges collapsed in the given order, the sign of the
+    chain is (-1)^k times the sign of the permutation sorting
+    (a_1..a_V, b_1..b_2k), where the a_i are the regions around v0 and
+    b_i is the region touching e_i only at its endpoint furthest from
+    v0.  The tuple has odd length, so its sort sign is its cyclic sign:
+    rotating an odd-length tuple is even.  When every vertex is
+    trivalent, v0 must be given; at an endpoint of e_1 the rule gives
+    the sign of a maximal chain of K^{2k}.
 
-def _flank_regions(tree, corners, edge):
-    shared = ({corners[h] for h in tree.vertex_of(edge[0])}
-              & {corners[h] for h in tree.vertex_of(edge[1])})
-    if len(shared) != 2:
-        raise ConfigurationMismatch("edge must have exactly two flanking regions")
-    return shared
-
-
-def _off_region(tree, corners, vertex_cycle, edge):
-    """The region touching `edge` only at this trivalent endpoint."""
-    if len(vertex_cycle) != 3:
-        raise ConfigurationMismatch("off-region needs a trivalent vertex")
-    rest = {corners[h] for h in vertex_cycle} - _flank_regions(tree, corners, edge)
-    if len(rest) != 1:
-        raise ConfigurationMismatch("vertex does not touch the edge as required")
-    return rest.pop()
-
-
-def _far_end(tree, corners, intervals, edge, near):
-    """The endpoint of edge (a, b) further from the vertex `near`: a's
-    vertex when `near` lies in the branch through a, b's otherwise.
-
-    A vertex lies in the branch through a exactly when one of its corner
-    regions r is strictly between two leaves of the branch, that is
+    Everything is read off `branch_intervals`, with cr[h] the region of
+    the corner after h:
+      - the flanks of an edge (x, y) are cr[x] and cr[y], the corners
+        after x and after y;
+      - at a trivalent endpoint of h the corner before h lies in the
+        flank across the edge, so the region touching the edge only
+        there is cr[sigma[h]].
+    The far half-edge of (x, y) is x when v0 lies in the branch through
+    x, and y otherwise.  A vertex lies in the branch through x, of
+    leaves (first, size), exactly when one of its corner regions r is
+    strictly between two leaves of the branch, that is
     (r - first) mod L < size - 1.  Both leaves of such a region lie in
     the branch, so does the tree path between them, and the region
     touches only the vertices on that path.  Conversely every vertex of
     the branch has such a corner: the corner between two consecutive
-    half-edges of it that point away from a.
-    """
-    a, b = edge
-    first, size = intervals[a]
-    L = tree.leaf_count
-    if any((corners[h] - first) % L < size - 1 for h in near):
-        return tree.vertex_of(a)
-    return tree.vertex_of(b)
-
-
-def lemma_region_sign(tree, edge_order, v0=None):
-    """Predicted chain sign for a seed with one non-trivalent vertex.
-
-    For a tree whose vertices are trivalent except one vertex v0, with
-    2k internal edges collapsed in the given order, the sign of the
-    chain is (-1)^k times the sign of the permutation putting
-    (a_1..a_V, b_1..b_2k) into cyclic order, where the a_i are the
-    regions around v0 and b_i is the region touching e_i only at its
-    endpoint furthest from v0.  When every vertex is trivalent, v0 must
-    be given explicitly.
+    half-edges of it that point away from x.
     """
     if v0 is None:
         big = [c for c in tree.vertices if len(c) > 3]
@@ -371,61 +373,19 @@ def lemma_region_sign(tree, edge_order, v0=None):
         v0 = tree.vertex_of(v0[0])
     if len(edge_order) % 2 != 0:
         raise ConfigurationMismatch("need an even number of edges")
-    k = len(edge_order) // 2
     if set(edge_order) != set(tree.internal_edges()):
         raise ConfigurationMismatch("edge order must list all internal edges")
-    intervals = branch_intervals(tree)
-    corners = corner_regions(tree)
-    a = tuple(corners[h] for h in v0)
-    bs = tuple(_off_region(tree, corners, _far_end(tree, corners, intervals, e, v0), e)
-               for e in edge_order)
-    return (-1) ** k * sort_sign(a + bs)
-
-
-def _is_cyclically_sorted(values):
-    n = len(values)
-    descents = sum(1 for i in range(n) if values[(i + 1) % n] < values[i])
-    return descents == 1
-
-
-def chain_region_sign(simplex):
-    """Predicted sign of a maximal chain (seed, steps) of K^{2k} from its
-    regions.
-
-    a_1, a_3 flank the first collapsed edge and a_2, b_1 are the two
-    regions touching it only at an endpoint, labelled so that
-    (a_1, a_2, a_3, b_1) is in cyclic order; for i >= 2, b_i is the
-    region touching e_i only at its endpoint furthest from e_1.  The
-    chain sign is (-1)^k sgn(a_1, a_2, a_3, b_1, ..., b_2k).
-    """
-    seed, steps = simplex
-    if any(len(c) != 3 for c in seed.vertices):
-        raise ConfigurationMismatch("maximal-chain rule needs a trivalent seed")
-    edges = [e for (e,) in steps]
-    if len(edges) % 2 != 0:
-        raise ConfigurationMismatch("region rule applies to even-dimensional cells")
-    k = len(edges) // 2
-    e1 = edges[0]
-    intervals = branch_intervals(seed)
-    corners = corner_regions(seed)
-    flank = sorted(_flank_regions(seed, corners, e1))
-    u, w = seed.vertex_of(e1[0]), seed.vertex_of(e1[1])
-    off_u, off_w = _off_region(seed, corners, u, e1), _off_region(seed, corners, w, e1)
-    a = None
-    for cand_u, cand_w in ((off_u, off_w), (off_w, off_u)):
-        for a1, a3 in ((flank[0], flank[1]), (flank[1], flank[0])):
-            if _is_cyclically_sorted((a1, cand_u, a3, cand_w)):
-                a = (a1, cand_u, a3)
-                b1 = cand_w
-                break
-        if a is not None:
-            break
-    if a is None:
-        raise ConfigurationMismatch("could not orient the regions around e_1")
-    # every later edge has u and w on one side, so u alone decides the far end
-    bs = (b1,) + tuple(_off_region(seed, corners, _far_end(seed, corners, intervals, e, u), e)
-                       for e in edges[1:])
-    return (-1) ** k * sort_sign(a + bs)
+    if any(len(c) != 3 for c in tree.vertices if c != v0):
+        raise ConfigurationMismatch("every vertex but v0 must be trivalent")
+    iv, sigma, L = branch_intervals(tree), tree.sigma(), tree.leaf_count
+    cr = {h: (first + size - 1) % L for h, (first, size) in iv.items()}
+    a = [cr[h] for h in v0]
+    bs = []
+    for x, y in edge_order:
+        first, size = iv[x]
+        far = x if any((r - first) % L < size - 1 for r in a) else y
+        bs.append(cr[sigma[far]])
+    return (-1) ** (len(edge_order) // 2) * word_parity(a + bs, sorted(a + bs))
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +393,14 @@ def chain_region_sign(simplex):
 # ---------------------------------------------------------------------------
 
 def _chain_key(seed, steps):
-    """The canonical literals of the trees along a chain (seed, steps),
-    each the seed collapsed by the steps before it."""
-    leaves = range(seed.leaf_count)
-    cycles, pairing = seed.vertices, seed.pairing
-    key = [canonical_key_over(leaves, cycles, pairing)[0]]
+    """The faces along a chain (seed, steps), each the seed collapsed by
+    the steps before it, keyed by `cut_intervals`: a collapse keeps the
+    branch through every half-edge it leaves, so each key is the seed's
+    minus the intervals of the edges collapsed so far."""
+    intervals = branch_intervals(seed)
+    key = [cut_intervals(seed)]
     for step in steps:
-        cycles, pairing, _ = collapse_steps(cycles, pairing, [step])
-        key.append(canonical_key_over(leaves, cycles, pairing)[0])
+        key.append(key[-1] - {intervals[h] for e in step for h in e})
     return tuple(key)
 
 

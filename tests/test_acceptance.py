@@ -89,7 +89,7 @@ def test_criterion_5_partition_function_suite(corpus):
 
 
 def test_criterion_6_orientation_suite():
-    report("6: region-sign rules (valence 5, 7, 9; K^2, K^4) and antisymmetry",
+    report("6: region-sign rule (valence 5, 7, 9; K^2, K^4) and antisymmetry",
            registry_rows_pass(checks.check_orientation(), 5))
 
 

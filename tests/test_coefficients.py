@@ -8,7 +8,6 @@ from fatcomplex.coefficients import (
     CheckResult,
     MmmPolynomial,
     OutOfComputedRange,
-    _cut_intervals,
     a_matrix,
     b_general,
     b_matrix,
@@ -28,9 +27,10 @@ from fatcomplex.coefficients import (
     w_polynomial,
 )
 from fatcomplex.cocycle import cup_product
-from fatcomplex.ribbon import sort_sign
+from fatcomplex.ribbon import word_parity
 from fatcomplex.trees import (
     PlanarTree,
+    cut_intervals,
     enumerate_trivalent_trees,
     maximal_chains,
     region_touch_sets,
@@ -119,7 +119,7 @@ def _rotation_orbits(leaf_count):
     seen = set()
     out = []
     for seed in enumerate_trivalent_trees(leaf_count):
-        key = _cut_intervals(seed)
+        key = cut_intervals(seed)
         if key in seen:
             continue
         orbit = {frozenset(((first + r) % leaf_count, size) for first, size in key)
@@ -278,7 +278,7 @@ def _scaled_cz(c0, deltas, scale, cache):
     levels = [_bits(c0)] + [_bits(d) for d in deltas]
     total = 0
     for tup in product(*levels):
-        total += sort_sign(tup)
+        total += word_parity(tup, sorted(tup))
     val = 0
     if total:
         k = len(deltas) // 2

@@ -24,9 +24,7 @@ from fatcomplex.ribbon import (
     graph_from_key,
     isomorphisms_between,
     natural_orientation,
-    perm_parity,
     reference_word,
-    sort_sign,
     transport_sign,
     word_parity,
 )
@@ -82,26 +80,32 @@ def dumbbell():
     return build_graph([(1, 2, 3), (4, 5, 6)], [(1, 2), (4, 5), (3, 6)])
 
 
-def test_perm_parity():
-    assert perm_parity([0, 1, 2]) == 1
-    assert perm_parity([1, 0, 2]) == -1
-    assert perm_parity([2, 0, 1]) == 1
-    assert perm_parity([]) == 1
+def test_word_parity_small_permutations():
+    # identity, a transposition, a 3-cycle and the empty word
+    assert word_parity([0, 1, 2], [0, 1, 2]) == 1
+    assert word_parity([1, 0, 2], [0, 1, 2]) == -1
+    assert word_parity([2, 0, 1], [0, 1, 2]) == 1
+    assert word_parity([], []) == 1
 
 
-def test_sort_sign_matches_perm_parity_of_the_sorting_permutation():
+def test_word_parity_sort_sign_matches_inversion_count():
     import random
 
-    def sorting_parity(values):
-        return perm_parity(sorted(range(len(values)), key=values.__getitem__))
+    def inversion_sign(values):
+        sign = 1
+        for i in range(len(values)):
+            for j in range(i + 1, len(values)):
+                if values[i] > values[j]:
+                    sign = -sign
+        return sign
 
     for perm in itertools.permutations(range(6)):
-        assert sort_sign(perm) == sorting_parity(perm)
+        assert word_parity(perm, sorted(perm)) == inversion_sign(perm)
     rng = random.Random(11)
     for size in range(12):
         for _ in range(20):
             values = rng.sample(range(-40, 40), size)
-            assert sort_sign(values) == sorting_parity(values)
+            assert word_parity(values, sorted(values)) == inversion_sign(values)
 
 
 def test_word_parity_matches_bruteforce():
@@ -642,8 +646,7 @@ def reference_canonical_oriented_tree(tree, sign):
             fresh += 1
     canon = PlanarTree(tree.leaf_count,
                        [tuple(relabel[x] for x in c) for c in tree.vertices],
-                       [(relabel[a], relabel[b]) for a, b in tree.internal_edges()],
-                       check=False)
+                       [(relabel[a], relabel[b]) for a, b in tree.internal_edges()])
     return canon, sign * transport_sign_for_relabel(tree, canon, relabel)
 
 

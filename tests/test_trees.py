@@ -5,11 +5,10 @@ import pytest
 
 from fatcomplex import trees
 from fatcomplex.linalg import sparse_product, sparse_rank
-from fatcomplex.ribbon import GraphError, collapse_steps, reference_word, sort_sign, word_parity
+from fatcomplex.ribbon import GraphError, collapse_steps, reference_word, word_parity
 from fatcomplex.trees import (
     ConfigurationMismatch,
     PlanarTree,
-    chain_region_sign,
     collapse_tree_edge,
     corolla,
     dual_cell,
@@ -135,8 +134,8 @@ def test_case_2a_orientation_words():
     # the underlying region permutation sign is +1: regions at v0 plus
     # the two off-regions b1 = 2, b2 = 3 sort evenly into cyclic order
     v0 = t0.vertex_of(5)
-    a = regions_touching(t0, v0)
-    assert sort_sign(tuple(a) + (2, 3)) == 1
+    regions = list(regions_touching(t0, v0)) + [2, 3]
+    assert word_parity(regions, sorted(regions)) == 1
 
 
 def test_case_2b_orientation_words():
@@ -286,6 +285,12 @@ def test_dual_cell_small():
     d2 = dual_cell(2)
     assert len(d2) == 10
     assert all(v in (-1, 1) for v in d2.values())
+    # a chain key names the i-face at position i, and distinct faces
+    # get distinct keys
+    for n in range(5):
+        keys = dual_cell(n)
+        for i in range(n + 1):
+            assert len({key[i] for key in keys}) == face_count(n, i)
 
 
 def test_dual_cell_boundary_identity():
@@ -399,7 +404,10 @@ def test_degree_statement_chainwise():
         twist = (-1) ** math.comb(n + 1, 2)
         assert twist == (-1) ** k
         for simplex, sign in maximal_chains(n):
-            raw_region_sign = chain_region_sign(simplex) * (-1) ** k
+            seed, steps = simplex
+            edges = [e for (e,) in steps]
+            raw_region_sign = (lemma_region_sign(seed, edges, v0=seed.vertex_of(edges[0][0]))
+                               * (-1) ** k)
             assert raw_region_sign * sign == twist
 
 
@@ -414,4 +422,38 @@ def test_lemma_region_sign_k0_and_bad_configuration():
     big = PlanarTree(7, [(7, 0, 9, 3, 4), (8, 5, 6), (10, 1, 2)],
                      [(7, 8), (9, 10)])
     with pytest.raises(ConfigurationMismatch):
-        lemma_region_sign(big, [(7, 8)])
+        lemma_region_sign(big, [(7, 8), (8, 9)])
+    # an odd number of edges
+    odd = PlanarTree(6, [(6, 0, 1), (7, 2, 3, 4, 5)], [(6, 7)])
+    with pytest.raises(ConfigurationMismatch):
+        lemma_region_sign(odd, [(6, 7)])
+    # a vertex other than v0 that is not trivalent
+    with pytest.raises(ConfigurationMismatch):
+        lemma_region_sign(big, [(7, 8), (9, 10)], v0=(8, 5, 6))
+
+
+def test_region_lookup_facts():
+    # on every face of K^n, n <= 5: the flanks of an edge (x, y) are the
+    # regions cr[x] and cr[y] after x and after y, and at a trivalent
+    # endpoint of h the third region, touching the edge only there, is
+    # cr[sigma[h]]
+    for n in range(6):
+        for k in range(n + 1):
+            for t in enumerate_faces(n, k):
+                cr, sigma, touch = corner_regions(t), t.sigma(), region_touch_sets(t)
+                index = {h: i for i, c in enumerate(t.vertices) for h in c}
+                for x, y in t.internal_edges():
+                    flanks = touch[index[x]] & touch[index[y]]
+                    assert flanks == {cr[x], cr[y]} and cr[x] != cr[y]
+                    for h in (x, y):
+                        if len(t.vertex_of(h)) == 3:
+                            assert touch[index[h]] - flanks == {cr[sigma[h]]}
+
+
+def test_region_rule_at_either_end_of_the_first_edge_on_k6():
+    # every order of three K^6 seeds, with v0 at either endpoint of e_1
+    for seed in [enumerate_trivalent_trees(9)[i] for i in (0, 200, 428)]:
+        for order in permutations(seed.internal_edges()):
+            sign = order_sign(seed, order)
+            for h in order[0]:
+                assert lemma_region_sign(seed, list(order), v0=seed.vertex_of(h)) == sign
