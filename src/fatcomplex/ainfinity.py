@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 
-from fatcomplex.coefficients import format_rational
+from fatcomplex.coefficients import format_rational, partitions_of
 from fatcomplex.graph_complex import eval_w
 from fatcomplex.linalg import SingularMatrix, matrix_inverse
 from fatcomplex.ribbon import (
@@ -369,20 +369,6 @@ def z_x_chain(x, chain):
     return total
 
 
-def _partitions_bounded(budget):
-    """Partitions (any weight) with sum of (2 p + 1) over parts <= budget."""
-    out = [()]
-    def rec(prefix, largest, left):
-        for p in range(largest, 0, -1):
-            cost = 2 * p + 1
-            if cost <= left:
-                cur = prefix + (p,)
-                out.append(cur)
-                rec(cur, p, left - cost)
-    rec((), (budget - 1) // 2 if budget >= 3 else 0, budget)
-    return out
-
-
 def zx_expansion_check(x, corpus):
     """Check Z_x == x_0^(-2 chi) sum_lambda y^lambda W_lambda* class by
     class of the corpus; both sides are computed independently.  The
@@ -397,7 +383,7 @@ def zx_expansion_check(x, corpus):
         lhs = z_x_chain(x, chain)
         chi = graph_from_key(key).euler_characteristic
         rhs = Fraction(0)
-        for lam in _partitions_bounded(-2 * chi):
+        for lam in (lam for w in range(-chi + 1) for lam in partitions_of(w)):
             r0 = -2 * chi - sum(2 * p + 1 for p in lam)
             if r0 < 0:
                 continue

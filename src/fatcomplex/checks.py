@@ -2,7 +2,7 @@
 and the acceptance suite.
 
 Each suite takes its inputs as keyword arguments, from `corpus` (a
-`graph_complex.ClassCorpus`), `n`, `seed`, `workers` and `mode`, ignores
+`graph_complex.ClassCorpus`), `n`, `seed` and `workers`, ignores
 the ones it does not use, and returns rows (suite, name, passed,
 conjecture).  A check that covers no instance emits no row, so every row
 reports a check that could fail.
@@ -104,9 +104,9 @@ def check_ainf(corpus, seed, **_):
     return rows
 
 
-def check_closedform(n, workers, mode, **_):
+def check_closedform(n, workers, **_):
     return [("closedform", r.name, r.passed, r.conjecture)
-            for r in coefficients.closed_form_checks(n, workers=workers, mode=mode)]
+            for r in coefficients.closed_form_checks(n, workers=workers)]
 
 
 SUITES = {
@@ -123,7 +123,7 @@ def run(names, **inputs):
     before any suite spends time.  The graph-complex suites share one
     `ClassCorpus` within `max_half_edges`, built once for the run."""
     if "closedform" in names:
-        coefficients.check_weight(inputs["n"], inputs["mode"])
+        coefficients.check_weight(inputs["n"])
     if any(name in names for name in ("complex", "cocycle", "ainf")):
         inputs["corpus"] = graph_complex.ClassCorpus(inputs["max_half_edges"])
     return [row for name in names for row in SUITES[name](**inputs)]

@@ -24,7 +24,6 @@ def _parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--mode", choices=("fast", "long"), default="fast")
         p.add_argument("--format", dest="fmt", choices=("text", "json"),
                        default="text")
         p.add_argument("--workers", type=int, default=1)
@@ -56,8 +55,8 @@ def _parser():
 # ---------------------------------------------------------------------------
 
 def cmd_coeff(args, out):
-    b = coefficients.b_matrix(args.n, workers=args.workers, mode=args.mode)
-    a = coefficients.a_matrix(args.n, workers=args.workers, mode=args.mode)
+    b = coefficients.b_matrix(args.n, workers=args.workers)
+    a = coefficients.a_matrix(args.n, workers=args.workers)
     order = [",".join(str(p) for p in part) for part in b.order]
     if args.fmt == "json":
         out.write(json.dumps({"n": args.n, "order": order,
@@ -75,8 +74,7 @@ def cmd_coeff(args, out):
 
 
 def cmd_wpoly(args, out):
-    poly = coefficients.w_polynomial(args.partition, workers=args.workers,
-                                     mode=args.mode)
+    poly = coefficients.w_polynomial(args.partition, workers=args.workers)
     name = ",".join(str(p) for p in args.partition)
     if args.fmt == "json":
         out.write(json.dumps({"partition": name, "terms": poly.to_json()},
@@ -89,7 +87,7 @@ def cmd_wpoly(args, out):
 def cmd_verify(args, out):
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
     rows = checks.run(names, max_half_edges=args.max_half_edges, n=args.n,
-                      seed=args.seed, workers=args.workers, mode=args.mode)
+                      seed=args.seed, workers=args.workers)
     hard_fail = any(not passed and not conj for _, _, passed, conj in rows)
     soft_fail = any(not passed and conj for _, _, passed, conj in rows)
     if args.fmt == "json":
@@ -109,7 +107,7 @@ def cmd_verify(args, out):
 
 def _progress_reporter():
     """A `coefficients.progress_hook` printing the orbits scanned, with a
-    rate and an ETA, to stderr."""
+    rate and an ETA, to stderr: one line per finished shard."""
     start = None
 
     def progress(done, total):
@@ -141,8 +139,7 @@ def main(argv=None):
             print("error: --partition: %s" % exc, file=sys.stderr)
             return 2
     previous_hook = coefficients.progress_hook
-    if args.mode == "long":
-        coefficients.progress_hook = _progress_reporter()
+    coefficients.progress_hook = _progress_reporter()
     out = sys.stdout
     try:
         if args.command == "coeff":

@@ -122,8 +122,8 @@ class OutOfComputedRange(ValueError):
     pass
 
 
-FAST_MAX_WEIGHT = 3
-LONG_MAX_WEIGHT = 4
+#: The largest weight with a recorded table (acceptance criterion 8).
+MAX_WEIGHT = 4
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +380,8 @@ _B_SINGLE_CACHE = {}
 
 #: optional callable(done, total) reporting how many of the dihedral
 #: orbits of seed trees are scanned; it is called once with done = 0
-#: before the scan starts.  The command line sets it for --mode long.
+#: before the scan starts and once per finished shard.  The command line
+#: sets it for every command.
 progress_hook = None
 
 
@@ -390,7 +391,8 @@ def b_single_all(m, workers=1):
     Returns {composition: value} where value includes the (-1)^m factor.
     One seed tree per dihedral orbit (leaf rotations and reflections) is
     scanned, weighted by the orbit size.  The scan is sharded by orbit,
-    and the seeds of a shard share its window walks by face; exact
+    one shard on one worker and about 8 per worker otherwise, and the
+    seeds of a shard share its window walks by face; exact
     integer partial sums merge, so the result is identical for any
     worker count.  The pool has at most as many processes as there are
     shards or CPUs.
@@ -401,7 +403,6 @@ def b_single_all(m, workers=1):
     norbits = len(orbits)
     chunk = norbits if workers <= 1 else max(1, (norbits + 8 * workers - 1) // (8 * workers))
     if progress_hook is not None:
-        chunk = min(chunk, max(1, norbits // 32))
         progress_hook(0, norbits)
     shards = [(m, orbits[lo:lo + chunk]) for lo in range(0, norbits, chunk)]
     totals = dict.fromkeys(compositions_of(m), 0)
@@ -511,28 +512,24 @@ class CoefficientMatrix:
         return [[format_rational(x) for x in row] for row in self.rows]
 
 
-def max_weight(mode):
-    return LONG_MAX_WEIGHT if mode == "long" else FAST_MAX_WEIGHT
+def check_weight(n, smallest=1):
+    """Raise OutOfComputedRange unless smallest <= n <= MAX_WEIGHT."""
+    if not smallest <= n <= MAX_WEIGHT:
+        raise OutOfComputedRange("weight %d out of range (%d to %d)"
+                                 % (n, smallest, MAX_WEIGHT))
 
 
-def check_weight(n, mode, smallest=1):
-    """Raise OutOfComputedRange unless smallest <= n <= max_weight(mode)."""
-    if not smallest <= n <= max_weight(mode):
-        raise OutOfComputedRange("weight %d out of range for mode %r (%d to %d)"
-                                 % (n, mode, smallest, max_weight(mode)))
-
-
-def b_matrix(n, workers=1, mode="fast"):
+def b_matrix(n, workers=1):
     """B_n: rows indexed by the target partition, columns by the refining
     one; upper triangular with nonzero diagonal."""
-    check_weight(n, mode)
+    check_weight(n)
     order = partitions_of(n)
     rows = [[b_general(lam, mu, workers=workers) for lam in order] for mu in order]
     return CoefficientMatrix(n, order, rows)
 
 
-def a_matrix(n, workers=1, mode="fast"):
-    b = b_matrix(n, workers=workers, mode=mode)
+def a_matrix(n, workers=1):
+    b = b_matrix(n, workers=workers)
     try:
         inv = matrix_inverse([list(row) for row in b.rows])
     except SingularMatrix:
@@ -642,16 +639,16 @@ def format_rational(x):
     return "%d/%d" % (x.numerator, x.denominator)
 
 
-def w_polynomial(mu, workers=1, mode="fast"):
+def w_polynomial(mu, workers=1):
     """The polynomial expressing the dual cocycle of the vertex pattern
     mu in adjusted monomials; zero parts count trivalent vertices."""
     mu = normalize_partition(mu, allow_zero=True)
     zeros = sum(1 for p in mu if p == 0)
     positive = tuple(p for p in mu if p > 0)
     n = sum(positive)
-    check_weight(n, mode, smallest=0)
+    check_weight(n, smallest=0)
     if positive:
-        a = a_matrix(n, workers=workers, mode=mode)
+        a = a_matrix(n, workers=workers)
         col = a.order.index(positive)
         base = MmmPolynomial({a.order[i]: a.rows[i][col] for i in range(len(a.order))})
     else:
@@ -721,29 +718,29 @@ def _conjecture_formula(n, k):
     return out
 
 
-def closed_form_checks(n, workers=1, mode="fast"):
+def closed_form_checks(n, workers=1):
     """Evaluate the table identities up to weight n; conjectural ones are
     flagged and never treated as hard failures by callers."""
-    check_weight(n, mode)
+    check_weight(n)
     out = []
     for k in range(1, n + 1):
-        lhs = w_polynomial((k,), workers=workers, mode=mode)
+        lhs = w_polynomial((k,), workers=workers)
         rhs = _witten_polynomial(k)
         out.append(CheckResult("W[%d]* = %s" % (k, rhs.render()),
                                lhs == rhs, False, lhs.render(), rhs.render()))
     for nn in range(0, n):
         mu = (nn, 1) if nn >= 1 else (1, 0)
-        lhs = w_polynomial(mu, workers=workers, mode=mode)
+        lhs = w_polynomial(mu, workers=workers)
         rhs = _w_n1_formula(nn)
         out.append(CheckResult("W[%d,1]*" % nn,
                                lhs == rhs, False, lhs.render(), rhs.render()))
     for k in range(0, n + 1):
-        lhs = w_polynomial((k, 0), workers=workers, mode=mode)
+        lhs = w_polynomial((k, 0), workers=workers)
         rhs = _w_k0_formula(k)
         out.append(CheckResult("W[%d,0]*" % k, lhs == rhs, False,
                                lhs.render(), rhs.render()))
     if n >= 3:
-        lhs = w_polynomial((1, 1, 1), workers=workers, mode=mode)
+        lhs = w_polynomial((1, 1, 1), workers=workers)
         rhs = MmmPolynomial({(1, 1, 1): 288, (2, 1): 4176, (3,): 20736})
         out.append(CheckResult("W[1,1,1]*", lhs == rhs, False,
                                lhs.render(), rhs.render()))
@@ -752,7 +749,7 @@ def closed_form_checks(n, workers=1, mode="fast"):
         for k in range(1, nn + 1):
             if nn + k > n:
                 continue
-            lhs = w_polynomial((nn, k), workers=workers, mode=mode)
+            lhs = w_polynomial((nn, k), workers=workers)
             rhs = _conjecture_formula(nn, k)
             out.append(CheckResult("W[%d,%d]* (two-part formula)" % (nn, k),
                                    lhs == rhs, True, lhs.render(), rhs.render()))

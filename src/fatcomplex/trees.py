@@ -28,8 +28,6 @@ from fatcomplex.ribbon import (
     _edge_list,
     _normalize_cycles,
     canonical_key_over,
-    canonical_over,
-    collapse_oriented,
     collapse_steps,
     word_parity,
 )
@@ -252,20 +250,6 @@ def corolla(n):
 # collapses and chains
 # ---------------------------------------------------------------------------
 
-def collapse_tree_edge(tree, sign, edge):
-    """Collapse an internal edge, returning (tree, induced sign)."""
-    cycles, pairing, s = collapse_oriented(tree.vertices, tree.pairing, sign, edge[0])
-    return PlanarTree._trusted(tree.leaf_count, cycles, _edge_list(pairing)), s
-
-
-def canonical_oriented_tree(tree, sign):
-    """Canonical representative over the fixed leaves, with the sign
-    transported along the relabeling of internal half-edges."""
-    (cycles, pairs), sign = canonical_over(range(tree.leaf_count), tree.vertices,
-                                           tree.pairing, sign)
-    return PlanarTree._trusted(tree.leaf_count, cycles, pairs), sign
-
-
 def maximal_chains(n):
     """All maximal chains of K^n, ending at the corolla, as
     [((seed, steps), sign)]: a trivalent seed and one edge per step.
@@ -389,7 +373,7 @@ def lemma_region_sign(tree, edge_order, v0=None):
 
 
 # ---------------------------------------------------------------------------
-# dual cells and the cellular complex
+# dual cells
 # ---------------------------------------------------------------------------
 
 def _chain_key(seed, steps):
@@ -434,29 +418,3 @@ def dual_cell_boundary_check(n):
         rhs[key[:n]] = rhs.get(key[:n], 0) + (-1) ** n * sign
     return ({k: v for k, v in lhs.items() if v},
             {k: v for k, v in rhs.items() if v})
-
-
-def face_boundary_maps(n):
-    """Cellular boundary matrices of K^n over the canonical face bases.
-
-    Returns (faces, maps) where faces[k] lists canonical k-face literals
-    and maps[k] is the matrix of d: C_k -> C_{k-1} as a dict
-    {(row, col): coefficient}.
-    """
-    trees_by_level = [{c.literal(): c for c in map(PlanarTree.canonical, enumerate_faces(n, k))}
-                      for k in range(n + 1)]
-    faces = [tuple(sorted(level)) for level in trees_by_level]
-    index = [{lit: i for i, lit in enumerate(level)} for level in faces]
-    maps = [None]
-    for k in range(1, n + 1):
-        # entry[(T' row, T col)] of d: C_k -> C_{k-1}
-        mat = {}
-        for lit_prime, tprime in trees_by_level[k - 1].items():
-            row = index[k - 1][lit_prime]
-            for e in tprime.internal_edges():
-                collapsed, s = collapse_tree_edge(tprime, 1, e)
-                canon, s = canonical_oriented_tree(collapsed, s)
-                col = index[k][canon.literal()]
-                mat[(row, col)] = mat.get((row, col), 0) + s
-        maps.append({k2: v for k2, v in mat.items() if v})
-    return faces, maps

@@ -103,15 +103,14 @@ def test_criterion_8_stretch_weight_four():
     from fatcomplex.coefficients import _conjecture_formula, a_matrix, b_matrix
     from test_coefficients import matrix_multiply
 
-    w22 = w_polynomial((2, 2), mode="long")
+    w22 = w_polynomial((2, 2))
     want22 = MmmPolynomial({(2, 2): 7200, (4,): 159120})
     ok = w22 == want22 == _conjecture_formula(2, 2)
-    w31 = w_polynomial((3, 1), mode="long")
+    w31 = w_polynomial((3, 1))
     want31 = MmmPolynomial({(3, 1): 20160, (4,): 312480})
     ok = ok and w31 == want31
-    ok = ok and w_polynomial((4,), mode="long") == MmmPolynomial.monomial(
-        (4,), -30240)
-    a4, b4 = a_matrix(4, mode="long"), b_matrix(4, mode="long")
+    ok = ok and w_polynomial((4,)) == MmmPolynomial.monomial((4,), -30240)
+    a4, b4 = a_matrix(4), b_matrix(4)
     prod = matrix_multiply([list(r) for r in a4.rows], [list(r) for r in b4.rows])
     size = len(a4.order)
     ok = ok and prod == [[Fraction(int(i == j)) for j in range(size)]

@@ -6,7 +6,6 @@ import pytest
 
 from fatcomplex.ainfinity import (
     AInfinityAlgebra,
-    _partitions_bounded,
     InvalidAlgebra,
     ZeroX0,
     check_partition_cocycle,
@@ -437,8 +436,25 @@ def test_check_partition_cocycle_matches_per_class_boundaries():
     assert any(value for _, value in wants[2]) and any(value for _, value in wants[3])
 
 
+def _bounded_partitions(budget):
+    """Partitions (any weight) with sum of (2 p + 1) over parts <= budget,
+    enumerated part by part."""
+    out = [()]
+
+    def rec(prefix, largest, left):
+        for p in range(largest, 0, -1):
+            cost = 2 * p + 1
+            if cost <= left:
+                cur = prefix + (p,)
+                out.append(cur)
+                rec(cur, p, left - cost)
+    rec((), (budget - 1) // 2 if budget >= 3 else 0, budget)
+    return out
+
+
 def _reference_zx_expansion_check(x, graphs):
-    """zx_expansion_check as it was: each graph keyed again by chain_of."""
+    """zx_expansion_check as it was: each graph keyed again by chain_of,
+    and its partitions enumerated by their cost."""
     x = [Fraction(v) for v in x]
     report = []
     for g in graphs:
@@ -446,7 +462,7 @@ def _reference_zx_expansion_check(x, graphs):
         lhs = z_x_chain(x, chain)
         chi = g.euler_characteristic
         rhs = Fraction(0)
-        for lam in _partitions_bounded(-2 * chi):
+        for lam in _bounded_partitions(-2 * chi):
             r0 = -2 * chi - sum(2 * p + 1 for p in lam)
             if r0 < 0 or any(p >= len(x) for p in lam):
                 continue

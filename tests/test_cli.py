@@ -110,7 +110,7 @@ def test_max_half_edges_odd_or_above_range_exit_2(bound, capsys):
 @pytest.mark.parametrize("argv", [
     ["wpoly", "--partition", "a"],
     ["wpoly", "--partition", "1,-1"],
-    ["coeff", "--n", "4"],
+    ["coeff", "--n", "5"],
 ])
 def test_malformed_partition_or_weight_out_of_range_exits_2(argv, capsys):
     code, text = run_cli(argv)
@@ -159,7 +159,7 @@ def test_verify_closedform_suite():
 def test_verify_closedform_out_of_range_exits_2():
     code, text = run_cli(["verify", "--suite", "closedform", "--n", "9"])
     assert code == 2 and text == ""
-    code, _ = run_cli(["verify", "--suite", "closedform", "--n", "4"])
+    code, _ = run_cli(["verify", "--suite", "closedform", "--n", "5"])
     assert code == 2
 
 
@@ -247,19 +247,15 @@ def test_verify_grows_one_corpus_and_each_column_once(monkeypatch):
 def test_long_mode_progress_goes_to_stderr_only(capsys, monkeypatch):
     from fatcomplex import coefficients
 
-    argv = ["coeff", "--n", "2", "--format", "json"]
     monkeypatch.setattr(coefficients, "_B_SINGLE_CACHE", {})
-    assert main(argv) == 0
-    fast = capsys.readouterr()
-    monkeypatch.setattr(coefficients, "_B_SINGLE_CACHE", {})
-    assert main(argv + ["--mode", "long"]) == 0
-    long = capsys.readouterr()
-    assert long.out == fast.out
-    assert fast.err == ""
-    lines = long.err.splitlines()
-    # K^4 has four dihedral orbits of seed trees, one line each; K^2 has one
-    assert sorted(line.split()[1] for line in lines) \
-        == ["1/1", "1/4", "2/4", "3/4", "4/4"]
+    assert main(["coeff", "--n", "2", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ('{"n":2,"order":["2","1,1"],"B":[["-1/120","29/720"],'
+                            '["0","1/72"]],"A":[["-120","348"],["0","72"]]}\n')
+    lines = captured.err.splitlines()
+    # one worker scans each K^{2m} as one shard: K^2 has one dihedral
+    # orbit of seed trees and K^4 four
+    assert sorted(line.split()[1] for line in lines) == ["1/1", "4/4"]
     assert all(line.startswith("  scanned ") and " orbits, " in line
                and " orbits/s, ETA " in line for line in lines)
     assert coefficients.progress_hook is None
@@ -274,7 +270,7 @@ def test_strict_conjecture_gates_exit_code(monkeypatch):
         conjecture = True
 
     monkeypatch.setattr(coefficients, "closed_form_checks",
-                        lambda n, workers=1, mode="fast": [Fake()])
+                        lambda n, workers=1: [Fake()])
     code, text = run_cli(["verify", "--suite", "closedform"])
     assert code == 0 and "FAIL" in text
     code, text = run_cli(["verify", "--suite", "closedform",

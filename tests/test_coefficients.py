@@ -555,6 +555,25 @@ def test_pool_never_exceeds_shards_or_cpus(monkeypatch, cpus, size):
     assert sizes == ([] if size is None else [size])
 
 
+def test_progress_hook_leaves_one_shard_on_one_worker(monkeypatch):
+    # reporting progress must not cut the scan into more shards, each
+    # with its own face memo
+    serial = b_single_all(2)
+    shards, seen = [], []
+    scan = coefficients._scan_orbits
+
+    def counted(args):
+        shards.append(len(args[1]))
+        return scan(args)
+
+    monkeypatch.setattr(coefficients, "_scan_orbits", counted)
+    monkeypatch.setattr(coefficients, "progress_hook", lambda done, total: seen.append((done, total)))
+    monkeypatch.setattr(coefficients, "_B_SINGLE_CACHE", {})
+    assert b_single_all(2) == serial
+    assert shards == [4]
+    assert seen == [(0, 4), (4, 4)]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_orbit_scan_matches_scan_over_all_seeds(monkeypatch, workers):
     import multiprocessing
@@ -639,8 +658,6 @@ def test_out_of_range():
         b_matrix(5)
     with pytest.raises(OutOfComputedRange):
         w_polynomial((5,))
-    with pytest.raises(OutOfComputedRange):
-        w_polynomial((4,), mode="fast")
     for n in (-1, 0, 5):
         with pytest.raises(OutOfComputedRange):
             closed_form_checks(n)

@@ -621,7 +621,7 @@ def reference_canonical_over(base_labels, og):
     return target.literal(), og.sign * transport_sign_for_relabel(g, target, final)
 
 
-def reference_canonical_oriented_tree(tree, sign):
+def reference_tree_keyer(tree, sign):
     """The tree keyer as first written: leaves keep their labels, and the
     internal half-edges are numbered from the leaf count in the order of
     the sigma-then-pairing traversal from leaf 0."""
@@ -665,30 +665,35 @@ def test_canonical_over_matches_reference_tree_keyer():
     # in reverse order, where the transported sign is not always +1
     from fatcomplex.trees import (
         PlanarTree,
-        canonical_oriented_tree,
         enumerate_faces,
         enumerate_trivalent_trees,
     )
 
     trees = [t for n in range(1, 6) for k in range(n + 1) for t in enumerate_faces(n, k)]
     trees += enumerate_trivalent_trees(9)
-    checked = flips = 0
+    checked = flips = moves = 0
     for t in trees:
         m = _reverse_unfixed([x for c in t.vertices for x in c], range(t.leaf_count))
         reversed_tree = PlanarTree(t.leaf_count, [tuple(m[x] for x in c) for c in t.vertices],
                                    [(m[a], m[b]) for a, b in t.internal_edges()])
         for tree in (t, reversed_tree):
             for sign in (1, -1):
-                canon, want = reference_canonical_oriented_tree(tree, sign)
+                canon, want = reference_tree_keyer(tree, sign)
                 got = canonical_over(range(tree.leaf_count), tree.vertices, tree.pairing, sign)
                 assert got == ((canon.vertices, tuple(canon.internal_edges())), want)
-                assert canonical_oriented_tree(tree, sign) == (canon, want)
                 assert tree.canonical() == canon
                 checked += 1
                 flips += want != sign
+        # the relabelled tree, carrying the transported sign, has the
+        # same canonical oriented form
+        moved = transport_sign(t, reversed_tree, m)
+        assert canonical_over(range(t.leaf_count), reversed_tree.vertices,
+                              reversed_tree.pairing, moved) \
+            == canonical_over(range(t.leaf_count), t.vertices, t.pairing, 1)
+        moves += moved == -1
     # 1159 faces of K^1..K^5 and 429 trivalent trees, twice each, with both signs
     assert checked == 4 * (1159 + 429)
-    assert flips
+    assert flips and moves
 
 
 def test_canonical_over_matches_reference_forest_keyer():

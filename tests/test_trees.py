@@ -5,21 +5,26 @@ import pytest
 
 from fatcomplex import trees
 from fatcomplex.linalg import sparse_product, sparse_rank
-from fatcomplex.ribbon import GraphError, collapse_steps, reference_word, word_parity
+from fatcomplex.graph_complex import forest_complex
+from fatcomplex.ribbon import (
+    GraphError,
+    RibbonGraph,
+    collapse_oriented,
+    collapse_steps,
+    reference_word,
+    word_parity,
+)
 from fatcomplex.trees import (
     ConfigurationMismatch,
     PlanarTree,
-    collapse_tree_edge,
     corolla,
     dual_cell,
     dual_cell_boundary_check,
     enumerate_faces,
     enumerate_trivalent_trees,
-    face_boundary_maps,
     face_count,
     lemma_region_sign,
     maximal_chains,
-    canonical_oriented_tree,
     corner_regions,
     region_touch_sets,
 )
@@ -119,15 +124,15 @@ def test_case_2a_orientation_words():
     # Collapsing e1 then e2 induces minus the natural orientation on the
     # corolla, while the region permutation sign is +1.
     t0 = PlanarTree(5, [(5, 0, 1), (6, 2, 7), (8, 3, 4)], [(5, 6), (7, 8)])
-    t1, s1 = collapse_tree_edge(t0, 1, (5, 6))
+    c1, p1, s1 = collapse_oriented(t0.vertices, t0.pairing, 1, 5)
     # the merged vertex is (0, 1, 2, 7)
-    assert t1.vertices == ((0, 1, 2, 7), (3, 4, 8))
+    assert c1 == ((0, 1, 2, 7), (3, 4, 8))
     # paper word for T_1: v0 e2- v2 e2+ h1...h5
     expected = word_parity([("v", 0), 7, ("v", 3), 8, 0, 1, 2, 3, 4],
-                           reference_word(t1.vertices))
+                           reference_word(c1))
     assert s1 == expected
-    t2, s2 = collapse_tree_edge(t1, s1, (7, 8))
-    assert t2.vertices == ((0, 1, 2, 3, 4),)
+    c2, _, s2 = collapse_oriented(c1, p1, s1, 7)
+    assert c2 == ((0, 1, 2, 3, 4),)
     assert s2 == -1
     assert order_sign(t0, [(5, 6), (7, 8)]) == -1
     assert lemma_region_sign(t0, [(5, 6), (7, 8)], v0=(5, 0, 1)) == -1
@@ -315,84 +320,36 @@ def test_dual_cell_boundary_identity_fails_on_a_wrong_chain_sign(monkeypatch):
         assert lhs != rhs
 
 
+def one_big_vertex_base(n):
+    """A ribbon graph whose only vertex of valence > 3 has valence n + 3:
+    one vertex with adjacent half-edges paired when n + 3 is even, and
+    otherwise also a trivalent vertex with a loop.  The forest complex
+    over it is the cellular chain complex of K^n."""
+    big = n + 3
+    if big % 2 == 0:
+        return RibbonGraph([tuple(range(big))], [(i, i + 1) for i in range(0, big, 2)])
+    return RibbonGraph([tuple(range(big)), (big, big + 1, big + 2)],
+                       [(i, i + 1) for i in range(0, big - 1, 2)]
+                       + [(big - 1, big), (big + 1, big + 2)])
+
+
 def test_cellular_complex_d_squared_zero_and_euler():
-    for n in (1, 2, 3, 4):
-        faces, maps = face_boundary_maps(n)
+    for n in range(1, 6):
+        fc = forest_complex(one_big_vertex_base(n))
+        dims = fc.ranks()
+        assert dims == [face_count(n, k) for k in range(n + 1)]
         # Euler characteristic of a contractible polytope
-        assert sum((-1) ** k * len(faces[k]) for k in range(n + 1)) == 1
-        for k in range(2, n + 1):
-            assert not any(sparse_product(maps[k - 1], maps[k]).values())
+        assert sum((-1) ** k * dims[k] for k in range(n + 1)) == 1
+        assert fc.d_squared_is_zero()
         # K^n is a convex polytope, so its homology is that of a point
-        ranks = [0] + [sparse_rank(maps[k]) for k in range(1, n + 1)] + [0]
-        homology = [len(faces[k]) - ranks[k] - ranks[k + 1] for k in range(n + 1)]
+        ranks = [0] + [sparse_rank(fc.matrices[k]) for k in range(1, n + 1)] + [0]
+        homology = [dims[k] - ranks[k] - ranks[k + 1] for k in range(n + 1)]
         assert homology == [1] + [0] * n
     # one changed entry of d_2 on K^3 leaves a nonzero product
-    faces, maps = face_boundary_maps(3)
+    maps = forest_complex(one_big_vertex_base(3)).matrices
     entry = min(maps[2])
     maps[2][entry] += 1
     assert any(sparse_product(maps[1], maps[2]).values())
-
-
-def _reference_face_boundary_maps(n):
-    """face_boundary_maps as it was: each level enumerated twice, each
-    face keyed three times."""
-    faces = [tuple(sorted(t.canonical().literal() for t in enumerate_faces(n, k)))
-             for k in range(n + 1)]
-    index = [{lit: i for i, lit in enumerate(level)} for level in faces]
-    trees_by_level = [
-        {t.canonical().literal(): t.canonical() for t in enumerate_faces(n, k)}
-        for k in range(n + 1)]
-    maps = [None]
-    for k in range(1, n + 1):
-        mat = {}
-        for lit_prime, tprime in trees_by_level[k - 1].items():
-            row = index[k - 1][lit_prime]
-            for e in tprime.internal_edges():
-                collapsed, s = collapse_tree_edge(tprime, 1, e)
-                canon, s = canonical_oriented_tree(collapsed, s)
-                col = index[k][canon.literal()]
-                mat[(row, col)] = mat.get((row, col), 0) + s
-        maps.append({k2: v for k2, v in mat.items() if v})
-    return faces, maps
-
-
-def test_face_boundary_maps_match_reference():
-    for n in range(1, 6):
-        assert face_boundary_maps(n) == _reference_face_boundary_maps(n)
-
-
-def test_canonical_oriented_tree_transport_is_involutive():
-    t = enumerate_trivalent_trees(6)[7]
-    canon, s = canonical_oriented_tree(t, 1)
-    again, s2 = canonical_oriented_tree(canon, s)
-    assert again == canon
-    assert s2 == s
-
-
-def test_canonical_oriented_tree_is_invariant_under_relabelling():
-    # an oriented tree presented with shuffled internal labels, carrying
-    # the transported sign, has the same canonical oriented form
-    import random
-
-    from fatcomplex.ribbon import transport_sign
-
-    rng = random.Random(11)
-    flips = 0
-    # two codimension-1 faces of K^5 have a 4-valent vertex without a
-    # leaf, whose relabelling can reverse the orientation
-    for t in enumerate_faces(5, 1):
-        inner = sorted(t.pairing)
-        images = rng.sample(range(20, 20 + 3 * len(inner)), len(inner))
-        mapping = {h: h for h in range(t.leaf_count)}
-        mapping.update(zip(inner, images))
-        t2 = PlanarTree(t.leaf_count, [tuple(mapping[x] for x in c) for c in t.vertices],
-                        [(mapping[a], mapping[b]) for a, b in t.internal_edges()])
-        canon, s = canonical_oriented_tree(t, 1)
-        sign = transport_sign(t, t2, mapping)
-        flips += sign == -1
-        canon2, s2 = canonical_oriented_tree(t2, sign)
-        assert canon2 == canon and s2 == s
-    assert flips
 
 
 def test_degree_statement_chainwise():
