@@ -14,12 +14,16 @@ dual-pairing factor is summed into the table of one of its vertices.
 That is exact with odd elements because the scalar product is even, so
 its inverse is too: a nonzero dual-pairing factor joins two labels of
 one parity, and the Koszul sign of a labeling depends only on which
-edge labels are odd.
+edge labels are odd.  The sum runs in integers: an algebra keeps its
+scalar product, the inverse and each m_k scaled by the lcm of their own
+denominators, so each table is integral over a known denominator, and
+the sum divides by the product of those once per graph.
 """
 
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from math import lcm
 
 from fatcomplex.coefficients import format_rational, partitions_of
 from fatcomplex.graph_complex import eval_w
@@ -38,6 +42,13 @@ class InvalidAlgebra(GraphError):
 
 class ZeroX0(GraphError):
     pass
+
+
+def _scaled(rows):
+    """(d, d * rows) for a map of sparse {index: Fraction} rows, with d
+    the lcm of the denominators of their entries; d * rows is integral."""
+    d = lcm(*(c.denominator for row in rows.values() for c in row.values()))
+    return d, {key: {j: int(c * d) for j, c in row.items()} for key, row in rows.items()}
 
 
 class AInfinityAlgebra:
@@ -62,7 +73,10 @@ class AInfinityAlgebra:
                 args = tuple(int(a) for a in args)
                 if len(args) != k:
                     raise InvalidAlgebra("arity mismatch in structure table")
-                vec = {int(j): Fraction(c) for j, c in out.items() if Fraction(c)}
+                out = {int(j): Fraction(c) for j, c in out.items()}
+                if not all(0 <= i < self.rank for i in args + tuple(out)):
+                    raise InvalidAlgebra("basis index out of range in structure table")
+                vec = {j: c for j, c in out.items() if c}
                 if vec:
                     clean[args] = vec
             if clean:
@@ -74,6 +88,13 @@ class AInfinityAlgebra:
             raise InvalidAlgebra("scalar product is degenerate")
         if strict:
             self._validate_structure()
+        # the state sum's data as (d, d * data), d the lcm of the data's
+        # denominators: the pairing's rows, the inverse's columns, each m_k
+        self._scaled = (
+            _scaled({i: dict(enumerate(row)) for i, row in enumerate(self.pairing)}),
+            _scaled({b: {a: row[b] for a, row in enumerate(self.pairing_inverse) if row[b]}
+                     for b in range(self.rank)}),
+            {k: _scaled(table) for k, table in self.products.items()})
 
     def _validate_pairing(self):
         n = self.rank
@@ -99,24 +120,9 @@ class AInfinityAlgebra:
                         raise InvalidAlgebra(
                             "m_%d is not homogeneous of degree %d mod 2" % (k, k))
 
-    def arities(self):
-        return sorted(self.products)
-
     def m_basis(self, args):
         """m_k on a tuple of basis indices, as a sparse vector."""
         return self.products.get(len(args), {}).get(tuple(args), {})
-
-    def pair_vectors(self, u, v):
-        total = Fraction(0)
-        for i, a in u.items():
-            for j, b in v.items():
-                total += a * b * self.pairing[i][j]
-        return total
-
-    def dual_vector(self, j):
-        """D applied to the j-th dual basis functional, as a vector."""
-        return {i: self.pairing_inverse[i][j]
-                for i in range(self.rank) if self.pairing_inverse[i][j]}
 
     def cyclicity_failures(self):
         """Basis tuples violating the cyclic-symmetry axiom."""
@@ -124,12 +130,9 @@ class AInfinityAlgebra:
         for k, table in sorted(self.products.items()):
             for args in product(range(self.rank), repeat=k + 1):
                 x0, rest = args[0], args[1:]
-                lhs = Fraction(0)
-                for j, c in self.m_basis(rest).items():
-                    lhs += c * self.pairing[j][x0]
-                rhs = Fraction(0)
-                for j, c in self.m_basis(args[:-1]).items():
-                    rhs += c * self.pairing[j][args[-1]]
+                lhs = sum(c * self.pairing[j][x0] for j, c in self.m_basis(rest).items())
+                rhs = sum(c * self.pairing[j][args[-1]]
+                          for j, c in self.m_basis(args[:-1]).items())
                 sign = (-1) ** (k + self.parities[x0] + k * self.parities[x0])
                 if lhs != sign * rhs:
                     bad.append((k, args))
@@ -219,25 +222,18 @@ def verify_ainfinity(algebra, max_arity):
                     for mid, c_mid in inner.items():
                         outer_args = args[:r] + (mid,) + args[r + s:]
                         for j, c in algebra.m_basis(outer_args).items():
-                            key = j
-                            total[key] = total.get(key, Fraction(0)) + sign * c_mid * c
+                            total[j] = total.get(j, 0) + sign * c_mid * c
             if any(total.values()):
                 failures.append((k, args))
     return failures
 
 
 def contraction_identity_holds(algebra):
-    """sum_i <x, b_i><y, D b_i*> == <x, y> on all basis pairs."""
-    n = algebra.rank
-    for x in range(n):
-        for y in range(n):
-            lhs = Fraction(0)
-            for i in range(n):
-                lhs += algebra.pairing[x][i] * algebra.pair_vectors(
-                    {y: Fraction(1)}, algebra.dual_vector(i))
-            if lhs != algebra.pairing[x][y]:
-                return False
-    return True
+    """sum_i <x, b_i><y, D b_i*> == <x, y> on all basis pairs, where D
+    takes the i-th dual basis functional to sum_a ginv[a][i] b_a."""
+    g, ginv, n = algebra.pairing, algebra.pairing_inverse, range(algebra.rank)
+    return all(sum(g[x][i] * g[y][a] * ginv[a][i] for i in n for a in n) == g[x][y]
+               for x in n for y in n)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +255,12 @@ def partition_function(algebra, og):
     elements: the scalar product is even, so its inverse is too, and a
     nonzero ginv[a][b] has parity(a) == parity(b).  The Koszul sign of a
     state therefore depends only on which edge labels are odd.
+
+    The tables hold integers: with g, ginv and m_k scaled by the lcms dg,
+    dgi and dm_k of their denominators, the table of an n-valent vertex
+    with `a` absorbed slots is exact times dm_{n-1} * dg * dgi^a.  The
+    integer sum is divided by the product of those over the vertices,
+    dg^V * dgi^E * prod dm_{n-1}, once.
     """
     if not isinstance(algebra, AInfinityAlgebra):
         raise InvalidAlgebra("need an AInfinityAlgebra")
@@ -273,28 +275,28 @@ def partition_function(algebra, og):
     edges = [(min(a, b), max(a, b)) for a, b in g.edges()]
     edge_of = {h: e for e, edge in enumerate(edges) for h in edge}
     hbars = {hbar for _, hbar in edges}
-    ginv = algebra.pairing_inverse
-    # column b of ginv as its nonzero (a, ginv[a][b])
-    columns = [[(a, row[b]) for a, row in enumerate(ginv) if row[b]]
-               for b in range(algebra.rank)]
+    (dg, pairing), (dgi, columns), products = algebra._scaled
 
     tables = []
     cache = {}
+    denominator = dgi ** len(edges)
     for c in g.vertices:
+        dm, structure = products.get(len(c) - 1, (1, {}))
         absorbed = tuple(i for i, h in enumerate(c) if h in hbars)
         table = cache.get((len(c), absorbed))
         if table is None:
-            table = _vertex_table(algebra, len(c))
+            table = _vertex_table(structure, pairing)
             for slot in absorbed:
                 table = _absorb(table, slot, columns)
             cache[(len(c), absorbed)] = table
         if not table:
             return Fraction(0)
         tables.append((tuple(edge_of[h] for h in c), table))
+        denominator *= dm * dg
 
     parities = algebra.parities
     eps2 = {}
-    total = Fraction(0)
+    total = 0
     for labels in product(range(algebra.rank), repeat=len(edges)):
         # read in the reference order, the orientation word is the
         # reference word, so the orientation contributes og.sign
@@ -313,18 +315,19 @@ def partition_function(algebra, og):
                     eps2[odd] = word_parity(odd_in_sequence, paired_order)
                 term *= eps2[odd]
             total += term
-    return total
+    return Fraction(total, denominator)
 
 
-def _vertex_table(algebra, valence):
+def _vertex_table(structure, pairing):
     """The nonzero vertex factors sum_j m(x_{n-1}, ..., x_1)_j <b_j, x_0>
-    of a cycle of `valence` half-edges, keyed by the states
-    (x_0, x_1, ..., x_{n-1}) of the cycle read from its first half-edge."""
+    of a cycle of n half-edges, keyed by the states (x_0, x_1, ...,
+    x_{n-1}) of the cycle read from its first half-edge, from the scaled
+    m_{n-1} and pairing rows: the factors times dm_{n-1} * dg."""
     table = {}
-    for args, out in algebra.products.get(valence - 1, {}).items():
+    for args, out in structure.items():
         rest = args[::-1]
-        for x0 in range(algebra.rank):
-            factor = sum((c * algebra.pairing[j][x0] for j, c in out.items()), Fraction(0))
+        for x0 in pairing:
+            factor = sum(c * pairing[j][x0] for j, c in out.items())
             if factor:
                 table[(x0,) + rest] = factor
     return table
@@ -332,10 +335,10 @@ def _vertex_table(algebra, valence):
 
 def _absorb(table, slot, columns):
     """T'(.., a, ..) = sum_b T(.., b, ..) ginv[a][b] at position `slot`,
-    with `columns[b]` the nonzero (a, ginv[a][b])."""
+    with `columns[b]` the nonzero {a: ginv[a][b]}, scaled by dgi."""
     out = {}
     for key, value in table.items():
-        for a, entry in columns[key[slot]]:
+        for a, entry in columns[key[slot]].items():
             new = key[:slot] + (a,) + key[slot + 1:]
             out[new] = out.get(new, 0) + value * entry
     return {key: value for key, value in out.items() if value}

@@ -228,6 +228,19 @@ def test_strict_validation_rejects_inhomogeneous_m3():
         AInfinityAlgebra([0], [[1]], {3: {(0, 0, 0): {0: 1}}})
 
 
+def test_structure_indices_must_lie_in_the_basis():
+    for products in ({2: {(0, 1): {0: 1}}}, {2: {(0, -1): {0: 1}}}, {2: {(0, 0): {1: 1}}},
+                     {2: {(0, 0): {-1: 0}}}):
+        for strict in (True, False):
+            with pytest.raises(InvalidAlgebra):
+                AInfinityAlgebra([0], [[1]], products, strict=strict)
+        data = AInfinityAlgebra([0], [[1]], {}).to_json()
+        data["m"] = [{"k": k, "in": list(args), "out": out}
+                     for k, table in products.items() for args, out in table.items()]
+        with pytest.raises(InvalidAlgebra):
+            AInfinityAlgebra.from_json(data, strict=False)
+
+
 def test_pairing_validation():
     with pytest.raises(InvalidAlgebra):
         AInfinityAlgebra([0, 1], [[1, 1], [1, 0]], {})  # odd entry nonzero
@@ -338,12 +351,13 @@ def test_partition_function_matches_brute_force_reference():
     broken = AInfinityAlgebra([0], [[1]], {2: {(0, 0): {0: 2}}, 3: {(0, 0, 0): {0: 1}}},
                               strict=False)
     dense, basis = dense_rank_two(3)
+    dense = dense.change_basis(basis)
     # grassmann_two vanishes on every class within 6 half-edges
     cases = [
         (one_dimensional_algebra([Fraction(3), Fraction(5, 7), Fraction(-2)], 8), 8, True),
         (broken, 8, True),
         (grassmann_two(), 6, False),
-        (dense.change_basis(basis), 8, True),
+        (dense, 8, True),
         (odd_rank_three(), 8, True),
     ]
     for alg, bound, nonzero in cases:
@@ -355,6 +369,16 @@ def test_partition_function_matches_brute_force_reference():
                 assert value == reference_partition_function(alg, og)
                 values.append(value)
         assert any(values) == nonzero
+    # the denominators of dense's m_6 and m_8 differ from those of m_2 and
+    # m_4, and they first act past 8 half-edges: at a 7- or a 9-valent
+    # vertex joined to a trivalent one by three edges
+    for big in (7, 9):
+        g = build_graph([tuple(range(big)), (big, big + 1, big + 2)],
+                        [(0, big), (1, big + 1), (2, big + 2)]
+                        + [(h, h + 1) for h in range(3, big, 2)])
+        og = OrientedRibbonGraph(g, 1)
+        value = partition_function(dense, og)
+        assert value and value == reference_partition_function(dense, og)
 
 
 def test_partition_function_matches_reference_in_random_presentations():
