@@ -154,6 +154,22 @@ def test_verify_closedform_suite():
     assert code == 0
     assert "FAIL" not in text
     assert "[conjecture]" in text
+    code, text = run_cli(["verify", "--suite", "closedform", "--n", "3"])
+    assert code == 0
+    assert text == (
+        "ok   closedform: W[1]* = 12*k1\n"
+        "ok   closedform: W[2]* = -120*k2\n"
+        "ok   closedform: W[3]* = 1680*k3\n"
+        "ok   closedform: W[0,1]*\n"
+        "ok   closedform: W[1,1]*\n"
+        "ok   closedform: W[2,1]*\n"
+        "ok   closedform: W[0,0]*\n"
+        "ok   closedform: W[1,0]*\n"
+        "ok   closedform: W[2,0]*\n"
+        "ok   closedform: W[3,0]*\n"
+        "ok   closedform: W[1,1,1]*\n"
+        "ok   closedform: W[1,1]* (two-part formula) [conjecture]\n"
+        "ok   closedform: W[2,1]* (two-part formula) [conjecture]\n")
 
 
 def test_verify_closedform_out_of_range_exits_2():

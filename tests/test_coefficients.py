@@ -1,10 +1,11 @@
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from fatcomplex import coefficients
 from fatcomplex.coefficients import (
+    MAX_WEIGHT,
     CheckResult,
     MmmPolynomial,
     OutOfComputedRange,
@@ -18,6 +19,7 @@ from fatcomplex.coefficients import (
     closed_form_checks,
     compositions_of,
     double_factorial,
+    first_two_terms,
     format_rational,
     monomial_text,
     normalize_partition,
@@ -722,11 +724,88 @@ def test_closed_form_check_names_are_distinct():
         assert len(set(names)) == len(names)
 
 
-def test_conjecture_formula_weight_four_values():
-    from fatcomplex.coefficients import _conjecture_formula
+# The special closed forms that `first_two_terms` replaced, kept as
+# references for it: Witten's W[k]*, W[n,1]*, W[k,0]* and the two-part
+# formula conjectured by Arbarello and Cornalba.
 
+def _witten_polynomial(k):
+    return MmmPolynomial.monomial((k,), closed_form_a_diagonal(k))
+
+
+def _w_n1_formula(n):
+    kn1 = MmmPolynomial.monomial((n, 1)) if n >= 1 else MmmPolynomial.monomial((1, 0))
+    knp1 = MmmPolynomial.monomial((n + 1,))
+    out = (kn1 - knp1).scale(3 * (-2) ** (n + 3) * double_factorial(2 * n + 1)) \
+        - knp1.scale((-2) ** (n + 2) * double_factorial(2 * n + 5))
+    if n == 1:
+        out = out.scale(Fraction(1, 2))
+    return out
+
+
+def _w_k0_formula(k):
+    main = MmmPolynomial.monomial((k, 0), (-2) ** (k + 2) * double_factorial(2 * k + 1)) \
+        - MmmPolynomial.monomial((k,), (2 * k + 1) * (-2) ** (k + 1) * double_factorial(2 * k + 1))
+    if k == 0:
+        main = main.scale(Fraction(1, 2))
+    return main
+
+
+def _conjecture_formula(n, k):
+    an = closed_form_a_diagonal(n)
+    ak = closed_form_a_diagonal(k)
+    ank1 = closed_form_a_diagonal(n + k + 1)
+    out = (MmmPolynomial.monomial((n, k)) - MmmPolynomial.monomial((n + k,))).scale(an * ak) \
+        + MmmPolynomial.monomial((n + k,), Fraction(ank1, 2))
+    if n == k:
+        out = out.scale(Fraction(1, 2))
+    return out
+
+
+def test_conjecture_formula_weight_four_values():
     assert _conjecture_formula(2, 2) == MmmPolynomial({(2, 2): 7200, (4,): 159120})
     assert _conjecture_formula(3, 1) == MmmPolynomial({(3, 1): 20160, (4,): 312480})
+    assert first_two_terms((2, 2)) == _conjecture_formula(2, 2)
+    assert first_two_terms((3, 1)) == _conjecture_formula(3, 1)
+
+
+def test_first_two_terms_matches_the_special_closed_forms_to_weight_12():
+    for k in range(1, 13):
+        assert first_two_terms((k,)) == _witten_polynomial(k)
+    for n in range(0, 12):
+        assert first_two_terms((n, 1)) == _w_n1_formula(n)
+    for k in range(0, 13):
+        assert first_two_terms((k, 0)) == _w_k0_formula(k)
+    for n in range(1, 12):
+        for k in range(1, min(n, 12 - n) + 1):
+            assert first_two_terms((n, k)) == _conjecture_formula(n, k)
+
+
+def _named_monomials(lam):
+    """k_lam and every k_mu made by merging two of its parts."""
+    out = {lam}
+    for i, j in combinations(range(len(lam)), 2):
+        rest = [p for l, p in enumerate(lam) if l not in (i, j)]
+        out.add(tuple(sorted(rest + [lam[i] + lam[j]], reverse=True)))
+    return out
+
+
+def test_first_two_terms_agree_with_w_polynomial_up_to_max_weight():
+    """Every coefficient the rule names, on every partition of weight <=
+    MAX_WEIGHT with 0, 1 or 2 zero parts, against the chain scan; with
+    one or two parts the rule is the whole polynomial."""
+    count = 0
+    for w in range(MAX_WEIGHT + 1):
+        for positive in partitions_of(w):
+            for zeros in (0, 1, 2):
+                lam = positive + (0,) * zeros
+                got, rule = w_polynomial(lam), first_two_terms(lam)
+                for key in _named_monomials(lam):
+                    assert got.terms.get(key, 0) == rule.terms.get(key, 0), (lam, key)
+                assert set(rule.terms) <= _named_monomials(lam)
+                if len(lam) <= 2:
+                    assert got == rule, lam
+                count += 1
+    assert count == 36
 
 
 def test_order_independence_of_compositions():
