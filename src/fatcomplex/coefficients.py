@@ -23,11 +23,11 @@ a face of K^{2m}, a planar tree whose edges are the uncollapsed ones,
 each cutting the leaves into the same two intervals as in the seed.  So
 the edges not yet collapsed are the face's own edges, their order is
 that of the face's cut intervals, and the flip of every collapse
-depends only on the face it collapses from.  The blobs (the merged
-vertices) are the face's vertices, and their region bitmasks the regions
-touching them.  A face is the set of its edges' cut intervals, kept as a
-bitmask with bit first * L + size for the interval (first, size), L the
-leaf count; the bits are ordered like the intervals.
+depends only on the face it collapses from.  A face is the set of its
+edges' cut intervals, kept as a bitmask with bit first * L + size for the
+interval (first, size), L the leaf count; the bits are ordered like the
+intervals.  Its vertices (the merged ones) and their region bitmasks, the
+regions touching them, follow from the intervals (`_face_layout`).
 
 A window therefore contributes a factor, the product of its collapses'
 signs times its value, that depends only on the face it starts from and
@@ -39,8 +39,7 @@ sums[face] * windows(face, part)[end face] into the entry of the end
 face, and read the entry of the corolla, the empty face.  A window is
 nonzero only while every collapse in it grows the one blob that its
 first collapse made, so `windows` walks only those orders, once per
-(face, part) for the whole shard, in the first seed that reached the
-face.
+(face, part) for the whole shard, on the face's own vertices and edges.
 
 The cyclic-set cocycle of a window signs the tuples (a_0, ..., a_2k)
 with a_i a region new at level i, by the sign of the permutation that
@@ -115,7 +114,6 @@ from fatcomplex.trees import (
     branch_intervals,
     cut_intervals,
     enumerate_trivalent_trees,
-    region_touch_sets,
 )
 
 
@@ -242,36 +240,65 @@ def _scaled_value(total, size_product, k, scale):
     return value
 
 
+def _face_layout(face, leaf_count):
+    """A face's edge bits in interval order, the (parent, child) vertices
+    of each edge, and each vertex's region and incident-edge masks, read
+    off the face bitmask.  Edge i cuts off the leaves lo..hi away from
+    leaf 0; vertex 0 holds leaf 0 and vertex i+1 lies below edge i.  The
+    corner after a half-edge lies in the region closing off its branch:
+    the parent gets region hi, the child region lo - 1, and leaf j gives
+    region j to the innermost vertex that holds it."""
+    codes, spans = [], []
+    rest = face
+    while rest:
+        code = rest & -rest
+        rest ^= code
+        first, size = divmod(code.bit_length() - 1, leaf_count)
+        if first == 0 or first + size > leaf_count:  # the side holding leaf 0
+            first, size = (first + size) % leaf_count, leaf_count - size
+        codes.append(code)
+        spans.append((first, first + size - 1))
+    # paint each edge's leaves with the vertex below it, longer edges
+    # first: a leaf ends with its innermost vertex, and the parent of an
+    # edge is what held its leaves just before
+    holder = [0] * leaf_count
+    ends = [None] * len(spans)
+    for i in sorted(range(len(spans)), key=lambda i: spans[i][0] - spans[i][1]):
+        lo, hi = spans[i]
+        ends[i] = (holder[lo], i + 1)
+        holder[lo:hi + 1] = [i + 1] * (hi - lo + 1)
+    masks = [0] * (len(spans) + 1)
+    incident = [0] * (len(spans) + 1)
+    for j, v in enumerate(holder):
+        masks[v] |= 1 << j
+    for i, ((lo, hi), (parent, child)) in enumerate(zip(spans, ends)):
+        masks[parent] |= 1 << hi
+        masks[child] |= 1 << (lo - 1)
+        incident[parent] |= 1 << i
+        incident[child] |= 1 << i
+    return codes, ends, masks, incident
+
+
 def _scan_orbits(args):
     """Per-composition sums, over the seed trees of a shard [(seed,
     weight)] and all their collapse orders, of the weight times the chain
     sign times the product of the scaled window values.
 
     Returns {composition: int}; `_b_from_totals` turns summed totals into
-    the numbers b.  The sums run over the faces of K^{2m} that the window
-    boundaries reach, and each window is walked once per (face, part)
-    for the whole shard.
+    the numbers b.  A seed gives only its top face and its sign s0.  The
+    sums run over the faces of K^{2m} that the window boundaries reach,
+    and each window is walked once per (face, part) for the whole shard,
+    from `_face_layout` of the face alone.
     """
     m, orbits = args
     leaf_count = 2 * m + 3
     bits = _region_bits(leaf_count)
-    # face -> (seed layout, edges done): a seed and the edges whose
-    # collapse gives the face, in which its windows are walked
-    origin = {}
     tops = {}
     for seed, size in orbits:
         intervals = branch_intervals(seed)
         keyed = sorted((min(intervals[a], intervals[b]), (a, b)) for a, b in seed.internal_edges())
-        edges = [e for _, e in keyed]
-        vertex_of = {x: i for i, c in enumerate(seed.vertices) for x in c}
-        touch = region_touch_sets(seed)
-        # the face bit of each edge, its endpoints, each vertex's regions
-        layout = ([1 << first * leaf_count + length for (first, length), _ in keyed],
-                  [(vertex_of[a], vertex_of[b]) for a, b in edges],
-                  [sum(1 << r for r in touch[i]) for i in range(len(touch))])
-        top = sum(layout[0])
-        origin[top] = (layout, 0)
-        tops[top] = size * collapse_steps(seed.vertices, seed.pairing, [edges])[2]
+        top = sum(1 << first * leaf_count + length for (first, length), _ in keyed)
+        tops[top] = size * collapse_steps(seed.vertices, seed.pairing, [[e for _, e in keyed]])[2]
     memo = {}
 
     def windows(face, k):
@@ -280,24 +307,10 @@ def _scan_orbits(args):
         key = (face, k)
         if key in memo:
             return memo[key]
-        layout, done = origin[face]
-        codes, endpoints, base_masks = layout
-        nedges = len(codes)
-        rep = list(range(len(base_masks)))
-        masks = list(base_masks)
-        incident = [0] * len(base_masks)
-        for ei in range(nedges):
-            incident[endpoints[ei][0]] |= 1 << ei
-            incident[endpoints[ei][1]] |= 1 << ei
-        for ei in range(nedges):
-            if done >> ei & 1:
-                ru, rw = rep[endpoints[ei][0]], rep[endpoints[ei][1]]
-                masks[ru] |= masks[rw]
-                incident[ru] |= incident[rw]
-                rep = [ru if r == rw else r for r in rep]
+        codes, ends, masks, incident = _face_layout(face, leaf_count)
         scale = _part_scale(k, leaf_count)
         out = {}
-        free0 = (1 << nedges) - 1 & ~done
+        free0 = (1 << len(codes)) - 1
 
         def walk(left, used, end, blob, blob_mask, blob_edges, sgn0, tracks):
             # the collapse of face edge ei flips the sign once for each
@@ -305,13 +318,13 @@ def _scan_orbits(args):
             free = free0 & ~used
             for ei in bits[blob_edges & free]:
                 sgn = -sgn0 if (free & ((1 << ei) - 1)).bit_count() & 1 else sgn0
-                ru, rw = rep[endpoints[ei][0]], rep[endpoints[ei][1]]
+                u, w = ends[ei]
                 # a tree edge never has both endpoints in the blob
-                other = rw if ru in blob else ru
+                other = w if blob >> u & 1 else u
                 delta = masks[other] & ~blob_mask
                 size = (blob_mask | delta).bit_count()
                 if left > 1:
-                    walk(left - 1, used | 1 << ei, end & ~codes[ei], blob | {other},
+                    walk(left - 1, used | 1 << ei, end & ~codes[ei], blob | 1 << other,
                          blob_mask | delta, blob_edges | incident[other], sgn,
                          [(weight, size_product * size, _append_level(tuples, bits[delta]))
                           for weight, size_product, tuples in tracks])
@@ -322,14 +335,13 @@ def _scan_orbits(args):
                     if value:
                         last = end & ~codes[ei]
                         out[last] = out.get(last, 0) + sgn * value
-                        origin.setdefault(last, (layout, done | used | 1 << ei))
 
         for ei in bits[free0]:
-            ru, rw = rep[endpoints[ei][0]], rep[endpoints[ei][1]]
-            mu, mw = masks[ru], masks[rw]
+            u, w = ends[ei]
+            mu, mw = masks[u], masks[w]
             size = (mu | mw).bit_count()
-            walk(2 * k - 1, 1 << ei, face & ~codes[ei], {ru, rw}, mu | mw,
-                 incident[ru] | incident[rw],
+            walk(2 * k - 1, 1 << ei, face & ~codes[ei], 1 << u | 1 << w, mu | mw,
+                 incident[u] | incident[w],
                  -1 if (free0 & ((1 << ei) - 1)).bit_count() & 1 else 1,
                  [(c0.bit_count() - 2, c0.bit_count() * size,
                    _append_level([(1 << x, 1) for x in bits[c0]], bits[c1 & ~c0]))
@@ -393,18 +405,19 @@ def b_single_all(m, workers=1):
 
     Returns {composition: value} where value includes the (-1)^m factor.
     One seed tree per dihedral orbit (leaf rotations and reflections) is
-    scanned, weighted by the orbit size.  The scan is sharded by orbit,
-    one shard on one worker and about 8 per worker otherwise, and the
-    seeds of a shard share its window walks by face; exact
-    integer partial sums merge, so the result is identical for any
-    worker count.  The pool has at most as many processes as there are
-    shards or CPUs.
+    scanned, weighted by the orbit size.  The scan runs on
+    min(workers, CPUs) processes and is sharded by orbit: one shard on
+    one process, about 8 per process otherwise, since the seeds of a
+    shard share its window walks by face.  Exact integer partial sums
+    merge, so the result is identical for any worker count.  The pool has
+    at most as many processes as there are shards.
     """
     if m in _B_SINGLE_CACHE:
         return _B_SINGLE_CACHE[m]
     orbits = _dihedral_orbits(2 * m + 3)
     norbits = len(orbits)
-    chunk = norbits if workers <= 1 else max(1, (norbits + 8 * workers - 1) // (8 * workers))
+    processes = min(workers, os.cpu_count() or 1)
+    chunk = norbits if processes <= 1 else max(1, (norbits + 8 * processes - 1) // (8 * processes))
     if progress_hook is not None:
         progress_hook(0, norbits)
     shards = [(m, orbits[lo:lo + chunk]) for lo in range(0, norbits, chunk)]
@@ -419,7 +432,7 @@ def b_single_all(m, workers=1):
             if progress_hook is not None:
                 progress_hook(done, norbits)
 
-    processes = min(workers, len(shards), os.cpu_count() or 1)
+    processes = min(processes, len(shards))
     if processes > 1:
         import multiprocessing
 

@@ -27,7 +27,6 @@ from fatcomplex.ribbon import (
     GraphError,
     OrientedRibbonGraph,
     RibbonGraph,
-    automorphisms,
     canonical_key_over,
     canonical_oriented,
     canonical_over,
@@ -123,21 +122,6 @@ def d_chain(chain):
         [OrientedRibbonGraph(graph_from_key(key), 1) for key, _ in terms])
     for (r, c), v in matrix.items():
         out.add(rows[r], terms[c][1] * v)
-    return out
-
-
-def d_dual(og):
-    """Boundary of the plain dual generator, {key: coefficient}: the
-    integral boundary transposed, each entry times |Aut(source)| /
-    |Aut(target)|.  That is the signed count of one-edge-collapse
-    morphisms from the source onto `og`, over |Aut(og.graph)|."""
-    out = {}
-    if canonical_oriented(og)[1] is None:
-        return out
-    rows, matrix = boundary_matrix([og])
-    aut_target = len(automorphisms(og.graph))
-    for (r, _), v in matrix.items():
-        out[rows[r]] = Fraction(v * len(automorphisms(graph_from_key(rows[r]))), aut_target)
     return out
 
 

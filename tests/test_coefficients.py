@@ -32,8 +32,11 @@ from fatcomplex.cocycle import cup_product
 from fatcomplex.ribbon import word_parity
 from fatcomplex.trees import (
     PlanarTree,
+    branch_intervals,
     cut_intervals,
+    enumerate_faces,
     enumerate_trivalent_trees,
+    face_count,
     maximal_chains,
     region_touch_sets,
 )
@@ -499,10 +502,44 @@ def test_pruned_scan_matches_reference_on_k8_orbits():
     assert nonzero
 
 
+def test_face_layout_matches_the_tree_of_every_face_of_k1_to_k6():
+    # the layout read off a face's bitmask against the planar tree itself
+    count = 0
+    for n in range(1, 7):
+        L = n + 3
+        for tree in (t for k in range(n + 1) for t in enumerate_faces(n, k)):
+            iv = branch_intervals(tree)
+            # each edge's min interval and the half-edge whose branch it is
+            key = {iv[h]: h for h in (min(e, key=iv.get) for e in tree.internal_edges())}
+            face = sum(1 << first * L + size for first, size in key)
+            codes, ends, masks, incident = coefficients._face_layout(face, L)
+            assert codes == [1 << first * L + size for first, size in sorted(key)]
+            touch = region_touch_sets(tree)
+            tree_masks = [sum(1 << r for r in touch[i]) for i in range(len(touch))]
+            assert sorted(masks) == sorted(tree_masks)
+            vertex = [tree_masks.index(x) for x in masks]
+            of = {x: i for i, c in enumerate(tree.vertices) for x in c}
+            assert vertex[0] == of[0]
+            for i, (first, size) in enumerate(sorted(key)):
+                # the child roots the branch away from leaf 0
+                h = key[first, size]
+                parent, child = of[h], of[tree.pairing[h]]
+                if first == 0 or first + size > L:
+                    parent, child = child, parent
+                assert (vertex[ends[i][0]], vertex[ends[i][1]]) == (parent, child)
+            for v, mask in enumerate(incident):
+                assert mask == sum(1 << i for i, e in enumerate(ends) if v in e)
+            count += 1
+    # the little Schroeder numbers 3 + 11 + 45 + 197 + 903 + 4279
+    assert count == sum(face_count(n, k) for n in range(1, 7) for k in range(n + 1)) == 5438
+
+
 def test_shard_scan_is_the_sum_of_its_seed_scans():
-    # seeds of one shard share their window walks by face
+    # seeds of one shard share their window walks by face, whatever seed
+    # reaches a face first
     k8 = coefficients._dihedral_orbits(11)
-    for m, orbits in ((3, coefficients._dihedral_orbits(9)),
+    k6 = coefficients._dihedral_orbits(9)
+    for m, orbits in ((3, k6), (3, k6[::-1]),
                       (4, [k8[i] for i in (0, 1, 2, 3, 100, 227)])):
         want = dict.fromkeys(compositions_of(m), 0)
         for seed, size in orbits:
@@ -547,14 +584,23 @@ class InProcessPool:
 def test_pool_never_exceeds_shards_or_cpus(monkeypatch, cpus, size):
     import multiprocessing
 
-    sizes = []
+    sizes, shards = [], []
     serial = b_single_all(2)
+    scan = coefficients._scan_orbits
+
+    def counted(args):
+        shards.append(len(args[1]))
+        return scan(args)
+
     monkeypatch.setattr(multiprocessing, "Pool", lambda processes: InProcessPool(processes, sizes))
     monkeypatch.setattr(coefficients.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(coefficients, "_B_SINGLE_CACHE", {})
-    # 100000 workers cut the 4 dihedral orbits of K^4 into 4 shards
+    monkeypatch.setattr(coefficients, "_scan_orbits", counted)
+    # 100000 workers on several CPUs cut the 4 dihedral orbits of K^4
+    # into 4 shards; on one CPU they make one shard with one face memo
     assert b_single_all(2, workers=100000) == serial
     assert sizes == ([] if size is None else [size])
+    assert shards == ([4] if size is None else [1, 1, 1, 1])
 
 
 def test_progress_hook_leaves_one_shard_on_one_worker(monkeypatch):
@@ -583,9 +629,11 @@ def test_orbit_scan_matches_scan_over_all_seeds(monkeypatch, workers):
     monkeypatch.setattr(coefficients, "_B_SINGLE_CACHE", {})
     for m in (1, 2, 3):
         if m == 3:
-            # with 2 workers, the 27 orbits of K^6 go in 14 shards of up
-            # to 2, each with its own face memo; no process is started
+            # with 2 workers on 2 CPUs, the 27 orbits of K^6 go in 14
+            # shards of up to 2, each with its own face memo; no process
+            # is started
             monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+            monkeypatch.setattr(coefficients.os, "cpu_count", lambda: 2)
         totals = dict.fromkeys(compositions_of(m), 0)
         for seed in enumerate_trivalent_trees(2 * m + 3):
             for comp, v in scan_seed(seed, m).items():
