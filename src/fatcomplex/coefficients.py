@@ -134,7 +134,7 @@ def normalize_partition(parts, allow_zero=False):
     if any(p < 0 for p in parts):
         raise ValueError("partition parts must be nonnegative")
     if not allow_zero and any(p == 0 for p in parts):
-        raise ValueError("zero parts only allowed in degenerate mode")
+        raise ValueError("zero parts need allow_zero=True")
     return parts
 
 
@@ -412,6 +412,7 @@ def b_single_all(m, workers=1):
     merge, so the result is identical for any worker count.  The pool has
     at most as many processes as there are shards.
     """
+    check_weight(m)
     if m in _B_SINGLE_CACHE:
         return _B_SINGLE_CACHE[m]
     orbits = _dihedral_orbits(2 * m + 3)
@@ -452,6 +453,7 @@ def b_single(partition, workers=1):
     m = sum(partition)
     if m == 0:
         return Fraction(1)
+    check_weight(m)
     return b_single_all(m, workers=workers)[partition]
 
 

@@ -19,7 +19,6 @@ exact integer ranks (`linalg.sparse_rank`).
 
 import math
 from fractions import Fraction
-from itertools import permutations
 
 from fatcomplex.coefficients import normalize_partition
 from fatcomplex.linalg import sparse_product, sparse_rank
@@ -30,7 +29,6 @@ from fatcomplex.ribbon import (
     canonical_key_over,
     canonical_oriented,
     canonical_over,
-    collapse_steps,
     enumerate_expansions,
     graph_from_key,
 )
@@ -67,15 +65,6 @@ class GraphChain:
 
     def __repr__(self):
         return "GraphChain(%d terms, grading=%r)" % (len(self.terms), self.grading)
-
-
-def chain_of(og, coeff=1):
-    """The chain <Gamma> for one oriented graph (zero if the class is)."""
-    key, sign = canonical_oriented(og)
-    chain = GraphChain(grading=og.graph.codimension)
-    if sign is not None:
-        chain.add(key, Fraction(coeff) * sign)
-    return chain
 
 
 def boundary_matrix(columns, canon=canonical_oriented):
@@ -391,26 +380,3 @@ class ForestComplex:
 
 def forest_complex(base):
     return ForestComplex(base)
-
-
-def dual_cell_simplices(base):
-    """The dual cell of an oriented base graph, as simplices (top, steps).
-
-    Yields ((top, steps), sign) over every maximal chain of objects over
-    the base: a trivalent object `top` together with an ordering of its
-    forest edges, one edge per step.  The sign compares the orientation
-    induced from the natural orientation of the trivalent object with the
-    +1 orientation of the base's reference ordering.
-    """
-    fc = ForestComplex(base)
-    base_labels = set(base.half_edges)
-    for key in fc.levels[0]:
-        top = graph_from_key(key)
-        forest = [e for e in top.edges()
-                  if e[0] not in base_labels and e[1] not in base_labels]
-        for order in permutations(forest):
-            steps = tuple((e,) for e in order)
-            cycles, pairing, sign = collapse_steps(top.vertices, top.pairing, steps)
-            if cycles != base.vertices or pairing != base.pairing:
-                raise GraphError("dual cell chain did not land on the base")
-            yield (top, steps), sign

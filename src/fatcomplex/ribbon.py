@@ -8,9 +8,9 @@ vertices and half-edges, stored as a sign relative to a fixed reference
 ordering (vertices sorted by their minimum half-edge label, each vertex
 followed by its cycle read from its minimum label).
 
-The same low-level machinery (orientation words, edge collapse with
-induced sign, corner tracking) also drives planar trees, where some
-half-edges are unpaired leaves.
+The same low-level machinery (orientation words and edge collapse with
+induced sign) also drives planar trees, where some half-edges are
+unpaired leaves.
 """
 
 from itertools import combinations
@@ -188,55 +188,6 @@ def collapse_steps(cycles, pairing, steps):
         for a, _ in step:
             cycles, pairing, sign = collapse_oriented(cycles, pairing, sign, a)
     return cycles, pairing, sign
-
-
-def corner_collapse_map(cycles, pairing, half_edge):
-    """Corner tracking for one edge collapse.
-
-    Corners are named by the half-edge they follow in the vertex cycle.
-    Every corner persists under the collapse except the two corners
-    following the collapsing half-edges, which are absorbed into the
-    corners following the cyclic predecessors on the opposite side.
-    """
-    h = half_edge
-    hbar = pairing[h]
-    pred = {}
-    for c in cycles:
-        if h in c:
-            i = c.index(h)
-            pred[h] = c[i - 1]
-        if hbar in c:
-            i = c.index(hbar)
-            pred[hbar] = c[i - 1]
-    # corner after h lands after pred(hbar), and vice versa
-    return {h: pred[hbar], hbar: pred[h]}
-
-
-def corner_chain(cycles, pairing, steps, cycle):
-    """Corner chain of a vertex along a simplex whose top has these
-    vertex cycles and pairing: a ribbon graph or a planar tree.
-
-    Each step is a tuple of edges collapsed in order (an identity step
-    is ()), and `cycle` is a vertex of the top.  Returns (ambient,
-    images): the cyclic order of the vertex's image after the last step,
-    and for each step i the corners of its image after step i carried
-    into the ambient, as frozensets.  An edge absent at its step raises
-    GraphError.
-    """
-    levels = [tuple(cycle)]
-    for step in steps:
-        for a, b in step:
-            if pairing.get(a) != b:
-                raise GraphError("edge %r is not in the graph at its step" % ((a, b),))
-            moved = corner_collapse_map(cycles, pairing, a)
-            cycles, pairing, _ = collapse_cycles(cycles, pairing, a)
-            levels = [tuple(moved.get(x, x) for x in xs) for xs in levels]
-        corner = levels[-1][0]
-        levels.append(next(c for c in cycles if corner in c))
-    images = [frozenset(xs) for xs in levels]
-    if any(len(s) != len(xs) for s, xs in zip(images, levels)):
-        raise GraphError("corner monomorphism failed")
-    return levels[-1], images
 
 
 # ---------------------------------------------------------------------------
@@ -438,73 +389,9 @@ def natural_orientation(g):
     return OrientedRibbonGraph(g, 1)
 
 
-def collapse_edge(og, edge):
-    """Collapse a non-loop edge of an oriented graph, with induced sign."""
-    a, _ = edge
-    cycles, pairing, sign = collapse_oriented(
-        og.graph.vertices, og.graph.pairing, og.sign, a)
-    return OrientedRibbonGraph(RibbonGraph(cycles, [tuple(e) for e in _edge_list(pairing)]), sign)
-
-
 # ---------------------------------------------------------------------------
-# isomorphisms, automorphisms, canonical forms
+# canonical forms
 # ---------------------------------------------------------------------------
-
-def _grow_iso(g1, g2, seed_pairs):
-    """Extend seed half-edge assignments to a full isomorphism, or None."""
-    s1, s2 = g1.sigma(), g2.sigma()
-    p1, p2 = g1.pairing, g2.pairing
-    m = {}
-    used = set()
-    stack = []
-    for a, b in seed_pairs:
-        if a in m:
-            if m[a] != b:
-                return None
-            continue
-        if b in used:
-            return None
-        m[a] = b
-        used.add(b)
-        stack.append(a)
-    while stack:
-        h = stack.pop()
-        for f1, f2 in ((s1, s2), (p1, p2)):
-            a, b = f1[h], f2[m[h]]
-            if a in m:
-                if m[a] != b:
-                    return None
-            else:
-                if b in used:
-                    return None
-                m[a] = b
-                used.add(b)
-                stack.append(a)
-    if len(m) != len(g1.half_edges):
-        return None
-    # vertex cycles must correspond (sigma-closure guarantees it) and so
-    # does the pairing; lengths were matched by construction
-    return m
-
-
-def isomorphisms_between(g1, g2):
-    """All cyclic-order-preserving half-edge bijections g1 -> g2."""
-    if len(g1.half_edges) != len(g2.half_edges):
-        return []
-    if g1.valences() != g2.valences():
-        return []
-    anchor = g1.half_edges[0]
-    out = []
-    for b in g2.half_edges:
-        m = _grow_iso(g1, g2, [(anchor, b)])
-        if m is not None:
-            out.append(m)
-    return out
-
-
-def automorphisms(g):
-    return isomorphisms_between(g, g)
-
 
 def _transported_word(cycles, iso):
     """The reference word of the normalized `cycles` carried along `iso`."""
@@ -514,11 +401,6 @@ def _transported_word(cycles, iso):
         word.append(_vsym(image))
         word.extend(image)
     return word
-
-
-def transport_sign(g1, g2, iso):
-    """Sign picked up by an orientation transported along `iso`."""
-    return word_parity(_transported_word(g1.vertices, iso), reference_word(g2.vertices))
 
 
 def _index_tables(cycles, pairing):

@@ -242,10 +242,6 @@ def face_count(n, k):
     return math.comb(n, j) * math.comb(n + j + 2, j) // (j + 1)
 
 
-def corolla(n):
-    return PlanarTree(n + 3, [tuple(range(n + 3))], [])
-
-
 # ---------------------------------------------------------------------------
 # collapses and chains
 # ---------------------------------------------------------------------------
@@ -291,27 +287,12 @@ def branch_intervals(tree):
             for h in met}
 
 
-def corner_regions(tree):
-    """The region of the corner following each half-edge at its vertex:
-    region j is the gap between leaf j and leaf j+1, and the corner after
-    h closes off the branch through h, so its region is that branch's
-    last leaf."""
-    L = tree.leaf_count
-    return {h: (first + size - 1) % L for h, (first, size) in branch_intervals(tree).items()}
-
-
 def cut_intervals(tree):
     """The leaf intervals, as (first leaf, length), that the internal
     half-edges of a tree cut off; they determine the tree, so they key
     its face."""
     intervals = branch_intervals(tree)
     return frozenset(intervals[h] for h in tree.pairing)
-
-
-def region_touch_sets(tree):
-    """For each vertex index, the set of regions touching it."""
-    corners = corner_regions(tree)
-    return {i: {corners[h] for h in c} for i, c in enumerate(tree.vertices)}
 
 
 # ---------------------------------------------------------------------------
@@ -386,15 +367,6 @@ def _chain_key(seed, steps):
     for step in steps:
         key.append(key[-1] - {intervals[h] for e in step for h in e})
     return tuple(key)
-
-
-def dual_cell(n):
-    """The signed sum of maximal chains of K^n, as {chain key: sign}."""
-    out = {}
-    for simplex, sign in maximal_chains(n):
-        key = _chain_key(*simplex)
-        out[key] = out.get(key, 0) + sign
-    return out
 
 
 def dual_cell_boundary_check(n):

@@ -1,0 +1,363 @@
+"""Definitional references that the tests check the library against.
+
+No command of `fatcomplex` reaches these.  Each is the slow, literal
+definition of what the library computes another way: the `K^{2m}` scan
+reads region masks for the cyclic-set cocycle on corner chains,
+`canonical_form` gives automorphisms and `collapse_steps` collapse signs.
+
+The cyclic-set cocycle: the basic datum is a chain of cyclically
+ordered finite sets C_0 -> C_1 -> ... -> C_2k joined by
+cyclic-order-preserving monomorphisms.  The unadjusted cocycle sums the
+cyclic sign of all tuples (a_0, ..., a_2k) with a_i drawn from C_i minus
+C_{i-1} and divides by (-2)^k (2k-1)!! |C_0| ... |C_2k|; the adjusted
+cocycle divides by a further -2.  Evaluated with multiplicity valence-2
+at every vertex of the first graph of a simplex, the adjusted cocycle
+computes the combinatorial representative of the degree-2k adjusted
+tautological class.
+"""
+
+from fractions import Fraction
+from itertools import permutations, product
+
+from fatcomplex.coefficients import double_factorial
+from fatcomplex.graph_complex import ForestComplex, GraphChain
+from fatcomplex.ribbon import (
+    GraphError,
+    OrientedRibbonGraph,
+    RibbonGraph,
+    _edge_list,
+    _transported_word,
+    canonical_oriented,
+    collapse_cycles,
+    collapse_oriented,
+    collapse_steps,
+    graph_from_key,
+    reference_word,
+    word_parity,
+)
+from fatcomplex.trees import PlanarTree, _chain_key, branch_intervals, maximal_chains
+
+
+# ---------------------------------------------------------------------------
+# the cyclic-set cocycle and corner tracking
+# ---------------------------------------------------------------------------
+
+class RepeatedElement(GraphError):
+    pass
+
+
+class EvenLength(GraphError):
+    pass
+
+
+class LengthMismatch(GraphError):
+    pass
+
+
+def cyclic_sign(elements, ambient):
+    """Sign of the permutation sorting `elements` into the ambient
+    cyclic order, read from any starting point.
+
+    The tuple must have odd length so that the choice of starting point
+    does not matter (rotating an odd tuple is even).
+    """
+    elements = tuple(elements)
+    if len(elements) % 2 == 0:
+        raise EvenLength("cyclic sign needs an odd tuple")
+    if len(set(elements)) != len(elements):
+        raise RepeatedElement("cyclic sign needs distinct elements")
+    pos = {x: i for i, x in enumerate(ambient)}
+    try:
+        ranks = [pos[x] for x in elements]
+    except KeyError as exc:
+        raise GraphError("element %r not in ambient cyclic set" % (exc.args[0],))
+    return word_parity(ranks, sorted(ranks))
+
+
+class CyclicSetChain:
+    """A chain of cyclic sets embedded in a common ambient cyclic set.
+
+    `ambient` is the cyclic order of the last set; `images` are the
+    images of C_0 ... C_2k inside it, as frozensets.
+    """
+
+    __slots__ = ("ambient", "images")
+
+    def __init__(self, ambient, images):
+        self.ambient = tuple(ambient)
+        self.images = [frozenset(s) for s in images]
+        universe = set(self.ambient)
+        prev = None
+        for s in self.images:
+            if not s <= universe:
+                raise GraphError("chain set not inside the ambient cyclic set")
+            if prev is not None and not prev <= s:
+                raise GraphError("chain maps must be monomorphisms")
+            prev = s
+        if self.images and self.images[-1] != universe:
+            raise GraphError("last chain set must fill the ambient cyclic set")
+
+    def sizes(self):
+        return [len(s) for s in self.images]
+
+    def __len__(self):
+        return len(self.images)
+
+
+def _sign_sum(chain):
+    levels = [sorted(chain.images[0])]
+    for prev, cur in zip(chain.images, chain.images[1:]):
+        levels.append(sorted(cur - prev))
+    total = 0
+    for tup in product(*levels):
+        total += cyclic_sign(tup, chain.ambient)
+    return total
+
+
+def cz(k, chain):
+    """The unadjusted cyclic-set cocycle on a 2k-simplex of cyclic sets."""
+    if len(chain) != 2 * k + 1:
+        raise LengthMismatch("need a chain of 2k+1 cyclic sets")
+    sizes = chain.sizes()
+    if any(b - a == 0 for a, b in zip(sizes, sizes[1:])):
+        return Fraction(0)
+    denom = Fraction((-2) ** k * double_factorial(2 * k - 1))
+    for s in sizes:
+        denom *= s
+    return Fraction(_sign_sum(chain)) / denom
+
+
+def adjusted_cz(k, chain):
+    """The cocycle divided by -2, the normalization evaluated on graphs."""
+    return cz(k, chain) / (-2)
+def c_fat(k, simplex):
+    """Adjusted cocycle of a 2k-simplex (top, steps), the cup product of
+    one part: sum over the vertices of the top graph or tree, weighted by
+    valence-2, of the cocycle on their corner chains."""
+    return cup_product((k,), simplex)
+
+
+def cup_product(parts, simplex):
+    """Front/back-face cup product on a simplex (top, steps), one
+    adjusted cocycle of degree 2*part per part, in the given order.
+    Each face starts at the object the steps before it collapse the top
+    to, of which only the vertex cycles and pairing are read."""
+    top, steps = simplex
+    if 2 * sum(parts) != len(steps):
+        raise LengthMismatch("parts must tile the simplex")
+    cycles, pairing = top.vertices, top.pairing
+    total = Fraction(1)
+    for p in parts:
+        face, steps = steps[:2 * p], steps[2 * p:]
+        total *= sum((len(c) - 2) * adjusted_cz(p, CyclicSetChain(
+            *corner_chain(cycles, pairing, face, c))) for c in cycles)
+        if total == 0:
+            return total
+        cycles, pairing, _ = collapse_steps(cycles, pairing, face)
+    return total
+
+
+def region_chain(top, steps, cycle):
+    """Region-model cyclic set chain of a vertex along a tree simplex
+    (top, steps): C_i is the set of regions touching the image of the
+    vertex after step i; the ambient cyclic set is the last of them.
+
+    The corner after a half-edge closes off the same branch in every tree
+    of the chain, so the regions touching each vertex are read once from
+    the top tree, and an image vertex touches the union of the regions of
+    the top vertices merged into it (the mask model of the `K^{2m}` scan)."""
+    regions = list(region_touch_sets(top).values())
+    index = {h: i for i, c in enumerate(top.vertices) for h in c}
+    rep = list(range(len(regions)))
+    vertex = index[cycle[0]]
+    images = [frozenset(regions[vertex])]
+    for step in steps:
+        for a, b in step:
+            ra, rb = rep[index[a]], rep[index[b]]
+            regions[ra] |= regions[rb]
+            rep = [ra if r == rb else r for r in rep]
+        images.append(frozenset(regions[rep[vertex]]))
+    # regions are numbered in circle order, so the sorted last set keeps it
+    return CyclicSetChain(sorted(images[-1]), images)
+def corner_collapse_map(cycles, pairing, half_edge):
+    """Corner tracking for one edge collapse.
+
+    Corners are named by the half-edge they follow in the vertex cycle.
+    Every corner persists under the collapse except the two corners
+    following the collapsing half-edges, which are absorbed into the
+    corners following the cyclic predecessors on the opposite side.
+    """
+    h = half_edge
+    hbar = pairing[h]
+    pred = {}
+    for c in cycles:
+        if h in c:
+            i = c.index(h)
+            pred[h] = c[i - 1]
+        if hbar in c:
+            i = c.index(hbar)
+            pred[hbar] = c[i - 1]
+    # corner after h lands after pred(hbar), and vice versa
+    return {h: pred[hbar], hbar: pred[h]}
+
+
+def corner_chain(cycles, pairing, steps, cycle):
+    """Corner chain of a vertex along a simplex whose top has these
+    vertex cycles and pairing: a ribbon graph or a planar tree.
+
+    Each step is a tuple of edges collapsed in order (an identity step
+    is ()), and `cycle` is a vertex of the top.  Returns (ambient,
+    images): the cyclic order of the vertex's image after the last step,
+    and for each step i the corners of its image after step i carried
+    into the ambient, as frozensets.  An edge absent at its step raises
+    GraphError.
+    """
+    levels = [tuple(cycle)]
+    for step in steps:
+        for a, b in step:
+            if pairing.get(a) != b:
+                raise GraphError("edge %r is not in the graph at its step" % ((a, b),))
+            moved = corner_collapse_map(cycles, pairing, a)
+            cycles, pairing, _ = collapse_cycles(cycles, pairing, a)
+            levels = [tuple(moved.get(x, x) for x in xs) for xs in levels]
+        corner = levels[-1][0]
+        levels.append(next(c for c in cycles if corner in c))
+    images = [frozenset(xs) for xs in levels]
+    if any(len(s) != len(xs) for s, xs in zip(images, levels)):
+        raise GraphError("corner monomorphism failed")
+    return levels[-1], images
+
+
+# ---------------------------------------------------------------------------
+# ribbon graphs: one-edge collapse, isomorphisms, chains and dual cells
+# ---------------------------------------------------------------------------
+
+def collapse_edge(og, edge):
+    """Collapse a non-loop edge of an oriented graph, with induced sign."""
+    a, _ = edge
+    cycles, pairing, sign = collapse_oriented(
+        og.graph.vertices, og.graph.pairing, og.sign, a)
+    return OrientedRibbonGraph(RibbonGraph(cycles, [tuple(e) for e in _edge_list(pairing)]), sign)
+
+
+def _grow_iso(g1, g2, seed_pairs):
+    """Extend seed half-edge assignments to a full isomorphism, or None."""
+    s1, s2 = g1.sigma(), g2.sigma()
+    p1, p2 = g1.pairing, g2.pairing
+    m = {}
+    used = set()
+    stack = []
+    for a, b in seed_pairs:
+        if a in m:
+            if m[a] != b:
+                return None
+            continue
+        if b in used:
+            return None
+        m[a] = b
+        used.add(b)
+        stack.append(a)
+    while stack:
+        h = stack.pop()
+        for f1, f2 in ((s1, s2), (p1, p2)):
+            a, b = f1[h], f2[m[h]]
+            if a in m:
+                if m[a] != b:
+                    return None
+            else:
+                if b in used:
+                    return None
+                m[a] = b
+                used.add(b)
+                stack.append(a)
+    if len(m) != len(g1.half_edges):
+        return None
+    # vertex cycles must correspond (sigma-closure guarantees it) and so
+    # does the pairing; lengths were matched by construction
+    return m
+
+
+def isomorphisms_between(g1, g2):
+    """All cyclic-order-preserving half-edge bijections g1 -> g2."""
+    if len(g1.half_edges) != len(g2.half_edges):
+        return []
+    if g1.valences() != g2.valences():
+        return []
+    anchor = g1.half_edges[0]
+    out = []
+    for b in g2.half_edges:
+        m = _grow_iso(g1, g2, [(anchor, b)])
+        if m is not None:
+            out.append(m)
+    return out
+
+
+def automorphisms(g):
+    return isomorphisms_between(g, g)
+
+
+def transport_sign(g1, g2, iso):
+    """Sign picked up by an orientation transported along `iso`."""
+    return word_parity(_transported_word(g1.vertices, iso), reference_word(g2.vertices))
+def chain_of(og, coeff=1):
+    """The chain <Gamma> for one oriented graph (zero if the class is)."""
+    key, sign = canonical_oriented(og)
+    chain = GraphChain(grading=og.graph.codimension)
+    if sign is not None:
+        chain.add(key, Fraction(coeff) * sign)
+    return chain
+
+
+def dual_cell_simplices(base):
+    """The dual cell of an oriented base graph, as simplices (top, steps).
+
+    Yields ((top, steps), sign) over every maximal chain of objects over
+    the base: a trivalent object `top` together with an ordering of its
+    forest edges, one edge per step.  The sign compares the orientation
+    induced from the natural orientation of the trivalent object with the
+    +1 orientation of the base's reference ordering.
+    """
+    fc = ForestComplex(base)
+    base_labels = set(base.half_edges)
+    for key in fc.levels[0]:
+        top = graph_from_key(key)
+        forest = [e for e in top.edges()
+                  if e[0] not in base_labels and e[1] not in base_labels]
+        for order in permutations(forest):
+            steps = tuple((e,) for e in order)
+            cycles, pairing, sign = collapse_steps(top.vertices, top.pairing, steps)
+            if cycles != base.vertices or pairing != base.pairing:
+                raise GraphError("dual cell chain did not land on the base")
+            yield (top, steps), sign
+
+
+# ---------------------------------------------------------------------------
+# planar trees: the corolla, corner regions and the dual cell
+# ---------------------------------------------------------------------------
+
+def corolla(n):
+    return PlanarTree(n + 3, [tuple(range(n + 3))], [])
+
+
+def corner_regions(tree):
+    """The region of the corner following each half-edge at its vertex:
+    region j is the gap between leaf j and leaf j+1, and the corner after
+    h closes off the branch through h, so its region is that branch's
+    last leaf."""
+    L = tree.leaf_count
+    return {h: (first + size - 1) % L for h, (first, size) in branch_intervals(tree).items()}
+
+
+def region_touch_sets(tree):
+    """For each vertex index, the set of regions touching it."""
+    corners = corner_regions(tree)
+    return {i: {corners[h] for h in c} for i, c in enumerate(tree.vertices)}
+
+
+def dual_cell(n):
+    """The signed sum of maximal chains of K^n, as {chain key: sign}."""
+    out = {}
+    for simplex, sign in maximal_chains(n):
+        key = _chain_key(*simplex)
+        out[key] = out.get(key, 0) + sign
+    return out

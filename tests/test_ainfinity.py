@@ -18,16 +18,16 @@ from fatcomplex.ainfinity import (
     z_x_chain,
     zx_expansion_check,
 )
-from fatcomplex.graph_complex import ClassCorpus, chain_of, d_integral, enumerate_graphs, eval_w
+from fatcomplex.graph_complex import ClassCorpus, d_integral, enumerate_graphs, eval_w
 from fatcomplex.linalg import matrix_inverse
 from fatcomplex.ribbon import (
     OrientedRibbonGraph,
     build_graph,
     graph_from_key,
     reference_word,
-    transport_sign,
     word_parity,
 )
+from reference import chain_of, transport_sign
 
 GRASSMANN_PAIRING = [
     [0, 0, 0, 1],

@@ -1,7 +1,9 @@
+import ast
 import io
 import json
 import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,6 +260,70 @@ def test_verify_grows_one_corpus_and_each_column_once(monkeypatch):
     assert code == 0
     assert corpora == [(8,)]
     assert columns and len(columns) == len(set(columns))
+
+
+def _fatcomplex_names(tree, package):
+    """Names bound by `fatcomplex` imports anywhere in a parsed file:
+    (module, None) for a module, (module, name) for a definition."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fatcomplex"):
+            for alias in node.names:
+                if node.module != "fatcomplex":
+                    target = (node.module.split(".")[1], alias.name)
+                else:
+                    target = package.get(alias.name, (alias.name, None))
+                names[alias.asname or alias.name] = target
+    return names
+
+
+def _references(node, module, names, defs):
+    """The (module, name) pairs that names and module attributes read
+    inside `node` refer to."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            if (module, sub.id) in defs:
+                yield module, sub.id
+            elif sub.id in names:
+                yield names[sub.id]
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            target = names.get(sub.value.id)
+            if target and target[1] is None:
+                yield target[0], sub.attr
+
+
+def test_every_library_definition_is_reachable():
+    # roots: `cli.main`, module-level code (it runs on import and holds
+    # `checks.SUITES`), `fatcomplex.__all__` and all that perfbench reads
+    # off `fatcomplex`; what only the tests use belongs in tests/reference.py
+    import fatcomplex
+
+    root = Path(__file__).resolve().parents[1]
+    parsed = {path.stem: ast.parse(path.read_text())
+              for path in (root / "src" / "fatcomplex").glob("*.py")}
+    defs = {(module, node.name): node for module, tree in parsed.items()
+            for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    package = _fatcomplex_names(parsed["__init__"], {})
+    names = {module: _fatcomplex_names(tree, package) for module, tree in parsed.items()}
+    todo = [("cli", "main")] + [package[name] for name in fatcomplex.__all__]
+    for module, tree in parsed.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                todo += _references(node, module, names[module], defs)
+    for path in (root / "perfbench").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        bench = _fatcomplex_names(tree, package)
+        todo += list(bench.values()) + list(_references(tree, None, bench, defs))
+    reached = set()
+    while todo:
+        module, name = todo.pop()
+        while (module, name) not in defs and name in names.get(module, {}):
+            module, name = names[module][name]  # a re-export
+        if (module, name) in defs and (module, name) not in reached:
+            reached.add((module, name))
+            todo += _references(defs[module, name], module, names[module], defs)
+    unreached = sorted("%s.%s" % key for key in defs.keys() - reached)
+    assert not unreached, "nothing reaches these definitions: " + ", ".join(unreached)
 
 
 def test_long_mode_progress_goes_to_stderr_only(capsys, monkeypatch):

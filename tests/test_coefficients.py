@@ -28,7 +28,6 @@ from fatcomplex.coefficients import (
     refinements,
     w_polynomial,
 )
-from fatcomplex.cocycle import cup_product
 from fatcomplex.ribbon import word_parity
 from fatcomplex.trees import (
     PlanarTree,
@@ -38,8 +37,8 @@ from fatcomplex.trees import (
     enumerate_trivalent_trees,
     face_count,
     maximal_chains,
-    region_touch_sets,
 )
+from reference import cup_product, region_touch_sets
 from test_trees import order_sign
 
 
@@ -301,78 +300,6 @@ def _scaled_cz(c0, deltas, scale, cache):
     return val
 
 
-def _per_seed_scan(seed, m):
-    """The scan the face scan replaced: one seed, its edges in
-    `internal_edges()` order, each window walked once per (edges done,
-    part) inside the seed, and its value summed by `_scaled_cz`."""
-    edges = seed.internal_edges()
-    nedges = len(edges)
-    verts = list(seed.vertices)
-    vertex_of = {}
-    for i, c in enumerate(verts):
-        for x in c:
-            vertex_of[x] = i
-    endpoints = [(vertex_of[a], vertex_of[b]) for a, b in edges]
-    touch = region_touch_sets(seed)
-    base_masks = [sum(1 << r for r in touch[i]) for i in range(len(verts))]
-    s0 = order_sign(seed, edges)
-    cz_cache = {}
-    memo = {}
-
-    def windows(done, k):
-        # {edges used: signed scaled value} of the windows of part k that
-        # collapse 2k edges after the edges in `done`
-        key = (done, k)
-        if key in memo:
-            return memo[key]
-        rep = list(range(len(verts)))
-        masks = list(base_masks)
-        for ei in _bits(done):
-            ru, rw = rep[endpoints[ei][0]], rep[endpoints[ei][1]]
-            masks[ru] |= masks[rw]
-            rep = [ru if r == rw else r for r in rep]
-        scale = coefficients._part_scale(k, seed.leaf_count)
-        out = {}
-
-        def walk(left, used, sgn, blob, blob_mask, tracks):
-            if not left:
-                value = sum((c0.bit_count() - 2) * _scaled_cz(c0, deltas, scale, cz_cache)
-                            for c0, deltas in tracks)
-                if value:
-                    out[used] = out.get(used, 0) + sgn * value
-                return
-            for ei in range(nedges):
-                if (done | used) >> ei & 1:
-                    continue
-                ru, rw = rep[endpoints[ei][0]], rep[endpoints[ei][1]]
-                mu, mw = masks[ru], masks[rw]
-                if not used:
-                    walk(left - 1, 1 << ei, sgn, {ru, rw}, mu | mw,
-                         ((mu, (mw & ~mu,)), (mw, (mu & ~mw,))))
-                elif ru in blob or rw in blob:
-                    other = rw if ru in blob else ru
-                    delta = masks[other] & ~blob_mask
-                    walk(left - 1, used | 1 << ei, sgn, blob | {other}, blob_mask | delta,
-                         tuple((c0, deltas + (delta,)) for c0, deltas in tracks))
-                sgn = -sgn
-
-        walk(2 * k, 0, 1, None, 0, ())
-        memo[key] = out
-        return out
-
-    totals = {}
-    for comp in compositions_of(m):
-        sums = {0: 1}
-        for part in comp:
-            nxt = {}
-            for done, value in sums.items():
-                for used, factor in windows(done, part).items():
-                    nxt[done | used] = nxt.get(done | used, 0) + value * factor
-            sums = nxt
-        totals[comp] = s0 * sums.get((1 << nedges) - 1, 0)
-    return totals
-
-
 def _reference_scan_seed(seed, m):
     """The unpruned chain scan: every collapse order of the seed is walked
     to a leaf, whatever its window values."""
@@ -458,15 +385,13 @@ def _reference_scan_seed(seed, m):
 
 
 def test_pruned_scan_matches_reference_on_every_k2_k4_seed():
-    # the face scan of one seed against the per-seed scan it replaced and
-    # the unpruned scan
+    # the face scan of one seed against the unpruned scan
     seeds = enumerate_trivalent_trees(5) + enumerate_trivalent_trees(7)
     assert len(seeds) == 5 + 42
     nonzero = 0
     for seed in seeds:
         m = (seed.leaf_count - 3) // 2
         want = _reference_scan_seed(seed, m)
-        assert _per_seed_scan(seed, m) == want
         assert scan_seed(seed, m) == want
         nonzero += any(want.values())
     assert nonzero
@@ -481,7 +406,6 @@ def test_pruned_scan_matches_reference_on_k6_orbits():
     totals = dict.fromkeys(compositions_of(3), 0)
     for rep, size in orbits:
         want = _reference_scan_seed(rep, 3)
-        assert _per_seed_scan(rep, 3) == want
         assert scan_seed(rep, 3) == want
         for comp, v in want.items():
             totals[comp] += size * v
@@ -496,7 +420,6 @@ def test_pruned_scan_matches_reference_on_k8_orbits():
     nonzero = 0
     for i in (0, 100, 227):
         want = _reference_scan_seed(orbits[i][0], 4)
-        assert _per_seed_scan(orbits[i][0], 4) == want
         assert scan_seed(orbits[i][0], 4) == want
         nonzero += any(want.values())
     assert nonzero
@@ -703,7 +626,11 @@ def test_a_times_b_is_identity():
         assert prod == [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
 
 
-def test_out_of_range():
+def test_out_of_range(monkeypatch):
+    def no_scan(leaf_count):
+        raise AssertionError("scanned K^%d out of range" % (leaf_count - 3))
+
+    monkeypatch.setattr(coefficients, "_dihedral_orbits", no_scan)
     with pytest.raises(OutOfComputedRange):
         b_matrix(5)
     with pytest.raises(OutOfComputedRange):
@@ -711,6 +638,13 @@ def test_out_of_range():
     for n in (-1, 0, 5):
         with pytest.raises(OutOfComputedRange):
             closed_form_checks(n)
+    for partition in ((5,), (6,), (3, 2)):
+        with pytest.raises(OutOfComputedRange):
+            b_single(partition)
+    for m in (0, 5, 6):
+        with pytest.raises(OutOfComputedRange):
+            b_single_all(m)
+    assert b_single(()) == 1
 
 
 def test_w_polynomial_weight_low():

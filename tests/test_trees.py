@@ -17,17 +17,14 @@ from fatcomplex.ribbon import (
 from fatcomplex.trees import (
     ConfigurationMismatch,
     PlanarTree,
-    corolla,
-    dual_cell,
     dual_cell_boundary_check,
     enumerate_faces,
     enumerate_trivalent_trees,
     face_count,
     lemma_region_sign,
     maximal_chains,
-    corner_regions,
-    region_touch_sets,
 )
+from reference import corner_regions, corolla, dual_cell, region_touch_sets
 
 
 def regions_touching(tree, cycle):
