@@ -17,15 +17,15 @@ that are not yet collapsed: the product of those flips is the sign of
 the collapse order relative to the reference order.  Reordering the
 reference order by a permutation pi therefore changes only s0, by
 sgn pi, and the scan may pick any reference order.  It sorts each seed's
-edges by their cut intervals, min(iv[a], iv[b]) for an edge (a, b) with
-iv = `trees.branch_intervals(seed)`.  Collapsing edges of a seed gives
-a face of K^{2m}, a planar tree whose edges are the uncollapsed ones,
-each cutting the leaves into the same two intervals as in the seed.  So
+edges by their cut intervals, the leaves (first, size) each cuts off on
+the side away from leaf 0 (`trees.cut_intervals`).  Collapsing edges of
+a seed gives a face of K^{2m}, a planar tree whose edges are the
+uncollapsed ones, each cutting off the same interval as in the seed.  So
 the edges not yet collapsed are the face's own edges, their order is
 that of the face's cut intervals, and the flip of every collapse
-depends only on the face it collapses from.  A face is the set of its
-edges' cut intervals, kept as a bitmask with bit first * L + size for the
-interval (first, size), L the leaf count; the bits are ordered like the
+depends only on the face it collapses from.  A face is its cut-interval
+set, kept as a bitmask with bit first * L + size for the interval
+(first, size), L the leaf count; the bits are ordered like the
 intervals.  Its vertices (the merged ones) and their region bitmasks, the
 regions touching them, follow from the intervals (`_face_layout`).
 
@@ -92,10 +92,11 @@ window values and the chain sign change by the same factor:
 The tests check that the per-seed sums agree with those of the mirror on
 every K^4 seed, every K^6 rotation-orbit representative and three K^8
 seeds, and the chain-sign factors on every seed with 5, 7 and 9 leaves.
-The orbits are listed without canonical forms: a trivalent tree is
-determined by the leaf intervals its internal edges cut off, a rotation
-moves each interval one leaf on and the reflection maps the leaves
-first..first+size-1 to -(first+size-1)..-first.
+The orbits are found on cut-interval sets, without canonical forms or
+trees: a rotation moves each interval one leaf on and the reflection
+maps the leaves first..first+size-1 to -(first+size-1)..-first, each
+image taken on its side away from leaf 0.  Only the orbit
+representatives are built as trees.
 
 The sums are exact integers: the value of a window of a part k is
 scaled by |(-2)^(k+1) (2k-1)!!| (2m+3)!, which makes it an integer (a
@@ -112,8 +113,10 @@ from fatcomplex.linalg import SingularMatrix, matrix_inverse
 from fatcomplex.ribbon import collapse_steps
 from fatcomplex.trees import (
     branch_intervals,
-    cut_intervals,
-    enumerate_trivalent_trees,
+    face_sets,
+    one_sided,
+    paint_leaves,
+    tree_from_intervals,
 )
 
 
@@ -202,12 +205,18 @@ def _region_bits(leaf_count):
     return out
 
 
+def _cocycle_constant(k):
+    """(-2)^(k+1) (2k-1)!!, the constant the adjusted cyclic-set cocycle
+    of a part k divides by, besides the region-set sizes."""
+    return (-2) ** (k + 1) * double_factorial(2 * k - 1)
+
+
 def _part_scale(k, leaf_count):
     """|(-2)^(k+1) (2k-1)!!| * leaf_count!, which clears the denominator of
     every window value of a part k: along a window whose cocycle does not
     vanish the region sets grow strictly, so their sizes are distinct
     integers <= leaf_count and their product divides leaf_count!."""
-    return 2 ** (k + 1) * double_factorial(2 * k - 1) * math.factorial(leaf_count)
+    return abs(_cocycle_constant(k)) * math.factorial(leaf_count)
 
 
 def _append_level(tuples, regions):
@@ -225,14 +234,14 @@ def _level_sum(tuples, regions):
                for s, sign in tuples for x in regions)
 
 
-def _scaled_value(total, size_product, k, scale):
+def _scaled_value(total, size_product, constant, scale):
     """`scale` times the adjusted cyclic-set cocycle of a chain of 2k+1
     region sets whose sizes multiply to `size_product` and whose signed
-    tuples sum to `total`, as an exact int; raises ArithmeticError when it
-    is not one."""
+    tuples sum to `total`, as an exact int, with `constant` the part's
+    `_cocycle_constant(k)`; raises ArithmeticError when it is not one."""
     if not total:
         return 0
-    denom = (-2) ** (k + 1) * double_factorial(2 * k - 1) * size_product
+    denom = constant * size_product
     value, rem = divmod(total * scale, denom)
     if rem:
         raise ArithmeticError("scaled cocycle value %d*%d/%d is not an integer"
@@ -243,36 +252,26 @@ def _scaled_value(total, size_product, k, scale):
 def _face_layout(face, leaf_count):
     """A face's edge bits in interval order, the (parent, child) vertices
     of each edge, and each vertex's region and incident-edge masks, read
-    off the face bitmask.  Edge i cuts off the leaves lo..hi away from
-    leaf 0; vertex 0 holds leaf 0 and vertex i+1 lies below edge i.  The
-    corner after a half-edge lies in the region closing off its branch:
-    the parent gets region hi, the child region lo - 1, and leaf j gives
-    region j to the innermost vertex that holds it."""
-    codes, spans = [], []
+    off the face bitmask.  Edge i cuts off the leaves lo..lo+size-1 away
+    from leaf 0; vertex 0 holds leaf 0 and vertex i+1 lies below edge i
+    (`trees.paint_leaves`).  The corner after a half-edge lies in the
+    region closing off its branch: the parent gets region lo+size-1, the
+    child region lo - 1, and leaf j gives region j to the innermost vertex
+    that holds it."""
+    codes, intervals = [], []
     rest = face
     while rest:
         code = rest & -rest
         rest ^= code
-        first, size = divmod(code.bit_length() - 1, leaf_count)
-        if first == 0 or first + size > leaf_count:  # the side holding leaf 0
-            first, size = (first + size) % leaf_count, leaf_count - size
         codes.append(code)
-        spans.append((first, first + size - 1))
-    # paint each edge's leaves with the vertex below it, longer edges
-    # first: a leaf ends with its innermost vertex, and the parent of an
-    # edge is what held its leaves just before
-    holder = [0] * leaf_count
-    ends = [None] * len(spans)
-    for i in sorted(range(len(spans)), key=lambda i: spans[i][0] - spans[i][1]):
-        lo, hi = spans[i]
-        ends[i] = (holder[lo], i + 1)
-        holder[lo:hi + 1] = [i + 1] * (hi - lo + 1)
-    masks = [0] * (len(spans) + 1)
-    incident = [0] * (len(spans) + 1)
+        intervals.append(divmod(code.bit_length() - 1, leaf_count))
+    holder, ends = paint_leaves(intervals, leaf_count)
+    masks = [0] * (len(intervals) + 1)
+    incident = [0] * (len(intervals) + 1)
     for j, v in enumerate(holder):
         masks[v] |= 1 << j
-    for i, ((lo, hi), (parent, child)) in enumerate(zip(spans, ends)):
-        masks[parent] |= 1 << hi
+    for i, ((lo, size), (parent, child)) in enumerate(zip(intervals, ends)):
+        masks[parent] |= 1 << (lo + size - 1)
         masks[child] |= 1 << (lo - 1)
         incident[parent] |= 1 << i
         incident[child] |= 1 << i
@@ -293,10 +292,12 @@ def _scan_orbits(args):
     m, orbits = args
     leaf_count = 2 * m + 3
     bits = _region_bits(leaf_count)
+    constants = {k: (_cocycle_constant(k), _part_scale(k, leaf_count)) for k in range(1, m + 1)}
     tops = {}
     for seed, size in orbits:
         intervals = branch_intervals(seed)
-        keyed = sorted((min(intervals[a], intervals[b]), (a, b)) for a, b in seed.internal_edges())
+        keyed = sorted((one_sided(*intervals[a], leaf_count), (a, b))
+                       for a, b in seed.internal_edges())
         top = sum(1 << first * leaf_count + length for (first, length), _ in keyed)
         tops[top] = size * collapse_steps(seed.vertices, seed.pairing, [[e for _, e in keyed]])[2]
     memo = {}
@@ -308,7 +309,7 @@ def _scan_orbits(args):
         if key in memo:
             return memo[key]
         codes, ends, masks, incident = _face_layout(face, leaf_count)
-        scale = _part_scale(k, leaf_count)
+        constant, scale = constants[k]
         out = {}
         free0 = (1 << len(codes)) - 1
 
@@ -330,7 +331,7 @@ def _scan_orbits(args):
                           for weight, size_product, tuples in tracks])
                 else:
                     value = sum(weight * _scaled_value(_level_sum(tuples, bits[delta]),
-                                                       size_product * size, k, scale)
+                                                       size_product * size, constant, scale)
                                 for weight, size_product, tuples in tracks)
                     if value:
                         last = end & ~codes[ei]
@@ -374,20 +375,20 @@ def _b_from_totals(m, totals):
 def _dihedral_orbits(leaf_count):
     """Trivalent trees up to the rotations and reflections of the leaves,
     as [(representative, orbit size)]; the representative of an orbit is
-    its first member in `enumerate_trivalent_trees` order.  A rotation
-    moves every cut interval one leaf on, and the reflection i -> -i maps
-    (first, size) to (-(first + size - 1), size)."""
+    its first member in `enumerate_trivalent_trees` order.  The orbits are
+    found on cut-interval sets, and only representatives become trees.  A
+    rotation moves every cut interval one leaf on, and the reflection
+    i -> -i maps (first, size) to (-(first + size - 1), size)."""
     seen = set()
     out = []
-    for seed in enumerate_trivalent_trees(leaf_count):
-        key = cut_intervals(seed)
+    for key in face_sets(leaf_count - 3, 0):
         if key in seen:
             continue
-        mirror = frozenset((-(first + size - 1) % leaf_count, size) for first, size in key)
-        orbit = {frozenset(((first + r) % leaf_count, size) for first, size in k)
+        mirror = [(-(first + size - 1), size) for first, size in key]
+        orbit = {frozenset(one_sided(first + r, size, leaf_count) for first, size in k)
                  for k in (key, mirror) for r in range(leaf_count)}
         seen |= orbit
-        out.append((seed, len(orbit)))
+        out.append((tree_from_intervals(leaf_count, key), len(orbit)))
     return out
 
 

@@ -4,7 +4,11 @@ A face of K^n is a planar tree with n+3 leaves in fixed counterclockwise
 order and internal vertices of valence >= 3; a tree with n-k internal
 edges is a k-face.  Trees are stored like ribbon graphs whose pairing is
 partial: leaves are unpaired half-edge labels 0..n+2, internal
-half-edges are labels >= n+3.
+half-edges are labels >= n+3.  A face is encoded by its cut-interval
+set: the leaf intervals (lo, size), pairwise nested or disjoint, that
+its edges cut off on the side away from leaf 0.  `face_sets` lists the
+sets, `tree_from_intervals` builds a tree from one and `cut_intervals`
+reads it off a tree.
 
 A chain T_0 -> ... -> T_m is a simplex (seed, steps) that collapses one
 internal edge per step.  Signs follow the same Conant-Vogtmann
@@ -14,9 +18,9 @@ word for odd n, which in both cases is the reference ordering.
 
 Every region fact comes from one table per tree, `branch_intervals`:
 region j is the gap between leaf j and leaf j+1, the corner after a
-half-edge lies in the region closing off its branch, and a face of K^n
-is keyed by the intervals its internal half-edges cut off.  One region
-sign rule, `lemma_region_sign`, predicts chain signs from those corner
+half-edge lies in the region closing off its branch, and `one_sided` of
+either half-edge's interval is its edge's cut interval.  One region sign
+rule, `lemma_region_sign`, predicts chain signs from those corner
 regions, for seeds with one big vertex and for maximal chains alike.
 """
 
@@ -132,106 +136,97 @@ class PlanarTree:
 # enumeration of faces
 # ---------------------------------------------------------------------------
 
-def _compositions(lo, hi, binary_only):
-    """Split the leaf interval [lo..hi] into >= 2 consecutive blocks."""
-    size = hi - lo + 1
-    if binary_only:
-        for cut in range(lo + 1, hi + 1):
-            yield [(lo, cut - 1), (cut, hi)]
-        return
-    # all compositions into >= 2 blocks
-    def rec(start):
-        if start > hi:
-            yield []
-            return
-        for end in range(start, hi + 1):
-            for rest in rec(end + 1):
-                yield [(start, end)] + rest
-    for blocks in rec(lo):
-        if len(blocks) >= 2:
-            yield blocks
+def one_sided(first, size, leaf_count):
+    """Of the cyclic leaf interval first..first+size-1 mod leaf_count and
+    its complement, the two sides of one edge, the one without leaf 0."""
+    first %= leaf_count
+    if first == 0 or first + size > leaf_count:
+        return (first + size) % leaf_count, leaf_count - size
+    return first, size
 
 
-def _count_vertices(struct):
-    if isinstance(struct, int):
-        return 0
-    return 1 + sum(_count_vertices(kid) for kid in struct)
+def paint_leaves(intervals, leaf_count):
+    """The innermost vertex holding each leaf, and the (parent, child)
+    vertices of each edge, of the face whose edges cut off `intervals`:
+    vertex 0 holds leaf 0 and vertex i+1 lies below edge i.  Each edge
+    paints its leaves with its child, longer intervals first, and its
+    parent is what held its first leaf just before."""
+    holder = [0] * leaf_count
+    ends = [None] * len(intervals)
+    for i in sorted(range(len(intervals)), key=lambda i: -intervals[i][1]):
+        lo, size = intervals[i]
+        ends[i] = (holder[lo], i + 1)
+        holder[lo:lo + size] = [i + 1] * size
+    return holder, ends
 
 
-def _structures(lo, hi, binary_only, budget=None):
-    """Subtree shapes over the leaf interval [lo..hi].
+def tree_from_intervals(leaf_count, intervals):
+    """The planar tree of a cut-interval set, unchecked.  Edge r in
+    preorder from leaf 0, by (lo, -size), is (L + 2r, L + 2r + 1) with
+    L + 2r at the parent; a vertex lists the half-edge towards leaf 0,
+    then its branches in leaf order."""
+    intervals = sorted(intervals, key=lambda iv: (iv[0], -iv[1]))
+    holder, ends = paint_leaves(intervals, leaf_count)
+    branches = [[] for _ in range(len(intervals) + 1)]
+    for leaf, v in enumerate(holder):
+        branches[v].append((leaf, leaf))
+    for i, ((lo, _), (parent, child)) in enumerate(zip(intervals, ends)):
+        branches[parent].append((lo, leaf_count + 2 * i))
+        branches[child].append((-1, leaf_count + 2 * i + 1))
+    cycles = [tuple(h for _, h in sorted(b)) for b in branches]
+    pairs = [(leaf_count + 2 * i, leaf_count + 2 * i + 1) for i in range(len(intervals))]
+    return PlanarTree._trusted(leaf_count, _normalize_cycles(cycles), pairs)
 
-    `budget` bounds the number of internal vertices in the subtree.
+
+def face_sets(n, k):
+    """The k-faces of K^n as cut-interval sets, without building trees.
+
+    From leaf 0, the branches below a vertex hold two or more runs of
+    consecutive leaves, and a run of s >= 2 leaves is an edge holding 1
+    to s-1 edges in all.  The recursion splits a run into its first
+    branch and the rest, giving each only edge counts it can hold, so it
+    lists exactly the faces with n-k edges.
     """
-    if lo == hi:
-        yield lo
-        return
-    if budget is not None and budget < 1:
-        return
-    kid_budget = None if budget is None else budget - 1
-    for blocks in _compositions(lo, hi, binary_only):
-        def rec(i, rem):
-            if i == len(blocks):
-                yield []
-                return
-            a, b = blocks[i]
-            for sub in _structures(a, b, binary_only, rem):
-                used = _count_vertices(sub)
-                nxt = None if rem is None else rem - used
-                if nxt is not None and nxt < 0:
-                    continue
-                for rest in rec(i + 1, nxt):
-                    yield [sub] + rest
-        for kids in rec(0, kid_budget):
-            yield tuple(kids)
+    if not 0 <= k <= n:
+        raise GraphError("need 0 <= k <= n")
+    memo = {}
 
+    def runs(lo, hi, edges, whole):
+        # the leaves lo..hi cut into branches with `edges` edges in all;
+        # into one branch only when `whole`
+        key = (lo, hi, edges, whole)
+        if key not in memo:
+            out = []
+            for end in range(lo, hi):
+                # the first branch lo..end holds `used` edges, none if a
+                # leaf, and the rest, hi-end leaves, at most hi-end-1
+                size = end - lo + 1
+                for used in range(max(size > 1, edges - (hi - end - 1)), min(size - 1, edges) + 1):
+                    out += [head + tail for head in branch(lo, end, used)
+                            for tail in runs(end + 1, hi, edges - used, True)]
+            if whole:
+                out += branch(lo, hi, edges)
+            memo[key] = out
+        return memo[key]
 
-def _tree_from_structure(leaf_count, root_kids):
-    cycles = []
-    pairs = []
-    counter = [leaf_count]
+    def branch(lo, hi, edges):
+        # a leaf, or an edge cutting off lo..hi with a vertex below it
+        if lo == hi:
+            return [()]
+        return [((lo, hi - lo + 1),) + below for below in runs(lo, hi, edges - 1, False)]
 
-    def build(node, up_half):
-        # returns nothing; appends the vertex for `node` whose first
-        # entry is the half-edge toward the parent
-        cycle = [up_half]
-        for kid in node:
-            if isinstance(kid, int):
-                cycle.append(kid)
-            else:
-                down = counter[0]
-                up = counter[0] + 1
-                counter[0] += 2
-                pairs.append((down, up))
-                cycle.append(down)
-                build(kid, up)
-        cycles.append(tuple(cycle))
-
-    build(root_kids, 0)
-    return PlanarTree(leaf_count, cycles, pairs)
-
-
-def _all_trees(leaf_count, binary_only, max_vertices=None):
-    if leaf_count < 3:
-        raise GraphError("need at least 3 leaves")
-    for kids in _structures(1, leaf_count - 1, binary_only, max_vertices):
-        if isinstance(kids, int):
-            continue
-        yield _tree_from_structure(leaf_count, kids)
-
-
-def enumerate_trivalent_trees(leaf_count):
-    """All trivalent planar trees with the given leaves, Catalan-many."""
-    return list(_all_trees(leaf_count, binary_only=True))
+    return [frozenset(s) for s in runs(1, n + 2, n - k, False)]
 
 
 def enumerate_faces(n, k):
     """All k-faces of K^n: trees with n+3 leaves and n-k internal edges."""
-    if not 0 <= k <= n:
-        raise GraphError("need 0 <= k <= n")
-    want = n - k
-    return [t for t in _all_trees(n + 3, binary_only=False, max_vertices=want + 1)
-            if len(t.pairing) // 2 == want]
+    return [tree_from_intervals(n + 3, s) for s in face_sets(n, k)]
+
+
+def enumerate_trivalent_trees(leaf_count):
+    """All trivalent planar trees with the given leaves, Catalan-many: the
+    vertices of K^(leaf_count - 3)."""
+    return enumerate_faces(leaf_count - 3, 0)
 
 
 def face_count(n, k):
@@ -289,10 +284,10 @@ def branch_intervals(tree):
 
 def cut_intervals(tree):
     """The leaf intervals, as (first leaf, length), that the internal
-    half-edges of a tree cut off; they determine the tree, so they key
-    its face."""
-    intervals = branch_intervals(tree)
-    return frozenset(intervals[h] for h in tree.pairing)
+    edges of a tree cut off on the side away from leaf 0; they determine
+    the tree, so they encode its face (`tree_from_intervals` inverts)."""
+    intervals, L = branch_intervals(tree), tree.leaf_count
+    return frozenset(one_sided(*intervals[x], L) for x, _ in tree.internal_edges())
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +357,10 @@ def _chain_key(seed, steps):
     the steps before it, keyed by `cut_intervals`: a collapse keeps the
     branch through every half-edge it leaves, so each key is the seed's
     minus the intervals of the edges collapsed so far."""
-    intervals = branch_intervals(seed)
+    intervals, L = branch_intervals(seed), seed.leaf_count
     key = [cut_intervals(seed)]
     for step in steps:
-        key.append(key[-1] - {intervals[h] for e in step for h in e})
+        key.append(key[-1] - {one_sided(*intervals[x], L) for x, _ in step})
     return tuple(key)
 
 

@@ -332,8 +332,111 @@ def dual_cell_simplices(base):
 
 
 # ---------------------------------------------------------------------------
-# planar trees: the corolla, corner regions and the dual cell
+# planar trees: the nested-composition generator, the corolla, corner
+# regions and the dual cell
 # ---------------------------------------------------------------------------
+
+def _compositions(lo, hi, binary_only):
+    """Split the leaf interval [lo..hi] into >= 2 consecutive blocks."""
+    size = hi - lo + 1
+    if binary_only:
+        for cut in range(lo + 1, hi + 1):
+            yield [(lo, cut - 1), (cut, hi)]
+        return
+    # all compositions into >= 2 blocks
+    def rec(start):
+        if start > hi:
+            yield []
+            return
+        for end in range(start, hi + 1):
+            for rest in rec(end + 1):
+                yield [(start, end)] + rest
+    for blocks in rec(lo):
+        if len(blocks) >= 2:
+            yield blocks
+
+
+def _count_vertices(struct):
+    if isinstance(struct, int):
+        return 0
+    return 1 + sum(_count_vertices(kid) for kid in struct)
+
+
+def _structures(lo, hi, binary_only, budget=None):
+    """Subtree shapes over the leaf interval [lo..hi].
+
+    `budget` bounds the number of internal vertices in the subtree.
+    """
+    if lo == hi:
+        yield lo
+        return
+    if budget is not None and budget < 1:
+        return
+    kid_budget = None if budget is None else budget - 1
+    for blocks in _compositions(lo, hi, binary_only):
+        def rec(i, rem):
+            if i == len(blocks):
+                yield []
+                return
+            a, b = blocks[i]
+            for sub in _structures(a, b, binary_only, rem):
+                used = _count_vertices(sub)
+                nxt = None if rem is None else rem - used
+                if nxt is not None and nxt < 0:
+                    continue
+                for rest in rec(i + 1, nxt):
+                    yield [sub] + rest
+        for kids in rec(0, kid_budget):
+            yield tuple(kids)
+
+
+def _tree_from_structure(leaf_count, root_kids):
+    cycles = []
+    pairs = []
+    counter = [leaf_count]
+
+    def build(node, up_half):
+        # returns nothing; appends the vertex for `node` whose first
+        # entry is the half-edge toward the parent
+        cycle = [up_half]
+        for kid in node:
+            if isinstance(kid, int):
+                cycle.append(kid)
+            else:
+                down = counter[0]
+                up = counter[0] + 1
+                counter[0] += 2
+                pairs.append((down, up))
+                cycle.append(down)
+                build(kid, up)
+        cycles.append(tuple(cycle))
+
+    build(root_kids, 0)
+    return PlanarTree(leaf_count, cycles, pairs)
+
+
+def _all_trees(leaf_count, binary_only, max_vertices=None):
+    if leaf_count < 3:
+        raise GraphError("need at least 3 leaves")
+    for kids in _structures(1, leaf_count - 1, binary_only, max_vertices):
+        if isinstance(kids, int):
+            continue
+        yield _tree_from_structure(leaf_count, kids)
+
+
+def reference_trivalent_trees(leaf_count):
+    """All trivalent planar trees, from nested binary splits of the leaves:
+    the generator that `trees.face_sets` replaced."""
+    return list(_all_trees(leaf_count, binary_only=True))
+
+
+def reference_faces(n, k):
+    """All k-faces of K^n, from nested compositions of the leaves."""
+    if not 0 <= k <= n:
+        raise GraphError("need 0 <= k <= n")
+    want = n - k
+    return [t for t in _all_trees(n + 3, binary_only=False, max_vertices=want + 1)
+            if len(t.pairing) // 2 == want]
 
 def corolla(n):
     return PlanarTree(n + 3, [tuple(range(n + 3))], [])

@@ -344,7 +344,7 @@ def test_long_mode_progress_goes_to_stderr_only(capsys, monkeypatch):
 
 
 def test_strict_conjecture_gates_exit_code(monkeypatch):
-    from fatcomplex import cli, coefficients
+    from fatcomplex import coefficients
 
     class Fake:
         name = "made-up two-part identity"

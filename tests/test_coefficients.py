@@ -33,12 +33,17 @@ from fatcomplex.trees import (
     PlanarTree,
     branch_intervals,
     cut_intervals,
-    enumerate_faces,
     enumerate_trivalent_trees,
     face_count,
     maximal_chains,
+    one_sided,
 )
-from reference import cup_product, region_touch_sets
+from reference import (
+    cup_product,
+    reference_faces,
+    reference_trivalent_trees,
+    region_touch_sets,
+)
 from test_trees import order_sign
 
 
@@ -126,7 +131,7 @@ def _rotation_orbits(leaf_count):
         key = cut_intervals(seed)
         if key in seen:
             continue
-        orbit = {frozenset(((first + r) % leaf_count, size) for first, size in key)
+        orbit = {frozenset(one_sided(first + r, size, leaf_count) for first, size in key)
                  for r in range(leaf_count)}
         seen |= orbit
         out.append((seed, len(orbit)))
@@ -135,10 +140,11 @@ def _rotation_orbits(leaf_count):
 
 def _reference_rotation_orbits(leaf_count):
     """The rotation orbits listed by canonical literals, one per rotation
-    of every tree: the listing `_rotation_orbits` replaced."""
+    of every tree from the reference generator: the listing
+    `_rotation_orbits` replaced."""
     seen = set()
     out = []
-    for seed in enumerate_trivalent_trees(leaf_count):
+    for seed in reference_trivalent_trees(leaf_count):
         if seed.canonical().literal() in seen:
             continue
         orbit = {t.canonical().literal() for t in _rotations(seed, leaf_count)}
@@ -149,10 +155,10 @@ def _reference_rotation_orbits(leaf_count):
 
 def _reference_dihedral_orbits(leaf_count):
     """The dihedral orbits listed by canonical literals, one per rotation
-    of every tree and of its mirror."""
+    of every tree from the reference generator and of its mirror."""
     seen = set()
     out = []
-    for seed in enumerate_trivalent_trees(leaf_count):
+    for seed in reference_trivalent_trees(leaf_count):
         if seed.canonical().literal() in seen:
             continue
         orbit = {t.canonical().literal()
@@ -426,14 +432,18 @@ def test_pruned_scan_matches_reference_on_k8_orbits():
 
 
 def test_face_layout_matches_the_tree_of_every_face_of_k1_to_k6():
-    # the layout read off a face's bitmask against the planar tree itself
+    # the layout read off a face's bitmask against the planar tree itself,
+    # from the reference generator
     count = 0
     for n in range(1, 7):
         L = n + 3
-        for tree in (t for k in range(n + 1) for t in enumerate_faces(n, k)):
+        for tree in (t for k in range(n + 1) for t in reference_faces(n, k)):
             iv = branch_intervals(tree)
-            # each edge's min interval and the half-edge whose branch it is
-            key = {iv[h]: h for h in (min(e, key=iv.get) for e in tree.internal_edges())}
+            # each edge's interval away from leaf 0, and the half-edge whose
+            # branch it is
+            key = {iv[h]: h for e in tree.internal_edges() for h in e
+                   if 0 < iv[h][0] <= L - iv[h][1]}
+            assert len(key) == len(tree.internal_edges())
             face = sum(1 << first * L + size for first, size in key)
             codes, ends, masks, incident = coefficients._face_layout(face, L)
             assert codes == [1 << first * L + size for first, size in sorted(key)]
@@ -447,8 +457,6 @@ def test_face_layout_matches_the_tree_of_every_face_of_k1_to_k6():
                 # the child roots the branch away from leaf 0
                 h = key[first, size]
                 parent, child = of[h], of[tree.pairing[h]]
-                if first == 0 or first + size > L:
-                    parent, child = child, parent
                 assert (vertex[ends[i][0]], vertex[ends[i][1]]) == (parent, child)
             for v, mask in enumerate(incident):
                 assert mask == sum(1 << i for i, e in enumerate(ends) if v in e)
@@ -570,9 +578,11 @@ def test_scaled_cocycle_value_must_be_an_integer():
     total = coefficients._level_sum(tuples, (4,))
     assert total == 3
     scale = coefficients._part_scale(1, 5)
-    assert coefficients._scaled_value(total, 3 * 4 * 5, 1, scale) == 3 * scale // 240
+    constant = coefficients._cocycle_constant(1)
+    assert constant == 4
+    assert coefficients._scaled_value(total, 3 * 4 * 5, constant, scale) == 3 * scale // 240
     with pytest.raises(ArithmeticError):
-        coefficients._scaled_value(total, 3 * 4 * 5, 1, scale // 7)
+        coefficients._scaled_value(total, 3 * 4 * 5, constant, scale // 7)
 
 
 def test_refinements_paper_example():

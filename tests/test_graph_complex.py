@@ -7,7 +7,6 @@ import pytest
 
 from fatcomplex.graph_complex import (
     ClassCorpus,
-    GraphChain,
     _matchings,
     d_chain,
     d_integral,

@@ -17,6 +17,7 @@ from fatcomplex.ribbon import (
 from fatcomplex.trees import (
     ConfigurationMismatch,
     PlanarTree,
+    cut_intervals,
     dual_cell_boundary_check,
     enumerate_faces,
     enumerate_trivalent_trees,
@@ -24,7 +25,14 @@ from fatcomplex.trees import (
     lemma_region_sign,
     maximal_chains,
 )
-from reference import corner_regions, corolla, dual_cell, region_touch_sets
+from reference import (
+    corner_regions,
+    corolla,
+    dual_cell,
+    reference_faces,
+    reference_trivalent_trees,
+    region_touch_sets,
+)
 
 
 def regions_touching(tree, cycle):
@@ -82,12 +90,41 @@ def test_face_count_matches_enumeration():
             assert face_count(n, k) == len(enumerate_faces(n, k))
 
 
+def _checked(tree):
+    """The tree rebuilt by the checked constructor, which raises on an
+    invalid one."""
+    return PlanarTree(tree.leaf_count, tree.vertices, tree.internal_edges())
+
+
 def test_trees_are_valid_and_deduplicated():
-    for n in range(0, 4):
+    # every face of K^0..K^6 and every trivalent tree with 9 and 11
+    # leaves: a valid tree that keys back to its set, and the sets are the
+    # reference generator's faces, each once
+    for n in range(7):
         for k in range(n + 1):
-            faces = enumerate_faces(n, k)
-            lits = {t.canonical().literal() for t in faces}
-            assert len(lits) == len(faces)
+            sets = trees.face_sets(n, k)
+            assert len(set(sets)) == len(sets)
+            reference = reference_faces(n, k)
+            assert {cut_intervals(t) for t in reference} == set(sets)
+            literals = {t.literal() for t in reference}
+            built = [_checked(trees.tree_from_intervals(n + 3, s)) for s in sets]
+            for s, tree in zip(sets, built):
+                assert cut_intervals(tree) == s
+                assert tree.literal() in literals
+            assert len({t.canonical().literal() for t in built}) == len(sets)
+    for leaves in (9, 11):
+        built = enumerate_trivalent_trees(leaves)
+        assert [_checked(t) for t in built] == reference_trivalent_trees(leaves)
+        assert [cut_intervals(t) for t in built] == trees.face_sets(leaves - 3, 0)
+
+
+def test_enumerators_reject_bad_input():
+    with pytest.raises(GraphError):
+        enumerate_trivalent_trees(2)
+    with pytest.raises(GraphError):
+        enumerate_faces(2, 3)
+    with pytest.raises(GraphError):
+        enumerate_faces(2, -1)
 
 
 def test_bad_leaf_order_rejected():
