@@ -35,22 +35,30 @@ on its own order, whatever seed and order reached that face.  The total
 of a composition is a sum over the chains of faces at its window
 boundaries: start from size * s0 at the top face of each seed of a
 shard (size its orbit size, below), for each part add
-sums[face] * windows(face, part)[end face] into the entry of the end
-face, and read the entry of the corolla, the empty face.  A window is
-nonzero only while every collapse in it grows the one blob that its
-first collapse made, so `windows` walks only those orders, once per
-(face, part) for the whole shard, on the face's own vertices and edges.
+sums[face] * _windows(face, part)[end face] into the entry of the end
+face, and read the entry of the corolla, the empty face.  `_windows`
+runs once per (face, part) for the whole shard, on the face's own
+vertices and edges.
 
-The cyclic-set cocycle of a window signs the tuples (a_0, ..., a_2k)
-with a_i a region new at level i, by the sign of the permutation that
-sorts them.  Appending a region x to a tuple whose entries form the
-region set S flips that sign once for each entry above x, so by the
-parity of (S >> x).bit_count().  Each walk track (one per endpoint of
-the window's first collapse) carries its signed tuples as pairs
-(S, sign), extended level by level as the walk descends, so windows
-that share a prefix share its tuples; the last level is only summed.
-The track also carries the product of the sizes of its region sets
-C_0, C_1, ..., so the end of a window makes one division.
+A window sums over the vertices v of the face it starts from, weighted
+by |C_v| - 2 with C_0 = C_v the regions touching v, and the term of v
+is nonzero only while every collapse grows one blob, the merged
+vertices, from v.  Its cyclic-set cocycle signs the tuples
+(a_0, ..., a_2k), a_i a region new at level i, by the sign of the
+permutation that sorts them.  Appending a region x to a tuple whose
+entries form the region set S flips that sign once for each entry above
+x, so by the parity of (S >> x).bit_count().  A step of a collapse
+order reads only the blob, which fixes the collapsed edges, the flip of
+the next collapse and the region counts, and S.  So a window is a sum
+over the states (blob, S), not over orders: 2k identical levels, each
+collapsing a free edge at the blob, appending each new region and
+dividing every value by the grown blob's region count |C_i|, from
+(+-L!) (|C_v| - 2) / |C_v| at the start, signed like the cocycle's
+constant below.  The division is exact: every level adds a region, so a
+partial value is L! over a product of distinct region counts <= L, and
+all orders summed into a state share its last count; a remainder raises
+ArithmeticError.  Summing over S gives the end faces, and those whose
+orders cancel are dropped.
 
 Only one seed tree per dihedral orbit of the leaves is scanned, and its
 sums are weighted by the orbit size: the orbits of the rotation
@@ -104,6 +112,7 @@ value that is not raises ArithmeticError), and one division per
 composition at the end gives the rational b.
 """
 
+import functools
 import math
 import os
 from fractions import Fraction
@@ -195,6 +204,7 @@ def closed_form_b_diagonal(m):
 # the chain scan
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _region_bits(leaf_count):
     """The set bits of every bitmask below 2^leaf_count, as tuples: the
     regions of a region mask, or the edges of an edge mask."""
@@ -217,36 +227,6 @@ def _part_scale(k, leaf_count):
     vanish the region sets grow strictly, so their sizes are distinct
     integers <= leaf_count and their product divides leaf_count!."""
     return abs(_cocycle_constant(k)) * math.factorial(leaf_count)
-
-
-def _append_level(tuples, regions):
-    """Signed tuples [(region mask S, sign)] extended by each region x of
-    the next level, which is not in S: x follows every entry of S, so each
-    entry above x is one more inversion, and the sign flips when their
-    number, (S >> x).bit_count(), is odd."""
-    return [(s | 1 << x, -sign if (s >> x).bit_count() & 1 else sign)
-            for s, sign in tuples for x in regions]
-
-
-def _level_sum(tuples, regions):
-    """The sign sum of `_append_level(tuples, regions)`."""
-    return sum(-sign if (s >> x).bit_count() & 1 else sign
-               for s, sign in tuples for x in regions)
-
-
-def _scaled_value(total, size_product, constant, scale):
-    """`scale` times the adjusted cyclic-set cocycle of a chain of 2k+1
-    region sets whose sizes multiply to `size_product` and whose signed
-    tuples sum to `total`, as an exact int, with `constant` the part's
-    `_cocycle_constant(k)`; raises ArithmeticError when it is not one."""
-    if not total:
-        return 0
-    denom = constant * size_product
-    value, rem = divmod(total * scale, denom)
-    if rem:
-        raise ArithmeticError("scaled cocycle value %d*%d/%d is not an integer"
-                              % (total, scale, denom))
-    return value
 
 
 def _face_layout(face, leaf_count):
@@ -278,6 +258,55 @@ def _face_layout(face, leaf_count):
     return codes, ends, masks, incident
 
 
+def _windows(face, k, leaf_count):
+    """{end face: signed scaled value} of the windows of part k that
+    collapse 2k edges of `face`, for the end faces whose value is not 0.
+    After each level every blob (vertex mask) holds its collapsed edges,
+    its region mask, its incident edges and {region set S: value}."""
+    codes, ends, masks, incident = _face_layout(face, leaf_count)
+    bits = _region_bits(leaf_count)
+    lead = _part_scale(k, leaf_count) // _cocycle_constant(k)
+    free0 = (1 << len(codes)) - 1
+    states = {1 << v: (0, mask, incident[v], {1 << x: lead * (mask.bit_count() - 2)
+                                              for x in bits[mask]})
+              for v, mask in enumerate(masks)}
+    for level in range(2 * k + 1):
+        if level:
+            grown = {}
+            for blob, (used, blob_mask, blob_edges, values) in states.items():
+                free = free0 & ~used
+                for ei in bits[blob_edges & free]:
+                    flip = (free & ((1 << ei) - 1)).bit_count() & 1
+                    u, w = ends[ei]
+                    # a tree edge never has both endpoints in the blob
+                    other = w if blob >> u & 1 else u
+                    delta = masks[other] & ~blob_mask
+                    key = blob | 1 << other
+                    if key not in grown:
+                        grown[key] = (used | 1 << ei, blob_mask | delta,
+                                      blob_edges | incident[other], {})
+                    after = grown[key][3]
+                    for s, value in values.items():
+                        for x in bits[delta]:
+                            t = s | 1 << x
+                            after[t] = after.get(t, 0) + (
+                                -value if flip ^ (s >> x).bit_count() & 1 else value)
+            states = grown
+        for _, blob_mask, _, values in states.values():
+            size = blob_mask.bit_count()
+            for s, value in values.items():
+                values[s], rem = divmod(value, size)
+                if rem:
+                    raise ArithmeticError("scaled cocycle value %d/%d is not an integer"
+                                          % (value, size))
+    out = {}
+    for used, _, _, values in states.values():
+        total = sum(values.values())
+        if total:
+            out[face & ~sum(codes[ei] for ei in bits[used])] = total
+    return out
+
+
 def _scan_orbits(args):
     """Per-composition sums, over the seed trees of a shard [(seed,
     weight)] and all their collapse orders, of the weight times the chain
@@ -286,13 +315,11 @@ def _scan_orbits(args):
     Returns {composition: int}; `_b_from_totals` turns summed totals into
     the numbers b.  A seed gives only its top face and its sign s0.  The
     sums run over the faces of K^{2m} that the window boundaries reach,
-    and each window is walked once per (face, part) for the whole shard,
-    from `_face_layout` of the face alone.
+    and `_windows` runs once per (face, part) for the whole shard, from
+    `_face_layout` of the face alone.
     """
     m, orbits = args
     leaf_count = 2 * m + 3
-    bits = _region_bits(leaf_count)
-    constants = {k: (_cocycle_constant(k), _part_scale(k, leaf_count)) for k in range(1, m + 1)}
     tops = {}
     for seed, size in orbits:
         intervals = branch_intervals(seed)
@@ -301,62 +328,16 @@ def _scan_orbits(args):
         top = sum(1 << first * leaf_count + length for (first, length), _ in keyed)
         tops[top] = size * collapse_steps(seed.vertices, seed.pairing, [[e for _, e in keyed]])[2]
     memo = {}
-
-    def windows(face, k):
-        # {end face: signed scaled value} of the windows of part k that
-        # collapse 2k edges of `face`
-        key = (face, k)
-        if key in memo:
-            return memo[key]
-        codes, ends, masks, incident = _face_layout(face, leaf_count)
-        constant, scale = constants[k]
-        out = {}
-        free0 = (1 << len(codes)) - 1
-
-        def walk(left, used, end, blob, blob_mask, blob_edges, sgn0, tracks):
-            # the collapse of face edge ei flips the sign once for each
-            # face edge before it
-            free = free0 & ~used
-            for ei in bits[blob_edges & free]:
-                sgn = -sgn0 if (free & ((1 << ei) - 1)).bit_count() & 1 else sgn0
-                u, w = ends[ei]
-                # a tree edge never has both endpoints in the blob
-                other = w if blob >> u & 1 else u
-                delta = masks[other] & ~blob_mask
-                size = (blob_mask | delta).bit_count()
-                if left > 1:
-                    walk(left - 1, used | 1 << ei, end & ~codes[ei], blob | 1 << other,
-                         blob_mask | delta, blob_edges | incident[other], sgn,
-                         [(weight, size_product * size, _append_level(tuples, bits[delta]))
-                          for weight, size_product, tuples in tracks])
-                else:
-                    value = sum(weight * _scaled_value(_level_sum(tuples, bits[delta]),
-                                                       size_product * size, constant, scale)
-                                for weight, size_product, tuples in tracks)
-                    if value:
-                        last = end & ~codes[ei]
-                        out[last] = out.get(last, 0) + sgn * value
-
-        for ei in bits[free0]:
-            u, w = ends[ei]
-            mu, mw = masks[u], masks[w]
-            size = (mu | mw).bit_count()
-            walk(2 * k - 1, 1 << ei, face & ~codes[ei], 1 << u | 1 << w, mu | mw,
-                 incident[u] | incident[w],
-                 -1 if (free0 & ((1 << ei) - 1)).bit_count() & 1 else 1,
-                 [(c0.bit_count() - 2, c0.bit_count() * size,
-                   _append_level([(1 << x, 1) for x in bits[c0]], bits[c1 & ~c0]))
-                  for c0, c1 in ((mu, mw), (mw, mu))])
-        memo[key] = out
-        return out
-
     totals = {}
     for comp in compositions_of(m):
         sums = tops
         for part in comp:
             nxt = {}
             for face, value in sums.items():
-                for end, factor in windows(face, part).items():
+                key = (face, part)
+                if key not in memo:
+                    memo[key] = _windows(face, part, leaf_count)
+                for end, factor in memo[key].items():
                     nxt[end] = nxt.get(end, 0) + value * factor
             sums = nxt
         totals[comp] = sums.get(0, 0)
@@ -409,7 +390,7 @@ def b_single_all(m, workers=1):
     scanned, weighted by the orbit size.  The scan runs on
     min(workers, CPUs) processes and is sharded by orbit: one shard on
     one process, about 8 per process otherwise, since the seeds of a
-    shard share its window walks by face.  Exact integer partial sums
+    shard share its window sums by face.  Exact integer partial sums
     merge, so the result is identical for any worker count.  The pool has
     at most as many processes as there are shards.
     """

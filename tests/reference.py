@@ -19,7 +19,13 @@ tautological class.
 from fractions import Fraction
 from itertools import permutations, product
 
-from fatcomplex.coefficients import double_factorial
+from fatcomplex.coefficients import (
+    _cocycle_constant,
+    _face_layout,
+    _part_scale,
+    _region_bits,
+    double_factorial,
+)
 from fatcomplex.graph_complex import ForestComplex, GraphChain
 from fatcomplex.ribbon import (
     GraphError,
@@ -463,4 +469,88 @@ def dual_cell(n):
     for simplex, sign in maximal_chains(n):
         key = _chain_key(*simplex)
         out[key] = out.get(key, 0) + sign
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the K^{2m} scan: the recursive window walk
+# ---------------------------------------------------------------------------
+
+def _append_level(tuples, regions):
+    """Signed tuples [(region mask S, sign)] extended by each region x of
+    the next level, which is not in S: x follows every entry of S, so each
+    entry above x is one more inversion, and the sign flips when their
+    number, (S >> x).bit_count(), is odd."""
+    return [(s | 1 << x, -sign if (s >> x).bit_count() & 1 else sign)
+            for s, sign in tuples for x in regions]
+
+
+def _level_sum(tuples, regions):
+    """The sign sum of `_append_level(tuples, regions)`."""
+    return sum(-sign if (s >> x).bit_count() & 1 else sign
+               for s, sign in tuples for x in regions)
+
+
+def _scaled_value(total, size_product, constant, scale):
+    """`scale` times the adjusted cyclic-set cocycle of a chain of 2k+1
+    region sets whose sizes multiply to `size_product` and whose signed
+    tuples sum to `total`, as an exact int, with `constant` the part's
+    `_cocycle_constant(k)`; raises ArithmeticError when it is not one."""
+    if not total:
+        return 0
+    denom = constant * size_product
+    value, rem = divmod(total * scale, denom)
+    if rem:
+        raise ArithmeticError("scaled cocycle value %d*%d/%d is not an integer"
+                              % (total, scale, denom))
+    return value
+
+
+def reference_windows(face, k, leaf_count):
+    """{end face: signed scaled value} of the windows of part k that
+    collapse 2k edges of `face`, by walking every order of collapses that
+    grows one blob from a first edge: the walk that `coefficients._windows`
+    replaced.  Each walk track (one per endpoint of the first edge)
+    carries its signed region tuples (S, sign) and the product of its
+    region-set sizes.  End faces whose orders cancel keep their 0."""
+    bits = _region_bits(leaf_count)
+    constant, scale = _cocycle_constant(k), _part_scale(k, leaf_count)
+    codes, ends, masks, incident = _face_layout(face, leaf_count)
+    out = {}
+    free0 = (1 << len(codes)) - 1
+
+    def walk(left, used, end, blob, blob_mask, blob_edges, sgn0, tracks):
+        # the collapse of face edge ei flips the sign once for each
+        # face edge before it
+        free = free0 & ~used
+        for ei in bits[blob_edges & free]:
+            sgn = -sgn0 if (free & ((1 << ei) - 1)).bit_count() & 1 else sgn0
+            u, w = ends[ei]
+            # a tree edge never has both endpoints in the blob
+            other = w if blob >> u & 1 else u
+            delta = masks[other] & ~blob_mask
+            size = (blob_mask | delta).bit_count()
+            if left > 1:
+                walk(left - 1, used | 1 << ei, end & ~codes[ei], blob | 1 << other,
+                     blob_mask | delta, blob_edges | incident[other], sgn,
+                     [(weight, size_product * size, _append_level(tuples, bits[delta]))
+                      for weight, size_product, tuples in tracks])
+            else:
+                value = sum(weight * _scaled_value(_level_sum(tuples, bits[delta]),
+                                                   size_product * size, constant, scale)
+                            for weight, size_product, tuples in tracks)
+                if value:
+                    last = end & ~codes[ei]
+                    out[last] = out.get(last, 0) + sgn * value
+
+    for ei in bits[free0]:
+        u, w = ends[ei]
+        mu, mw = masks[u], masks[w]
+        size = (mu | mw).bit_count()
+        walk(2 * k - 1, 1 << ei, face & ~codes[ei], 1 << u | 1 << w, mu | mw,
+             incident[u] | incident[w],
+             -1 if (free0 & ((1 << ei) - 1)).bit_count() & 1 else 1,
+             [(c0.bit_count() - 2, c0.bit_count() * size,
+               _append_level([(1 << x, 1) for x in bits[c0]], bits[c1 & ~c0]))
+              for c0, c1 in ((mu, mw), (mw, mu))])
     return out

@@ -35,6 +35,7 @@ from fatcomplex.trees import (
     cut_intervals,
     enumerate_trivalent_trees,
     face_count,
+    face_sets,
     maximal_chains,
     one_sided,
 )
@@ -42,6 +43,7 @@ from reference import (
     cup_product,
     reference_faces,
     reference_trivalent_trees,
+    reference_windows,
     region_touch_sets,
 )
 from test_trees import order_sign
@@ -431,6 +433,47 @@ def test_pruned_scan_matches_reference_on_k8_orbits():
     assert nonzero
 
 
+def _assert_windows_match_the_walk(face, k, leaf_count):
+    """`_windows` against the recursive walk, which keeps the end faces
+    whose orders cancel; returns both entry counts."""
+    want = reference_windows(face, k, leaf_count)
+    got = coefficients._windows(face, k, leaf_count)
+    assert all(got.values())
+    assert got == {end: value for end, value in want.items() if value}
+    return len(want), len(got)
+
+
+def test_windows_match_the_walk_on_every_face_of_k2_to_k6():
+    for n in range(2, 7):
+        L = n + 3
+        pairs, counts = 0, [0, 0]
+        for j in range(n + 1):
+            for key in face_sets(n, j):
+                face = sum(1 << first * L + size for first, size in key)
+                for k in range(1, len(key) // 2 + 1):
+                    for i, count in enumerate(_assert_windows_match_the_walk(face, k, L)):
+                        counts[i] += count
+                    pairs += 1
+        if n == 5:
+            # 32 end faces of the walk cancel to 0
+            assert counts == [2912, 2880]
+    assert pairs == 7881
+
+
+def test_windows_match_the_walk_on_the_faces_of_three_k8_seeds():
+    L = 11
+    orbits = coefficients._dihedral_orbits(L)
+    for i in (0, 100, 227):
+        seed = orbits[i][0]
+        intervals = branch_intervals(seed)
+        codes = [1 << first * L + size for first, size in
+                 (one_sided(*intervals[a], L) for a, _ in seed.internal_edges())]
+        for sub in range(1 << len(codes)):
+            face = sum(code for j, code in enumerate(codes) if sub >> j & 1)
+            for k in range(1, sub.bit_count() // 2 + 1):
+                _assert_windows_match_the_walk(face, k, L)
+
+
 def test_face_layout_matches_the_tree_of_every_face_of_k1_to_k6():
     # the layout read off a face's bitmask against the planar tree itself,
     # from the reference generator
@@ -466,7 +509,7 @@ def test_face_layout_matches_the_tree_of_every_face_of_k1_to_k6():
 
 
 def test_shard_scan_is_the_sum_of_its_seed_scans():
-    # seeds of one shard share their window walks by face, whatever seed
+    # seeds of one shard share their window sums by face, whatever seed
     # reaches a face first
     k8 = coefficients._dihedral_orbits(11)
     k6 = coefficients._dihedral_orbits(9)
@@ -572,17 +615,17 @@ def test_orbit_scan_matches_scan_over_all_seeds(monkeypatch, workers):
         assert b_single_all(m, workers=workers) == coefficients._b_from_totals(m, totals)
 
 
-def test_scaled_cocycle_value_must_be_an_integer():
-    # regions {0, 1, 2} grown by {3} then {4}: cocycle 3 / (4 * 3 * 4 * 5)
-    tuples = coefficients._append_level([(1 << x, 1) for x in (0, 1, 2)], (3,))
-    total = coefficients._level_sum(tuples, (4,))
-    assert total == 3
-    scale = coefficients._part_scale(1, 5)
-    constant = coefficients._cocycle_constant(1)
-    assert constant == 4
-    assert coefficients._scaled_value(total, 3 * 4 * 5, constant, scale) == 3 * scale // 240
+def test_scaled_cocycle_value_must_be_an_integer(monkeypatch):
+    # the window of part 1 that collapses a trivalent face of K^2 to the
+    # corolla, scaled by 4 * 5!; a scale missing the factor 5 leaves a
+    # remainder at the last level, whose blob has all 5 regions
+    face = 1 << 1 * 5 + 2 | 1 << 3 * 5 + 2
+    assert coefficients._part_scale(1, 5) // coefficients._cocycle_constant(1) == 120
+    assert coefficients._windows(face, 1, 5) == reference_windows(face, 1, 5) == {0: -8}
+    scale = coefficients._part_scale
+    monkeypatch.setattr(coefficients, "_part_scale", lambda k, leaf_count: scale(k, leaf_count - 1))
     with pytest.raises(ArithmeticError):
-        coefficients._scaled_value(total, 3 * 4 * 5, constant, scale // 7)
+        coefficients._windows(face, 1, 5)
 
 
 def test_refinements_paper_example():
