@@ -8,6 +8,16 @@ vertices and half-edges, stored as a sign relative to a fixed reference
 ordering (vertices sorted by their minimum half-edge label, each vertex
 followed by its cycle read from its minimum label).
 
+Carried along a relabelling, an orientation changes sign by the parity
+of the carried reference word against the relabelled graph's reference
+word, and only even-valent vertices count (`_transport_sign`): reading a
+p-cycle from another start is a rotation, odd only for even p and an
+odd shift; and moving a vertex's block of p + 1 symbols past another's
+q + 1 is odd only when p and q are both even.  So each even-valent
+vertex adds the position, inside its cycle, of its least image label,
+and its inversions against the least image labels of the even-valent
+vertices before it.
+
 The same low-level machinery (orientation words and edge collapse with
 induced sign) also drives planar trees, where some half-edges are
 unpaired leaves.
@@ -393,27 +403,60 @@ def natural_orientation(g):
 # canonical forms
 # ---------------------------------------------------------------------------
 
-def _transported_word(cycles, iso):
-    """The reference word of the normalized `cycles` carried along `iso`."""
-    word = []
+def _transport_sign(cycles, image):
+    """The sign an orientation picks up when carried along the relabelling
+    `image`: the parity of the reference word of `cycles` carried along
+    `image` against the reference word of the normalized image cycles,
+    read off without building either word.
+
+    Only even-valent vertices count.  Each adds the position, inside its
+    cycle, of its least image label, and its inversions against the least
+    image labels of the even-valent vertices before it (the module
+    docstring says why).
+    """
+    parity = 0
+    leasts = []
     for c in cycles:
-        image = [iso[x] for x in c]
-        word.append(_vsym(image))
-        word.extend(image)
-    return word
+        if len(c) % 2:
+            continue
+        image_c = [image[h] for h in c]
+        least = min(image_c)
+        parity += image_c.index(least)
+        for m in leasts:
+            parity += m > least
+        leasts.append(least)
+    return -1 if parity & 1 else 1
+
+
+def _position_tables(cycles, pairing, labels):
+    """The sorted half-edge `labels` as positions 0..H-1: the position of
+    each label, the cycles over positions, and sigma and the pairing as
+    lists of positions.  An unpaired half-edge (a leaf) is its own mate.
+
+    Labels that are exactly 0..H-1 are their own positions, so `labels`
+    itself is the index and the cycles are kept as they are.  Sorted
+    distinct labels are 0..H-1 when the first is 0 and the last H - 1;
+    neither end alone suffices, as a label may be skipped or negative.
+    """
+    n = len(labels)
+    if labels[0] == 0 and labels[-1] == n - 1:
+        index = labels
+    else:
+        index = {h: i for i, h in enumerate(labels)}
+        cycles = [tuple([index[h] for h in c]) for c in cycles]
+    succ = [0] * n
+    for c in cycles:
+        for i, h in enumerate(c):
+            succ[h] = c[i + 1 - len(c)]
+    return index, cycles, succ, [index[pairing.get(h, h)] for h in labels]
 
 
 def _index_tables(cycles, pairing):
-    """Half-edges as positions 0..H-1 in sorted order: the sorted labels,
-    the position of each label, and sigma and the pairing as lists of
-    positions.  An unpaired half-edge (a leaf) is its own mate."""
+    """The sorted labels of `cycles`, the position of each label, and
+    sigma and the pairing over positions (`_position_tables`)."""
     labels = sorted(x for c in cycles for x in c)
-    index = {h: i for i, h in enumerate(labels)}
-    succ = [0] * len(labels)
-    for c in cycles:
-        for i, h in enumerate(c):
-            succ[index[h]] = index[c[i + 1 - len(c)]]
-    return labels, index, succ, [index[pairing.get(h, h)] for h in labels]
+    index, _, succ, mate = _position_tables(cycles, pairing, labels)
+    return labels, index, succ, mate
 
 
 def _traverse(succ, mate, root):
@@ -466,12 +509,14 @@ def canonical_over(fixed, cycles, pairing, sign):
     """`canonical_key_over` for an oriented object: returns (key, sign)
     with `sign` transported along the relabeling."""
     key, final = canonical_key_over(fixed, cycles, pairing)
-    return key, sign * word_parity(_transported_word(cycles, final), reference_word(key[0]))
+    return key, sign * _transport_sign(cycles, final)
 
 
-def canonical_form(g):
-    """Lexicographically least relabeled literal, with all relabelings
-    achieving it (one per automorphism), in the order of their roots.
+def _least_literal(g):
+    """The lexicographically least relabeled literal of `g`; in root
+    order, (order, label) for every root whose relabeling gives it (one
+    per automorphism); and `g`'s vertex cycles over positions, the
+    domain of each `label`.
 
     Each root half-edge seeds the labelling of the `_traverse` walk,
     inlined here.  That traversal reaches every vertex first at one
@@ -490,18 +535,17 @@ def canonical_form(g):
     dropped as soon as one of its cycles compares greater than the best
     literal's, before its pairs are built.
     """
-    _, index, succ, mate = _index_tables(g.vertices, g.pairing)
+    _, vertices, succ, mate = _position_tables(g.vertices, g.pairing, g.half_edges)
     # rotation[i]: the vertex of position i read from i; vertex_id[i]: which vertex
     rotation = [None] * len(succ)
     vertex_id = [0] * len(succ)
-    for v, cycle in enumerate(g.vertices):
-        cycle = [index[h] for h in cycle]
+    for v, cycle in enumerate(vertices):
         for i, h in enumerate(cycle):
             rotation[h] = cycle[i:] + cycle[:i]
             vertex_id[h] = v
 
     best_cycles = best_pairs = None
-    best_maps = []
+    ties = []
     for root in range(len(succ)):
         label = [-1] * len(succ)
         label[root] = 0
@@ -540,7 +584,7 @@ def canonical_form(g):
 
         # whether the literal is already smaller than the best one
         smaller = best_cycles is None
-        entered = [False] * len(g.vertices)
+        entered = [False] * len(vertices)
         cycles = []
         for h in order:
             v = vertex_id[h]
@@ -564,27 +608,36 @@ def canonical_form(g):
             if pairs > best_pairs:
                 continue
             smaller = pairs < best_pairs
-        relabel = {g.half_edges[h]: i for i, h in enumerate(order)}
         if smaller:
             best_cycles, best_pairs = tuple(cycles), pairs
-            best_maps = [relabel]
+            ties = [(order, label)]
         else:
-            best_maps.append(relabel)
-    return (best_cycles, best_pairs), best_maps
+            ties.append((order, label))
+    return (best_cycles, best_pairs), ties, vertices
+
+
+def canonical_form(g):
+    """Lexicographically least relabeled literal, with all relabelings
+    achieving it (one per automorphism), in the order of their roots:
+    `_least_literal` with each tied root's order as a map old -> new
+    label."""
+    lit, ties, _ = _least_literal(g)
+    labels = g.half_edges
+    return lit, [{labels[h]: i for i, h in enumerate(order)} for order, _ in ties]
 
 
 def canonical_oriented(og):
     """Canonical key of an oriented isomorphism class.
 
     Returns (literal, sign), with sign None when the class carries an
-    orientation-reversing automorphism (so <Gamma> = 0).
+    orientation-reversing automorphism (so <Gamma> = 0).  The sign of
+    each tied root is `_transport_sign` along its labels.
     """
-    lit, maps = canonical_form(og.graph)
-    target = reference_word(lit[0])
-    signs = {og.sign * word_parity(_transported_word(og.graph.vertices, m), target) for m in maps}
+    lit, ties, vertices = _least_literal(og.graph)
+    signs = {_transport_sign(vertices, label) for _, label in ties}
     if len(signs) == 2:
         return lit, None
-    return lit, signs.pop()
+    return lit, og.sign * signs.pop()
 
 
 def graph_from_key(lit):

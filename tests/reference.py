@@ -32,7 +32,8 @@ from fatcomplex.ribbon import (
     OrientedRibbonGraph,
     RibbonGraph,
     _edge_list,
-    _transported_word,
+    _vsym,
+    canonical_form,
     canonical_oriented,
     collapse_cycles,
     collapse_oriented,
@@ -302,9 +303,35 @@ def automorphisms(g):
     return isomorphisms_between(g, g)
 
 
+def _transported_word(cycles, iso):
+    """The reference word of the normalized `cycles` carried along `iso`."""
+    word = []
+    for c in cycles:
+        image = [iso[x] for x in c]
+        word.append(_vsym(image))
+        word.extend(image)
+    return word
+
+
 def transport_sign(g1, g2, iso):
     """Sign picked up by an orientation transported along `iso`."""
     return word_parity(_transported_word(g1.vertices, iso), reference_word(g2.vertices))
+
+
+def reference_canonical_oriented(og):
+    """Canonical key of an oriented isomorphism class.
+
+    Returns (literal, sign), with sign None when the class carries an
+    orientation-reversing automorphism (so <Gamma> = 0).
+    """
+    lit, maps = canonical_form(og.graph)
+    target = reference_word(lit[0])
+    signs = {og.sign * word_parity(_transported_word(og.graph.vertices, m), target) for m in maps}
+    if len(signs) == 2:
+        return lit, None
+    return lit, signs.pop()
+
+
 def chain_of(og, coeff=1):
     """The chain <Gamma> for one oriented graph (zero if the class is)."""
     key, sign = canonical_oriented(og)

@@ -420,6 +420,58 @@ def test_canonical_key_invariant_under_random_relabeling():
             assert sign2 == sign
 
 
+def _off_position_relabelings(rng, labels):
+    """Three seeded relabelings of `labels` onto sets that are not
+    0..H-1 but look like it at one end: from 0 with a value skipped,
+    up to H - 1 with a negative label, and a shift of 0..H-1."""
+    n = len(labels)
+    skip, low, shift = rng.randrange(1, n), rng.randrange(0, n - 1), rng.choice([-7, -2, 3])
+    out = []
+    for values in ([v for v in range(n + 1) if v != skip],
+                   [v for v in range(-1, n) if v != low],
+                   list(range(shift, shift + n))):
+        rng.shuffle(values)
+        out.append(dict(zip(labels, values)))
+    return out
+
+
+def test_canonical_oriented_matches_the_word_reference():
+    # every class within 10 half-edges and every single-vertex expansion
+    # of each, as built (labels 0..H-1, which are their own positions)
+    # and under relabelings onto other label sets: the key and sign equal
+    # the word-based reference, and `_transport_sign` equals the parity
+    # of the words, along each relabeling and each automorphism
+    import random
+
+    from fatcomplex.graph_complex import ClassCorpus
+    from fatcomplex.ribbon import _transport_sign, canonical_form
+    from reference import reference_canonical_oriented
+
+    rng = random.Random(27)
+    checked = reversing = 0
+    for key in ClassCorpus(10).keys:
+        base = OrientedRibbonGraph(graph_from_key(key), 1)
+        for og in [base] + [e for cycle in base.graph.vertices if len(cycle) >= 4
+                            for e, _ in enumerate_expansions(base, cycle)]:
+            g = og.graph
+            want = reference_canonical_oriented(og)
+            variants = [og]
+            for mapping in _off_position_relabelings(rng, list(g.half_edges)):
+                g2 = g.relabel(mapping)
+                s = transport_sign(g, g2, mapping)
+                assert _transport_sign(g.vertices, mapping) == s
+                variants.append(OrientedRibbonGraph(g2, og.sign * s))
+            for x in variants:
+                assert canonical_oriented(x) == reference_canonical_oriented(x) == want
+                lit, maps = canonical_form(x.graph)
+                target = graph_from_key(lit)
+                for m in maps:
+                    assert _transport_sign(x.graph.vertices, m) == transport_sign(x.graph, target, m)
+                checked += 1
+            reversing += want[1] is None
+    assert checked > 10000 and reversing > 100
+
+
 def reference_canonical_form(g):
     """canonical_form as first written: for every root, label by the
     sigma-then-pairing traversal, build the whole normalized literal, and
