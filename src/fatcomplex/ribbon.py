@@ -18,6 +18,12 @@ vertex adds the position, inside its cycle, of its least image label,
 and its inversions against the least image labels of the even-valent
 vertices before it.
 
+An isomorphism class is keyed by the literal (normalized cycles, sorted
+edge pairs) of its relabeling with the least walk code: a walk from a
+root half-edge labels the half-edges 0..H-1, and its code lists the
+labels of the sigma-successor and the mate of each half-edge in label
+order (`_least_code`, which drops a root at its first larger element).
+
 The same low-level machinery (orientation words and edge collapse with
 induced sign) also drives planar trees, where some half-edges are
 unpaired leaves.
@@ -512,52 +518,62 @@ def canonical_over(fixed, cycles, pairing, sign):
     return key, sign * _transport_sign(cycles, final)
 
 
-def _least_literal(g):
-    """The lexicographically least relabeled literal of `g`; in root
-    order, (order, label) for every root whose relabeling gives it (one
-    per automorphism); and `g`'s vertex cycles over positions, the
-    domain of each `label`.
+def _least_code(g):
+    """The key of `g` from the root with the least walk code; in root
+    order, (order, label) for every root that ties with it (one per
+    automorphism); and `g`'s vertex cycles over positions, the domain of
+    each `label`.
 
     Each root half-edge seeds the labelling of the `_traverse` walk,
-    inlined here.  That traversal reaches every vertex first at one
-    half-edge, which therefore carries the vertex's least label, and it
-    reaches vertices in increasing order of those labels.  So the
-    relabeled normalized cycles are the cycles read from their entry
-    half-edges, in the order of entry, and the sorted edge pairs are read
-    off the labels in increasing order; nothing needs sorting.
+    inlined here.  A root's code lists, for each h in walk order, the
+    labels s of sigma(h) and m of its mate as one integer s * H + m, which
+    orders as the pair (s, m), emitted as soon as both are labelled.  Each element is compared there and then with the
+    same element of the best code so far (a plantri-style early abandon):
+    the root is dropped at the first larger element, and at the first
+    smaller one it becomes the best and walks on without comparing.  The
+    first element is (1, 1) at a root whose mate is its sigma-successor
+    and (1, 2) at any other, so when such roots exist the others are
+    dropped before their walk starts.  A code determines its labelled
+    graph, so roots tie exactly when their relabelings give the same
+    literal.
 
-    The first cycle is the root's own vertex read from the root.  During
-    the walk each of its labels is compared, as soon as it is assigned,
-    with the same position of the best literal's first cycle, and the
-    root is dropped at the first greater label, or when its cycle runs
-    longer than the best one with an equal prefix (a plantri-style
-    early abandon).  Roots that tie walk on: after the walk a root is
-    dropped as soon as one of its cycles compares greater than the best
-    literal's, before its pairs are built.
+    The key is built once, from the first tied root.  The walk reaches
+    every vertex first at one half-edge, which therefore carries the
+    vertex's least label, and it reaches vertices in increasing order of
+    those labels.  So the relabeled normalized cycles are the cycles read
+    from their entry half-edges, in the order of entry, and the sorted
+    edge pairs are read off the labels in increasing order.
     """
     _, vertices, succ, mate = _position_tables(g.vertices, g.pairing, g.half_edges)
-    # rotation[i]: the vertex of position i read from i; vertex_id[i]: which vertex
-    rotation = [None] * len(succ)
-    vertex_id = [0] * len(succ)
-    for v, cycle in enumerate(vertices):
-        for i, h in enumerate(cycle):
-            rotation[h] = cycle[i:] + cycle[:i]
-            vertex_id[h] = v
-
-    best_cycles = best_pairs = None
+    n = len(succ)
+    best = None
     ties = []
-    for root in range(len(succ)):
-        label = [-1] * len(succ)
+    for root in [r for r in range(n) if succ[r] == mate[r]] or range(n):
+        label = [-1] * n
         label[root] = 0
         order = [root]
-        # `at` is position `k` of the root's cycle while its label is
-        # still to be compared with first[k]; -1 once that is settled
-        if best_cycles is None:
-            at = -1
-        else:
-            first, at, k = best_cycles[0], succ[root], 1
-        lost = False
-        for h in order:
+        walk = iter(order)
+        if best is not None:
+            for k, h in enumerate(walk):
+                nxt = succ[h]
+                if label[nxt] < 0:
+                    label[nxt] = len(order)
+                    order.append(nxt)
+                step = label[nxt] * n
+                nxt = mate[h]
+                if label[nxt] < 0:
+                    label[nxt] = len(order)
+                    order.append(nxt)
+                step += label[nxt]
+                if step != best[k]:
+                    break
+            else:
+                ties.append((order, label))
+                continue
+            if step > best[k]:
+                continue
+        # the first root, or one whose code is already smaller
+        for h in walk:
             nxt = succ[h]
             if label[nxt] < 0:
                 label[nxt] = len(order)
@@ -566,62 +582,31 @@ def _least_literal(g):
             if label[nxt] < 0:
                 label[nxt] = len(order)
                 order.append(nxt)
-            while at >= 0 and label[at] >= 0:
-                if k == len(first):
-                    # the cycles tie if the root's closes here, else it is longer
-                    lost = at != root
-                    at = -1
-                elif label[at] != first[k]:
-                    # back at the root, label 0 ends a shorter, smaller cycle
-                    lost = label[at] > first[k]
-                    at = -1
-                else:
-                    at, k = succ[at], k + 1
-            if lost:
-                break
-        if lost:
-            continue
+        best = [label[succ[h]] * n + label[mate[h]] for h in order]
+        ties = [(order, label)]
 
-        # whether the literal is already smaller than the best one
-        smaller = best_cycles is None
-        entered = [False] * len(vertices)
-        cycles = []
-        for h in order:
-            v = vertex_id[h]
-            if entered[v]:
-                continue
-            entered[v] = True
-            cycle = tuple([label[x] for x in rotation[h]])
-            if not smaller:
-                other = best_cycles[len(cycles)]
-                if cycle > other:
-                    cycles = None
-                    break
-                smaller = cycle < other
-            cycles.append(cycle)
-        if cycles is None:
-            continue
-
-        pairs = tuple([(i, label[mate[h]]) for i, h in enumerate(order)
-                       if label[mate[h]] > i])
-        if not smaller:
-            if pairs > best_pairs:
-                continue
-            smaller = pairs < best_pairs
-        if smaller:
-            best_cycles, best_pairs = tuple(cycles), pairs
-            ties = [(order, label)]
-        else:
-            ties.append((order, label))
-    return (best_cycles, best_pairs), ties, vertices
+    order, label = ties[0]
+    entered = [False] * n
+    cycles = []
+    for h in order:
+        if not entered[h]:
+            cycle = []
+            x = h
+            while not entered[x]:
+                entered[x] = True
+                cycle.append(label[x])
+                x = succ[x]
+            cycles.append(tuple(cycle))
+    pairs = tuple([(i, label[mate[h]]) for i, h in enumerate(order) if label[mate[h]] > i])
+    return (tuple(cycles), pairs), ties, vertices
 
 
 def canonical_form(g):
-    """Lexicographically least relabeled literal, with all relabelings
-    achieving it (one per automorphism), in the order of their roots:
-    `_least_literal` with each tied root's order as a map old -> new
-    label."""
-    lit, ties, _ = _least_literal(g)
+    """The relabeled literal of `g` with the least walk code, with all
+    relabelings achieving it (one per automorphism), in the order of
+    their roots: `_least_code` with each tied root's order as a map
+    old -> new label."""
+    lit, ties, _ = _least_code(g)
     labels = g.half_edges
     return lit, [{labels[h]: i for i, h in enumerate(order)} for order, _ in ties]
 
@@ -633,7 +618,7 @@ def canonical_oriented(og):
     orientation-reversing automorphism (so <Gamma> = 0).  The sign of
     each tied root is `_transport_sign` along its labels.
     """
-    lit, ties, vertices = _least_literal(og.graph)
+    lit, ties, vertices = _least_code(og.graph)
     signs = {_transport_sign(vertices, label) for _, label in ties}
     if len(signs) == 2:
         return lit, None

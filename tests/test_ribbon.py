@@ -504,6 +504,39 @@ def reference_canonical_form(g):
     return best, best_maps
 
 
+def reference_least_code(g):
+    """canonical_form by brute force over walk codes: for every root, in
+    label order, label by the sigma-then-pairing traversal, list its whole
+    code, the (sigma, pairing) labels of each half-edge in label order,
+    and keep the least code with every labelling that reaches it.  The
+    key is the literal of the first such relabeling."""
+    sigma = g.sigma()
+    best, best_maps = None, []
+    for seed in g.half_edges:
+        relabel = {seed: 0}
+        pending = [seed]
+        for h in pending:
+            for nxt in (sigma[h], g.pairing[h]):
+                if nxt not in relabel:
+                    relabel[nxt] = len(relabel)
+                    pending.append(nxt)
+        code = [(relabel[sigma[h]], relabel[g.pairing[h]]) for h in pending]
+        if best is None or code < best:
+            best, best_maps = code, [relabel]
+        elif code == best:
+            best_maps.append(relabel)
+    return g.relabel(best_maps[0]).literal(), best_maps
+
+
+def _same_class_partition(pairing, least_literal, key, maps):
+    """Check the key against the least-literal keyer's: `pairing` maps
+    each least-literal key to its least-code key and must stay a
+    bijection, and both keyers find the same number of automorphisms."""
+    old_key, old_maps = least_literal
+    assert pairing.setdefault(old_key, key) == key
+    assert len(old_maps) == len(maps)
+
+
 def test_canonical_form_matches_reference_on_corpus():
     import random
 
@@ -512,6 +545,7 @@ def test_canonical_form_matches_reference_on_corpus():
 
     rng = random.Random(5)
     checked = 0
+    pairing = {}
     for g in enumerate_graphs(8):
         graphs = [g]
         og = OrientedRibbonGraph(g, 1)
@@ -524,12 +558,14 @@ def test_canonical_form_matches_reference_on_corpus():
             graphs.append(g.relabel(dict(zip(labels, image))))
         for x in graphs:
             key, maps = canonical_form(x)
-            want_key, want_maps = reference_canonical_form(x)
+            want_key, want_maps = reference_least_code(x)
             assert key == want_key
             # the same labellings, in the same root order and insertion order
             assert [list(m.items()) for m in maps] == [list(m.items()) for m in want_maps]
+            _same_class_partition(pairing, reference_canonical_form(x), key, maps)
             checked += 1
     assert checked > 500
+    assert len(set(pairing.values())) == len(pairing)
 
 
 def _reference_canonical_form(g):
@@ -612,8 +648,10 @@ def _classes_within(max_half_edges):
 
 
 def test_canonical_form_matches_frozen_reference_within_12_half_edges():
-    # every class within 12 half-edges, and 3 seeded random relabelings
-    # of each: the same key and the same maps in the same root order
+    # every class within 12 half-edges, grown under the least-literal
+    # keyer, and 3 seeded random relabelings of each: the same key as the
+    # brute-force least code and the same maps in the same root order,
+    # and the least-literal keys in bijection with the new ones
     import random
 
     from fatcomplex.ribbon import canonical_form
@@ -622,21 +660,50 @@ def test_canonical_form_matches_frozen_reference_within_12_half_edges():
     classes = _classes_within(12)
     assert len(classes) == 2681
     symmetric = 0
-    for key, (g, want_maps) in classes.items():
-        got_key, got_maps = canonical_form(g)
-        assert got_key == key
-        assert [list(m.items()) for m in got_maps] == [list(m.items()) for m in want_maps]
-        symmetric += len(want_maps) > 1
+    pairing = {}
+    for old_key, (g, old_maps) in classes.items():
+        key, maps = canonical_form(g)
+        want_key, want_maps = reference_least_code(g)
+        assert key == want_key
+        assert [list(m.items()) for m in maps] == [list(m.items()) for m in want_maps]
+        _same_class_partition(pairing, (old_key, old_maps), key, maps)
+        symmetric += len(maps) > 1
         labels = list(g.half_edges)
         for _ in range(3):
             image = rng.sample(range(1, 4 * len(labels)), len(labels))
             x = g.relabel(dict(zip(labels, image)))
             got_key, got_maps = canonical_form(x)
-            want_key, want_maps = _reference_canonical_form(x)
+            want_key, want_maps = reference_least_code(x)
             assert got_key == want_key == key
             assert [list(m.items()) for m in got_maps] == [list(m.items()) for m in want_maps]
+            least_literal = _reference_canonical_form(x)
+            assert least_literal[0] == old_key
+            _same_class_partition(pairing, least_literal, key, got_maps)
+    assert len(set(pairing.values())) == len(pairing) == 2681
     # classes with nontrivial automorphisms, where tied roots walk on
     assert symmetric > 100
+
+
+def test_canonical_form_fixes_every_class_key_within_12_half_edges():
+    # the graph of a key is its own canonical representative: its key is
+    # itself, reached first from root 0 by the identity, which carries
+    # the +1 orientation to itself
+    from fatcomplex.graph_complex import ClassCorpus
+    from fatcomplex.ribbon import canonical_form
+
+    corpus = ClassCorpus(12)
+    assert len(corpus.keys) == 2681
+    zero = 0
+    for key in corpus.keys:
+        g = graph_from_key(key)
+        got_key, maps = canonical_form(g)
+        assert got_key == key
+        assert list(maps[0].items()) == [(h, h) for h in range(len(g.half_edges))]
+        got_key, sign = canonical_oriented(OrientedRibbonGraph(g, 1))
+        assert got_key == key
+        assert sign == (1 if corpus.is_nonzero(key) else None)
+        zero += sign is None
+    assert zero > 0
 
 
 def reference_canonical_over(base_labels, og):
