@@ -17,22 +17,40 @@ from fatcomplex import ainfinity, coefficients, graph_complex, trees
 from fatcomplex.ribbon import collapse_steps
 
 
+def _edge_codes(tree):
+    """A tree's face bitmask and {internal edge: its edge bit}."""
+    L = tree.leaf_count
+    codes = {e: 1 << first * L + size for e, (first, size) in trees.edge_intervals(tree).items()}
+    return sum(codes.values()), codes
+
+
 def check_orientation(**_):
+    """`trees.region_sign`, the rule the chain scan uses, against the
+    collapse bookkeeping: with v0 the big vertex on the seeds with one,
+    and with v0 the child of e_1 on the maximal chains of K^2 and K^4."""
     rows = []
     for valence in (5, 7, 9):
         seeds = [t for t in trees.enumerate_faces(valence - 1, valence - 3)
                  if sorted(len(c) for c in t.vertices) == [3, 3, valence]]
-        ok = bool(seeds) and all(
-            trees.lemma_region_sign(t, list(order))
-            == collapse_steps(t.vertices, t.pairing, [order])[2]
-            for t in seeds for order in permutations(t.internal_edges()))
+        ok = bool(seeds)
+        for t in seeds:
+            face, code = _edge_codes(t)
+            masks = trees.face_layout(face, t.leaf_count)[2]
+            v0 = next(v for v, mask in enumerate(masks) if mask.bit_count() > 3)
+            ok = ok and all(
+                trees.region_sign(face, [code[e] for e in order], v0, t.leaf_count)
+                == collapse_steps(t.vertices, t.pairing, [order])[2]
+                for order in permutations(t.internal_edges()))
         rows.append(("orientation",
                      "region sign rule, big vertex valence %d" % valence, ok, False))
     for n in (2, 4):
         ok = True
         for (seed, steps), sign in trees.maximal_chains(n):
-            edges = [e for (e,) in steps]
-            if trees.lemma_region_sign(seed, edges, v0=seed.vertex_of(edges[0][0])) != sign:
+            face, code = _edge_codes(seed)
+            order = [code[e] for (e,) in steps]
+            # the child of edge i is vertex i + 1
+            v0 = trees.face_layout(face, n + 3)[0].index(order[0]) + 1
+            if trees.region_sign(face, order, v0, n + 3) != sign:
                 ok = False
             for i in range(n - 1):
                 swapped = list(steps)

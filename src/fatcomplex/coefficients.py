@@ -18,7 +18,7 @@ the collapse order relative to the reference order.  Reordering the
 reference order by a permutation pi therefore changes only s0, by
 sgn pi, and the scan may pick any reference order.  It sorts each seed's
 edges by their cut intervals, the leaves (first, size) each cuts off on
-the side away from leaf 0 (`trees.cut_intervals`).  Collapsing edges of
+the side away from leaf 0 (`trees.edge_intervals`).  Collapsing edges of
 a seed gives a face of K^{2m}, a planar tree whose edges are the
 uncollapsed ones, each cutting off the same interval as in the seed.  So
 the edges not yet collapsed are the face's own edges, their order is
@@ -27,7 +27,11 @@ depends only on the face it collapses from.  A face is its cut-interval
 set, kept as a bitmask with bit first * L + size for the interval
 (first, size), L the leaf count; the bits are ordered like the
 intervals.  Its vertices (the merged ones) and their region bitmasks, the
-regions touching them, follow from the intervals (`_face_layout`).
+regions touching them, follow from the intervals (`trees.face_layout`),
+and so does s0: the region sign rule (`trees.region_sign`) gives the
+sign of a maximal chain from the regions around an endpoint of its first
+edge, and the scan applies it to the interval order at vertex 1, the
+child of the first edge.  No seed is built as a tree.
 
 A window therefore contributes a factor, the product of its collapses'
 signs times its value, that depends only on the face it starts from and
@@ -103,8 +107,8 @@ seeds, and the chain-sign factors on every seed with 5, 7 and 9 leaves.
 The orbits are found on cut-interval sets, without canonical forms or
 trees: a rotation moves each interval one leaf on and the reflection
 maps the leaves first..first+size-1 to -(first+size-1)..-first, each
-image taken on its side away from leaf 0.  Only the orbit
-representatives are built as trees.
+image taken on its side away from leaf 0.  A representative is kept as
+its top face.
 
 The sums are exact integers: the value of a window of a part k is
 scaled by |(-2)^(k+1) (2k-1)!!| (2m+3)!, which makes it an integer (a
@@ -119,14 +123,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from fatcomplex.linalg import SingularMatrix, matrix_inverse
-from fatcomplex.ribbon import collapse_steps
-from fatcomplex.trees import (
-    branch_intervals,
-    face_sets,
-    one_sided,
-    paint_leaves,
-    tree_from_intervals,
-)
+from fatcomplex.trees import face_layout, face_sets, one_sided, region_sign
 
 
 class OutOfComputedRange(ValueError):
@@ -229,41 +226,12 @@ def _part_scale(k, leaf_count):
     return abs(_cocycle_constant(k)) * math.factorial(leaf_count)
 
 
-def _face_layout(face, leaf_count):
-    """A face's edge bits in interval order, the (parent, child) vertices
-    of each edge, and each vertex's region and incident-edge masks, read
-    off the face bitmask.  Edge i cuts off the leaves lo..lo+size-1 away
-    from leaf 0; vertex 0 holds leaf 0 and vertex i+1 lies below edge i
-    (`trees.paint_leaves`).  The corner after a half-edge lies in the
-    region closing off its branch: the parent gets region lo+size-1, the
-    child region lo - 1, and leaf j gives region j to the innermost vertex
-    that holds it."""
-    codes, intervals = [], []
-    rest = face
-    while rest:
-        code = rest & -rest
-        rest ^= code
-        codes.append(code)
-        intervals.append(divmod(code.bit_length() - 1, leaf_count))
-    holder, ends = paint_leaves(intervals, leaf_count)
-    masks = [0] * (len(intervals) + 1)
-    incident = [0] * (len(intervals) + 1)
-    for j, v in enumerate(holder):
-        masks[v] |= 1 << j
-    for i, ((lo, size), (parent, child)) in enumerate(zip(intervals, ends)):
-        masks[parent] |= 1 << (lo + size - 1)
-        masks[child] |= 1 << (lo - 1)
-        incident[parent] |= 1 << i
-        incident[child] |= 1 << i
-    return codes, ends, masks, incident
-
-
 def _windows(face, k, leaf_count):
     """{end face: signed scaled value} of the windows of part k that
     collapse 2k edges of `face`, for the end faces whose value is not 0.
     After each level every blob (vertex mask) holds its collapsed edges,
     its region mask, its incident edges and {region set S: value}."""
-    codes, ends, masks, incident = _face_layout(face, leaf_count)
+    codes, ends, masks, incident = face_layout(face, leaf_count)
     bits = _region_bits(leaf_count)
     lead = _part_scale(k, leaf_count) // _cocycle_constant(k)
     free0 = (1 << len(codes)) - 1
@@ -308,25 +276,22 @@ def _windows(face, k, leaf_count):
 
 
 def _scan_orbits(args):
-    """Per-composition sums, over the seed trees of a shard [(seed,
+    """Per-composition sums, over the seeds of a shard [(top face,
     weight)] and all their collapse orders, of the weight times the chain
     sign times the product of the scaled window values.
 
     Returns {composition: int}; `_b_from_totals` turns summed totals into
-    the numbers b.  A seed gives only its top face and its sign s0.  The
-    sums run over the faces of K^{2m} that the window boundaries reach,
-    and `_windows` runs once per (face, part) for the whole shard, from
-    `_face_layout` of the face alone.
+    the numbers b.  A seed is its top face, the bitmask of its
+    cut-interval set, and its sign s0 is `region_sign` in interval order
+    from vertex 1, the child of the first edge.  The sums run over the
+    faces of K^{2m} that the window boundaries reach, and `_windows` runs
+    once per (face, part) for the whole shard, from `face_layout` of the
+    face alone.
     """
     m, orbits = args
     leaf_count = 2 * m + 3
-    tops = {}
-    for seed, size in orbits:
-        intervals = branch_intervals(seed)
-        keyed = sorted((one_sided(*intervals[a], leaf_count), (a, b))
-                       for a, b in seed.internal_edges())
-        top = sum(1 << first * leaf_count + length for (first, length), _ in keyed)
-        tops[top] = size * collapse_steps(seed.vertices, seed.pairing, [[e for _, e in keyed]])[2]
+    tops = {top: size * region_sign(top, face_layout(top, leaf_count)[0], 1, leaf_count)
+            for top, size in orbits}
     memo = {}
     totals = {}
     for comp in compositions_of(m):
@@ -355,11 +320,11 @@ def _b_from_totals(m, totals):
 
 def _dihedral_orbits(leaf_count):
     """Trivalent trees up to the rotations and reflections of the leaves,
-    as [(representative, orbit size)]; the representative of an orbit is
-    its first member in `enumerate_trivalent_trees` order.  The orbits are
-    found on cut-interval sets, and only representatives become trees.  A
-    rotation moves every cut interval one leaf on, and the reflection
-    i -> -i maps (first, size) to (-(first + size - 1), size)."""
+    as [(top face, orbit size)], the top face the bitmask of the
+    representative's cut-interval set; the representative of an orbit is
+    its first member in `face_sets` order.  A rotation moves every cut
+    interval one leaf on, and the reflection i -> -i maps (first, size)
+    to (-(first + size - 1), size)."""
     seen = set()
     out = []
     for key in face_sets(leaf_count - 3, 0):
@@ -369,7 +334,7 @@ def _dihedral_orbits(leaf_count):
         orbit = {frozenset(one_sided(first + r, size, leaf_count) for first, size in k)
                  for k in (key, mirror) for r in range(leaf_count)}
         seen |= orbit
-        out.append((tree_from_intervals(leaf_count, key), len(orbit)))
+        out.append((sum(1 << first * leaf_count + size for first, size in key), len(orbit)))
     return out
 
 

@@ -81,7 +81,7 @@ def word_parity(word_a, word_b):
     permutation sorting distinct values w is word_parity(w, sorted(w)).
     """
     pos = {x: i for i, x in enumerate(word_b)}
-    if len(pos) != len(word_a) or len(word_a) != len(word_b):
+    if len(pos) != len(word_a) or len(word_a) != len(word_b) or pos.keys() != set(word_a):
         raise ValueError("words must list the same distinct symbols")
     perm = [pos[x] for x in word_a]
     n = len(perm)

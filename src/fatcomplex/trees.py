@@ -7,8 +7,8 @@ partial: leaves are unpaired half-edge labels 0..n+2, internal
 half-edges are labels >= n+3.  A face is encoded by its cut-interval
 set: the leaf intervals (lo, size), pairwise nested or disjoint, that
 its edges cut off on the side away from leaf 0.  `face_sets` lists the
-sets, `tree_from_intervals` builds a tree from one and `cut_intervals`
-reads it off a tree.
+sets, `tree_from_intervals` builds a tree from one and `edge_intervals`
+reads it off a tree, edge by edge.
 
 A chain T_0 -> ... -> T_m is a simplex (seed, steps) that collapses one
 internal edge per step.  Signs follow the same Conant-Vogtmann
@@ -16,12 +16,14 @@ bookkeeping as for graphs; the designated orientation of the terminal
 corolla is the natural one for even n and the leaf-0 counterclockwise
 word for odd n, which in both cases is the reference ordering.
 
-Every region fact comes from one table per tree, `branch_intervals`:
+Every region fact of a tree comes from one table, `branch_intervals`:
 region j is the gap between leaf j and leaf j+1, the corner after a
 half-edge lies in the region closing off its branch, and `one_sided` of
-either half-edge's interval is its edge's cut interval.  One region sign
-rule, `lemma_region_sign`, predicts chain signs from those corner
-regions, for seeds with one big vertex and for maximal chains alike.
+either half-edge's interval is its edge's cut interval
+(`edge_intervals`).  A face's vertices, edges and regions are read off
+its cut-interval bitmask (`face_layout`), and one region sign rule on
+that layout, `region_sign`, gives chain signs from the corner regions,
+for seeds with one big vertex and for maximal chains alike.
 """
 
 import math
@@ -33,12 +35,7 @@ from fatcomplex.ribbon import (
     _normalize_cycles,
     canonical_key_over,
     collapse_steps,
-    word_parity,
 )
-
-
-class ConfigurationMismatch(GraphError):
-    pass
 
 
 class PlanarTree:
@@ -158,6 +155,36 @@ def paint_leaves(intervals, leaf_count):
         ends[i] = (holder[lo], i + 1)
         holder[lo:lo + size] = [i + 1] * size
     return holder, ends
+
+
+def face_layout(face, leaf_count):
+    """A face's edge bits in interval order, the (parent, child) vertices
+    of each edge, and each vertex's region and incident-edge masks, read
+    off the face bitmask, bit lo * leaf_count + size for each cut interval
+    (lo, size).  Edge i cuts off the leaves lo..lo+size-1 away from leaf
+    0; vertex 0 holds leaf 0 and vertex i+1 lies below edge i
+    (`paint_leaves`).  The corner after a half-edge lies in the region
+    closing off its branch: the parent gets region lo+size-1, the child
+    region lo - 1, and leaf j gives region j to the innermost vertex that
+    holds it."""
+    codes, intervals = [], []
+    rest = face
+    while rest:
+        code = rest & -rest
+        rest ^= code
+        codes.append(code)
+        intervals.append(divmod(code.bit_length() - 1, leaf_count))
+    holder, ends = paint_leaves(intervals, leaf_count)
+    masks = [0] * (len(intervals) + 1)
+    incident = [0] * (len(intervals) + 1)
+    for j, v in enumerate(holder):
+        masks[v] |= 1 << j
+    for i, ((lo, size), (parent, child)) in enumerate(zip(intervals, ends)):
+        masks[parent] |= 1 << (lo + size - 1)
+        masks[child] |= 1 << (lo - 1)
+        incident[parent] |= 1 << i
+        incident[child] |= 1 << i
+    return codes, ends, masks, incident
 
 
 def tree_from_intervals(leaf_count, intervals):
@@ -282,70 +309,50 @@ def branch_intervals(tree):
             for h in met}
 
 
-def cut_intervals(tree):
-    """The leaf intervals, as (first leaf, length), that the internal
-    edges of a tree cut off on the side away from leaf 0; they determine
-    the tree, so they encode its face (`tree_from_intervals` inverts)."""
+def edge_intervals(tree):
+    """{internal edge: the leaf interval (first leaf, length) it cuts off
+    on the side away from leaf 0}.  The intervals determine the tree, so
+    their set encodes its face (`tree_from_intervals` inverts)."""
     intervals, L = branch_intervals(tree), tree.leaf_count
-    return frozenset(one_sided(*intervals[x], L) for x, _ in tree.internal_edges())
+    return {(x, y): one_sided(*intervals[x], L) for x, y in tree.internal_edges()}
 
 
 # ---------------------------------------------------------------------------
 # the region sign rule
 # ---------------------------------------------------------------------------
 
-def lemma_region_sign(tree, edge_order, v0=None):
-    """Predicted chain sign for a seed whose vertices are trivalent except
-    possibly one vertex v0.
+def region_sign(face, order, v0, leaf_count):
+    """The sign of the chain collapsing the 2k edges of `face`, edge bits
+    listed in `order`, for a face whose vertices are trivalent except
+    possibly v0, a `face_layout` vertex, with an odd leaf count.  When
+    every vertex is trivalent, v0 must be an endpoint of the first edge
+    collapsed: the rule then gives the sign of a maximal chain of K^{2k}.
 
-    With 2k internal edges collapsed in the given order, the sign of the
-    chain is (-1)^k times the sign of the permutation sorting
-    (a_1..a_V, b_1..b_2k), where the a_i are the regions around v0 and
-    b_i is the region touching e_i only at its endpoint furthest from
-    v0.  The tuple has odd length, so its sort sign is its cyclic sign:
-    rotating an odd-length tuple is even.  When every vertex is
-    trivalent, v0 must be given; at an endpoint of e_1 the rule gives
-    the sign of a maximal chain of K^{2k}.
-
-    Everything is read off `branch_intervals`, with cr[h] the region of
-    the corner after h:
-      - the flanks of an edge (x, y) are cr[x] and cr[y], the corners
-        after x and after y;
-      - at a trivalent endpoint of h the corner before h lies in the
-        flank across the edge, so the region touching the edge only
-        there is cr[sigma[h]].
-    The far half-edge of (x, y) is x when v0 lies in the branch through
-    x, and y otherwise.  A vertex lies in the branch through x, of
-    leaves (first, size), exactly when one of its corner regions r is
-    strictly between two leaves of the branch, that is
-    (r - first) mod L < size - 1.  Both leaves of such a region lie in
-    the branch, so does the tree path between them, and the region
-    touches only the vertices on that path.  Conversely every vertex of
-    the branch has such a corner: the corner between two consecutive
-    half-edges of it that point away from x.
+    The sign is (-1)^k times the sign of the permutation sorting
+    (a_1..a_V, b_1..b_2k), the a_i the regions around v0 and b_i the
+    region touching edge i only at its end away from v0: of that
+    trivalent end's regions, the one that is not a flank of the edge,
+    lo - 1 or lo + size - 1.  That end is the child, unless v0 lies
+    below the edge: v0 is the child, or the edge above v0 (edge v0 - 1)
+    cuts off leaves nested in the edge's own.  The tuple lists every
+    region once and has odd length, so the a_i may go first in
+    increasing order, a rotation of their cyclic order, which is even;
+    appending a region x flips the sort sign once for each entry above
+    x, the parity of (seen >> x).bit_count().
     """
-    if v0 is None:
-        big = [c for c in tree.vertices if len(c) > 3]
-        if len(big) != 1:
-            raise ConfigurationMismatch("need exactly one non-trivalent vertex")
-        v0 = big[0]
-    else:
-        v0 = tree.vertex_of(v0[0])
-    if len(edge_order) % 2 != 0:
-        raise ConfigurationMismatch("need an even number of edges")
-    if set(edge_order) != set(tree.internal_edges()):
-        raise ConfigurationMismatch("edge order must list all internal edges")
-    if any(len(c) != 3 for c in tree.vertices if c != v0):
-        raise ConfigurationMismatch("every vertex but v0 must be trivalent")
-    iv, sigma, L = branch_intervals(tree), tree.sigma(), tree.leaf_count
-    cr = {h: (first + size - 1) % L for h, (first, size) in iv.items()}
-    a = [cr[h] for h in v0]
-    bs = []
-    for x, y in edge_order:
-        first, size = iv[x]
-        far = x if any((r - first) % L < size - 1 for r in a) else y
-        bs.append(cr[sigma[far]])
-    return (-1) ** (len(edge_order) // 2) * word_parity(a + bs, sorted(a + bs))
+    codes, ends, masks, _ = face_layout(face, leaf_count)
+    intervals = {code: (i, divmod(code.bit_length() - 1, leaf_count))
+                 for i, code in enumerate(codes)}
+    above = intervals[codes[v0 - 1]][1] if v0 else None
+    seen, parity = masks[v0], len(order) // 2
+    for code in order:
+        i, (lo, size) = intervals[code]
+        below = v0 and lo <= above[0] and above[0] + above[1] <= lo + size
+        far = ends[i][0] if below else ends[i][1]
+        x = (masks[far] & ~(1 << lo - 1 | 1 << lo + size - 1)).bit_length() - 1
+        parity += (seen >> x).bit_count()
+        seen |= 1 << x
+    return -1 if parity & 1 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +361,13 @@ def lemma_region_sign(tree, edge_order, v0=None):
 
 def _chain_key(seed, steps):
     """The faces along a chain (seed, steps), each the seed collapsed by
-    the steps before it, keyed by `cut_intervals`: a collapse keeps the
+    the steps before it, keyed by its cut-interval set: a collapse keeps the
     branch through every half-edge it leaves, so each key is the seed's
     minus the intervals of the edges collapsed so far."""
-    intervals, L = branch_intervals(seed), seed.leaf_count
-    key = [cut_intervals(seed)]
+    intervals = edge_intervals(seed)
+    key = [frozenset(intervals.values())]
     for step in steps:
-        key.append(key[-1] - {one_sided(*intervals[x], L) for x, _ in step})
+        key.append(key[-1] - {intervals[e] for e in step})
     return tuple(key)
 
 

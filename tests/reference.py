@@ -3,7 +3,9 @@
 No command of `fatcomplex` reaches these.  Each is the slow, literal
 definition of what the library computes another way: the `K^{2m}` scan
 reads region masks for the cyclic-set cocycle on corner chains,
-`canonical_form` gives automorphisms and `collapse_steps` collapse signs.
+`canonical_form` gives automorphisms, `collapse_steps` collapse signs,
+and `trees.region_sign` reads the region sign rule off a face bitmask
+instead of a tree.
 
 The cyclic-set cocycle: the basic datum is a chain of cyclically
 ordered finite sets C_0 -> C_1 -> ... -> C_2k joined by
@@ -21,7 +23,6 @@ from itertools import permutations, product
 
 from fatcomplex.coefficients import (
     _cocycle_constant,
-    _face_layout,
     _part_scale,
     _region_bits,
     double_factorial,
@@ -42,7 +43,14 @@ from fatcomplex.ribbon import (
     reference_word,
     word_parity,
 )
-from fatcomplex.trees import PlanarTree, _chain_key, branch_intervals, maximal_chains
+from fatcomplex.trees import (
+    PlanarTree,
+    _chain_key,
+    branch_intervals,
+    edge_intervals,
+    face_layout,
+    maximal_chains,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +483,12 @@ def corolla(n):
     return PlanarTree(n + 3, [tuple(range(n + 3))], [])
 
 
+def cut_intervals(tree):
+    """A tree's cut-interval set, the value set of `edge_intervals`; the
+    scan keeps faces as bitmasks and builds no tree to read it off."""
+    return frozenset(edge_intervals(tree).values())
+
+
 def corner_regions(tree):
     """The region of the corner following each half-edge at its vertex:
     region j is the gap between leaf j and leaf j+1, and the corner after
@@ -497,6 +511,68 @@ def dual_cell(n):
         key = _chain_key(*simplex)
         out[key] = out.get(key, 0) + sign
     return out
+
+
+# ---------------------------------------------------------------------------
+# the region sign rule on planar trees, which `trees.region_sign` replaced
+# ---------------------------------------------------------------------------
+
+class ConfigurationMismatch(GraphError):
+    pass
+
+
+def lemma_region_sign(tree, edge_order, v0=None):
+    """Predicted chain sign for a seed whose vertices are trivalent except
+    possibly one vertex v0.
+
+    With 2k internal edges collapsed in the given order, the sign of the
+    chain is (-1)^k times the sign of the permutation sorting
+    (a_1..a_V, b_1..b_2k), where the a_i are the regions around v0 and
+    b_i is the region touching e_i only at its endpoint furthest from
+    v0.  The tuple has odd length, so its sort sign is its cyclic sign:
+    rotating an odd-length tuple is even.  When every vertex is
+    trivalent, v0 must be given; at an endpoint of e_1 the rule gives
+    the sign of a maximal chain of K^{2k}.
+
+    Everything is read off `branch_intervals`, with cr[h] the region of
+    the corner after h:
+      - the flanks of an edge (x, y) are cr[x] and cr[y], the corners
+        after x and after y;
+      - at a trivalent endpoint of h the corner before h lies in the
+        flank across the edge, so the region touching the edge only
+        there is cr[sigma[h]].
+    The far half-edge of (x, y) is x when v0 lies in the branch through
+    x, and y otherwise.  A vertex lies in the branch through x, of
+    leaves (first, size), exactly when one of its corner regions r is
+    strictly between two leaves of the branch, that is
+    (r - first) mod L < size - 1.  Both leaves of such a region lie in
+    the branch, so does the tree path between them, and the region
+    touches only the vertices on that path.  Conversely every vertex of
+    the branch has such a corner: the corner between two consecutive
+    half-edges of it that point away from x.
+    """
+    if v0 is None:
+        big = [c for c in tree.vertices if len(c) > 3]
+        if len(big) != 1:
+            raise ConfigurationMismatch("need exactly one non-trivalent vertex")
+        v0 = big[0]
+    else:
+        v0 = tree.vertex_of(v0[0])
+    if len(edge_order) % 2 != 0:
+        raise ConfigurationMismatch("need an even number of edges")
+    if set(edge_order) != set(tree.internal_edges()):
+        raise ConfigurationMismatch("edge order must list all internal edges")
+    if any(len(c) != 3 for c in tree.vertices if c != v0):
+        raise ConfigurationMismatch("every vertex but v0 must be trivalent")
+    iv, sigma, L = branch_intervals(tree), tree.sigma(), tree.leaf_count
+    cr = {h: (first + size - 1) % L for h, (first, size) in iv.items()}
+    a = [cr[h] for h in v0]
+    bs = []
+    for x, y in edge_order:
+        first, size = iv[x]
+        far = x if any((r - first) % L < size - 1 for r in a) else y
+        bs.append(cr[sigma[far]])
+    return (-1) ** (len(edge_order) // 2) * word_parity(a + bs, sorted(a + bs))
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +618,7 @@ def reference_windows(face, k, leaf_count):
     region-set sizes.  End faces whose orders cancel keep their 0."""
     bits = _region_bits(leaf_count)
     constant, scale = _cocycle_constant(k), _part_scale(k, leaf_count)
-    codes, ends, masks, incident = _face_layout(face, leaf_count)
+    codes, ends, masks, incident = face_layout(face, leaf_count)
     out = {}
     free0 = (1 << len(codes)) - 1
 

@@ -124,7 +124,7 @@ def test_internal_error_in_a_suite_is_not_a_usage_error(monkeypatch, capsys):
     # a failed invariant inside a suite exits 3 with its traceback, apart
     # from a usage error (2) and a FAIL row (1)
     from fatcomplex import checks
-    from fatcomplex.trees import ConfigurationMismatch
+    from reference import ConfigurationMismatch
 
     def broken(**_):
         raise ConfigurationMismatch("invariant failed inside the suite")
@@ -214,10 +214,10 @@ def first_entry_plus_one(right, *args):
 
 
 @pytest.mark.parametrize("suite, module, name, wrong, row", [
-    ("orientation", "trees", "lemma_region_sign", plus_one, "region sign rule"),
+    ("orientation", "trees", "region_sign", plus_one, "region sign rule"),
     # the maximal-chain rows use the same rule at an endpoint of e_1
-    pytest.param("orientation", "trees", "lemma_region_sign", plus_one, "chain signs on K^2",
-                 id="orientation-chain-row-lemma_region_sign"),
+    pytest.param("orientation", "trees", "region_sign", plus_one, "chain signs on K^2",
+                 id="orientation-chain-row-region_sign"),
     ("complex", "graph_complex", "boundary_matrix", first_entry_plus_one, "d.d = 0"),
     ("cocycle", "graph_complex", "eval_w_key", plus_one, "W[1]* kills boundaries"),
     ("ainf", "ainfinity", "partition_function", plus_one, "Z_x cocycle"),

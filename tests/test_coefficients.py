@@ -32,15 +32,16 @@ from fatcomplex.ribbon import word_parity
 from fatcomplex.trees import (
     PlanarTree,
     branch_intervals,
-    cut_intervals,
     enumerate_trivalent_trees,
     face_count,
+    face_layout,
     face_sets,
     maximal_chains,
     one_sided,
 )
 from reference import (
     cup_product,
+    cut_intervals,
     reference_faces,
     reference_trivalent_trees,
     reference_windows,
@@ -65,9 +66,20 @@ def rotate_leaves(tree):
     return PlanarTree(L, cycles, tree.internal_edges())
 
 
+def face_bits(tree):
+    """The bitmask of a tree's cut-interval set, bit first * L + size."""
+    L = tree.leaf_count
+    return sum(1 << first * L + size for first, size in cut_intervals(tree))
+
+
+def scan_face(face, m):
+    """The face scan of one seed, given as its top face, with weight 1."""
+    return coefficients._scan_orbits((m, [(face, 1)]))
+
+
 def scan_seed(seed, m):
-    """The face scan of one seed with weight 1."""
-    return coefficients._scan_orbits((m, [(seed, 1)]))
+    """The face scan of one seed tree with weight 1."""
+    return scan_face(face_bits(seed), m)
 
 
 def test_partitions_of_descending_lex():
@@ -190,7 +202,9 @@ def test_dihedral_orbits_partition_the_seed_trees():
         assert len(orbits) == count
         assert {size for _, size in orbits} == sizes
         assert sum(size for _, size in orbits) == seeds
-        assert orbits == _reference_dihedral_orbits(leaves)
+        # the same representatives, as top faces, in the same order
+        assert orbits == [(face_bits(seed), size)
+                          for seed, size in _reference_dihedral_orbits(leaves)]
 
 
 def test_per_seed_sums_agree_across_rotation_orbits_k2_k4():
@@ -409,7 +423,7 @@ def test_pruned_scan_matches_reference_on_k6_orbits():
     orbits = _rotation_orbits(9)
     assert len(orbits) == 49
     # the first seed of a dihedral orbit is the first of its rotation orbit
-    reps = [rep for rep, _ in orbits]
+    reps = [face_bits(rep) for rep, _ in orbits]
     assert all(rep in reps for rep, _ in coefficients._dihedral_orbits(9))
     totals = dict.fromkeys(compositions_of(3), 0)
     for rep, size in orbits:
@@ -425,10 +439,11 @@ def test_pruned_scan_matches_reference_on_k6_orbits():
 
 def test_pruned_scan_matches_reference_on_k8_orbits():
     orbits = coefficients._dihedral_orbits(11)
+    seeds = {face_bits(t): t for t in enumerate_trivalent_trees(11)}
     nonzero = 0
     for i in (0, 100, 227):
-        want = _reference_scan_seed(orbits[i][0], 4)
-        assert scan_seed(orbits[i][0], 4) == want
+        want = _reference_scan_seed(seeds[orbits[i][0]], 4)
+        assert scan_face(orbits[i][0], 4) == want
         nonzero += any(want.values())
     assert nonzero
 
@@ -464,10 +479,7 @@ def test_windows_match_the_walk_on_the_faces_of_three_k8_seeds():
     L = 11
     orbits = coefficients._dihedral_orbits(L)
     for i in (0, 100, 227):
-        seed = orbits[i][0]
-        intervals = branch_intervals(seed)
-        codes = [1 << first * L + size for first, size in
-                 (one_sided(*intervals[a], L) for a, _ in seed.internal_edges())]
+        codes = face_layout(orbits[i][0], L)[0]
         for sub in range(1 << len(codes)):
             face = sum(code for j, code in enumerate(codes) if sub >> j & 1)
             for k in range(1, sub.bit_count() // 2 + 1):
@@ -488,7 +500,7 @@ def test_face_layout_matches_the_tree_of_every_face_of_k1_to_k6():
                    if 0 < iv[h][0] <= L - iv[h][1]}
             assert len(key) == len(tree.internal_edges())
             face = sum(1 << first * L + size for first, size in key)
-            codes, ends, masks, incident = coefficients._face_layout(face, L)
+            codes, ends, masks, incident = face_layout(face, L)
             assert codes == [1 << first * L + size for first, size in sorted(key)]
             touch = region_touch_sets(tree)
             tree_masks = [sum(1 << r for r in touch[i]) for i in range(len(touch))]
@@ -516,10 +528,28 @@ def test_shard_scan_is_the_sum_of_its_seed_scans():
     for m, orbits in ((3, k6), (3, k6[::-1]),
                       (4, [k8[i] for i in (0, 1, 2, 3, 100, 227)])):
         want = dict.fromkeys(compositions_of(m), 0)
-        for seed, size in orbits:
-            for comp, v in scan_seed(seed, m).items():
+        for top, size in orbits:
+            for comp, v in scan_face(top, m).items():
                 want[comp] += size * v
         assert coefficients._scan_orbits((m, orbits)) == want
+
+
+def test_scan_builds_no_tree_and_collapses_nothing(monkeypatch):
+    # a seed is its top face and its sign comes from the region rule on
+    # the face layout, so the frozen numbers need no tree and no collapse
+    from fatcomplex import ribbon, trees
+
+    def forbidden(*args):
+        raise AssertionError("the scan built a tree or collapsed an edge")
+
+    monkeypatch.setattr(coefficients, "_B_SINGLE_CACHE", {})
+    monkeypatch.setattr(trees.PlanarTree, "_trusted", forbidden)
+    monkeypatch.setattr(ribbon, "collapse_oriented", forbidden)
+    assert b_single_all(1) == {(1,): Fraction(1, 12)}
+    assert b_single_all(2) == {(2,): Fraction(-1, 120), (1, 1): Fraction(29, 720)}
+    assert b_single_all(3) == {
+        (3,): Fraction(1, 1680), (2, 1): Fraction(-19, 3360),
+        (1, 2): Fraction(-19, 3360), (1, 1, 1): Fraction(263, 6720)}
 
 
 def test_scan_matches_fraction_cocycle_over_maximal_chains():

@@ -104,6 +104,13 @@ def test_word_parity_sort_sign_matches_inversion_count():
             assert word_parity(values, sorted(values)) == inversion_sign(values)
 
 
+def test_word_parity_rejects_words_of_different_symbols():
+    # equal lengths, but a repeated symbol or a symbol the other word lacks
+    for word_a, word_b in (([1, 1], [1, 2]), ([1, 3], [1, 2]), ([1, 2], [1, 1])):
+        with pytest.raises(ValueError):
+            word_parity(word_a, word_b)
+
+
 def test_word_parity_matches_bruteforce():
     word = ["a", "b", "c", "d", "e"]
     for perm in itertools.permutations(range(5)):

@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 
 from fatcomplex import trees
+from fatcomplex.checks import _edge_codes
 from fatcomplex.linalg import sparse_product, sparse_rank
 from fatcomplex.graph_complex import forest_complex
 from fatcomplex.ribbon import (
@@ -15,20 +16,25 @@ from fatcomplex.ribbon import (
     word_parity,
 )
 from fatcomplex.trees import (
-    ConfigurationMismatch,
     PlanarTree,
-    cut_intervals,
     dual_cell_boundary_check,
+    edge_intervals,
     enumerate_faces,
     enumerate_trivalent_trees,
     face_count,
-    lemma_region_sign,
+    face_layout,
+    face_sets,
     maximal_chains,
+    region_sign,
+    tree_from_intervals,
 )
 from reference import (
+    ConfigurationMismatch,
     corner_regions,
     corolla,
+    cut_intervals,
     dual_cell,
+    lemma_region_sign,
     reference_faces,
     reference_trivalent_trees,
     region_touch_sets,
@@ -448,3 +454,55 @@ def test_region_rule_at_either_end_of_the_first_edge_on_k6():
             sign = order_sign(seed, order)
             for h in order[0]:
                 assert lemma_region_sign(seed, list(order), v0=seed.vertex_of(h)) == sign
+
+
+def test_region_sign_gives_the_scan_seed_sign_on_k2_to_k8():
+    # the scan's s0: the rule at vertex 1, the child of the first edge in
+    # interval order, against the collapse bookkeeping in that order, on
+    # every trivalent seed of K^2, K^4, K^6 and K^8
+    count = 0
+    for n in (2, 4, 6, 8):
+        L = n + 3
+        for key in face_sets(n, 0):
+            face = sum(1 << first * L + size for first, size in key)
+            seed = tree_from_intervals(L, key)
+            intervals = edge_intervals(seed)
+            order = sorted(seed.internal_edges(), key=intervals.get)
+            assert region_sign(face, face_layout(face, L)[0], 1, L) == order_sign(seed, order)
+            count += 1
+    assert count == 5 + 42 + 429 + 4862
+
+
+def test_region_sign_at_either_end_of_e1_on_every_maximal_chain_of_k2_k4():
+    # both the face rule and the tree rule give the chain sign with v0 at
+    # either endpoint of the first edge collapsed
+    for n, count in ((2, 10), (4, 1008)):
+        L = n + 3
+        chains = maximal_chains(n)
+        assert len(chains) == count
+        for (seed, steps), sign in chains:
+            face, code = _edge_codes(seed)
+            edges = [e for (e,) in steps]
+            order = [code[e] for e in edges]
+            codes, ends, _, _ = face_layout(face, L)
+            for v0 in ends[codes.index(order[0])]:
+                assert region_sign(face, order, v0, L) == sign
+            for h in edges[0]:
+                assert lemma_region_sign(seed, edges, v0=seed.vertex_of(h)) == sign
+
+
+def test_region_sign_matches_the_tree_rule_at_a_big_vertex():
+    # every seed with one vertex of valence 5, 7 or 9 and two trivalent
+    # ones, and every order of its two edges
+    for valence in (5, 7, 9):
+        seeds = [t for t in enumerate_faces(valence - 1, valence - 3)
+                 if sorted(len(c) for c in t.vertices) == [3, 3, valence]]
+        assert seeds
+        for seed in seeds:
+            face, code = _edge_codes(seed)
+            masks = face_layout(face, seed.leaf_count)[2]
+            big = [v for v, mask in enumerate(masks) if mask.bit_count() == valence]
+            assert len(big) == 1
+            for order in permutations(seed.internal_edges()):
+                assert (region_sign(face, [code[e] for e in order], big[0], seed.leaf_count)
+                        == lemma_region_sign(seed, list(order)))
