@@ -43,8 +43,6 @@ def _parser():
     p_verify.add_argument("--n", type=int, default=2)
     p_verify.add_argument("--max-half-edges", type=int, default=8,
                           dest="max_half_edges")
-    p_verify.add_argument("--strict-conjecture", action="store_true",
-                          dest="strict_conjecture")
     p_verify.add_argument("--seed", type=int, default=0)
     common(p_verify)
     return parser
@@ -88,21 +86,14 @@ def cmd_verify(args, out):
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
     rows = checks.run(names, max_half_edges=args.max_half_edges, n=args.n,
                       seed=args.seed, workers=args.workers)
-    hard_fail = any(not passed and not conj for _, _, passed, conj in rows)
-    soft_fail = any(not passed and conj for _, _, passed, conj in rows)
     if args.fmt == "json":
-        out.write(json.dumps([{"suite": suite, "check": name, "passed": passed,
-                               "conjecture": conj}
-                              for suite, name, passed, conj in rows],
+        out.write(json.dumps([{"suite": suite, "check": name, "passed": passed}
+                              for suite, name, passed in rows],
                              separators=(",", ":")) + "\n")
     else:
-        for suite, name, passed, conj in rows:
-            status = "ok" if passed else "FAIL"
-            tag = " [conjecture]" if conj else ""
-            out.write("%-4s %s: %s%s\n" % (status, suite, name, tag))
-    if hard_fail or (soft_fail and args.strict_conjecture):
-        return 1
-    return 0
+        for suite, name, passed in rows:
+            out.write("%-4s %s: %s\n" % ("ok" if passed else "FAIL", suite, name))
+    return 0 if all(passed for _, _, passed in rows) else 1
 
 
 def _progress_reporter():

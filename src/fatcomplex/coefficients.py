@@ -629,6 +629,8 @@ def w_polynomial(mu, workers=1):
 # ---------------------------------------------------------------------------
 
 class CheckResult:
+    # every row checks a theorem or a frozen value, so `conjecture` is
+    # always False; it stays for callers that construct rows positionally
     __slots__ = ("name", "passed", "conjecture", "lhs", "rhs")
 
     def __init__(self, name, passed, conjecture, lhs, rhs):
@@ -640,8 +642,7 @@ class CheckResult:
 
     def __repr__(self):
         status = "PASS" if self.passed else "FAIL"
-        tag = " [CONJECTURE]" if self.conjecture else ""
-        return "%s%s %s: %s == %s" % (status, tag, self.name, self.lhs, self.rhs)
+        return "%s %s: %s == %s" % (status, self.name, self.lhs, self.rhs)
 
 
 def first_two_terms(lam):
@@ -666,32 +667,27 @@ def first_two_terms(lam):
 
 
 def closed_form_checks(n, workers=1):
-    """Evaluate the closed-form identities up to weight n.  Every right
-    side is `first_two_terms`, the paper's two-term theorem, which is the
-    whole polynomial for one or two parts: Witten's W[k]*, W[n,1]*,
-    W[k,0]*, and the two-part formula that Arbarello and Cornalba (1996)
-    conjectured, flagged as conjectural and never treated as a hard
-    failure by callers.  W[1,1,1]* adds its third term, 20736*k3, which
-    the theorem does not give, frozen from the table."""
+    """Compare W[lam]* with `first_two_terms(lam)`, the paper's two-term
+    theorem, once for each partition lam of weight <= n with one or two
+    parts, zero parts included.  Such a lam refines only itself and the
+    merge of its parts, so the two terms are the whole polynomial and
+    every row checks a theorem: Witten's W[k]*, W[k,0]*, W[n,1]* and the
+    two-part formula that Arbarello and Cornalba (1996) conjectured.
+    From weight 3 a last row checks W[1,1,1]*, whose third term,
+    20736*k3, the theorem does not give: it is frozen from the table."""
     check_weight(n)
     out = []
 
-    def row(name, mu, rhs, conjecture=False):
-        lhs = w_polynomial(mu, workers=workers)
-        out.append(CheckResult(name, lhs == rhs, conjecture, lhs.render(), rhs.render()))
+    def row(name, lam, rhs):
+        lhs = w_polynomial(lam, workers=workers)
+        out.append(CheckResult(name, lhs == rhs, False, lhs.render(), rhs.render()))
 
-    for k in range(1, n + 1):
-        rhs = first_two_terms((k,))
-        row("W[%d]* = %s" % (k, rhs.render()), (k,), rhs)
-    for nn in range(0, n):
-        row("W[%d,1]*" % nn, (nn, 1), first_two_terms((nn, 1)))
-    for k in range(0, n + 1):
-        row("W[%d,0]*" % k, (k, 0), first_two_terms((k, 0)))
+    for w in range(n + 1):
+        for lam in [(w,)] + [(w - j, j) for j in range(w // 2 + 1)]:
+            rhs = first_two_terms(lam)
+            row("W[%s]* = %s" % (",".join(map(str, lam)), rhs.render()), lam, rhs)
     if n >= 3:
-        row("W[1,1,1]*", (1, 1, 1),
-            first_two_terms((1, 1, 1)) + MmmPolynomial.monomial((3,), 20736))
-    for nn in range(1, n):
-        for k in range(1, min(nn, n - nn) + 1):
-            row("W[%d,%d]* (two-part formula)" % (nn, k), (nn, k),
-                first_two_terms((nn, k)), conjecture=True)
+        rhs = first_two_terms((1, 1, 1))
+        row("W[1,1,1]* = %s + 20736*k3 (third term frozen from the weight-3 table)"
+            % rhs.render(), (1, 1, 1), rhs + MmmPolynomial.monomial((3,), 20736))
     return out

@@ -26,7 +26,6 @@ from fatcomplex.ribbon import (
     GraphError,
     OrientedRibbonGraph,
     RibbonGraph,
-    canonical_key_over,
     canonical_oriented,
     canonical_over,
     enumerate_expansions,
@@ -318,9 +317,9 @@ class ForestComplex:
         self.base = base
         self.base_labels = set(base.half_edges)
         n = base.codimension
-        key, _ = canonical_key_over(self.base_labels, base.vertices, base.pairing)
         self.levels = [None] * (n + 1)
-        self.levels[n] = [key]
+        # over its own labels, the base is its own key
+        self.levels[n] = [base.literal()]
         self.matrices = [None] * (n + 1)
 
         def over_base(og):

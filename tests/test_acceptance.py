@@ -66,7 +66,7 @@ def test_criterion_3_w_polynomial_table():
 
 def registry_rows_pass(rows, count):
     """The rows of one registry suite, with the expected count, all pass."""
-    return len(rows) == count and all(passed for _, _, passed, _ in rows)
+    return len(rows) == count and all(passed for _, _, passed in rows)
 
 
 @pytest.fixture(scope="module")

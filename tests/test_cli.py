@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import io
 import json
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from fatcomplex.cli import main
+from fatcomplex.coefficients import MmmPolynomial
 
 
 def run_cli(argv):
@@ -81,7 +83,7 @@ def test_verify_json_roundtrip_and_determinism():
     assert code1 == code2 == 0
     assert text1 == text2
     rows = json.loads(text1)
-    assert all(set(r) == {"suite", "check", "passed", "conjecture"} for r in rows)
+    assert all(set(r) == {"suite", "check", "passed"} for r in rows)
     assert all(r["passed"] for r in rows)
 
 
@@ -152,26 +154,60 @@ def test_workers_do_not_change_output():
 
 
 def test_verify_closedform_suite():
-    code, text = run_cli(["verify", "--suite", "closedform", "--n", "2"])
-    assert code == 0
-    assert "FAIL" not in text
-    assert "[conjecture]" in text
     code, text = run_cli(["verify", "--suite", "closedform", "--n", "3"])
     assert code == 0
     assert text == (
+        "ok   closedform: W[0]* = -2*k0\n"
+        "ok   closedform: W[0,0]* = 2*k0^2 + k0\n"
         "ok   closedform: W[1]* = 12*k1\n"
+        "ok   closedform: W[1,0]* = -24*k1*k0 - 36*k1\n"
         "ok   closedform: W[2]* = -120*k2\n"
+        "ok   closedform: W[2,0]* = 240*k2*k0 + 600*k2\n"
+        "ok   closedform: W[1,1]* = 72*k1^2 + 348*k2\n"
         "ok   closedform: W[3]* = 1680*k3\n"
-        "ok   closedform: W[0,1]*\n"
-        "ok   closedform: W[1,1]*\n"
-        "ok   closedform: W[2,1]*\n"
-        "ok   closedform: W[0,0]*\n"
-        "ok   closedform: W[1,0]*\n"
-        "ok   closedform: W[2,0]*\n"
-        "ok   closedform: W[3,0]*\n"
-        "ok   closedform: W[1,1,1]*\n"
-        "ok   closedform: W[1,1]* (two-part formula) [conjecture]\n"
-        "ok   closedform: W[2,1]* (two-part formula) [conjecture]\n")
+        "ok   closedform: W[3,0]* = -3360*k3*k0 - 11760*k3\n"
+        "ok   closedform: W[2,1]* = -1440*k2*k1 - 13680*k3\n"
+        "ok   closedform: W[1,1,1]* = 288*k1^3 + 4176*k2*k1 + 20736*k3"
+        " (third term frozen from the weight-3 table)\n")
+
+
+def test_stdout_is_pinned():
+    # the full text of `verify --suite all` at 8 half-edges, and the md5
+    # of the weight-3 table; any change to either is a declared one
+    code, text = run_cli(["verify", "--suite", "all", "--max-half-edges", "8"])
+    assert code == 0
+    assert text == (
+        "ok   orientation: region sign rule, big vertex valence 5\n"
+        "ok   orientation: region sign rule, big vertex valence 7\n"
+        "ok   orientation: region sign rule, big vertex valence 9\n"
+        "ok   orientation: chain signs on K^2: region rule and antisymmetry\n"
+        "ok   orientation: chain signs on K^4: region rule and antisymmetry\n"
+        "ok   complex: d.d = 0 on 37 classes within 8 half-edges\n"
+        "ok   complex: dual cell boundary identity on K^1\n"
+        "ok   complex: dual cell boundary identity on K^2\n"
+        "ok   complex: dual cell boundary identity on K^3\n"
+        "ok   complex: forest complex ranks/acyclicity on 21 bases\n"
+        "ok   complex: Catalan counts for trivalent trees up to 9 leaves\n"
+        "ok   cocycle: W[]* kills boundaries (1 classes, <= 8 half-edges)\n"
+        "ok   cocycle: W[1]* kills boundaries (2 classes, <= 8 half-edges)\n"
+        "ok   cocycle: W[2]* kills boundaries (17 classes, <= 8 half-edges)\n"
+        "ok   cocycle: W[1,1]* kills boundaries (17 classes, <= 8 half-edges)\n"
+        "ok   ainf: Z_x cocycle, random x #1 (39 classes)\n"
+        "ok   ainf: Z_x expansion identity, random x #1\n"
+        "ok   ainf: Z_x cocycle, random x #2 (39 classes)\n"
+        "ok   ainf: Z_x expansion identity, random x #2\n"
+        "ok   ainf: Z_x cocycle, random x #3 (39 classes)\n"
+        "ok   ainf: Z_x expansion identity, random x #3\n"
+        "ok   closedform: W[0]* = -2*k0\n"
+        "ok   closedform: W[0,0]* = 2*k0^2 + k0\n"
+        "ok   closedform: W[1]* = 12*k1\n"
+        "ok   closedform: W[1,0]* = -24*k1*k0 - 36*k1\n"
+        "ok   closedform: W[2]* = -120*k2\n"
+        "ok   closedform: W[2,0]* = 240*k2*k0 + 600*k2\n"
+        "ok   closedform: W[1,1]* = 72*k1^2 + 348*k2\n")
+    code, text = run_cli(["coeff", "--n", "3", "--format", "json"])
+    assert code == 0
+    assert hashlib.md5(text.encode()).hexdigest() == "65c94601517d3a1593627c36d7a5db1c"
 
 
 def test_verify_closedform_out_of_range_exits_2():
@@ -205,6 +241,15 @@ def plus_one(right, *args, **kwargs):
     return right(*args, **kwargs) + 1
 
 
+def plus_k_lam_on_two_parts_from_two(right, lam):
+    # a wrong answer on W[2,2]* alone, the only two-part row within
+    # weight 4 with no part of size 0 or 1
+    out = right(lam)
+    if len(lam) == 2 and min(lam) >= 2:
+        out = out + MmmPolynomial.monomial(lam)
+    return out
+
+
 def first_entry_plus_one(right, *args):
     rows, matrix = right(*args)
     if matrix:
@@ -221,6 +266,9 @@ def first_entry_plus_one(right, *args):
     ("complex", "graph_complex", "boundary_matrix", first_entry_plus_one, "d.d = 0"),
     ("cocycle", "graph_complex", "eval_w_key", plus_one, "W[1]* kills boundaries"),
     ("ainf", "ainfinity", "partition_function", plus_one, "Z_x cocycle"),
+    # a wrong two-part answer is a failed theorem, not a soft conjecture
+    ("closedform", "coefficients", "first_two_terms", plus_k_lam_on_two_parts_from_two,
+     "W[2,2]*"),
 ])
 def test_verify_row_fails_on_a_wrong_library_answer(monkeypatch, suite, module,
                                                     name, wrong, row):
@@ -229,7 +277,7 @@ def test_verify_row_fails_on_a_wrong_library_answer(monkeypatch, suite, module,
 
     lib = importlib.import_module("fatcomplex." + module)
     monkeypatch.setattr(lib, name, functools.partial(wrong, getattr(lib, name)))
-    code, text = run_cli(["verify", "--suite", suite, "--max-half-edges", "6"])
+    code, text = run_cli(["verify", "--suite", suite, "--max-half-edges", "6", "--n", "4"])
     assert code == 1
     assert any(line.startswith("FAIL %s: %s" % (suite, row))
                for line in text.splitlines())
@@ -343,23 +391,6 @@ def test_long_mode_progress_goes_to_stderr_only(capsys, monkeypatch):
     assert coefficients.progress_hook is None
 
 
-def test_strict_conjecture_gates_exit_code(monkeypatch):
-    from fatcomplex import coefficients
-
-    class Fake:
-        name = "made-up two-part identity"
-        passed = False
-        conjecture = True
-
-    monkeypatch.setattr(coefficients, "closed_form_checks",
-                        lambda n, workers=1: [Fake()])
-    code, text = run_cli(["verify", "--suite", "closedform"])
-    assert code == 0 and "FAIL" in text
-    code, text = run_cli(["verify", "--suite", "closedform",
-                          "--strict-conjecture"])
-    assert code == 1
-
-
 def test_console_entry_point():
     import subprocess
     import sys
@@ -374,6 +405,8 @@ def test_console_entry_point():
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["coeff"])
-    assert exc.value.code == 2
+    # a missing required option, and an option that no longer exists
+    for argv in (["coeff"], ["verify", "--strict-conjecture"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2

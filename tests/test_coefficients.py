@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -780,13 +781,21 @@ def test_closed_form_checks_weight_two():
     assert results
     assert all(isinstance(r, CheckResult) for r in results)
     assert all(r.passed for r in results)
-    assert any(r.conjecture for r in results)
 
 
 def test_closed_form_check_names_are_distinct():
-    for n in (1, 2, 3):
+    # one row per partition: every one- and two-part partition of weight
+    # <= n once, zero parts included, and (1,1,1) from weight 3
+    for n in (1, 2, 3, 4):
         names = [r.name for r in closed_form_checks(n)]
+        named = [tuple(int(p) for p in re.match(r"W\[([\d,]*)\]\* = ", name)[1].split(","))
+                 for name in names]
+        expected = {(w,) for w in range(n + 1)}
+        expected |= {(w - j, j) for w in range(n + 1) for j in range(w // 2 + 1)}
+        if n >= 3:
+            expected.add((1, 1, 1))
         assert len(set(names)) == len(names)
+        assert len(named) == len(set(named)) and set(named) == expected
 
 
 # The special closed forms that `first_two_terms` replaced, kept as

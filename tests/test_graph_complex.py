@@ -304,6 +304,9 @@ def test_forest_complex_five_valent():
     g5 = enumerate_graphs(8, valences=(5, 3))[0]
     fc = forest_complex(g5)
     assert fc.ranks() == [5, 5, 1]
+    # over its own labels, a relabelled base is its own top-level key
+    moved = g5.relabel({h: 40 - 3 * h for h in g5.half_edges})
+    assert forest_complex(moved).levels[-1] == [moved.literal()]
     assert fc.expected_ranks() == [5, 5, 1]
     assert fc.d_squared_is_zero()
     assert fc.augmentation_kills_boundary()
