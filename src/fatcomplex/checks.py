@@ -17,13 +17,6 @@ from fatcomplex import ainfinity, coefficients, graph_complex, trees
 from fatcomplex.ribbon import collapse_steps
 
 
-def _edge_codes(tree):
-    """A tree's face bitmask and {internal edge: its edge bit}."""
-    L = tree.leaf_count
-    codes = {e: 1 << first * L + size for e, (first, size) in trees.edge_intervals(tree).items()}
-    return sum(codes.values()), codes
-
-
 def check_orientation(**_):
     """`trees.region_sign`, the rule the chain scan uses, against the
     collapse bookkeeping: with v0 the big vertex on the seeds with one,
@@ -34,7 +27,8 @@ def check_orientation(**_):
                  if sorted(len(c) for c in t.vertices) == [3, 3, valence]]
         ok = bool(seeds)
         for t in seeds:
-            face, code = _edge_codes(t)
+            code = trees.edge_bits(t)
+            face = sum(code.values())
             masks = trees.face_layout(face, t.leaf_count)[2]
             v0 = next(v for v, mask in enumerate(masks) if mask.bit_count() > 3)
             ok = ok and all(
@@ -45,7 +39,8 @@ def check_orientation(**_):
     for n in (2, 4):
         ok = True
         for (seed, steps), sign in trees.maximal_chains(n):
-            face, code = _edge_codes(seed)
+            code = trees.edge_bits(seed)
+            face = sum(code.values())
             order = [code[e] for (e,) in steps]
             # the child of edge i is vertex i + 1
             v0 = trees.face_layout(face, n + 3)[0].index(order[0]) + 1

@@ -17,16 +17,14 @@ that are not yet collapsed: the product of those flips is the sign of
 the collapse order relative to the reference order.  Reordering the
 reference order by a permutation pi therefore changes only s0, by
 sgn pi, and the scan may pick any reference order.  It sorts each seed's
-edges by their cut intervals, the leaves (first, size) each cuts off on
-the side away from leaf 0 (`trees.edge_intervals`).  Collapsing edges of
-a seed gives a face of K^{2m}, a planar tree whose edges are the
-uncollapsed ones, each cutting off the same interval as in the seed.  So
-the edges not yet collapsed are the face's own edges, their order is
-that of the face's cut intervals, and the flip of every collapse
-depends only on the face it collapses from.  A face is its cut-interval
-set, kept as a bitmask with bit first * L + size for the interval
-(first, size), L the leaf count; the bits are ordered like the
-intervals.  Its vertices (the merged ones) and their region bitmasks, the
+edges by their cut intervals, the leaves each cuts off on the side away
+from leaf 0.  Collapsing edges of a seed gives a face of K^{2m}, a
+planar tree whose edges are the uncollapsed ones, each cutting off the
+same interval as in the seed.  So the edges not yet collapsed are the
+face's own edges, their order is that of the face's cut intervals, and
+the flip of every collapse depends only on the face it collapses from.
+A face is its bitmask (`trees`), one bit per cut interval in interval
+order.  Its vertices (the merged ones) and their region bitmasks, the
 regions touching them, follow from the intervals (`trees.face_layout`),
 and so does s0: the region sign rule (`trees.region_sign`) gives the
 sign of a maximal chain from the regions around an endpoint of its first
@@ -64,9 +62,10 @@ all orders summed into a state share its last count; a remainder raises
 ArithmeticError.  Summing over S gives the end faces, and those whose
 orders cancel are dropped.
 
-Only one seed tree per dihedral orbit of the leaves is scanned, and its
-sums are weighted by the orbit size: the orbits of the rotation
-i -> i+1 and the reflection i -> -i mod L = 2m+3.  Either symmetry g
+Only one seed tree per dihedral orbit of the leaves is scanned
+(`trees.dihedral_orbits`), and its sums are weighted by the orbit size:
+the orbits of the rotation i -> i+1 and the reflection i -> -i mod
+L = 2m+3, found on face bitmasks, without trees.  Either symmetry g
 maps a seed T to a tree gT with the same internal half-edges and edges,
 and each chain of T to the chain of gT that collapses the same edges in
 the same order.  The composition totals of T and gT agree because the
@@ -104,11 +103,6 @@ window values and the chain sign change by the same factor:
 The tests check that the per-seed sums agree with those of the mirror on
 every K^4 seed, every K^6 rotation-orbit representative and three K^8
 seeds, and the chain-sign factors on every seed with 5, 7 and 9 leaves.
-The orbits are found on cut-interval sets, without canonical forms or
-trees: a rotation moves each interval one leaf on and the reflection
-maps the leaves first..first+size-1 to -(first+size-1)..-first, each
-image taken on its side away from leaf 0.  A representative is kept as
-its top face.
 
 The sums are exact integers: the value of a window of a part k is
 scaled by |(-2)^(k+1) (2k-1)!!| (2m+3)!, which makes it an integer (a
@@ -123,7 +117,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from fatcomplex.linalg import SingularMatrix, matrix_inverse
-from fatcomplex.trees import face_layout, face_sets, one_sided, region_sign
+from fatcomplex.trees import dihedral_orbits, face_layout, region_sign
 
 
 class OutOfComputedRange(ValueError):
@@ -318,26 +312,6 @@ def _b_from_totals(m, totals):
             for comp, total in totals.items()}
 
 
-def _dihedral_orbits(leaf_count):
-    """Trivalent trees up to the rotations and reflections of the leaves,
-    as [(top face, orbit size)], the top face the bitmask of the
-    representative's cut-interval set; the representative of an orbit is
-    its first member in `face_sets` order.  A rotation moves every cut
-    interval one leaf on, and the reflection i -> -i maps (first, size)
-    to (-(first + size - 1), size)."""
-    seen = set()
-    out = []
-    for key in face_sets(leaf_count - 3, 0):
-        if key in seen:
-            continue
-        mirror = [(-(first + size - 1), size) for first, size in key]
-        orbit = {frozenset(one_sided(first + r, size, leaf_count) for first, size in k)
-                 for k in (key, mirror) for r in range(leaf_count)}
-        seen |= orbit
-        out.append((sum(1 << first * leaf_count + size for first, size in key), len(orbit)))
-    return out
-
-
 _B_SINGLE_CACHE = {}
 
 #: optional callable(done, total) reporting how many of the dihedral
@@ -362,7 +336,7 @@ def b_single_all(m, workers=1):
     check_weight(m)
     if m in _B_SINGLE_CACHE:
         return _B_SINGLE_CACHE[m]
-    orbits = _dihedral_orbits(2 * m + 3)
+    orbits = dihedral_orbits(2 * m + 3)
     norbits = len(orbits)
     processes = min(workers, os.cpu_count() or 1)
     chunk = norbits if processes <= 1 else max(1, (norbits + 8 * processes - 1) // (8 * processes))

@@ -4,11 +4,14 @@ A face of K^n is a planar tree with n+3 leaves in fixed counterclockwise
 order and internal vertices of valence >= 3; a tree with n-k internal
 edges is a k-face.  Trees are stored like ribbon graphs whose pairing is
 partial: leaves are unpaired half-edge labels 0..n+2, internal
-half-edges are labels >= n+3.  A face is encoded by its cut-interval
-set: the leaf intervals (lo, size), pairwise nested or disjoint, that
-its edges cut off on the side away from leaf 0.  `face_sets` lists the
-sets, `tree_from_intervals` builds a tree from one and `edge_intervals`
-reads it off a tree, edge by edge.
+half-edges are labels >= n+3.  A face is the set of leaf intervals
+(first, size), pairwise nested or disjoint, that its edges cut off on
+the side away from leaf 0, kept as one int, the face bitmask, with bit
+first * L + size for each (L the leaf count): bits run in interval order.
+Only `face_bit` and `face_intervals` encode and decode it.  `face_sets`
+lists the faces of K^n, `tree_from_face` builds a face's tree,
+`edge_bits` reads each edge's bit off a tree, and `dihedral_orbits`
+lists trivalent trees up to leaf rotations and reflections.
 
 A chain T_0 -> ... -> T_m is a simplex (seed, steps) that collapses one
 internal edge per step.  Signs follow the same Conant-Vogtmann
@@ -19,11 +22,11 @@ word for odd n, which in both cases is the reference ordering.
 Every region fact of a tree comes from one table, `branch_intervals`:
 region j is the gap between leaf j and leaf j+1, the corner after a
 half-edge lies in the region closing off its branch, and `one_sided` of
-either half-edge's interval is its edge's cut interval
-(`edge_intervals`).  A face's vertices, edges and regions are read off
-its cut-interval bitmask (`face_layout`), and one region sign rule on
-that layout, `region_sign`, gives chain signs from the corner regions,
-for seeds with one big vertex and for maximal chains alike.
+either half-edge's interval is its edge's cut interval (`edge_bits`).
+A face's vertices, edges and regions are read off its bitmask
+(`face_layout`), and one region sign rule on that layout,
+`region_sign`, gives chain signs from the corner regions, for seeds with
+one big vertex and for maximal chains alike.
 """
 
 import math
@@ -142,6 +145,21 @@ def one_sided(first, size, leaf_count):
     return first, size
 
 
+def face_bit(first, size, leaf_count):
+    """The bit of the cut interval (first, size) in a face bitmask."""
+    return 1 << first * leaf_count + size
+
+
+def face_intervals(face, leaf_count):
+    """[(bit, (first, size))] for the bits of a face, in interval order."""
+    out = []
+    while face:
+        bit = face & -face
+        face ^= bit
+        out.append((bit, divmod(bit.bit_length() - 1, leaf_count)))
+    return out
+
+
 def paint_leaves(intervals, leaf_count):
     """The innermost vertex holding each leaf, and the (parent, child)
     vertices of each edge, of the face whose edges cut off `intervals`:
@@ -158,41 +176,34 @@ def paint_leaves(intervals, leaf_count):
 
 
 def face_layout(face, leaf_count):
-    """A face's edge bits in interval order, the (parent, child) vertices
-    of each edge, and each vertex's region and incident-edge masks, read
-    off the face bitmask, bit lo * leaf_count + size for each cut interval
-    (lo, size).  Edge i cuts off the leaves lo..lo+size-1 away from leaf
-    0; vertex 0 holds leaf 0 and vertex i+1 lies below edge i
-    (`paint_leaves`).  The corner after a half-edge lies in the region
-    closing off its branch: the parent gets region lo+size-1, the child
-    region lo - 1, and leaf j gives region j to the innermost vertex that
-    holds it."""
-    codes, intervals = [], []
-    rest = face
-    while rest:
-        code = rest & -rest
-        rest ^= code
-        codes.append(code)
-        intervals.append(divmod(code.bit_length() - 1, leaf_count))
-    holder, ends = paint_leaves(intervals, leaf_count)
-    masks = [0] * (len(intervals) + 1)
-    incident = [0] * (len(intervals) + 1)
+    """A face's edge bits in interval order, the (parent, child) vertices of
+    each edge, and each vertex's region and incident-edge masks.  Edge i
+    cuts off the leaves lo..lo+size-1 away from leaf 0; vertex 0 holds
+    leaf 0 and vertex i+1 lies below edge i (`paint_leaves`).  The corner
+    after a half-edge lies in the region closing off its branch: the parent
+    gets region lo+size-1, the child region lo - 1, and leaf j gives region
+    j to the innermost vertex that holds it."""
+    pairs = face_intervals(face, leaf_count)
+    holder, ends = paint_leaves([iv for _, iv in pairs], leaf_count)
+    masks = [0] * (len(pairs) + 1)
+    incident = [0] * (len(pairs) + 1)
     for j, v in enumerate(holder):
         masks[v] |= 1 << j
-    for i, ((lo, size), (parent, child)) in enumerate(zip(intervals, ends)):
+    for i, ((_, (lo, size)), (parent, child)) in enumerate(zip(pairs, ends)):
         masks[parent] |= 1 << (lo + size - 1)
         masks[child] |= 1 << (lo - 1)
         incident[parent] |= 1 << i
         incident[child] |= 1 << i
-    return codes, ends, masks, incident
+    return [code for code, _ in pairs], ends, masks, incident
 
 
-def tree_from_intervals(leaf_count, intervals):
-    """The planar tree of a cut-interval set, unchecked.  Edge r in
-    preorder from leaf 0, by (lo, -size), is (L + 2r, L + 2r + 1) with
-    L + 2r at the parent; a vertex lists the half-edge towards leaf 0,
-    then its branches in leaf order."""
-    intervals = sorted(intervals, key=lambda iv: (iv[0], -iv[1]))
+def tree_from_face(face, leaf_count):
+    """The planar tree of a face bitmask, unchecked.  Edge r in preorder
+    from leaf 0, by (lo, -size), is (L + 2r, L + 2r + 1) with L + 2r at
+    the parent; a vertex lists the half-edge towards leaf 0, then its
+    branches in leaf order."""
+    intervals = sorted((iv for _, iv in face_intervals(face, leaf_count)),
+                       key=lambda iv: (iv[0], -iv[1]))
     holder, ends = paint_leaves(intervals, leaf_count)
     branches = [[] for _ in range(len(intervals) + 1)]
     for leaf, v in enumerate(holder):
@@ -206,7 +217,7 @@ def tree_from_intervals(leaf_count, intervals):
 
 
 def face_sets(n, k):
-    """The k-faces of K^n as cut-interval sets, without building trees.
+    """The k-faces of K^n as face bitmasks, without building trees.
 
     From leaf 0, the branches below a vertex hold two or more runs of
     consecutive leaves, and a run of s >= 2 leaves is an edge holding 1
@@ -229,7 +240,7 @@ def face_sets(n, k):
                 # leaf, and the rest, hi-end leaves, at most hi-end-1
                 size = end - lo + 1
                 for used in range(max(size > 1, edges - (hi - end - 1)), min(size - 1, edges) + 1):
-                    out += [head + tail for head in branch(lo, end, used)
+                    out += [head | tail for head in branch(lo, end, used)
                             for tail in runs(end + 1, hi, edges - used, True)]
             if whole:
                 out += branch(lo, hi, edges)
@@ -239,21 +250,43 @@ def face_sets(n, k):
     def branch(lo, hi, edges):
         # a leaf, or an edge cutting off lo..hi with a vertex below it
         if lo == hi:
-            return [()]
-        return [((lo, hi - lo + 1),) + below for below in runs(lo, hi, edges - 1, False)]
+            return [0]
+        bit = face_bit(lo, hi - lo + 1, n + 3)
+        return [bit | below for below in runs(lo, hi, edges - 1, False)]
 
-    return [frozenset(s) for s in runs(1, n + 2, n - k, False)]
+    return runs(1, n + 2, n - k, False)
 
 
 def enumerate_faces(n, k):
     """All k-faces of K^n: trees with n+3 leaves and n-k internal edges."""
-    return [tree_from_intervals(n + 3, s) for s in face_sets(n, k)]
+    return [tree_from_face(face, n + 3) for face in face_sets(n, k)]
 
 
 def enumerate_trivalent_trees(leaf_count):
     """All trivalent planar trees with the given leaves, Catalan-many: the
     vertices of K^(leaf_count - 3)."""
     return enumerate_faces(leaf_count - 3, 0)
+
+
+def dihedral_orbits(leaf_count):
+    """Trivalent trees up to leaf rotations and reflections, as [(top
+    face, orbit size)], an orbit's top face its first in `face_sets`
+    order.  A rotation moves every cut interval one leaf on, and the
+    reflection i -> -i maps (first, size) to (-(first + size - 1), size),
+    each image taken away from leaf 0."""
+    seen = set()
+    out = []
+    for face in face_sets(leaf_count - 3, 0):
+        if face in seen:
+            continue
+        intervals = [iv for _, iv in face_intervals(face, leaf_count)]
+        mirror = [(-(first + size - 1), size) for first, size in intervals]
+        orbit = {sum(face_bit(*one_sided(first + r, size, leaf_count), leaf_count)
+                     for first, size in ivs)
+                 for ivs in (intervals, mirror) for r in range(leaf_count)}
+        seen |= orbit
+        out.append((face, len(orbit)))
+    return out
 
 
 def face_count(n, k):
@@ -309,12 +342,11 @@ def branch_intervals(tree):
             for h in met}
 
 
-def edge_intervals(tree):
-    """{internal edge: the leaf interval (first leaf, length) it cuts off
-    on the side away from leaf 0}.  The intervals determine the tree, so
-    their set encodes its face (`tree_from_intervals` inverts)."""
+def edge_bits(tree):
+    """{internal edge: its bit, for the interval it cuts off away from leaf
+    0}; the bits sum to the tree's face bitmask (`tree_from_face` inverts)."""
     intervals, L = branch_intervals(tree), tree.leaf_count
-    return {(x, y): one_sided(*intervals[x], L) for x, y in tree.internal_edges()}
+    return {(x, y): face_bit(*one_sided(*intervals[x], L), L) for x, y in tree.internal_edges()}
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +373,7 @@ def region_sign(face, order, v0, leaf_count):
     x, the parity of (seen >> x).bit_count().
     """
     codes, ends, masks, _ = face_layout(face, leaf_count)
-    intervals = {code: (i, divmod(code.bit_length() - 1, leaf_count))
-                 for i, code in enumerate(codes)}
+    intervals = {code: (i, iv) for i, (code, iv) in enumerate(face_intervals(face, leaf_count))}
     above = intervals[codes[v0 - 1]][1] if v0 else None
     seen, parity = masks[v0], len(order) // 2
     for code in order:
@@ -361,13 +392,13 @@ def region_sign(face, order, v0, leaf_count):
 
 def _chain_key(seed, steps):
     """The faces along a chain (seed, steps), each the seed collapsed by
-    the steps before it, keyed by its cut-interval set: a collapse keeps the
+    the steps before it, keyed by its face bitmask: a collapse keeps the
     branch through every half-edge it leaves, so each key is the seed's
-    minus the intervals of the edges collapsed so far."""
-    intervals = edge_intervals(seed)
-    key = [frozenset(intervals.values())]
+    without the bits of the edges collapsed so far."""
+    bits = edge_bits(seed)
+    key = [sum(bits.values())]
     for step in steps:
-        key.append(key[-1] - {intervals[e] for e in step})
+        key.append(key[-1] & ~sum(bits[e] for e in step))
     return tuple(key)
 
 

@@ -47,9 +47,9 @@ from fatcomplex.trees import (
     PlanarTree,
     _chain_key,
     branch_intervals,
-    edge_intervals,
     face_layout,
     maximal_chains,
+    one_sided,
 )
 
 
@@ -484,9 +484,18 @@ def corolla(n):
 
 
 def cut_intervals(tree):
-    """A tree's cut-interval set, the value set of `edge_intervals`; the
-    scan keeps faces as bitmasks and builds no tree to read it off."""
-    return frozenset(edge_intervals(tree).values())
+    """A tree's cut-interval set: for each internal edge, the leaves
+    (first, size) that either half-edge's branch holds, taken on the side
+    away from leaf 0."""
+    intervals, L = branch_intervals(tree), tree.leaf_count
+    return frozenset(one_sided(*intervals[x], L) for x, _ in tree.internal_edges())
+
+
+def face_bits(tree):
+    """A tree's face bitmask, bit first * L + size for each cut interval
+    (first, size), encoded here apart from `trees`."""
+    L = tree.leaf_count
+    return sum(1 << first * L + size for first, size in cut_intervals(tree))
 
 
 def corner_regions(tree):

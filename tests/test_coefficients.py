@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -33,6 +34,7 @@ from fatcomplex.ribbon import word_parity
 from fatcomplex.trees import (
     PlanarTree,
     branch_intervals,
+    dihedral_orbits,
     enumerate_trivalent_trees,
     face_count,
     face_layout,
@@ -43,6 +45,7 @@ from fatcomplex.trees import (
 from reference import (
     cup_product,
     cut_intervals,
+    face_bits,
     reference_faces,
     reference_trivalent_trees,
     reference_windows,
@@ -65,12 +68,6 @@ def rotate_leaves(tree):
     cycles = [tuple(x if x in tree.pairing else (x + 1) % L for x in c)
               for c in tree.vertices]
     return PlanarTree(L, cycles, tree.internal_edges())
-
-
-def face_bits(tree):
-    """The bitmask of a tree's cut-interval set, bit first * L + size."""
-    L = tree.leaf_count
-    return sum(1 << first * L + size for first, size in cut_intervals(tree))
 
 
 def scan_face(face, m):
@@ -198,14 +195,31 @@ def test_rotation_orbits_partition_the_seed_trees():
 def test_dihedral_orbits_partition_the_seed_trees():
     # the orbits `b_single_all` scans; the orbit sizes sum to Catalan(leaves - 2)
     for leaves, count, sizes, seeds in ((5, 1, {5}, 5), (7, 4, {7, 14}, 42),
-                                        (9, 27, {6, 9, 18}, 429), (11, 228, {11, 22}, 4862)):
-        orbits = coefficients._dihedral_orbits(leaves)
+                                        (9, 27, {6, 9, 18}, 429), (11, 228, {11, 22}, 4862),
+                                        (13, 2282, {13, 26}, 58786)):
+        orbits = dihedral_orbits(leaves)
         assert len(orbits) == count
         assert {size for _, size in orbits} == sizes
         assert sum(size for _, size in orbits) == seeds
+        if leaves == 13:
+            # counts only: the reference listing is too slow at 13 leaves
+            assert [size for _, size in orbits].count(13) == 42
+            continue
         # the same representatives, as top faces, in the same order
         assert orbits == [(face_bits(seed), size)
                           for seed, size in _reference_dihedral_orbits(leaves)]
+
+
+def test_dihedral_orbits_keep_little_in_memory():
+    # faces are ints: listing the 4862 trees with 11 leaves peaks below
+    # 4 MiB, where a frozenset of interval tuples per face took 10 MiB
+    tracemalloc.start()
+    try:
+        dihedral_orbits(11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_per_seed_sums_agree_across_rotation_orbits_k2_k4():
@@ -425,7 +439,7 @@ def test_pruned_scan_matches_reference_on_k6_orbits():
     assert len(orbits) == 49
     # the first seed of a dihedral orbit is the first of its rotation orbit
     reps = [face_bits(rep) for rep, _ in orbits]
-    assert all(rep in reps for rep, _ in coefficients._dihedral_orbits(9))
+    assert all(rep in reps for rep, _ in dihedral_orbits(9))
     totals = dict.fromkeys(compositions_of(3), 0)
     for rep, size in orbits:
         want = _reference_scan_seed(rep, 3)
@@ -439,7 +453,7 @@ def test_pruned_scan_matches_reference_on_k6_orbits():
 
 
 def test_pruned_scan_matches_reference_on_k8_orbits():
-    orbits = coefficients._dihedral_orbits(11)
+    orbits = dihedral_orbits(11)
     seeds = {face_bits(t): t for t in enumerate_trivalent_trees(11)}
     nonzero = 0
     for i in (0, 100, 227):
@@ -464,9 +478,8 @@ def test_windows_match_the_walk_on_every_face_of_k2_to_k6():
         L = n + 3
         pairs, counts = 0, [0, 0]
         for j in range(n + 1):
-            for key in face_sets(n, j):
-                face = sum(1 << first * L + size for first, size in key)
-                for k in range(1, len(key) // 2 + 1):
+            for face in face_sets(n, j):
+                for k in range(1, face.bit_count() // 2 + 1):
                     for i, count in enumerate(_assert_windows_match_the_walk(face, k, L)):
                         counts[i] += count
                     pairs += 1
@@ -478,7 +491,7 @@ def test_windows_match_the_walk_on_every_face_of_k2_to_k6():
 
 def test_windows_match_the_walk_on_the_faces_of_three_k8_seeds():
     L = 11
-    orbits = coefficients._dihedral_orbits(L)
+    orbits = dihedral_orbits(L)
     for i in (0, 100, 227):
         codes = face_layout(orbits[i][0], L)[0]
         for sub in range(1 << len(codes)):
@@ -524,8 +537,8 @@ def test_face_layout_matches_the_tree_of_every_face_of_k1_to_k6():
 def test_shard_scan_is_the_sum_of_its_seed_scans():
     # seeds of one shard share their window sums by face, whatever seed
     # reaches a face first
-    k8 = coefficients._dihedral_orbits(11)
-    k6 = coefficients._dihedral_orbits(9)
+    k8 = dihedral_orbits(11)
+    k6 = dihedral_orbits(9)
     for m, orbits in ((3, k6), (3, k6[::-1]),
                       (4, [k8[i] for i in (0, 1, 2, 3, 100, 227)])):
         want = dict.fromkeys(compositions_of(m), 0)
@@ -714,7 +727,7 @@ def test_out_of_range(monkeypatch):
     def no_scan(leaf_count):
         raise AssertionError("scanned K^%d out of range" % (leaf_count - 3))
 
-    monkeypatch.setattr(coefficients, "_dihedral_orbits", no_scan)
+    monkeypatch.setattr(coefficients, "dihedral_orbits", no_scan)
     with pytest.raises(OutOfComputedRange):
         b_matrix(5)
     with pytest.raises(OutOfComputedRange):

@@ -4,7 +4,6 @@ from itertools import permutations
 import pytest
 
 from fatcomplex import trees
-from fatcomplex.checks import _edge_codes
 from fatcomplex.linalg import sparse_product, sparse_rank
 from fatcomplex.graph_complex import forest_complex
 from fatcomplex.ribbon import (
@@ -18,7 +17,7 @@ from fatcomplex.ribbon import (
 from fatcomplex.trees import (
     PlanarTree,
     dual_cell_boundary_check,
-    edge_intervals,
+    edge_bits,
     enumerate_faces,
     enumerate_trivalent_trees,
     face_count,
@@ -26,14 +25,14 @@ from fatcomplex.trees import (
     face_sets,
     maximal_chains,
     region_sign,
-    tree_from_intervals,
+    tree_from_face,
 )
 from reference import (
     ConfigurationMismatch,
     corner_regions,
     corolla,
-    cut_intervals,
     dual_cell,
+    face_bits,
     lemma_region_sign,
     reference_faces,
     reference_trivalent_trees,
@@ -104,24 +103,27 @@ def _checked(tree):
 
 def test_trees_are_valid_and_deduplicated():
     # every face of K^0..K^6 and every trivalent tree with 9 and 11
-    # leaves: a valid tree that keys back to its set, and the sets are the
-    # reference generator's faces, each once
+    # leaves: a valid tree whose bitmask and edge bits give back its face,
+    # and the faces are the reference generator's, each once
     for n in range(7):
         for k in range(n + 1):
-            sets = trees.face_sets(n, k)
-            assert len(set(sets)) == len(sets)
+            faces = trees.face_sets(n, k)
+            assert len(set(faces)) == len(faces)
             reference = reference_faces(n, k)
-            assert {cut_intervals(t) for t in reference} == set(sets)
+            assert {face_bits(t) for t in reference} == set(faces)
             literals = {t.literal() for t in reference}
-            built = [_checked(trees.tree_from_intervals(n + 3, s)) for s in sets]
-            for s, tree in zip(sets, built):
-                assert cut_intervals(tree) == s
+            built = [_checked(tree_from_face(face, n + 3)) for face in faces]
+            for face, tree in zip(faces, built):
+                assert face_bits(tree) == face
+                # one bit per edge: two equal bits would carry, leaving
+                # the sum fewer bits than the face has
+                assert sum(edge_bits(tree).values()) == face
                 assert tree.literal() in literals
-            assert len({t.canonical().literal() for t in built}) == len(sets)
+            assert len({t.canonical().literal() for t in built}) == len(faces)
     for leaves in (9, 11):
         built = enumerate_trivalent_trees(leaves)
         assert [_checked(t) for t in built] == reference_trivalent_trees(leaves)
-        assert [cut_intervals(t) for t in built] == trees.face_sets(leaves - 3, 0)
+        assert [face_bits(t) for t in built] == trees.face_sets(leaves - 3, 0)
 
 
 def test_enumerators_reject_bad_input():
@@ -463,11 +465,10 @@ def test_region_sign_gives_the_scan_seed_sign_on_k2_to_k8():
     count = 0
     for n in (2, 4, 6, 8):
         L = n + 3
-        for key in face_sets(n, 0):
-            face = sum(1 << first * L + size for first, size in key)
-            seed = tree_from_intervals(L, key)
-            intervals = edge_intervals(seed)
-            order = sorted(seed.internal_edges(), key=intervals.get)
+        for face in face_sets(n, 0):
+            seed = tree_from_face(face, L)
+            bits = edge_bits(seed)
+            order = sorted(seed.internal_edges(), key=bits.get)
             assert region_sign(face, face_layout(face, L)[0], 1, L) == order_sign(seed, order)
             count += 1
     assert count == 5 + 42 + 429 + 4862
@@ -481,7 +482,7 @@ def test_region_sign_at_either_end_of_e1_on_every_maximal_chain_of_k2_k4():
         chains = maximal_chains(n)
         assert len(chains) == count
         for (seed, steps), sign in chains:
-            face, code = _edge_codes(seed)
+            face, code = face_bits(seed), edge_bits(seed)
             edges = [e for (e,) in steps]
             order = [code[e] for e in edges]
             codes, ends, _, _ = face_layout(face, L)
@@ -499,7 +500,7 @@ def test_region_sign_matches_the_tree_rule_at_a_big_vertex():
                  if sorted(len(c) for c in t.vertices) == [3, 3, valence]]
         assert seeds
         for seed in seeds:
-            face, code = _edge_codes(seed)
+            face, code = face_bits(seed), edge_bits(seed)
             masks = face_layout(face, seed.leaf_count)[2]
             big = [v for v, mask in enumerate(masks) if mask.bit_count() == valence]
             assert len(big) == 1
