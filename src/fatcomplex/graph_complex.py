@@ -9,27 +9,30 @@ admitting an orientation-reversing automorphism are identically zero
 and never stored.
 
 Every boundary comes from `boundary_matrix`, as a sparse integer matrix
-on classes or, for the forest complex, on objects over a base.  A
-`ClassCorpus` grows the classes within a half-edge bound and keeps the
-boundary column of each, so the checks that share a corpus build each
-column once.  The forest complex keeps only its matrices.  Its d.d
+on classes or, for the forest complex, on objects over a base.  It keys
+each single-vertex expansion from its position tables, with no graph
+built per term.  A `ClassCorpus` grows the classes within a half-edge
+bound, keying one one-vertex map per class, and keeps the boundary
+column of each, so the checks that share a corpus build each column
+once.  The forest complex keeps only its matrices.  Its d.d
 check is an exact sparse product, and its acyclicity check compares
 exact integer ranks (`linalg.sparse_rank`).
 """
 
 import math
 from fractions import Fraction
+from functools import partial
 
 from fatcomplex.coefficients import normalize_partition
 from fatcomplex.linalg import sparse_product, sparse_rank
 from fatcomplex.ribbon import (
     GraphError,
     OrientedRibbonGraph,
-    RibbonGraph,
     canonical_oriented,
-    canonical_over,
-    enumerate_expansions,
     graph_from_key,
+    key_over,
+    oriented_key,
+    vertex_expansions,
 )
 from fatcomplex.trees import face_count
 
@@ -66,11 +69,12 @@ class GraphChain:
         return "GraphChain(%d terms, grading=%r)" % (len(self.terms), self.grading)
 
 
-def boundary_matrix(columns, canon=canonical_oriented):
+def boundary_matrix(columns, canon=oriented_key):
     """The boundary on the oriented graphs `columns`, as a sparse integer
     matrix: one term per single-vertex expansion of each column, taken as
-    given, keyed by `canon(expanded)` -> (key, sign), where sign None
-    marks a zero class.
+    given, keyed from its position tables (`ribbon.vertex_expansions`) by
+    `canon(vertices, succ, mate, sign)` -> (key, sign), where sign None
+    marks a zero class.  No expansion is built as a graph.
 
     Returns (rows, matrix): the sorted keys of every class hit, zero
     classes included, and {(row, col): value} over their positions,
@@ -79,14 +83,11 @@ def boundary_matrix(columns, canon=canonical_oriented):
     found = {}
     entries = {}
     for col, og in enumerate(columns):
-        for cycle in og.graph.vertices:
-            if len(cycle) < 4:
-                continue
-            for expanded, _ in enumerate_expansions(og, cycle):
-                key, sign = canon(expanded)
-                row = found.setdefault(key, len(found))
-                if sign is not None:
-                    entries[row, col] = entries.get((row, col), 0) + sign
+        for tables in vertex_expansions(og):
+            key, sign = canon(*tables)
+            row = found.setdefault(key, len(found))
+            if sign is not None:
+                entries[row, col] = entries.get((row, col), 0) + sign
     rows = sorted(found)
     position = {found[key]: r for r, key in enumerate(rows)}
     return rows, {(position[r], c): v for (r, c), v in entries.items() if v}
@@ -177,6 +178,19 @@ def _matchings(items):
             yield [(a, b)] + sub
 
 
+def _rotation_classes(total):
+    """The pairings of 0..total-1, as lists of mates, whose chord gaps
+    (mate(h) - h) mod total are least among their rotations."""
+    for pairs in _matchings(list(range(total))):
+        mate = [0] * total
+        for a, b in pairs:
+            mate[a] = b
+            mate[b] = a
+        gaps = [(m - h) % total for h, m in enumerate(mate)]
+        if not any(gaps[s:] + gaps[:s] < gaps for s in range(1, total)):
+            yield mate
+
+
 class ClassCorpus:
     """Every class within a half-edge bound, each with a nonzero flag and
     its oriented boundary column, built at most once.  `keys` lists the
@@ -191,7 +205,12 @@ class ClassCorpus:
     p + q - 2 >= 4, and the graph is the expansion of the merged vertex
     into blocks of sizes p - 1 >= 2 and q - 1 >= 2.  Every
     fixed-point-free pairing of one cycle of at least 4 labels is a
-    valid connected graph, so the one-vertex maps are built unchecked.
+    valid connected graph, so the one-vertex maps are keyed from their
+    position tables unchecked.  Their classes are their rotation classes:
+    a rotation h -> h + s mod H is an isomorphism, and every isomorphism
+    commutes with the cycle, so is a rotation.  A rotation rotates the
+    chord gaps (mate(h) - h) mod H, which determine the map, so only the
+    one map per class with the least gaps among their rotations is keyed.
 
     The expansions are the rows of `boundary_matrix` on the classes with
     H - 2 half-edges, zero classes included, so one keying pass grows
@@ -211,22 +230,18 @@ class ClassCorpus:
         found = []
         level = []
         for total in range(4, max_half_edges + 1, 2):
-            labels = tuple(range(total))
+            cycle = tuple(range(total))
+            succ = list(cycle[1:]) + [0]
             hit = set(self._build(level))
-            for pairs in _matchings(list(labels)):
-                pairing = {}
-                for a, b in pairs:
-                    pairing[a] = b
-                    pairing[b] = a
-                graph = RibbonGraph._trusted((labels,), pairing, labels)
-                hit.add(self._key(OrientedRibbonGraph(graph, 1))[0])
+            for mate in _rotation_classes(total):
+                hit.add(self._key([cycle], succ, mate, 1)[0])
             level = sorted(hit)
             found += level
         self.keys = sorted(found)
 
-    def _key(self, og):
-        """`canonical_oriented`, noting whether the class is zero."""
-        key, sign = canonical_oriented(og)
+    def _key(self, vertices, succ, mate, sign):
+        """`oriented_key`, noting whether the class is zero."""
+        key, sign = oriented_key(vertices, succ, mate, sign)
         self._nonzero[key] = sign is not None
         return key, sign
 
@@ -257,7 +272,8 @@ class ClassCorpus:
         """Whether <key> is not zero, that is, whether the class has no
         orientation-reversing automorphism."""
         if key not in self._nonzero:
-            self._key(OrientedRibbonGraph(graph_from_key(key), 1))
+            og = OrientedRibbonGraph(graph_from_key(key), 1)
+            self._nonzero[key] = canonical_oriented(og)[1] is not None
         return self._nonzero[key]
 
     def columns(self, keys):
@@ -321,13 +337,10 @@ class ForestComplex:
         # over its own labels, the base is its own key
         self.levels[n] = [base.literal()]
         self.matrices = [None] * (n + 1)
-
-        def over_base(og):
-            return canonical_over(self.base_labels, og.graph.vertices, og.graph.pairing, og.sign)
-
         for k in range(n, 0, -1):
             columns = [OrientedRibbonGraph(graph_from_key(key), 1) for key in self.levels[k]]
-            self.levels[k - 1], self.matrices[k] = boundary_matrix(columns, over_base)
+            self.levels[k - 1], self.matrices[k] = boundary_matrix(
+                columns, partial(key_over, base.half_edges))
 
     def ranks(self):
         return [len(level) for level in self.levels]

@@ -29,8 +29,6 @@ induced sign) also drives planar trees, where some half-edges are
 unpaired leaves.
 """
 
-from itertools import combinations
-
 
 class GraphError(ValueError):
     pass
@@ -57,14 +55,6 @@ class DanglingHalfEdge(GraphError):
 
 
 class LoopCollapse(GraphError):
-    pass
-
-
-class VertexTooSmall(GraphError):
-    pass
-
-
-class BadSplit(GraphError):
     pass
 
 
@@ -457,14 +447,6 @@ def _position_tables(cycles, pairing, labels):
     return index, cycles, succ, [index[pairing.get(h, h)] for h in labels]
 
 
-def _index_tables(cycles, pairing):
-    """The sorted labels of `cycles`, the position of each label, and
-    sigma and the pairing over positions (`_position_tables`)."""
-    labels = sorted(x for c in cycles for x in c)
-    index, _, succ, mate = _position_tables(cycles, pairing, labels)
-    return labels, index, succ, mate
-
-
 def _traverse(succ, mate, root):
     """Positions labelled 0..H-1 from `root`: each position, in label
     order, labels its sigma-successor and then its mate if they have no
@@ -484,6 +466,21 @@ def _traverse(succ, mate, root):
     return order, label
 
 
+def _key_over(final, fresh, vertices, succ, mate, root):
+    """The key over the positions whose labels `final` already holds,
+    with None at the others: those get the labels fresh, fresh + 1, ...
+    in the order the `_traverse` walk from `root` reaches them, written
+    into `final`.  Returns the relabeled normalized cycles and the sorted
+    (min, max) pairs; a leaf is its own mate and forms no pair."""
+    for i in _traverse(succ, mate, root)[0]:
+        if final[i] is None:
+            final[i] = fresh
+            fresh += 1
+    cycles = _normalize_cycles([tuple([final[h] for h in c]) for c in vertices])
+    return cycles, tuple(sorted((final[h], final[m]) for h, m in enumerate(mate)
+                                if final[h] < final[m]))
+
+
 def canonical_key_over(fixed, cycles, pairing):
     """Canonical key of an object over the half-edges `fixed`, which keep
     their labels, and the relabeling that gives it.
@@ -494,48 +491,42 @@ def canonical_key_over(fixed, cycles, pairing):
     Returns ((cycles, pairs), relabeling): the relabeled normalized
     cycles, the sorted (min, max) pairs, and the map old -> new label.
     """
-    labels, index, succ, mate = _index_tables(cycles, pairing)
-    order, _ = _traverse(succ, mate, index[min(fixed)])
-    fresh = max(fixed) + 1
-    final = {}
-    for i in order:
-        h = labels[i]
-        if h in fixed:
-            final[h] = h
-        else:
-            final[h] = fresh
-            fresh += 1
-    new_cycles = _normalize_cycles([tuple(final[x] for x in c) for c in cycles])
-    pairs = tuple(sorted((final[a], final[b]) for a, b in pairing.items()
-                         if final[a] < final[b]))
-    return (new_cycles, pairs), final
+    labels = sorted(x for c in cycles for x in c)
+    index, vertices, succ, mate = _position_tables(cycles, pairing, labels)
+    final = [h if h in fixed else None for h in labels]
+    key = _key_over(final, max(fixed) + 1, vertices, succ, mate, index[min(fixed)])
+    return key, dict(zip(labels, final))
 
 
-def canonical_over(fixed, cycles, pairing, sign):
-    """`canonical_key_over` for an oriented object: returns (key, sign)
-    with `sign` transported along the relabeling."""
-    key, final = canonical_key_over(fixed, cycles, pairing)
-    return key, sign * _transport_sign(cycles, final)
+def key_over(fixed, vertices, succ, mate, sign):
+    """`canonical_key_over` from position tables whose first positions
+    are the sorted labels `fixed` and whose others lie above them, as in
+    every object over a base, with `sign` transported along the
+    relabeling: returns (key, sign).  The walk starts at position 0 and
+    the relabeling is a list over positions."""
+    final = list(fixed) + [None] * (len(succ) - len(fixed))
+    key = _key_over(final, fixed[-1] + 1, vertices, succ, mate, 0)
+    return key, sign * _transport_sign(vertices, final)
 
 
-def _least_code(g):
-    """The key of `g` from the root with the least walk code; in root
+def _least_code(succ, mate):
+    """The key of the map with sigma `succ` and pairing `mate` over
+    positions from the root with the least walk code, and, in root
     order, (order, label) for every root that ties with it (one per
-    automorphism); and `g`'s vertex cycles over positions, the domain of
-    each `label`.
+    automorphism).
 
     Each root half-edge seeds the labelling of the `_traverse` walk,
     inlined here.  A root's code lists, for each h in walk order, the
     labels s of sigma(h) and m of its mate as one integer s * H + m, which
-    orders as the pair (s, m), emitted as soon as both are labelled.  Each element is compared there and then with the
-    same element of the best code so far (a plantri-style early abandon):
-    the root is dropped at the first larger element, and at the first
-    smaller one it becomes the best and walks on without comparing.  The
-    first element is (1, 1) at a root whose mate is its sigma-successor
-    and (1, 2) at any other, so when such roots exist the others are
-    dropped before their walk starts.  A code determines its labelled
-    graph, so roots tie exactly when their relabelings give the same
-    literal.
+    orders as the pair (s, m), emitted as soon as both are labelled.  Each
+    element is compared there and then with the same element of the best
+    code so far (a plantri-style early abandon): the root is dropped at
+    the first larger element, and at the first smaller one it becomes the
+    best and walks on without comparing.  The first element is (1, 1) at
+    a root whose mate is its sigma-successor and (1, 2) at any other, so
+    when such roots exist the others are dropped before their walk
+    starts.  A code determines its labelled graph, so roots tie exactly
+    when their relabelings give the same literal.
 
     The key is built once, from the first tied root.  The walk reaches
     every vertex first at one half-edge, which therefore carries the
@@ -544,7 +535,6 @@ def _least_code(g):
     from their entry half-edges, in the order of entry, and the sorted
     edge pairs are read off the labels in increasing order.
     """
-    _, vertices, succ, mate = _position_tables(g.vertices, g.pairing, g.half_edges)
     n = len(succ)
     best = None
     ties = []
@@ -598,7 +588,7 @@ def _least_code(g):
                 x = succ[x]
             cycles.append(tuple(cycle))
     pairs = tuple([(i, label[mate[h]]) for i, h in enumerate(order) if label[mate[h]] > i])
-    return (tuple(cycles), pairs), ties, vertices
+    return (tuple(cycles), pairs), ties
 
 
 def canonical_form(g):
@@ -606,23 +596,33 @@ def canonical_form(g):
     relabelings achieving it (one per automorphism), in the order of
     their roots: `_least_code` with each tied root's order as a map
     old -> new label."""
-    lit, ties, _ = _least_code(g)
+    _, _, succ, mate = _position_tables(g.vertices, g.pairing, g.half_edges)
+    lit, ties = _least_code(succ, mate)
     labels = g.half_edges
     return lit, [{labels[h]: i for i, h in enumerate(order)} for order, _ in ties]
 
 
-def canonical_oriented(og):
-    """Canonical key of an oriented isomorphism class.
+def oriented_key(vertices, succ, mate, sign):
+    """Canonical key of the oriented class with position tables
+    `vertices` (in reference order), `succ` and `mate` and orientation
+    `sign`.
 
     Returns (literal, sign), with sign None when the class carries an
     orientation-reversing automorphism (so <Gamma> = 0).  The sign of
     each tied root is `_transport_sign` along its labels.
     """
-    lit, ties, vertices = _least_code(og.graph)
+    lit, ties = _least_code(succ, mate)
     signs = {_transport_sign(vertices, label) for _, label in ties}
     if len(signs) == 2:
         return lit, None
-    return lit, og.sign * signs.pop()
+    return lit, sign * signs.pop()
+
+
+def canonical_oriented(og):
+    """`oriented_key` of an oriented graph."""
+    g = og.graph
+    _, vertices, succ, mate = _position_tables(g.vertices, g.pairing, g.half_edges)
+    return oriented_key(vertices, succ, mate, og.sign)
 
 
 def graph_from_key(lit):
@@ -642,19 +642,21 @@ def graph_from_key(lit):
 # vertex expansions
 # ---------------------------------------------------------------------------
 
-def expand_vertex(og, cycle, split):
-    """Split one vertex into two joined by a fresh edge.
+def vertex_expansions(og):
+    """Every single-vertex expansion of `og`, with the unique orientation
+    that collapses back to `og`, as position tables (vertices, succ,
+    mate, sign): the cycles in reference order, and sigma and the
+    pairing as lists.  The tables of `og` are built once, and its
+    expansions share one `mate` list.
 
-    `split` is a pair of cut positions (i, j) in the cyclic order; the
-    blocks cycle[i:j] and cycle[j:]+cycle[:i] become the new vertices,
-    each of size >= 2, and they get the new half-edges top + 1 and
-    top + 2, with top the largest label.  The result carries the unique
-    orientation that collapses back to `og`.
-
-    The expanded graph is built without validation, because splitting a
-    vertex of a valid graph into blocks of size >= 2, each joined to a
-    fresh edge, keeps the labels distinct, the pairing an involution,
-    every valence >= 3 and the graph connected.
+    A vertex cycle c of valence p >= 4 splits at each pair of cut
+    positions 0 <= i < j < p, in that order, into the blocks c[i:j] and
+    c[j:] + c[:i] of size >= 2, joined by a fresh edge: (p^2 - 3p)/2
+    expansions.  With H half-edges the fresh ones are positions H, in
+    c[i:j], and H + 1, those of the labels top + 1 and top + 2 with top
+    the largest label, so positions keep label order.  The expansion of
+    a valid graph is valid: its labels are distinct, its pairing an
+    involution, every valence >= 3 and the graph connected.
 
     The sign is that of `collapse_oriented` on the new edge, counted as
     one parity.  Write the normalized cycle as c = A + X + B, where the
@@ -671,48 +673,33 @@ def expand_vertex(og, cycle, split):
     the |X| + 2 symbols of x's segment move past the `between` symbols
     of the vertices whose least label lies between c[0] and X[r].
     """
-    cycle = tuple(cycle)
-    p = len(cycle)
-    if p < 4:
-        raise VertexTooSmall("cannot expand a vertex of valence %d" % p)
-    i, j = split
-    if not (0 <= i < j < p):
-        raise BadSplit("cut positions must satisfy 0 <= i < j < valence")
-    if j - i < 2 or p - (j - i) < 2:
-        raise BadSplit("both blocks must have size >= 2")
     g = og.graph
-    if cycle not in g.vertices:
-        raise GraphError("%r is not a vertex cycle of the graph" % (cycle,))
-    top = g.half_edges[-1]
-    eminus, eplus = top + 1, top + 2
-    # cycle[0] is in the first block cycle[i:j] exactly when i == 0
-    a, b, hx, hy = (j, p, eplus, eminus) if i == 0 else (i, j, eminus, eplus)
-    block = cycle[a:b]
-    r = block.index(min(block))
-    x = block[r:] + (hx,) + block[:r]
-    y = cycle[:a] + (hy,) + cycle[b:]
-    vertices = tuple(sorted([c for c in g.vertices if c != cycle] + [x, y]))
-    pairing = dict(g.pairing)
-    pairing[eminus] = eplus
-    pairing[eplus] = eminus
-    expanded = RibbonGraph._trusted(vertices, pairing, g.half_edges + (eminus, eplus))
-
-    before = sum(len(c) + 1 for c in g.vertices if c[0] < cycle[0])
-    between = sum(len(c) + 1 for c in g.vertices if cycle[0] < c[0] < x[0])
-    size = b - a
-    moves = (3 * before + 3 + 3 * a + (2 + size) * (p - b) + (1 + r) * (size - r)
-             + (2 + size) * between)
-    return OrientedRibbonGraph(expanded, og.sign * (-1) ** moves), (eminus, eplus)
-
-
-def enumerate_expansions(og, cycle):
-    """All (p^2-3p)/2 expansions of one vertex, with induced orientations."""
-    cycle = tuple(cycle)
-    p = len(cycle)
-    out = []
-    for i, j in combinations(range(p), 2):
-        d = j - i
-        if d < 2 or p - d < 2:
-            continue
-        out.append(expand_vertex(og, cycle, (i, j)))
-    return out
+    _, vertices, succ, mate = _position_tables(g.vertices, g.pairing, g.half_edges)
+    vertices = list(vertices)
+    n = len(succ)
+    mate = mate + [n + 1, n]
+    before = 0
+    for k, c in enumerate(vertices):
+        p = len(c)
+        for i in range(p - 1):
+            for j in range(i + 2, min(p, i + p - 1)):
+                # c[0] is in the first block c[i:j] exactly when i == 0
+                a, b, hx, hy = (j, p, n + 1, n) if i == 0 else (i, j, n, n + 1)
+                block = c[a:b]
+                r = block.index(min(block))
+                x = block[r:] + (hx,) + block[:r]
+                m = k + 1
+                between = 0
+                while m < len(vertices) and vertices[m][0] < x[0]:
+                    between += len(vertices[m]) + 1
+                    m += 1
+                y = c[:a] + (hy,) + c[b:]
+                cycles = vertices[:k] + [y] + vertices[k + 1:m] + [x] + vertices[m:]
+                # y runs on from hy to c[b], x from hx to c[a]
+                sigma = succ + ([c[b % p], c[a]] if hy == n else [c[a], c[b % p]])
+                sigma[c[a - 1]], sigma[c[b - 1]] = hy, hx
+                size = b - a
+                moves = (3 * before + 3 + 3 * a + (2 + size) * (p - b) + (1 + r) * (size - r)
+                         + (2 + size) * between)
+                yield cycles, sigma, mate, -og.sign if moves & 1 else og.sign
+        before += p + 1

@@ -4,8 +4,9 @@ No command of `fatcomplex` reaches these.  Each is the slow, literal
 definition of what the library computes another way: the `K^{2m}` scan
 reads region masks for the cyclic-set cocycle on corner chains,
 `canonical_form` gives automorphisms, `collapse_steps` collapse signs,
-and `trees.region_sign` reads the region sign rule off a face bitmask
-instead of a tree.
+`trees.region_sign` reads the region sign rule off a face bitmask
+instead of a tree, and `boundary_matrix` keys expansions from position
+tables instead of building each as a graph.
 
 The cyclic-set cocycle: the basic datum is a chain of cyclically
 ordered finite sets C_0 -> C_1 -> ... -> C_2k joined by
@@ -19,7 +20,7 @@ tautological class.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from fatcomplex.coefficients import (
     _cocycle_constant,
@@ -33,8 +34,10 @@ from fatcomplex.ribbon import (
     OrientedRibbonGraph,
     RibbonGraph,
     _edge_list,
+    _transport_sign,
     _vsym,
     canonical_form,
+    canonical_key_over,
     canonical_oriented,
     collapse_cycles,
     collapse_oriented,
@@ -241,6 +244,82 @@ def corner_chain(cycles, pairing, steps, cycle):
     if any(len(s) != len(xs) for s, xs in zip(images, levels)):
         raise GraphError("corner monomorphism failed")
     return levels[-1], images
+
+
+# ---------------------------------------------------------------------------
+# vertex expansions built as graphs, and the label-level key over a base
+# ---------------------------------------------------------------------------
+
+class VertexTooSmall(GraphError):
+    pass
+
+
+class BadSplit(GraphError):
+    pass
+
+
+def expand_vertex(og, cycle, split):
+    """Split one vertex into two joined by a fresh edge.
+
+    `split` is a pair of cut positions (i, j) in the cyclic order; the
+    blocks cycle[i:j] and cycle[j:]+cycle[:i] become the new vertices,
+    each of size >= 2, and they get the new half-edges top + 1 and
+    top + 2, with top the largest label.  The result carries the unique
+    orientation that collapses back to `og`, with the sign derived in
+    `ribbon.vertex_expansions`.
+    """
+    cycle = tuple(cycle)
+    p = len(cycle)
+    if p < 4:
+        raise VertexTooSmall("cannot expand a vertex of valence %d" % p)
+    i, j = split
+    if not (0 <= i < j < p):
+        raise BadSplit("cut positions must satisfy 0 <= i < j < valence")
+    if j - i < 2 or p - (j - i) < 2:
+        raise BadSplit("both blocks must have size >= 2")
+    g = og.graph
+    if cycle not in g.vertices:
+        raise GraphError("%r is not a vertex cycle of the graph" % (cycle,))
+    top = g.half_edges[-1]
+    eminus, eplus = top + 1, top + 2
+    # cycle[0] is in the first block cycle[i:j] exactly when i == 0
+    a, b, hx, hy = (j, p, eplus, eminus) if i == 0 else (i, j, eminus, eplus)
+    block = cycle[a:b]
+    r = block.index(min(block))
+    x = block[r:] + (hx,) + block[:r]
+    y = cycle[:a] + (hy,) + cycle[b:]
+    vertices = tuple(sorted([c for c in g.vertices if c != cycle] + [x, y]))
+    pairing = dict(g.pairing)
+    pairing[eminus] = eplus
+    pairing[eplus] = eminus
+    expanded = RibbonGraph._trusted(vertices, pairing, g.half_edges + (eminus, eplus))
+
+    before = sum(len(c) + 1 for c in g.vertices if c[0] < cycle[0])
+    between = sum(len(c) + 1 for c in g.vertices if cycle[0] < c[0] < x[0])
+    size = b - a
+    moves = (3 * before + 3 + 3 * a + (2 + size) * (p - b) + (1 + r) * (size - r)
+             + (2 + size) * between)
+    return OrientedRibbonGraph(expanded, og.sign * (-1) ** moves), (eminus, eplus)
+
+
+def enumerate_expansions(og, cycle):
+    """All (p^2-3p)/2 expansions of one vertex, with induced orientations."""
+    cycle = tuple(cycle)
+    p = len(cycle)
+    out = []
+    for i, j in combinations(range(p), 2):
+        d = j - i
+        if d < 2 or p - d < 2:
+            continue
+        out.append(expand_vertex(og, cycle, (i, j)))
+    return out
+
+
+def canonical_over(fixed, cycles, pairing, sign):
+    """`canonical_key_over` for an oriented object: returns (key, sign)
+    with `sign` transported along the relabeling."""
+    key, final = canonical_key_over(fixed, cycles, pairing)
+    return key, sign * _transport_sign(cycles, final)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import pytest
 from fatcomplex.graph_complex import (
     ClassCorpus,
     _matchings,
+    _rotation_classes,
+    boundary_matrix,
     d_chain,
     d_integral,
     enumerate_graphs,
@@ -24,10 +26,17 @@ from fatcomplex.ribbon import (
     build_graph,
     canonical_form,
     canonical_oriented,
-    canonical_over,
     graph_from_key,
 )
-from reference import automorphisms, c_fat, chain_of, cup_product, dual_cell_simplices
+from reference import (
+    automorphisms,
+    c_fat,
+    canonical_over,
+    chain_of,
+    cup_product,
+    dual_cell_simplices,
+    enumerate_expansions,
+)
 from test_ribbon import has_orientation_reversing_automorphism, single_collapse_morphisms
 from test_trees import one_big_vertex_base
 
@@ -401,8 +410,6 @@ def test_sparse_rank_matches_fraction_reference():
 def reference_forest_levels(base):
     """`levels` and `matrices` of the forest complex over `base`, built by
     the first implementation's per-level expansion loop."""
-    from fatcomplex.ribbon import enumerate_expansions
-
     base_labels = set(base.half_edges)
     n = base.codimension
     key, _ = canonical_over(base_labels, base.vertices, base.pairing, 1)
@@ -438,6 +445,75 @@ def test_forest_complex_matches_reference_levels():
         levels, matrices = reference_forest_levels(fc.base)
         assert fc.levels == levels
         assert fc.matrices == matrices
+
+
+def reference_boundary_matrix(columns):
+    """`boundary_matrix` with each expansion built as a graph by the
+    reference expansion and keyed by `canonical_oriented`."""
+    found = {}
+    entries = {}
+    for col, og in enumerate(columns):
+        for cycle in og.graph.vertices:
+            if len(cycle) < 4:
+                continue
+            for expanded, _ in enumerate_expansions(og, cycle):
+                key, sign = canonical_oriented(expanded)
+                row = found.setdefault(key, len(found))
+                if sign is not None:
+                    entries[row, col] = entries.get((row, col), 0) + sign
+    rows = sorted(found)
+    position = {found[key]: r for r, key in enumerate(rows)}
+    return rows, {(position[r], c): v for (r, c), v in entries.items() if v}
+
+
+def test_boundary_matrix_matches_reference_expansions():
+    # every class within 10 half-edges as keyed (labels 0..H-1, their own
+    # positions, sign +1), and a seeded relabeling of each onto labels
+    # from 1 up, never 0..H-1, with sign -1, which takes the position
+    # index path; one column at a time and all columns in one matrix
+    rng = random.Random(32)
+    columns = []
+    for g in enumerate_graphs(10):
+        labels = list(g.half_edges)
+        image = rng.sample(range(1, 4 * len(labels)), len(labels))
+        relabeled = g.relabel(dict(zip(labels, image)))
+        columns += [OrientedRibbonGraph(g, 1), OrientedRibbonGraph(relabeled, -1)]
+    for og in columns:
+        assert boundary_matrix([og]) == reference_boundary_matrix([og])
+    rows, matrix = boundary_matrix(columns)
+    assert (rows, matrix) == reference_boundary_matrix(columns)
+    assert len(rows) > 1000 and any(v < 0 for v in matrix.values())
+
+
+def test_rotation_classes_key_each_one_vertex_class_once():
+    # the maps kept by the rotation test have distinct keys, which are
+    # exactly the keys of all one-vertex maps on 0..H-1
+    for total, classes in ((4, 2), (6, 5), (8, 18), (10, 105), (12, 902)):
+        labels = list(range(total))
+        every = {canonical_form(RibbonGraph([labels], pairs))[0]
+                 for pairs in _all_matchings(labels)}
+        kept = [canonical_form(RibbonGraph([labels], [(h, m) for h, m in enumerate(mate)
+                                                      if h < m]))[0]
+                for mate in _rotation_classes(total)]
+        assert len(kept) == len(set(kept)) == classes
+        assert set(kept) == every
+
+
+def test_corpus_keys_one_one_vertex_map_per_class(monkeypatch):
+    from fatcomplex import graph_complex
+
+    oriented_key = graph_complex.oriented_key
+    keyed = []
+
+    def counting(vertices, succ, mate, sign):
+        if len(vertices) == 1:
+            keyed.append(len(succ))
+        return oriented_key(vertices, succ, mate, sign)
+
+    monkeypatch.setattr(graph_complex, "oriented_key", counting)
+    corpus = ClassCorpus(10)
+    one_vertex = [len(key[0][0]) for key in corpus.keys if len(key[0]) == 1]
+    assert sorted(keyed) == sorted(one_vertex) == [4] * 2 + [6] * 5 + [8] * 18 + [10] * 105
 
 
 def test_verify_cocycle_matches_per_class_boundaries():

@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from fatcomplex.ribbon import (
-    BadSplit,
     Disconnected,
     FixedPoint,
     GraphError,
@@ -15,18 +14,19 @@ from fatcomplex.ribbon import (
     DanglingHalfEdge,
     build_graph,
     canonical_oriented,
-    canonical_over,
-    enumerate_expansions,
-    expand_vertex,
     graph_from_key,
     natural_orientation,
     reference_word,
     word_parity,
 )
 from reference import (
+    BadSplit,
     automorphisms,
+    canonical_over,
     collapse_edge,
     corner_chain,
+    enumerate_expansions,
+    expand_vertex,
     isomorphisms_between,
     transport_sign,
 )
@@ -354,12 +354,15 @@ def _reference_expand_vertex(og, cycle, split):
 
 def test_expand_vertex_matches_reference():
     # every split of every vertex of every class within 10 half-edges,
-    # and of a seeded random relabeling of it, in both orientations.
-    # The sign's term for the vertices between the two new ones is odd
-    # only from 10 half-edges on.
+    # and of a seeded random relabeling of it, in both orientations: the
+    # reference expansion equals the validated build signed by collapse,
+    # and `vertex_expansions` yields its position tables and sign, in
+    # order.  The sign's term for the vertices between the two new ones
+    # is odd only from 10 half-edges on.
     import random
 
     from fatcomplex.graph_complex import enumerate_graphs
+    from fatcomplex.ribbon import _position_tables, vertex_expansions
 
     rng = random.Random(8)
     checked = flips = 0
@@ -369,6 +372,7 @@ def test_expand_vertex_matches_reference():
         for graph in (g, relabeled):
             for sign in (1, -1):
                 og = OrientedRibbonGraph(graph, sign)
+                tables = []
                 for cycle in graph.vertices:
                     p = len(cycle)
                     for i, j in itertools.combinations(range(p), 2):
@@ -381,8 +385,13 @@ def test_expand_vertex_matches_reference():
                         assert got.graph.vertices == want.graph.vertices
                         assert got.graph.pairing == want.graph.pairing
                         assert got.graph.half_edges == want.graph.half_edges
+                        e = want.graph
+                        _, vertices, succ, mate = _position_tables(e.vertices, e.pairing,
+                                                                   e.half_edges)
+                        tables.append((list(vertices), succ, mate, want.sign))
                         checked += 1
                         flips += got.sign != sign
+                assert [(list(v), s, m, o) for v, s, m, o in vertex_expansions(og)] == tables
     # 5537 expansions of the 276 classes, twice each, in both orientations
     assert checked == 4 * 5537
     assert 0 < flips < checked
@@ -579,9 +588,9 @@ def _reference_canonical_form(g):
     """canonical_form as it was before roots were dropped during the
     walk: a full `_traverse` from every root, then its cycles and pairs
     compared with the best literal's."""
-    from fatcomplex.ribbon import _index_tables, _traverse
+    from fatcomplex.ribbon import _position_tables, _traverse
 
-    _, index, succ, mate = _index_tables(g.vertices, g.pairing)
+    index, _, succ, mate = _position_tables(g.vertices, g.pairing, g.half_edges)
     rotation = [None] * len(succ)
     vertex_id = [0] * len(succ)
     for v, cycle in enumerate(g.vertices):
