@@ -17,13 +17,18 @@ one parity, and the Koszul sign of a labeling depends only on which
 edge labels are odd.  The sum runs in integers: an algebra keeps its
 scalar product, the inverse and each m_k scaled by the lcm of their own
 denominators, so each table is integral over a known denominator, and
-the sum divides by the product of those once per graph.
+the sum divides by the product of those once per graph.  An algebra
+builds each vertex table once, for a valence and a set of absorbed
+slots, and keys it by the mixed-radix code of its states.  The
+A-infinity relation and cyclic-symmetry checks also read the scaled
+tables, and compare integers.
 """
 
 from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import lcm
+from operator import itemgetter, mul
 
 from fatcomplex.coefficients import format_rational, partitions_of
 from fatcomplex.graph_complex import eval_w
@@ -95,6 +100,8 @@ class AInfinityAlgebra:
             _scaled({b: {a: row[b] for a, row in enumerate(self.pairing_inverse) if row[b]}
                      for b in range(self.rank)}),
             {k: _scaled(table) for k, table in self.products.items()})
+        # the vertex tables of the state sum, by (valence, absorbed slots)
+        self._tables = {}
 
     def _validate_pairing(self):
         n = self.rank
@@ -120,23 +127,38 @@ class AInfinityAlgebra:
                         raise InvalidAlgebra(
                             "m_%d is not homogeneous of degree %d mod 2" % (k, k))
 
-    def m_basis(self, args):
-        """m_k on a tuple of basis indices, as a sparse vector."""
-        return self.products.get(len(args), {}).get(tuple(args), {})
-
     def cyclicity_failures(self):
-        """Basis tuples violating the cyclic-symmetry axiom."""
+        """Basis tuples violating the cyclic-symmetry axiom.  Both sides
+        of an instance are exact times dm_k * dg, so their scaled values
+        are compared."""
         bad = []
-        for k, table in sorted(self.products.items()):
+        (_, pairing), _, products = self._scaled
+        for k, (_, table) in sorted(products.items()):
             for args in product(range(self.rank), repeat=k + 1):
                 x0, rest = args[0], args[1:]
-                lhs = sum(c * self.pairing[j][x0] for j, c in self.m_basis(rest).items())
-                rhs = sum(c * self.pairing[j][args[-1]]
-                          for j, c in self.m_basis(args[:-1]).items())
+                lhs = sum(c * pairing[j][x0] for j, c in table.get(rest, {}).items())
+                rhs = sum(c * pairing[j][args[-1]]
+                          for j, c in table.get(args[:-1], {}).items())
                 sign = (-1) ** (k + self.parities[x0] + k * self.parities[x0])
                 if lhs != sign * rhs:
                     bad.append((k, args))
         return bad
+
+    def _vertex_table(self, valence, absorbed):
+        """The table of a `valence`-valent vertex with the pairing's
+        inverse absorbed at the slots `absorbed`, built on first use.
+        Only these tables are kept, not the partial absorptions on the
+        way to them, which would more than double the entries held."""
+        key = (valence, absorbed)
+        table = self._tables.get(key)
+        if table is None:
+            (_, pairing), (_, columns), products = self._scaled
+            table = _vertex_factors(products.get(valence - 1, (1, {}))[1], pairing,
+                                    self.rank)
+            for slot in absorbed:
+                table = _absorb(table, self.rank ** slot, self.rank, columns)
+            self._tables[key] = table
+        return table
 
     def change_basis(self, matrix):
         """Conjugate everything by an invertible parity-preserving matrix
@@ -206,23 +228,42 @@ def one_dimensional_algebra(x, max_arity):
 
 def verify_ainfinity(algebra, max_arity):
     """Check every A-infinity relation instance on basis tuples up to the
-    given total arity; returns the offending (arity, tuple) pairs."""
+    given total arity; returns the offending (arity, tuple) pairs.
+
+    A term m_o(.., m_s(..), ..) of total arity k, o = k - s + 1, is exact
+    times d_s * d_o for the scaled m_s and m_o, so each is weighted by
+    lcm(d_s * d_o) / (d_s * d_o), the lcm over the arities present, and
+    the terms are summed as integers.  A total arity with no such pair
+    of arities has no terms, and its tuples are not visited."""
+    products = algebra._scaled[2]
+    parities = algebra.parities
     failures = []
     for k in range(1, max_arity + 1):
+        pairs = [(s, products[s], products[k - s + 1]) for s in range(1, k + 1)
+                 if s in products and k - s + 1 in products]
+        if not pairs:
+            continue
+        scale = lcm(*(ds * do for _, (ds, _), (do, _) in pairs))
+        terms = [(r, s, (r + s * (k - s - r)) % 2, scale // (ds * do), inner, outer)
+                 for s, (ds, inner), (do, outer) in pairs for r in range(k - s + 1)]
         for args in product(range(algebra.rank), repeat=k):
+            odd = [0]
+            for a in args:
+                odd.append(odd[-1] + parities[a])
             total = {}
-            for s in range(1, k + 1):
-                for r in range(0, k - s + 1):
-                    t = k - s - r
-                    inner = algebra.m_basis(args[r:r + s])
-                    if not inner:
-                        continue
-                    u = r + s * t + s * sum(algebra.parities[a] for a in args[:r])
-                    sign = (-1) ** u
-                    for mid, c_mid in inner.items():
-                        outer_args = args[:r] + (mid,) + args[r + s:]
-                        for j, c in algebra.m_basis(outer_args).items():
-                            total[j] = total.get(j, 0) + sign * c_mid * c
+            for r, s, u, weight, inner, outer in terms:
+                vec = inner.get(args[r:r + s])
+                if vec is None:
+                    continue
+                if (u + s * odd[r]) % 2:
+                    weight = -weight
+                head, tail = args[:r], args[r + s:]
+                for mid, c_mid in vec.items():
+                    out = outer.get(head + (mid,) + tail)
+                    if out is not None:
+                        c_mid *= weight
+                        for j, c in out.items():
+                            total[j] = total.get(j, 0) + c_mid * c
             if any(total.values()):
                 failures.append((k, args))
     return failures
@@ -275,34 +316,30 @@ def partition_function(algebra, og):
     edges = [(min(a, b), max(a, b)) for a, b in g.edges()]
     edge_of = {h: e for e, edge in enumerate(edges) for h in edge}
     hbars = {hbar for _, hbar in edges}
-    (dg, pairing), (dgi, columns), products = algebra._scaled
+    (dg, _), (dgi, _), products = algebra._scaled
 
     tables = []
-    cache = {}
     denominator = dgi ** len(edges)
+    rank = algebra.rank
     for c in g.vertices:
-        dm, structure = products.get(len(c) - 1, (1, {}))
         absorbed = tuple(i for i, h in enumerate(c) if h in hbars)
-        table = cache.get((len(c), absorbed))
-        if table is None:
-            table = _vertex_table(structure, pairing)
-            for slot in absorbed:
-                table = _absorb(table, slot, columns)
-            cache[(len(c), absorbed)] = table
+        table = algebra._vertex_table(len(c), absorbed)
         if not table:
             return Fraction(0)
-        tables.append((tuple(edge_of[h] for h in c), table))
-        denominator *= dm * dg
+        # a vertex's key is the code of its states, read at its edges
+        tables.append((itemgetter(*(edge_of[h] for h in c)),
+                       tuple(rank ** i for i in range(len(c))), table))
+        denominator *= products.get(len(c) - 1, (1, {}))[0] * dg
 
     parities = algebra.parities
     eps2 = {}
     total = 0
-    for labels in product(range(algebra.rank), repeat=len(edges)):
+    for labels in product(range(rank), repeat=len(edges)):
         # read in the reference order, the orientation word is the
         # reference word, so the orientation contributes og.sign
         term = og.sign
-        for slots, table in tables:
-            factor = table.get(tuple(labels[e] for e in slots))
+        for states, weights, table in tables:
+            factor = table.get(sum(map(mul, states(labels), weights)))
             if factor is None:
                 break
             term *= factor
@@ -318,30 +355,36 @@ def partition_function(algebra, og):
     return Fraction(total, denominator)
 
 
-def _vertex_table(structure, pairing):
+def _vertex_factors(structure, pairing, rank):
     """The nonzero vertex factors sum_j m(x_{n-1}, ..., x_1)_j <b_j, x_0>
-    of a cycle of n half-edges, keyed by the states (x_0, x_1, ...,
-    x_{n-1}) of the cycle read from its first half-edge, from the scaled
-    m_{n-1} and pairing rows: the factors times dm_{n-1} * dg."""
+    of a cycle of n half-edges, keyed by the code sum_i x_i * rank^i of
+    the states (x_0, x_1, ..., x_{n-1}) of the cycle read from its first
+    half-edge, from the scaled m_{n-1} and pairing rows: the factors
+    times dm_{n-1} * dg."""
     table = {}
     for args, out in structure.items():
-        rest = args[::-1]
+        rest = 0
+        for x in args:
+            rest = rest * rank + x
         for x0 in pairing:
             factor = sum(c * pairing[j][x0] for j, c in out.items())
             if factor:
-                table[(x0,) + rest] = factor
+                table[x0 + rest * rank] = factor
     return table
 
 
-def _absorb(table, slot, columns):
-    """T'(.., a, ..) = sum_b T(.., b, ..) ginv[a][b] at position `slot`,
-    with `columns[b]` the nonzero {a: ginv[a][b]}, scaled by dgi."""
+def _absorb(table, place, rank, columns):
+    """T'(.., a, ..) = sum_b T(.., b, ..) ginv[a][b] at the slot whose
+    place value in the code is `place`, with `columns[b]` the nonzero
+    {a: ginv[a][b]}, scaled by dgi."""
     out = {}
-    for key, value in table.items():
-        for a, entry in columns[key[slot]].items():
-            new = key[:slot] + (a,) + key[slot + 1:]
+    for code, value in table.items():
+        b = code // place % rank
+        rest = code - b * place
+        for a, entry in columns[b].items():
+            new = rest + a * place
             out[new] = out.get(new, 0) + value * entry
-    return {key: value for key, value in out.items() if value}
+    return {code: value for code, value in out.items() if value}
 
 
 def partition_function_chain(algebra, chain):

@@ -5,8 +5,10 @@ definition of what the library computes another way: the `K^{2m}` scan
 reads region masks for the cyclic-set cocycle on corner chains,
 `canonical_form` gives automorphisms, `collapse_steps` collapse signs,
 `trees.region_sign` reads the region sign rule off a face bitmask
-instead of a tree, and `boundary_matrix` keys expansions from position
-tables instead of building each as a graph.
+instead of a tree, `boundary_matrix` keys expansions from position
+tables instead of building each as a graph, and `verify_ainfinity` and
+`cyclicity_failures` sum the scaled integer tables of an algebra
+instead of its `Fraction` structure constants.
 
 The cyclic-set cocycle: the basic datum is a chain of cyclically
 ordered finite sets C_0 -> C_1 -> ... -> C_2k joined by
@@ -745,3 +747,51 @@ def reference_windows(face, k, leaf_count):
                _append_level([(1 << x, 1) for x in bits[c0]], bits[c1 & ~c0]))
               for c0, c1 in ((mu, mw), (mw, mu))])
     return out
+
+
+# ---------------------------------------------------------------------------
+# A-infinity relations and cyclic symmetry in Fraction
+# ---------------------------------------------------------------------------
+
+def m_basis(algebra, args):
+    """m_k on a tuple of basis indices, as a sparse vector."""
+    return algebra.products.get(len(args), {}).get(tuple(args), {})
+
+
+def reference_verify_ainfinity(algebra, max_arity):
+    """`verify_ainfinity` summed in `Fraction`: the offending (arity,
+    tuple) pairs of the A-infinity relations up to the total arity."""
+    failures = []
+    for k in range(1, max_arity + 1):
+        for args in product(range(algebra.rank), repeat=k):
+            total = {}
+            for s in range(1, k + 1):
+                for r in range(0, k - s + 1):
+                    t = k - s - r
+                    inner = m_basis(algebra, args[r:r + s])
+                    if not inner:
+                        continue
+                    u = r + s * t + s * sum(algebra.parities[a] for a in args[:r])
+                    sign = (-1) ** u
+                    for mid, c_mid in inner.items():
+                        outer_args = args[:r] + (mid,) + args[r + s:]
+                        for j, c in m_basis(algebra, outer_args).items():
+                            total[j] = total.get(j, 0) + sign * c_mid * c
+            if any(total.values()):
+                failures.append((k, args))
+    return failures
+
+
+def reference_cyclicity_failures(algebra):
+    """`AInfinityAlgebra.cyclicity_failures` in `Fraction`."""
+    bad = []
+    for k in sorted(algebra.products):
+        for args in product(range(algebra.rank), repeat=k + 1):
+            x0, rest = args[0], args[1:]
+            lhs = sum(c * algebra.pairing[j][x0] for j, c in m_basis(algebra, rest).items())
+            rhs = sum(c * algebra.pairing[j][args[-1]]
+                      for j, c in m_basis(algebra, args[:-1]).items())
+            sign = (-1) ** (k + algebra.parities[x0] + k * algebra.parities[x0])
+            if lhs != sign * rhs:
+                bad.append((k, args))
+    return bad

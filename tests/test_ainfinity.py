@@ -27,7 +27,13 @@ from fatcomplex.ribbon import (
     reference_word,
     word_parity,
 )
-from reference import chain_of, transport_sign
+from reference import (
+    chain_of,
+    m_basis,
+    reference_cyclicity_failures,
+    reference_verify_ainfinity,
+    transport_sign,
+)
 
 GRASSMANN_PAIRING = [
     [0, 0, 0, 1],
@@ -147,7 +153,7 @@ def reference_partition_function(algebra, og, vertex_order=None, starts=None):
     for state in product(range(algebra.rank), repeat=len(pos)):
         term = eps1
         for c in rotated:
-            out = algebra.m_basis(tuple(state[pos[h]] for h in reversed(c[1:])))
+            out = m_basis(algebra, tuple(state[pos[h]] for h in reversed(c[1:])))
             x0 = state[pos[c[0]]]
             term *= sum((coeff * algebra.pairing[j][x0] for j, coeff in out.items()),
                         Fraction(0))
@@ -180,7 +186,7 @@ def reference_change_basis_products(algebra, matrix):
             coeff = Fraction(1)
             for v, i in zip(vectors, combo):
                 coeff *= v[i]
-            for j, c in algebra.m_basis(combo).items():
+            for j, c in m_basis(algebra, combo).items():
                 out[j] = out.get(j, Fraction(0)) + coeff * c
         return out
 
@@ -221,6 +227,56 @@ def test_injected_m3_fails_at_arity_five():
     failures = verify_ainfinity(alg, 5)
     assert failures
     assert min(k for k, _ in failures) == 5
+
+
+def perturbed_dense_rank_two():
+    """The changed-basis `dense_rank_two(3)` with one m_4 entry moved:
+    it breaks both the A-infinity relations and cyclic symmetry."""
+    dense, basis = dense_rank_two(3)
+    dense = dense.change_basis(basis)
+    products = {k: {args: dict(vec) for args, vec in table.items()}
+                for k, table in dense.products.items()}
+    out = products[4][(0, 1, 1, 0)]
+    out[0] = out.get(0, 0) + Fraction(1, 7)
+    return AInfinityAlgebra(dense.parities, dense.pairing, products)
+
+
+def cross_cancelling():
+    """A rank-2 algebra whose relation at (b_0, b_0, b_0) vanishes only
+    by cancelling between a term of m_1 and m_3, exact times 2, and one
+    of m_2 and m_2, exact times 4; it is no A-infinity algebra."""
+    products = {1: {(1,): {0: Fraction(1, 2)}}, 3: {(0, 0, 0): {1: -1}},
+                2: {(0, 0): {1: Fraction(1, 2)}, (1, 0): {0: 1}}}
+    return AInfinityAlgebra([0, 0], [[1, 0], [0, 1]], products, strict=False)
+
+
+def test_relation_and_cyclicity_checks_match_fraction_references():
+    dense, basis = dense_rank_two(3)
+    # (algebra, max arity, whether relations fail, whether cyclicity fails)
+    cases = [
+        (one_dimensional_algebra([1, 1, 1], 8), 8, False, False),
+        (one_dimensional_algebra([Fraction(2, 3), Fraction(-1, 5), 7], 8), 8, False, False),
+        (AInfinityAlgebra([0], [[1]], {}), 6, False, False),
+        (AInfinityAlgebra([0], [[1]], {3: {(0, 0, 0): {0: 1}}}, strict=False), 5, True, True),
+        (grassmann_two(), 5, False, False),
+        (odd_grassmann_pairing(), 4, True, False),
+        (odd_rank_three(), 5, True, False),
+        (matrix_superalgebra([0, 0, 1]), 3, False, False),
+        (dense, 9, False, False),
+        # the denominators of m_2, m_4 differ from those of m_6, m_8
+        (dense.change_basis(basis), 9, False, False),
+        (perturbed_dense_rank_two(), 9, True, True),
+        (cross_cancelling(), 4, True, True),
+    ]
+    for alg, max_arity, relations_fail, cyclicity_fails in cases:
+        failures = verify_ainfinity(alg, max_arity)
+        assert failures == reference_verify_ainfinity(alg, max_arity)
+        assert bool(failures) == relations_fail
+        cyclic = alg.cyclicity_failures()
+        assert cyclic == reference_cyclicity_failures(alg)
+        assert bool(cyclic) == cyclicity_fails
+    # m_1(m_3(b_0, b_0, b_0)) cancels m_2(m_2(b_0, b_0), b_0) across denominators 2 and 4
+    assert (3, (0, 0, 0)) not in verify_ainfinity(cross_cancelling(), 3)
 
 
 def test_strict_validation_rejects_inhomogeneous_m3():
@@ -396,6 +452,34 @@ def test_partition_function_matches_reference_in_random_presentations():
                 alg, og, order, {tuple(sorted(c)): s for c, s in zip(order, starts)})
             nonzero += value != 0
         assert nonzero
+
+
+def test_vertex_tables_are_built_once_per_algebra():
+    dense, basis = dense_rank_two(5)
+    makers = (odd_rank_three, lambda: dense.change_basis(basis))
+    graphs = enumerate_graphs(8)
+    for make in makers:
+        warm = make()
+        assert warm._tables == {}
+        oriented = [OrientedRibbonGraph(g, sign) for g in graphs for sign in (1, -1)]
+        first = [partition_function(warm, og) for og in oriented]
+        built = dict(warm._tables)
+        assert built and any(first)
+        for og, value in zip(oriented, first):
+            assert partition_function(warm, og) == value == partition_function(make(), og)
+        # the second pass reads every table from the cache
+        assert warm._tables.keys() == built.keys()
+        assert all(warm._tables[key] is table for key, table in built.items())
+    # a change of basis of a warm algebra starts with no tables
+    assert warm._tables and warm.change_basis(basis)._tables == {}
+    # odd_rank_three has no m_5: a 6-valent vertex gives 0, built or cached
+    alg = odd_rank_three()
+    six = [OrientedRibbonGraph(g, 1) for g in graphs if 6 in g.valences()]
+    for _ in range(2):
+        for og in six:
+            assert partition_function(alg, og) == 0 == reference_partition_function(alg, og)
+    empty = [table for (valence, _), table in alg._tables.items() if valence == 6]
+    assert six and empty and not any(empty)
 
 
 def test_change_basis_matches_reference():
