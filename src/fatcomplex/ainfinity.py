@@ -14,20 +14,23 @@ dual-pairing factor is summed into the table of one of its vertices.
 That is exact with odd elements because the scalar product is even, so
 its inverse is too: a nonzero dual-pairing factor joins two labels of
 one parity, and the Koszul sign of a labeling depends only on which
-edge labels are odd.  The sum runs in integers: an algebra keeps its
-scalar product, the inverse and each m_k scaled by the lcm of their own
-denominators, so each table is integral over a known denominator, and
-the sum divides by the product of those once per graph.  An algebra
-builds each vertex table once, for a valence and a set of absorbed
-slots, and keys it by the mixed-radix code of its states.  The
+edge labels are odd.  The sum runs in integers: an algebra is held as
+one representation, its scalar product, the inverse and each m_k scaled
+by the lcm of their own denominators, so each table is integral over a
+known denominator, and the sum divides by the product of those once per
+graph.  The rational structure maps (`products`) are a view derived from
+it on first use.  An algebra builds each vertex table once, for a
+valence and a set of absorbed slots, from the valence's unabsorbed
+table, and keys it by the mixed-radix code of its states.  The
 A-infinity relation and cyclic-symmetry checks also read the scaled
-tables, and compare integers.
+tables, and compare integers, and a basis change moves the scaled m_k
+by the integer-scaled matrix and its inverse.
 """
 
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter, mul
 
 from fatcomplex.coefficients import format_rational, partitions_of
@@ -53,24 +56,29 @@ def _scaled(rows):
     """(d, d * rows) for a map of sparse {index: Fraction} rows, with d
     the lcm of the denominators of their entries; d * rows is integral."""
     d = lcm(*(c.denominator for row in rows.values() for c in row.values()))
-    return d, {key: {j: int(c * d) for j, c in row.items()} for key, row in rows.items()}
+    return d, {key: {j: c.numerator * (d // c.denominator) for j, c in row.items()}
+               for key, row in rows.items()}
 
 
 class AInfinityAlgebra:
     """Structure constants on basis tuples plus an even scalar product.
 
-    `products[k][(i_1, ..., i_k)]` is the output of m_k on those basis
-    elements, as a sparse {index: coefficient} map.  Absent arities are
-    zero maps.  Strict validation enforces m_1 = 0, parity homogeneity
-    of each m_k, and the scalar-product axioms; `strict=False` keeps
-    only the scalar-product axioms, for deliberately broken examples.
+    The algebra is held as `_scaled`: its scalar product's rows, the
+    inverse's columns and each m_k, as (d, d * data) with d the lcm of
+    the data's denominators, m_k as `{(i_1, ..., i_k): {index: int}}`
+    with no zero entries.  `products[k][(i_1, ..., i_k)]` is the output
+    of m_k on those basis elements as a sparse {index: Fraction} map,
+    derived from `_scaled` on first access; absent arities are zero
+    maps.  Strict validation enforces m_1 = 0, parity homogeneity of
+    each m_k, and the scalar-product axioms; `strict=False` keeps only
+    the scalar-product axioms, for deliberately broken examples.
     """
 
     def __init__(self, parities, pairing, products, strict=True):
         self.parities = tuple(int(p) % 2 for p in parities)
         self.rank = len(self.parities)
         self.pairing = tuple(tuple(Fraction(x) for x in row) for row in pairing)
-        self.products = {}
+        scaled = {}
         for k, table in products.items():
             k = int(k)
             clean = {}
@@ -85,23 +93,38 @@ class AInfinityAlgebra:
                 if vec:
                     clean[args] = vec
             if clean:
-                self.products[k] = clean
+                scaled[k] = _scaled(clean)
+        self._build(scaled, strict)
+
+    def _build(self, scaled, strict):
+        """Check the scalar product and, if `strict`, the structure, then
+        keep the scaled tables: `scaled` is {k: (d, d * m_k)}."""
         self._validate_pairing()
         try:
             self.pairing_inverse = matrix_inverse([list(r) for r in self.pairing])
         except SingularMatrix:
             raise InvalidAlgebra("scalar product is degenerate")
         if strict:
-            self._validate_structure()
-        # the state sum's data as (d, d * data), d the lcm of the data's
-        # denominators: the pairing's rows, the inverse's columns, each m_k
+            self._validate_structure(scaled)
         self._scaled = (
             _scaled({i: dict(enumerate(row)) for i, row in enumerate(self.pairing)}),
             _scaled({b: {a: row[b] for a, row in enumerate(self.pairing_inverse) if row[b]}
                      for b in range(self.rank)}),
-            {k: _scaled(table) for k, table in self.products.items()})
+            scaled)
+        self._products = None
         # the vertex tables of the state sum, by (valence, absorbed slots)
         self._tables = {}
+
+    @property
+    def products(self):
+        """The m_k as {k: {args: {index: Fraction}}}, derived from
+        `_scaled` on first access; editing it does not change the algebra."""
+        if self._products is None:
+            self._products = {
+                k: {args: {j: Fraction(c, d) for j, c in vec.items()}
+                    for args, vec in table.items()}
+                for k, (d, table) in self._scaled[2].items()}
+        return self._products
 
     def _validate_pairing(self):
         n = self.rank
@@ -116,10 +139,10 @@ class AInfinityAlgebra:
                 if self.pairing[i][j] != sym:
                     raise InvalidAlgebra("scalar product must be graded symmetric")
 
-    def _validate_structure(self):
-        if 1 in self.products:
+    def _validate_structure(self, scaled):
+        if 1 in scaled:
             raise InvalidAlgebra("m_1 must vanish")
-        for k, table in self.products.items():
+        for k, (_, table) in scaled.items():
             for args, vec in table.items():
                 want = (k + sum(self.parities[a] for a in args)) % 2
                 for j in vec:
@@ -146,39 +169,57 @@ class AInfinityAlgebra:
 
     def _vertex_table(self, valence, absorbed):
         """The table of a `valence`-valent vertex with the pairing's
-        inverse absorbed at the slots `absorbed`, built on first use.
-        Only these tables are kept, not the partial absorptions on the
-        way to them, which would more than double the entries held."""
+        inverse absorbed at the slots `absorbed`, built on first use from
+        the valence's unabsorbed table.  Only these tables are kept, not
+        the partial absorptions on the way to them, which would more than
+        double the entries held."""
         key = (valence, absorbed)
         table = self._tables.get(key)
         if table is None:
-            (_, pairing), (_, columns), products = self._scaled
-            table = _vertex_factors(products.get(valence - 1, (1, {}))[1], pairing,
-                                    self.rank)
-            for slot in absorbed:
-                table = _absorb(table, self.rank ** slot, self.rank, columns)
+            if absorbed:
+                columns = self._scaled[1][1]
+                table = self._vertex_table(valence, ())
+                for slot in absorbed:
+                    table = _absorb(table, self.rank ** slot, self.rank, columns)
+            else:
+                (_, pairing), _, products = self._scaled
+                table = _vertex_factors(products.get(valence - 1, (1, {}))[1], pairing,
+                                        self.rank)
             self._tables[key] = table
         return table
 
     def change_basis(self, matrix):
         """Conjugate everything by an invertible parity-preserving matrix
-        whose columns are the new basis vectors in the old one."""
+        whose columns are the new basis vectors in the old one.
+
+        It runs on the scaled tables, in integers: with dp and dq the
+        lcms of the denominators of the matrix P and of its inverse, each
+        argument slot of the scaled m_k moves by dp * P and the outputs
+        by dq * P^-1, so the result is exact times d_k * dp^k * dq, and
+        dividing that and the entries by their gcd gives the constructor's
+        (d, d * m_k)."""
         p = [[Fraction(x) for x in row] for row in matrix]
         n = self.rank
         pinv = matrix_inverse(p)
+        new_parities = []
         for j in range(n):
             pars = {self.parities[i] for i in range(n) if p[i][j]}
             if len(pars) > 1:
                 raise InvalidAlgebra("basis change must preserve parity")
-        new_parities = [next(iter({self.parities[i] for i in range(n) if p[i][j]}))
-                        if any(p[i][j] for i in range(n)) else 0
-                        for j in range(n)]
-        new_pairing = [[sum(p[i][a] * p[j][b] * self.pairing[i][j]
-                            for i in range(n) for j in range(n))
-                        for b in range(n)] for a in range(n)]
-        p_rows = [[(a, c) for a, c in enumerate(row) if c] for row in p]
-        new_products = {}
-        for k, table in self.products.items():
+            new_parities.append(pars.pop())
+        dp, p = _scaled({i: dict(enumerate(row)) for i, row in enumerate(p)})
+        dq, pinv = _scaled({j: dict(enumerate(row)) for j, row in enumerate(pinv)})
+        dg, pairing = self._scaled[0]
+        changed = AInfinityAlgebra.__new__(AInfinityAlgebra)
+        changed.parities = tuple(new_parities)
+        changed.rank = n
+        changed.pairing = tuple(
+            tuple(Fraction(sum(p[i][a] * p[j][b] * pairing[i][j]
+                               for i in range(n) for j in range(n)), dp * dp * dg)
+                  for b in range(n)) for a in range(n))
+        p_rows = [[(a, c) for a, c in p[i].items() if c] for i in range(n)]
+        scaled = {}
+        for k, (d, table) in self._scaled[2].items():
             # m(P e_a1, ..., P e_ak), moving one argument slot at a time
             for slot in range(k):
                 moved = {}
@@ -189,11 +230,20 @@ class AInfinityAlgebra:
                             out[j] = out.get(j, 0) + c * v
                 table = {args: {j: v for j, v in vec.items() if v}
                          for args, vec in moved.items()}
-            # then the outputs in the new basis; the constructor drops zeros
-            new_products[k] = {
-                args: {j: sum(pinv[j][i] * c for i, c in vec.items()) for j in range(n)}
-                for args, vec in sorted(table.items())}
-        return AInfinityAlgebra(new_parities, new_pairing, new_products)
+            # then the outputs in the new basis, dropping zeros
+            new = {}
+            for args, vec in sorted(table.items()):
+                out = {j: v for j, v in ((j, sum(row[i] * c for i, c in vec.items()))
+                                         for j, row in pinv.items()) if v}
+                if out:
+                    new[args] = out
+            if new:
+                d *= dp ** k * dq
+                g = gcd(d, *(v for vec in new.values() for v in vec.values()))
+                scaled[k] = d // g, {args: {j: v // g for j, v in vec.items()}
+                                     for args, vec in new.items()}
+        changed._build(scaled, True)
+        return changed
 
     def to_json(self):
         return {

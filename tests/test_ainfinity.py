@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from fatcomplex import ainfinity
 from fatcomplex.ainfinity import (
     AInfinityAlgebra,
     InvalidAlgebra,
@@ -489,13 +490,62 @@ def test_change_basis_matches_reference():
         [0, 1, 1, 0],
         [0, 0, 0, 3],
     ]
+    plain = [[1, 0, 0], [0, 2, 1], [0, 1, 1]]
+    # P's denominators are 2, 3 and 5, those of its inverse 7
+    thirds = [
+        [Fraction(1, 2), 0, 0],
+        [0, Fraction(2, 3), Fraction(1, 5)],
+        [0, 1, 1],
+    ]
+    # gl(2|1): E_00, E_01, E_10, E_11 and E_22 are even, the rest odd
+    gl = matrix_superalgebra([0, 0, 1])
+    gl_basis = [[Fraction(int(i == j)) for j in range(9)] for i in range(9)]
+    gl_basis[0][1], gl_basis[3][8], gl_basis[2][5], gl_basis[7][6] = 1, Fraction(1, 2), -1, 2
+    m3 = graded_cyclic_algebra([0, 1, 1, 0], GRASSMANN_PAIRING, (2, 3), 4)
+    m3_basis = [[1, 0, 0, Fraction(1, 3)], [0, Fraction(3, 4), 2, 0],
+                [0, -1, Fraction(1, 5), 0], [Fraction(2, 7), 0, 0, 1]]
     dense, basis = dense_rank_two(3)
+    assert 3 in m3.products and 3 in odd_rank_three().products
     for alg, matrix in ((grassmann_two(), mix), (odd_grassmann_pairing(), mix),
+                        (odd_rank_three(), plain),
+                        (odd_rank_three(), thirds), (gl, gl_basis), (m3, m3_basis),
                         (dense, basis)):
         changed = alg.change_basis(matrix)
-        assert changed.products == reference_change_basis_products(alg, matrix)
+        want = reference_change_basis_products(alg, matrix)
+        assert changed.products == want
         assert changed.products != alg.products
+        # the integer path gives the constructor's scaled tables exactly
+        assert changed._scaled == AInfinityAlgebra(
+            changed.parities, changed.pairing, want)._scaled
     assert max(dense.change_basis(basis).products) == 8
+    # the result is validated strictly: the injected m_3 is not
+    # homogeneous and cross_cancelling has an m_1; then a basis mixing parities
+    with pytest.raises(InvalidAlgebra):
+        AInfinityAlgebra([0], [[1]], {3: {(0, 0, 0): {0: 1}}},
+                         strict=False).change_basis([[2]])
+    with pytest.raises(InvalidAlgebra):
+        cross_cancelling().change_basis([[1, 0], [0, 1]])
+    with pytest.raises(InvalidAlgebra):
+        grassmann_two().change_basis([[1, 1, 0, 0], [0, 1, 0, 0],
+                                      [0, 0, 1, 0], [0, 0, 0, 1]])
+
+
+def test_change_basis_builds_no_fraction_per_entry(monkeypatch):
+    # dense_rank_two(8) has m_k on 340 basis tuples after the change
+    alg, basis = dense_rank_two(8)
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(ainfinity, "Fraction", Counting)
+    changed = alg.change_basis(basis)
+    monkeypatch.undo()
+    assert sum(len(table) for _, table in changed._scaled[2].values()) == 340
+    # the matrix and the new scalar product: 4 entries each
+    assert len(built) <= 24
 
 
 def test_check_partition_cocycle_one_dimensional():
@@ -603,9 +653,11 @@ def test_z_x_chain_on_boundary_vanishes():
 
 
 def test_algebra_json_roundtrip():
-    alg = grassmann_two()
-    data = alg.to_json()
-    back = AInfinityAlgebra.from_json(data)
-    assert back.parities == alg.parities
-    assert back.pairing == alg.pairing
-    assert back.products == alg.products
+    dense, basis = dense_rank_two(3)
+    for alg in (grassmann_two(), dense.change_basis(basis),
+                odd_rank_three().change_basis([[1, 0, 0], [0, 2, 1], [0, 1, 1]])):
+        back = AInfinityAlgebra.from_json(alg.to_json())
+        assert back.parities == alg.parities
+        assert back.pairing == alg.pairing
+        assert back.products == alg.products
+        assert back._scaled == alg._scaled
