@@ -11,12 +11,13 @@ and never stored.
 Every boundary comes from `boundary_matrix`, as a sparse integer matrix
 on classes or, for the forest complex, on objects over a base.  It keys
 each single-vertex expansion from its position tables, with no graph
-built per term.  A `ClassCorpus` grows the classes within a half-edge
-bound, keying one one-vertex map per class, and keeps the boundary
-column of each, so the checks that share a corpus build each column
-once.  The forest complex keeps only its matrices.  Its d.d
-check is an exact sparse product, and its acyclicity check compares
-exact integer ranks (`linalg.sparse_rank`).
+built per term.  The classes of each half-edge count are grown once per
+process, keying one one-vertex map per class, and kept as keys and
+nonzero flags.  A `ClassCorpus` takes the levels within its bound from
+there and keeps the boundary column of each class, so the checks that
+share a corpus build each column once.  The forest complex keeps only
+its matrices.  Its d.d check is an exact sparse product, and its
+acyclicity check compares exact integer ranks (`linalg.sparse_rank`).
 """
 
 import math
@@ -99,18 +100,24 @@ def d_integral(og):
     chain = GraphChain(grading=og.graph.codimension - 1)
     if canonical_oriented(og)[1] is not None:
         rows, matrix = boundary_matrix([og])
-        for (r, _), v in matrix.items():
-            chain.add(rows[r], v)
+        chain.terms = {rows[r]: Fraction(v) for (r, _), v in matrix.items()}
     return chain
 
 
 def d_chain(chain):
+    """The boundary of a chain, summed in integers: the coefficients are
+    scaled by the lcm D of their denominators, and each nonzero term is
+    divided by D once."""
     out = GraphChain(grading=None if chain.grading is None else chain.grading - 1)
     terms = chain.items()
+    scale = math.lcm(*(coeff.denominator for _, coeff in terms))
+    scaled = [coeff.numerator * (scale // coeff.denominator) for _, coeff in terms]
     rows, matrix = boundary_matrix(
         [OrientedRibbonGraph(graph_from_key(key), 1) for key, _ in terms])
+    sums = [0] * len(rows)
     for (r, c), v in matrix.items():
-        out.add(rows[r], terms[c][1] * v)
+        sums[r] += scaled[c] * v
+    out.terms = {key: Fraction(v, scale) for key, v in zip(rows, sums) if v}
     return out
 
 
@@ -151,8 +158,9 @@ def check_pattern_cocycle(lam, corpus):
     codimension 2|lam|+1 in the corpus, as a list of (key, value) in key
     order; the cocycle kills boundaries when every value is zero."""
     lam = normalize_partition(lam, allow_zero=True)
-    keys = [g.literal() for g in corpus.graphs(2 * sum(lam) + 1)]
-    keys = [key for key in keys if corpus.is_nonzero(key)]
+    codimension = 2 * sum(lam) + 1
+    keys = [key for key in corpus.keys
+            if sum(len(c) - 3 for c in key[0]) == codimension and corpus.is_nonzero(key)]
     [values] = corpus.evaluate([lambda key: eval_w_key(lam, key)], keys)
     return list(zip(keys, values))
 
@@ -191,10 +199,16 @@ def _rotation_classes(total):
             yield mate
 
 
+# the classes with H half-edges, for each H grown in this process, as
+# (key, nonzero flag) pairs in key order; a level is recorded once complete
+_LEVELS = {}
+
+
 class ClassCorpus:
     """Every class within a half-edge bound, each with a nonzero flag and
     its oriented boundary column, built at most once.  `keys` lists the
-    class keys in key order.
+    class keys in key order.  The levels of classes are grown once per
+    process and shared by every corpus; the columns are per corpus.
 
     The classes are grown by vertex expansion.  Those with H half-edges
     are the one-vertex maps on H labels and the single-vertex expansions
@@ -213,12 +227,13 @@ class ClassCorpus:
     one map per class with the least gaps among their rotations is keyed.
 
     The expansions are the rows of `boundary_matrix` on the classes with
-    H - 2 half-edges, zero classes included, so one keying pass grows
-    the corpus and gives the columns of every level below the bound.
-    Classes at the bound, and classes past it that a boundary hits, get
-    their columns on first use.  A column is {row key: integer}, the
-    boundary of the class with orientation +1 on its canonical
-    representative; the column of a zero class is empty.
+    H - 2 half-edges, zero classes included, so one keying pass grows a
+    level and gives the columns of the level below it.  A level grown
+    before costs no keying.  The columns that its growth would have
+    given, like those of the classes at the bound and of the classes past
+    it that a boundary hits, are built on first use.  A column is {row
+    key: integer}, the boundary of the class with orientation +1 on its
+    canonical representative; the column of a zero class is empty.
     """
 
     def __init__(self, max_half_edges):
@@ -230,12 +245,15 @@ class ClassCorpus:
         found = []
         level = []
         for total in range(4, max_half_edges + 1, 2):
-            cycle = tuple(range(total))
-            succ = list(cycle[1:]) + [0]
-            hit = set(self._build(level))
-            for mate in _rotation_classes(total):
-                hit.add(self._key([cycle], succ, mate, 1)[0])
-            level = sorted(hit)
+            if total not in _LEVELS:
+                cycle = tuple(range(total))
+                succ = list(cycle[1:]) + [0]
+                hit = set(self._build(level))
+                for mate in _rotation_classes(total):
+                    hit.add(self._key([cycle], succ, mate, 1)[0])
+                _LEVELS[total] = tuple((key, self._nonzero[key]) for key in sorted(hit))
+            level = [key for key, _ in _LEVELS[total]]
+            self._nonzero.update(_LEVELS[total])
             found += level
         self.keys = sorted(found)
 

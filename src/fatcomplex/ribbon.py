@@ -628,14 +628,17 @@ def canonical_oriented(og):
 def graph_from_key(lit):
     """The graph of a key made by `canonical_form` or `canonical_key_over`,
     without validation: such a key is the relabeled literal of a valid
-    graph, with normalized cycles and sorted pairs.  Graphs from outside
-    input go through `build_graph`."""
+    graph, with normalized cycles and sorted pairs, which the graph keeps
+    as its edge tuple.  Graphs from outside input go through
+    `build_graph`."""
     cycles, pairs = lit
     pairing = {}
     for a, b in pairs:
         pairing[a] = b
         pairing[b] = a
-    return RibbonGraph._trusted(cycles, pairing, tuple(sorted(pairing)))
+    g = RibbonGraph._trusted(cycles, pairing, tuple(sorted(pairing)))
+    g._edges = tuple(pairs)
+    return g
 
 
 # ---------------------------------------------------------------------------

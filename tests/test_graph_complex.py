@@ -7,6 +7,7 @@ import pytest
 
 from fatcomplex.graph_complex import (
     ClassCorpus,
+    GraphChain,
     _matchings,
     _rotation_classes,
     boundary_matrix,
@@ -510,10 +511,79 @@ def test_corpus_keys_one_one_vertex_map_per_class(monkeypatch):
             keyed.append(len(succ))
         return oriented_key(vertices, succ, mate, sign)
 
+    # from an empty level memo, so that the corpus grows every level
+    monkeypatch.setattr(graph_complex, "_LEVELS", {})
     monkeypatch.setattr(graph_complex, "oriented_key", counting)
     corpus = ClassCorpus(10)
     one_vertex = [len(key[0][0]) for key in corpus.keys if len(key[0]) == 1]
     assert sorted(keyed) == sorted(one_vertex) == [4] * 2 + [6] * 5 + [8] * 18 + [10] * 105
+
+
+def test_warm_corpus_is_the_cold_one_and_keys_nothing(monkeypatch):
+    # a corpus grown on top of memoized lower levels, and one whose
+    # levels are all memoized, equal the corpus grown from an empty memo
+    from fatcomplex import graph_complex
+
+    monkeypatch.setattr(graph_complex, "_LEVELS", {})
+    ClassCorpus(6)
+    grown = ClassCorpus(10)
+    monkeypatch.setattr(graph_complex, "_LEVELS", {})
+    cold = ClassCorpus(10)
+
+    oriented_key = graph_complex.oriented_key
+    keyed = []
+
+    def counting(vertices, succ, mate, sign):
+        keyed.append(len(succ))
+        return oriented_key(vertices, succ, mate, sign)
+
+    monkeypatch.setattr(graph_complex, "oriented_key", counting)
+    warm = ClassCorpus(10)
+    assert keyed == []
+    assert len(cold.keys) == 276
+    for corpus in (grown, warm):
+        assert corpus.keys == cold.keys
+        assert corpus.graphs() == cold.graphs()
+        assert [corpus.is_nonzero(key) for key in cold.keys] == \
+            [cold.is_nonzero(key) for key in cold.keys]
+        assert corpus.columns(cold.keys) == cold.columns(cold.keys)
+
+
+def reference_d_chain(chain):
+    """The sum of coeff times the reference boundary column of each term."""
+    out = {}
+    for key, coeff in chain.items():
+        rows, matrix = reference_boundary_matrix([OrientedRibbonGraph(graph_from_key(key), 1)])
+        for (r, _), v in matrix.items():
+            out[rows[r]] = out.get(rows[r], 0) + coeff * v
+    return {key: v for key, v in out.items() if v}
+
+
+def test_d_chain_matches_reference_columns():
+    # seeded chains on the classes within 10 half-edges with coefficients
+    # over 2, 3 and 6, so that the boundary is summed over their lcm
+    rng = random.Random(35)
+    graphs = enumerate_graphs(10)
+    nonzero = 0
+    for _ in range(30):
+        chain = GraphChain(grading=4)
+        for g in rng.sample(graphs, 4):
+            chain.add(g.literal(), Fraction(rng.choice([-5, -1, 1, 7]), rng.choice([2, 3, 6])))
+        got = d_chain(chain)
+        assert got.grading == 3
+        assert got.terms == reference_d_chain(chain)
+        nonzero += not got.is_zero()
+    assert nonzero > 20
+    # a boundary, with rational coefficients, whose boundary cancels to zero
+    g = next(g for g in graphs if g.codimension == 4
+             and not d_integral(OrientedRibbonGraph(g, 1)).is_zero())
+    chain = GraphChain()
+    for key, v in d_integral(OrientedRibbonGraph(g, 1)).items():
+        chain.add(key, v * Fraction(5, 6))
+    assert len(chain.terms) > 1
+    assert reference_d_chain(chain) == {} and d_chain(chain).is_zero()
+    empty = d_chain(GraphChain(grading=2))
+    assert empty.is_zero() and empty.grading == 1
 
 
 def test_verify_cocycle_matches_per_class_boundaries():

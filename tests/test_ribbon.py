@@ -872,6 +872,7 @@ def test_graph_from_key_matches_validated_build():
         assert got.vertices == want.vertices
         assert list(got.pairing.items()) == list(want.pairing.items())
         assert got.half_edges == want.half_edges
+        assert got.edge_tuple() == want.edge_tuple()
     # 276 classes, and 371 objects over 21 bases
     assert len(keys) == 276 + 371
 
