@@ -303,9 +303,6 @@ class ClassCorpus:
             self._build(missing)
         return [self._columns.get(key, {}) for key in keys]
 
-    def column(self, key):
-        return self.columns([key])[0]
-
     def boundary(self, chain):
         """The boundary of the chain {key: coefficient}, as {key:
         coefficient} without zero terms."""

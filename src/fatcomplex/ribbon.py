@@ -22,7 +22,9 @@ An isomorphism class is keyed by the literal (normalized cycles, sorted
 edge pairs) of its relabeling with the least walk code: a walk from a
 root half-edge labels the half-edges 0..H-1, and its code lists the
 labels of the sigma-successor and the mate of each half-edge in label
-order (`_least_code`, which drops a root at its first larger element).
+order (`_least_code`, which walks only the roots whose first elements,
+read off the tables, are least, and drops a root at its first larger
+element).
 
 The same low-level machinery (orientation words and edge collapse with
 induced sign) also drives planar trees, where some half-edges are
@@ -284,10 +286,6 @@ class RibbonGraph:
     def edges(self):
         return list(self.edge_tuple())
 
-    def is_loop(self, edge):
-        a, b = edge
-        return self.vertex_of(a) is self.vertex_of(b)
-
     @property
     def num_vertices(self):
         return len(self.vertices)
@@ -369,9 +367,6 @@ class OrientedRibbonGraph:
         self.graph = graph
         self.sign = sign
 
-    def reversed(self):
-        return OrientedRibbonGraph(self.graph, -self.sign)
-
     def __eq__(self, other):
         return (isinstance(other, OrientedRibbonGraph)
                 and self.graph == other.graph and self.sign == other.sign)
@@ -447,66 +442,44 @@ def _position_tables(cycles, pairing, labels):
     return index, cycles, succ, [index[pairing.get(h, h)] for h in labels]
 
 
-def _traverse(succ, mate, root):
-    """Positions labelled 0..H-1 from `root`: each position, in label
-    order, labels its sigma-successor and then its mate if they have no
-    label yet.  Returns (order, label), inverse lists."""
-    label = [-1] * len(succ)
-    label[root] = 0
-    order = [root]
+def key_over(fixed, vertices, succ, mate, sign):
+    """The key of an object over a base and its sign, from position
+    tables whose first positions are the base's sorted labels `fixed`
+    and whose others lie above them.  The base keeps its labels.  A walk
+    from position 0 visits positions in the order it reaches them and
+    from each reaches its sigma-successor, then its mate, and the others
+    get the labels fixed[-1] + 1, ... as it reaches them.  Returns
+    ((cycles, pairs), sign): the relabeled normalized cycles, the sorted
+    (min, max) pairs (a leaf is its own mate and forms no pair), and
+    `sign` transported along the relabeling."""
+    final = list(fixed) + [None] * (len(succ) - len(fixed))
+    fresh = fixed[-1] + 1
+    seen = [False] * len(succ)
+    seen[0] = True
+    order = [0]
     for h in order:
         nxt = succ[h]
-        if label[nxt] < 0:
-            label[nxt] = len(order)
+        if not seen[nxt]:
+            seen[nxt] = True
             order.append(nxt)
+            if final[nxt] is None:
+                final[nxt] = fresh
+                fresh += 1
         nxt = mate[h]
-        if label[nxt] < 0:
-            label[nxt] = len(order)
+        if not seen[nxt]:
+            seen[nxt] = True
             order.append(nxt)
-    return order, label
-
-
-def _key_over(final, fresh, vertices, succ, mate, root):
-    """The key over the positions whose labels `final` already holds,
-    with None at the others: those get the labels fresh, fresh + 1, ...
-    in the order the `_traverse` walk from `root` reaches them, written
-    into `final`.  Returns the relabeled normalized cycles and the sorted
-    (min, max) pairs; a leaf is its own mate and forms no pair."""
-    for i in _traverse(succ, mate, root)[0]:
-        if final[i] is None:
-            final[i] = fresh
-            fresh += 1
-    cycles = _normalize_cycles([tuple([final[h] for h in c]) for c in vertices])
-    return cycles, tuple(sorted((final[h], final[m]) for h, m in enumerate(mate)
-                                if final[h] < final[m]))
-
-
-def canonical_key_over(fixed, cycles, pairing):
-    """Canonical key of an object over the half-edges `fixed`, which keep
-    their labels, and the relabeling that gives it.
-
-    The other half-edges get fresh labels from max(fixed) + 1, in the
-    order the `_traverse` walk from min(fixed) reaches them.  `cycles`
-    are normalized and `pairing` maps each paired half-edge to its mate.
-    Returns ((cycles, pairs), relabeling): the relabeled normalized
-    cycles, the sorted (min, max) pairs, and the map old -> new label.
-    """
-    labels = sorted(x for c in cycles for x in c)
-    index, vertices, succ, mate = _position_tables(cycles, pairing, labels)
-    final = [h if h in fixed else None for h in labels]
-    key = _key_over(final, max(fixed) + 1, vertices, succ, mate, index[min(fixed)])
-    return key, dict(zip(labels, final))
-
-
-def key_over(fixed, vertices, succ, mate, sign):
-    """`canonical_key_over` from position tables whose first positions
-    are the sorted labels `fixed` and whose others lie above them, as in
-    every object over a base, with `sign` transported along the
-    relabeling: returns (key, sign).  The walk starts at position 0 and
-    the relabeling is a list over positions."""
-    final = list(fixed) + [None] * (len(succ) - len(fixed))
-    key = _key_over(final, fixed[-1] + 1, vertices, succ, mate, 0)
-    return key, sign * _transport_sign(vertices, final)
+            if final[nxt] is None:
+                final[nxt] = fresh
+                fresh += 1
+    cycles = []
+    for c in vertices:
+        image = [final[h] for h in c]
+        i = image.index(min(image))
+        cycles.append(tuple(image[i:] + image[:i]))
+    cycles.sort()
+    pairs = sorted([(final[h], final[m]) for h, m in enumerate(mate) if final[h] < final[m]])
+    return (tuple(cycles), tuple(pairs)), sign * _transport_sign(vertices, final)
 
 
 def _least_code(succ, mate):
@@ -515,18 +488,35 @@ def _least_code(succ, mate):
     order, (order, label) for every root that ties with it (one per
     automorphism).
 
-    Each root half-edge seeds the labelling of the `_traverse` walk,
-    inlined here.  A root's code lists, for each h in walk order, the
-    labels s of sigma(h) and m of its mate as one integer s * H + m, which
-    orders as the pair (s, m), emitted as soon as both are labelled.  Each
-    element is compared there and then with the same element of the best
-    code so far (a plantri-style early abandon): the root is dropped at
-    the first larger element, and at the first smaller one it becomes the
-    best and walks on without comparing.  The first element is (1, 1) at
-    a root whose mate is its sigma-successor and (1, 2) at any other, so
-    when such roots exist the others are dropped before their walk
-    starts.  A code determines its labelled graph, so roots tie exactly
-    when their relabelings give the same literal.
+    Each root half-edge seeds the labelling of a walk that visits
+    positions in label order and labels the sigma-successor, then the
+    mate, of each if they have no label yet.  A root's code lists, for
+    each h in walk order, the labels s of sigma(h) and m of its mate as
+    one integer s * H + m, which orders as the pair (s, m), emitted as
+    soon as both are labelled.  Each element is compared there and then
+    with the same element of the best code so far (a plantri-style
+    early abandon): the root is dropped at the first larger element, and
+    at the first smaller one it becomes the best and walks on without
+    comparing.  A code determines its labelled graph, so roots tie
+    exactly when their relabelings give the same literal.
+
+    Only the roots whose first elements are least are walked, as those
+    elements are read off the tables (s = succ, m = mate, r the root):
+      - loop roots (s r = m r), walked alone when there are any:
+        (1, 1), (2, 0), then (0, 3) if s^3 r = r, else (3, 3) if
+        s(s^2 r) = m(s^2 r), else (3, 4);
+      - otherwise (1, 2), then (2, 3) at gap-2 roots (s^2 r = m r) and
+        (3, 4) at the rest;
+      - after (2, 3): (3, 0) if s(m r) = m(s r), else (4, 0);
+      - after (3, 4): (4, 0) if s(m r) = m(s r), else (5, 0);
+      - after (5, 0): (a, b), where a is 0 if s^3 r = r, 2 if
+        s^3 r = m r and else new (6), and b is 5 if m(s^2 r) = s(m r)
+        and else new.
+    Each is the walk's step when every valence is >= 3 and no half-edge
+    is its own mate, the precondition here (trees and forests key through
+    `key_over`): any other coincidence is a valence below 3 or a loop or
+    gap-2 root at r, s r, m r or s^2 r, which an earlier case takes.  The
+    best code is listed only once a second root needs comparing.
 
     The key is built once, from the first tied root.  The walk reaches
     every vertex first at one half-edge, which therefore carries the
@@ -536,14 +526,30 @@ def _least_code(succ, mate):
     edge pairs are read off the labels in increasing order.
     """
     n = len(succ)
+    ranks = None
+    if roots := [r for r in range(n) if succ[r] == mate[r]]:
+        ranks = [0 if succ[x] == r else 1 if succ[x] == mate[x] else 2
+                 for r in roots for x in [succ[succ[r]]]]
+    elif roots := [r for r in range(n) if succ[succ[r]] == mate[r]]:
+        ranks = [succ[mate[r]] != mate[succ[r]] for r in roots]
+    elif not (roots := [r for r in range(n) if succ[mate[r]] == mate[succ[r]]]):
+        roots = range(n)
+        ranks = [2 * (0 if succ[x] == r else 1 if succ[x] == mate[r] else 2)
+                 + (mate[x] != succ[mate[r]]) for r in roots for x in [succ[succ[r]]]]
+    if ranks:
+        least = min(ranks)
+        roots = [r for r, k in zip(roots, ranks) if k == least]
     best = None
     ties = []
-    for root in [r for r in range(n) if succ[r] == mate[r]] or range(n):
+    for root in roots:
         label = [-1] * n
         label[root] = 0
         order = [root]
         walk = iter(order)
-        if best is not None:
+        if ties:
+            if best is None:
+                first, known = ties[0]
+                best = [known[succ[h]] * n + known[mate[h]] for h in first]
             for k, h in enumerate(walk):
                 nxt = succ[h]
                 if label[nxt] < 0:
@@ -572,7 +578,7 @@ def _least_code(succ, mate):
             if label[nxt] < 0:
                 label[nxt] = len(order)
                 order.append(nxt)
-        best = [label[succ[h]] * n + label[mate[h]] for h in order]
+        best = None
         ties = [(order, label)]
 
     order, label = ties[0]
@@ -626,7 +632,7 @@ def canonical_oriented(og):
 
 
 def graph_from_key(lit):
-    """The graph of a key made by `canonical_form` or `canonical_key_over`,
+    """The graph of a key made by `canonical_form` or `key_over`,
     without validation: such a key is the relabeled literal of a valid
     graph, with normalized cycles and sorted pairs, which the graph keeps
     as its edge tuple.  Graphs from outside input go through

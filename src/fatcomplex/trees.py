@@ -36,7 +36,6 @@ from fatcomplex.ribbon import (
     GraphError,
     _edge_list,
     _normalize_cycles,
-    canonical_key_over,
     collapse_steps,
 )
 
@@ -114,12 +113,6 @@ class PlanarTree:
 
     def literal(self):
         return (self.leaf_count, self.vertices, tuple(self.internal_edges()))
-
-    def canonical(self):
-        """Canonical representative over the fixed leaves."""
-        (cycles, pairs), _ = canonical_key_over(range(self.leaf_count), self.vertices,
-                                                self.pairing)
-        return PlanarTree._trusted(self.leaf_count, cycles, pairs)
 
     def __eq__(self, other):
         return isinstance(other, PlanarTree) and self.literal() == other.literal()

@@ -8,7 +8,11 @@ reads region masks for the cyclic-set cocycle on corner chains,
 instead of a tree, `boundary_matrix` keys expansions from position
 tables instead of building each as a graph, and `verify_ainfinity` and
 `cyclicity_failures` sum the scaled integer tables of an algebra
-instead of its `Fraction` structure constants.
+instead of its `Fraction` structure constants.  Some are helpers that
+only the tests call: `canonical_over` and `canonical_tree` key an
+object over fixed labels from its cycles and pairing, and `traverse`,
+`is_loop` and `reversed_orientation` read a walk, a loop or the
+opposite orientation off a graph.
 
 The cyclic-set cocycle: the basic datum is a chain of cyclically
 ordered finite sets C_0 -> C_1 -> ... -> C_2k joined by
@@ -36,15 +40,15 @@ from fatcomplex.ribbon import (
     OrientedRibbonGraph,
     RibbonGraph,
     _edge_list,
-    _transport_sign,
+    _position_tables,
     _vsym,
     canonical_form,
-    canonical_key_over,
     canonical_oriented,
     collapse_cycles,
     collapse_oriented,
     collapse_steps,
     graph_from_key,
+    key_over,
     reference_word,
     word_parity,
 )
@@ -317,11 +321,48 @@ def enumerate_expansions(og, cycle):
     return out
 
 
+def traverse(succ, mate, root):
+    """Positions labelled 0..H-1 from `root`: each position, in label
+    order, labels its sigma-successor and then its mate if they have no
+    label yet.  Returns (order, label), inverse lists."""
+    label = [-1] * len(succ)
+    label[root] = 0
+    order = [root]
+    for h in order:
+        for nxt in (succ[h], mate[h]):
+            if label[nxt] < 0:
+                label[nxt] = len(order)
+                order.append(nxt)
+    return order, label
+
+
 def canonical_over(fixed, cycles, pairing, sign):
-    """`canonical_key_over` for an oriented object: returns (key, sign)
-    with `sign` transported along the relabeling."""
-    key, final = canonical_key_over(fixed, cycles, pairing)
-    return key, sign * _transport_sign(cycles, final)
+    """`ribbon.key_over` from an object's normalized `cycles` and its
+    `pairing`, which maps each paired half-edge to its mate, over the
+    labels `fixed`, which must lie below the others: returns (key, sign)."""
+    labels = sorted(x for c in cycles for x in c)
+    fixed = sorted(fixed)
+    assert labels[:len(fixed)] == fixed
+    _, vertices, succ, mate = _position_tables(cycles, pairing, labels)
+    return key_over(fixed, vertices, succ, mate, sign)
+
+
+def canonical_tree(tree):
+    """The canonical representative of a planar tree over its fixed
+    leaves."""
+    (cycles, pairs), _ = canonical_over(range(tree.leaf_count), tree.vertices,
+                                        tree.pairing, 1)
+    return PlanarTree._trusted(tree.leaf_count, cycles, pairs)
+
+
+def is_loop(g, edge):
+    """Whether both half-edges of `edge` lie at one vertex of `g`."""
+    a, b = edge
+    return g.vertex_of(a) is g.vertex_of(b)
+
+
+def reversed_orientation(og):
+    return OrientedRibbonGraph(og.graph, -og.sign)
 
 
 # ---------------------------------------------------------------------------

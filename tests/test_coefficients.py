@@ -43,6 +43,7 @@ from fatcomplex.trees import (
     one_sided,
 )
 from reference import (
+    canonical_tree,
     cup_product,
     cut_intervals,
     face_bits,
@@ -121,7 +122,7 @@ def _rotations(tree, count):
 
 
 def _orbit_key(tree):
-    return min(t.canonical().literal() for t in _rotations(tree, tree.leaf_count))
+    return min(canonical_tree(t).literal() for t in _rotations(tree, tree.leaf_count))
 
 
 def _reflect_leaves(tree):
@@ -157,9 +158,9 @@ def _reference_rotation_orbits(leaf_count):
     seen = set()
     out = []
     for seed in reference_trivalent_trees(leaf_count):
-        if seed.canonical().literal() in seen:
+        if canonical_tree(seed).literal() in seen:
             continue
-        orbit = {t.canonical().literal() for t in _rotations(seed, leaf_count)}
+        orbit = {canonical_tree(t).literal() for t in _rotations(seed, leaf_count)}
         seen |= orbit
         out.append((seed, len(orbit)))
     return out
@@ -171,9 +172,9 @@ def _reference_dihedral_orbits(leaf_count):
     seen = set()
     out = []
     for seed in reference_trivalent_trees(leaf_count):
-        if seed.canonical().literal() in seen:
+        if canonical_tree(seed).literal() in seen:
             continue
-        orbit = {t.canonical().literal()
+        orbit = {canonical_tree(t).literal()
                  for s in (seed, _reflect_leaves(seed)) for t in _rotations(s, leaf_count)}
         seen |= orbit
         out.append((seed, len(orbit)))
@@ -240,7 +241,7 @@ def test_per_seed_sums_agree_across_rotation_orbits_k6():
     assert len(picked) == 4
     for rep, size in picked:
         members = _rotations(rep, size)
-        assert len({t.canonical().literal() for t in members}) == size
+        assert len({canonical_tree(t).literal() for t in members}) == size
         sums = scan_seed(rep, 3)
         assert any(sums.values())
         for t in members[1:]:

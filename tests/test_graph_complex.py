@@ -722,11 +722,11 @@ def test_corpus_columns_match_d_integral():
     corpus = ClassCorpus(8)
     keys = corpus.keys
     assert {len(key[1]) for key in keys} == {2, 3, 4}
-    past = sorted({row for key in keys for row in corpus.column(key)} - set(keys))
+    past = sorted({row for key in keys for row in corpus.columns([key])[0]} - set(keys))
     assert past and {len(key[1]) for key in past} == {5}
     for key in keys + past:
         og = OrientedRibbonGraph(graph_from_key(key), 1)
-        assert corpus.column(key) == d_integral(og).terms
+        assert corpus.columns([key])[0] == d_integral(og).terms
         assert corpus.is_nonzero(key) == (canonical_oriented(og)[1] is not None)
     assert not all(corpus.is_nonzero(key) for key in keys)
     assert corpus.graphs() == enumerate_graphs(8)

@@ -23,12 +23,16 @@ from reference import (
     BadSplit,
     automorphisms,
     canonical_over,
+    canonical_tree,
     collapse_edge,
     corner_chain,
     enumerate_expansions,
     expand_vertex,
+    is_loop,
     isomorphisms_between,
+    reversed_orientation,
     transport_sign,
+    traverse,
 )
 
 
@@ -54,7 +58,7 @@ def single_collapse_morphisms(g1, g2):
     """
     out = []
     for e in g1.edges():
-        if g1.is_loop(e):
+        if is_loop(g1, e):
             continue
         collapsed = collapse_edge(OrientedRibbonGraph(g1, 1), e)
         for iso in isomorphisms_between(collapsed.graph, g2):
@@ -178,7 +182,7 @@ def test_collapse_bridge_of_dumbbell_gives_figure8():
     assert out.graph.num_vertices == 1
     assert len(out.graph.half_edges) == 4
     # both remaining edges are loops on the single vertex
-    assert all(out.graph.is_loop(e) for e in out.graph.edges())
+    assert all(is_loop(out.graph, e) for e in out.graph.edges())
 
 
 def test_collapse_loop_raises():
@@ -204,7 +208,7 @@ def test_two_collapse_orders_give_opposite_signs():
     graphs = [theta(True), theta(False), dumbbell()]
     for g in graphs:
         og = natural_orientation(g)
-        nonloops = [e for e in g.edges() if not g.is_loop(e)]
+        nonloops = [e for e in g.edges() if not is_loop(g, e)]
         for e1, e2 in itertools.permutations(nonloops, 2):
             try:
                 first = collapse_edge(collapse_edge(og, e1), e2)
@@ -586,9 +590,9 @@ def test_canonical_form_matches_reference_on_corpus():
 
 def _reference_canonical_form(g):
     """canonical_form as it was before roots were dropped during the
-    walk: a full `_traverse` from every root, then its cycles and pairs
+    walk: a full `traverse` from every root, then its cycles and pairs
     compared with the best literal's."""
-    from fatcomplex.ribbon import _position_tables, _traverse
+    from fatcomplex.ribbon import _position_tables
 
     index, _, succ, mate = _position_tables(g.vertices, g.pairing, g.half_edges)
     rotation = [None] * len(succ)
@@ -601,7 +605,7 @@ def _reference_canonical_form(g):
     best_cycles = best_pairs = None
     best_maps = []
     for root in range(len(succ)):
-        order, label = _traverse(succ, mate, root)
+        order, label = traverse(succ, mate, root)
         smaller = best_cycles is None
         entered = [False] * len(g.vertices)
         cycles = []
@@ -698,6 +702,42 @@ def test_canonical_form_matches_frozen_reference_within_12_half_edges():
     assert len(set(pairing.values())) == len(pairing) == 2681
     # classes with nontrivial automorphisms, where tied roots walk on
     assert symmetric > 100
+
+
+def test_canonical_form_matches_reference_on_14_half_edge_expansions():
+    # every expansion of a seeded sample of 12-half-edge classes, the size
+    # `d_chain` keys, as built and under 2 seeded random relabelings: the
+    # same key as the brute-force least code and the same maps in the same
+    # root order, whichever first code elements single out the roots
+    import random
+
+    from fatcomplex.graph_complex import ClassCorpus
+    from fatcomplex.ribbon import canonical_form
+
+    rng = random.Random(14)
+    keys = [key for key in ClassCorpus(12).keys if len(key[1]) == 6]
+    checked = symmetric = 0
+    for key in rng.sample(keys, 40):
+        og = OrientedRibbonGraph(graph_from_key(key), 1)
+        for cycle in og.graph.vertices:
+            if len(cycle) < 4:
+                continue
+            for exp, _ in enumerate_expansions(og, cycle):
+                g = exp.graph
+                labels = list(g.half_edges)
+                variants = [g]
+                for _ in range(2):
+                    image = rng.sample(range(1, 4 * len(labels)), len(labels))
+                    variants.append(g.relabel(dict(zip(labels, image))))
+                for x in variants:
+                    got_key, got_maps = canonical_form(x)
+                    want_key, want_maps = reference_least_code(x)
+                    assert got_key == want_key
+                    assert ([list(m.items()) for m in got_maps]
+                            == [list(m.items()) for m in want_maps])
+                    checked += 1
+                    symmetric += len(got_maps) > 1
+    assert checked > 1000 and symmetric > 0
 
 
 def test_canonical_form_fixes_every_class_key_within_12_half_edges():
@@ -807,7 +847,7 @@ def test_canonical_over_matches_reference_tree_keyer():
                 canon, want = reference_tree_keyer(tree, sign)
                 got = canonical_over(range(tree.leaf_count), tree.vertices, tree.pairing, sign)
                 assert got == ((canon.vertices, tuple(canon.internal_edges())), want)
-                assert tree.canonical() == canon
+                assert canonical_tree(tree) == canon
                 checked += 1
                 flips += want != sign
         # the relabelled tree, carrying the transported sign, has the
@@ -846,7 +886,7 @@ def test_canonical_over_matches_reference_forest_keyer():
         for obj in objects:
             g = obj.graph
             relabeled = g.relabel(_reverse_unfixed(g.half_edges, fc.base_labels))
-            for og in (obj, obj.reversed(), OrientedRibbonGraph(relabeled, 1),
+            for og in (obj, reversed_orientation(obj), OrientedRibbonGraph(relabeled, 1),
                        OrientedRibbonGraph(relabeled, -1)):
                 g = og.graph
                 want = reference_canonical_over(fc.base_labels, og)
