@@ -1,12 +1,12 @@
 """Finite free A-infinity superalgebras and their graph partition functions.
 
 An algebra is a free Z/2-graded module with a finite family of
-structure maps m_k (stored sparsely on basis tuples), and an even,
-graded-symmetric, nondegenerate scalar product.  The partition function
-of an oriented ribbon graph is the state sum over basis labelings of
-half-edges: a structure-constant factor per vertex read clockwise, a
-dual-pairing factor per edge, and two permutation signs fixed by the
-reference ordering of vertices-and-half-edges.
+structure maps m_k, and an even, graded-symmetric, nondegenerate scalar
+product.  The partition function of an oriented ribbon graph is the
+state sum over basis labelings of half-edges: a structure-constant
+factor per vertex read clockwise, a dual-pairing factor per edge, and
+two permutation signs fixed by the reference ordering of
+vertices-and-half-edges.
 
 The sum is computed over labelings of the edges: each vertex factor is
 tabulated once over the states of its own half-edges, and each edge's
@@ -14,17 +14,24 @@ dual-pairing factor is summed into the table of one of its vertices.
 That is exact with odd elements because the scalar product is even, so
 its inverse is too: a nonzero dual-pairing factor joins two labels of
 one parity, and the Koszul sign of a labeling depends only on which
-edge labels are odd.  The sum runs in integers: an algebra is held as
-one representation, its scalar product, the inverse and each m_k scaled
-by the lcm of their own denominators, so each table is integral over a
-known denominator, and the sum divides by the product of those once per
-graph.  The rational structure maps (`products`) are a view derived from
-it on first use.  An algebra builds each vertex table once, for a
-valence and a set of absorbed slots, from the valence's unabsorbed
-table, and keys it by the mixed-radix code of its states.  The
-A-infinity relation and cyclic-symmetry checks also read the scaled
-tables, and compare integers, and a basis change moves the scaled m_k
-by the integer-scaled matrix and its inverse.
+edge labels are odd.
+
+Every map is held in one format, a digit-coded integer table: the map
+times the lcm d of its denominators, as (d, {code: entry}) with no zero
+entries, where the code writes the map's basis indices as the digits of
+one integer in base rank.  The entry j of m_k(b_{i_1}, ..., b_{i_k}) has
+the code j + rank * (i_k + rank * (i_{k-1} + ...)); a matrix entry M[r][c]
+has the code c + rank * r.  An m_{n-1} code is thus the code
+sum_i x_i * rank^i of the states (x_0, ..., x_{n-1}) of an n-valent
+vertex read from its first half-edge, with the output as x_0.  One
+linear map, `_move`, changes one digit of a table by a matrix: it turns
+m_{n-1} into that vertex's table (the output digit moved by the scalar
+product), absorbs the inverse at the vertex's slots, and changes basis.
+Each table is integral over a known denominator, so the state sum, the
+A-infinity relation check and the cyclic-symmetry check run in
+integers, and the sum divides by the product of the denominators once
+per graph.  The rational structure maps (`products`) are a view decoded
+from the tables on first use.
 """
 
 from fractions import Fraction
@@ -52,23 +59,59 @@ class ZeroX0(GraphError):
     pass
 
 
-def _scaled(rows):
-    """(d, d * rows) for a map of sparse {index: Fraction} rows, with d
-    the lcm of the denominators of their entries; d * rows is integral."""
-    d = lcm(*(c.denominator for row in rows.values() for c in row.values()))
-    return d, {key: {j: c.numerator * (d // c.denominator) for j, c in row.items()}
-               for key, row in rows.items()}
+def _scaled(entries):
+    """(d, d * entries) for a map of {code: rational} entries, with d the
+    lcm of their denominators and the zero entries dropped."""
+    d = lcm(*(c.denominator for c in entries.values()))
+    return d, {code: c.numerator * (d // c.denominator) for code, c in entries.items() if c}
+
+
+def _matrix(rows, rank):
+    """The scaled code table of a rank x rank matrix of rationals."""
+    return _scaled({c + rank * r: x for r, row in enumerate(rows) for c, x in enumerate(row)})
+
+
+def _reduced(d, table):
+    """A table exact times d as the (d, d * map) of `_scaled`: d and the
+    entries divided by their gcd."""
+    g = gcd(d, *table.values())
+    return d // g, {code: v // g for code, v in table.items()}
+
+
+def _digits(code, count, rank):
+    """The `count` base-rank digits of `code`, most significant first."""
+    digits = [0] * count
+    for i in range(count - 1, -1, -1):
+        code, digits[i] = divmod(code, rank)
+    return tuple(digits)
+
+
+def _move(table, place, rank, matrix):
+    """T'(.., a, ..) = sum_b T(.., b, ..) * M[b][a] at the digit whose
+    place value in the code is `place`, for the code table `matrix` of M;
+    zero entries are dropped."""
+    rows = [[] for _ in range(rank)]
+    for code, entry in matrix.items():
+        rows[code // rank].append((code % rank, entry))
+    out = {}
+    for code, value in table.items():
+        b = code // place % rank
+        rest = code - b * place
+        for a, entry in rows[b]:
+            new = rest + a * place
+            out[new] = out.get(new, 0) + value * entry
+    return {code: value for code, value in out.items() if value}
 
 
 class AInfinityAlgebra:
     """Structure constants on basis tuples plus an even scalar product.
 
-    The algebra is held as `_scaled`: its scalar product's rows, the
-    inverse's columns and each m_k, as (d, d * data) with d the lcm of
-    the data's denominators, m_k as `{(i_1, ..., i_k): {index: int}}`
-    with no zero entries.  `products[k][(i_1, ..., i_k)]` is the output
-    of m_k on those basis elements as a sparse {index: Fraction} map,
-    derived from `_scaled` on first access; absent arities are zero
+    The algebra is held as `_scaled`: the scaled code tables of its
+    scalar product g, of the transpose of g's inverse (its rows are the
+    inverse's columns, as absorption reads them) and of each m_k, the
+    last as {k: (d, table)}.  `pairing` is g as rows of `Fraction`s, and
+    `products[k][(i_1, ..., i_k)]` the output of m_k on those basis
+    elements as a sparse {index: Fraction} map; absent arities are zero
     maps.  Strict validation enforces m_1 = 0, parity homogeneity of
     each m_k, and the scalar-product axioms; `strict=False` keeps only
     the scalar-product axioms, for deliberately broken examples.
@@ -76,54 +119,54 @@ class AInfinityAlgebra:
 
     def __init__(self, parities, pairing, products, strict=True):
         self.parities = tuple(int(p) % 2 for p in parities)
-        self.rank = len(self.parities)
+        self.rank = n = len(self.parities)
         self.pairing = tuple(tuple(Fraction(x) for x in row) for row in pairing)
         scaled = {}
         for k, table in products.items():
             k = int(k)
-            clean = {}
+            entries = {}
             for args, out in table.items():
                 args = tuple(int(a) for a in args)
                 if len(args) != k:
                     raise InvalidAlgebra("arity mismatch in structure table")
                 out = {int(j): Fraction(c) for j, c in out.items()}
-                if not all(0 <= i < self.rank for i in args + tuple(out)):
+                if not all(0 <= i < n for i in args + tuple(out)):
                     raise InvalidAlgebra("basis index out of range in structure table")
-                vec = {j: c for j, c in out.items() if c}
-                if vec:
-                    clean[args] = vec
-            if clean:
-                scaled[k] = _scaled(clean)
-        self._build(scaled, strict)
-
-    def _build(self, scaled, strict):
-        """Check the scalar product and, if `strict`, the structure, then
-        keep the scaled tables: `scaled` is {k: (d, d * m_k)}."""
+                rest = 0
+                for i in args:
+                    rest = rest * n + i
+                entries.update((j + n * rest, c) for j, c in out.items())
+            d, entries = _scaled(entries)
+            if entries:
+                scaled[k] = d, entries
         self._validate_pairing()
         try:
-            self.pairing_inverse = matrix_inverse([list(r) for r in self.pairing])
+            inverse = matrix_inverse([list(r) for r in self.pairing])
         except SingularMatrix:
             raise InvalidAlgebra("scalar product is degenerate")
+        self._set(_matrix(self.pairing, n), _matrix(zip(*inverse), n), scaled, strict)
+
+    def _set(self, pairing, inverse, scaled, strict):
+        """If `strict`, check the structure, then keep the scaled tables."""
         if strict:
             self._validate_structure(scaled)
-        self._scaled = (
-            _scaled({i: dict(enumerate(row)) for i, row in enumerate(self.pairing)}),
-            _scaled({b: {a: row[b] for a, row in enumerate(self.pairing_inverse) if row[b]}
-                     for b in range(self.rank)}),
-            scaled)
+        self._scaled = pairing, inverse, scaled
         self._products = None
         # the vertex tables of the state sum, by (valence, absorbed slots)
         self._tables = {}
 
     @property
     def products(self):
-        """The m_k as {k: {args: {index: Fraction}}}, derived from
+        """The m_k as {k: {args: {index: Fraction}}}, decoded from
         `_scaled` on first access; editing it does not change the algebra."""
         if self._products is None:
-            self._products = {
-                k: {args: {j: Fraction(c, d) for j, c in vec.items()}
-                    for args, vec in table.items()}
-                for k, (d, table) in self._scaled[2].items()}
+            n = self.rank
+            self._products = {}
+            for k, (d, table) in self._scaled[2].items():
+                maps = self._products[k] = {}
+                for code, c in table.items():
+                    code, j = divmod(code, n)
+                    maps.setdefault(_digits(code, k, n), {})[j] = Fraction(c, d)
         return self._products
 
     def _validate_pairing(self):
@@ -143,106 +186,94 @@ class AInfinityAlgebra:
         if 1 in scaled:
             raise InvalidAlgebra("m_1 must vanish")
         for k, (_, table) in scaled.items():
-            for args, vec in table.items():
-                want = (k + sum(self.parities[a] for a in args)) % 2
-                for j in vec:
-                    if self.parities[j] != want:
-                        raise InvalidAlgebra(
-                            "m_%d is not homogeneous of degree %d mod 2" % (k, k))
+            for code in table:
+                # the output's parity is k plus the arguments' parities
+                odd = k + sum(self.parities[x] for x in _digits(code, k + 1, self.rank))
+                if odd % 2:
+                    raise InvalidAlgebra(
+                        "m_%d is not homogeneous of degree %d mod 2" % (k, k))
 
     def cyclicity_failures(self):
-        """Basis tuples violating the cyclic-symmetry axiom.  Both sides
-        of an instance are exact times dm_k * dg, so their scaled values
-        are compared."""
-        bad = []
-        (_, pairing), _, products = self._scaled
-        for k, (_, table) in sorted(products.items()):
-            for args in product(range(self.rank), repeat=k + 1):
-                x0, rest = args[0], args[1:]
-                lhs = sum(c * pairing[j][x0] for j, c in table.get(rest, {}).items())
-                rhs = sum(c * pairing[j][args[-1]]
-                          for j, c in table.get(args[:-1], {}).items())
-                sign = (-1) ** (k + self.parities[x0] + k * self.parities[x0])
-                if lhs != sign * rhs:
-                    bad.append((k, args))
+        """Basis tuples (x_0, ..., x_k) violating the cyclic-symmetry axiom
+        <m_k(x_1, ..., x_k), x_0> = +-<m_k(x_0, ..., x_{k-1}), x_k>.  Both
+        sides are entries of the unabsorbed table of a (k+1)-valent vertex,
+        exact times dm_k * dg: the right side at the code whose digits,
+        most significant first, are the tuple, the left side at that code
+        with its top digit moved to the bottom."""
+        n, bad = self.rank, []
+        for k in sorted(self._scaled[2]):
+            table, top = self._vertex_table(k + 1, ()), n ** k
+            for code in range(n * top):
+                x0 = code // top
+                sign = -1 if (k + (k + 1) * self.parities[x0]) % 2 else 1
+                if table.get(x0 + n * (code % top), 0) != sign * table.get(code, 0):
+                    bad.append((k, _digits(code, k + 1, n)))
         return bad
 
     def _vertex_table(self, valence, absorbed):
-        """The table of a `valence`-valent vertex with the pairing's
-        inverse absorbed at the slots `absorbed`, built on first use from
-        the valence's unabsorbed table.  Only these tables are kept, not
-        the partial absorptions on the way to them, which would more than
-        double the entries held."""
+        """The table of a `valence`-valent vertex, m_{valence-1} with its
+        output digit moved by the scalar product and the inverse absorbed
+        at the slots `absorbed`, built on first use.  Only these tables
+        are kept, not the partial absorptions on the way to them, which
+        would more than double the entries held."""
         key = (valence, absorbed)
         table = self._tables.get(key)
         if table is None:
+            (_, pairing), (_, inverse), products = self._scaled
             if absorbed:
-                columns = self._scaled[1][1]
                 table = self._vertex_table(valence, ())
                 for slot in absorbed:
-                    table = _absorb(table, self.rank ** slot, self.rank, columns)
+                    table = _move(table, self.rank ** slot, self.rank, inverse)
             else:
-                (_, pairing), _, products = self._scaled
-                table = _vertex_factors(products.get(valence - 1, (1, {}))[1], pairing,
-                                        self.rank)
+                table = _move(products.get(valence - 1, (1, {}))[1], 1, self.rank, pairing)
             self._tables[key] = table
         return table
 
     def change_basis(self, matrix):
-        """Conjugate everything by an invertible parity-preserving matrix
-        whose columns are the new basis vectors in the old one.
+        """Conjugate everything by an invertible parity-preserving rank x
+        rank matrix P whose columns are the new basis vectors in the old
+        one.
 
-        It runs on the scaled tables, in integers: with dp and dq the
-        lcms of the denominators of the matrix P and of its inverse, each
-        argument slot of the scaled m_k moves by dp * P and the outputs
-        by dq * P^-1, so the result is exact times d_k * dp^k * dq, and
-        dividing that and the entries by their gcd gives the constructor's
-        (d, d * m_k)."""
-        p = [[Fraction(x) for x in row] for row in matrix]
+        It runs on the code tables, in integers: with dp and dq the lcms
+        of the denominators of P and of its inverse, each argument digit
+        of the scaled m_k and both digits of the scalar product move by
+        dp * P, and the output digit and both digits of the inverse's
+        table by dq * P^-1 (by the code table of its transpose, as `_move`
+        reads a matrix).  So m_k comes out exact times d_k * dp^k * dq, and
+        dividing that and the entries by their gcd gives the
+        constructor's (d, d * m_k)."""
         n = self.rank
-        pinv = matrix_inverse(p)
+        if len(matrix) != n or any(len(row) != n for row in matrix):
+            raise InvalidAlgebra("basis change must be a rank x rank matrix")
+        p = [[Fraction(x) for x in row] for row in matrix]
+        try:
+            pinv = matrix_inverse(p)
+        except SingularMatrix:
+            raise InvalidAlgebra("basis change must be invertible")
         new_parities = []
         for j in range(n):
             pars = {self.parities[i] for i in range(n) if p[i][j]}
             if len(pars) > 1:
                 raise InvalidAlgebra("basis change must preserve parity")
             new_parities.append(pars.pop())
-        dp, p = _scaled({i: dict(enumerate(row)) for i, row in enumerate(p)})
-        dq, pinv = _scaled({j: dict(enumerate(row)) for j, row in enumerate(pinv)})
-        dg, pairing = self._scaled[0]
+        dp, forward = _matrix(p, n)
+        dq, backward = _matrix(zip(*pinv), n)
+        (dg, pairing), (dgi, inverse), products = self._scaled
+        dg, pairing = _reduced(dg * dp * dp, _move(_move(pairing, 1, n, forward), n, n, forward))
+        inverse = _reduced(dgi * dq * dq, _move(_move(inverse, 1, n, backward), n, n, backward))
+        scaled = {}
+        for k, (d, table) in products.items():
+            for slot in range(1, k + 1):
+                table = _move(table, n ** slot, n, forward)
+            table = _move(table, 1, n, backward)
+            if table:
+                scaled[k] = _reduced(d * dp ** k * dq, table)
         changed = AInfinityAlgebra.__new__(AInfinityAlgebra)
         changed.parities = tuple(new_parities)
         changed.rank = n
-        changed.pairing = tuple(
-            tuple(Fraction(sum(p[i][a] * p[j][b] * pairing[i][j]
-                               for i in range(n) for j in range(n)), dp * dp * dg)
-                  for b in range(n)) for a in range(n))
-        p_rows = [[(a, c) for a, c in p[i].items() if c] for i in range(n)]
-        scaled = {}
-        for k, (d, table) in self._scaled[2].items():
-            # m(P e_a1, ..., P e_ak), moving one argument slot at a time
-            for slot in range(k):
-                moved = {}
-                for args, vec in table.items():
-                    for a, c in p_rows[args[slot]]:
-                        out = moved.setdefault(args[:slot] + (a,) + args[slot + 1:], {})
-                        for j, v in vec.items():
-                            out[j] = out.get(j, 0) + c * v
-                table = {args: {j: v for j, v in vec.items() if v}
-                         for args, vec in moved.items()}
-            # then the outputs in the new basis, dropping zeros
-            new = {}
-            for args, vec in sorted(table.items()):
-                out = {j: v for j, v in ((j, sum(row[i] * c for i, c in vec.items()))
-                                         for j, row in pinv.items()) if v}
-                if out:
-                    new[args] = out
-            if new:
-                d *= dp ** k * dq
-                g = gcd(d, *(v for vec in new.values() for v in vec.values()))
-                scaled[k] = d // g, {args: {j: v // g for j, v in vec.items()}
-                                     for args, vec in new.items()}
-        changed._build(scaled, True)
+        changed.pairing = tuple(tuple(Fraction(pairing.get(c + n * r, 0), dg) for c in range(n))
+                                for r in range(n))
+        changed._set((dg, pairing), inverse, scaled, True)
         return changed
 
     def to_json(self):
@@ -254,16 +285,6 @@ class AInfinityAlgebra:
                   for k in sorted(self.products)
                   for args, vec in sorted(self.products[k].items())],
         }
-
-    @classmethod
-    def from_json(cls, data, strict=True):
-        products = {}
-        for entry in data.get("m", []):
-            k = int(entry["k"])
-            args = tuple(int(a) for a in entry["in"])
-            out = {int(j): Fraction(c) for j, c in entry["out"].items()}
-            products.setdefault(k, {})[args] = out
-        return cls(data["parities"], data["pairing"], products, strict=strict)
 
 
 def one_dimensional_algebra(x, max_arity):
@@ -283,10 +304,12 @@ def verify_ainfinity(algebra, max_arity):
     A term m_o(.., m_s(..), ..) of total arity k, o = k - s + 1, is exact
     times d_s * d_o for the scaled m_s and m_o, so each is weighted by
     lcm(d_s * d_o) / (d_s * d_o), the lcm over the arities present, and
-    the terms are summed as integers.  A total arity with no such pair
-    of arities has no terms, and its tuples are not visited."""
-    products = algebra._scaled[2]
-    parities = algebra.parities
+    the terms are summed as integers.  The tuples are walked in code
+    order, the code of a tuple having its entries as base-rank digits,
+    most significant first, and each term reads the argument codes of
+    m_s and m_o off it.  A total arity with no such pair of arities has
+    no terms, and its tuples are not visited."""
+    n, products, parities = algebra.rank, algebra._scaled[2], algebra.parities
     failures = []
     for k in range(1, max_arity + 1):
         pairs = [(s, products[s], products[k - s + 1]) for s in range(1, k + 1)
@@ -294,37 +317,45 @@ def verify_ainfinity(algebra, max_arity):
         if not pairs:
             continue
         scale = lcm(*(ds * do for _, (ds, _), (do, _) in pairs))
-        terms = [(r, s, (r + s * (k - s - r)) % 2, scale // (ds * do), inner, outer)
+        # m_s reads the digits r+1 .. r+s of the tuple, below them t = k-r-s
+        terms = [(n ** (k - s - r), n ** s, r, s, (r + s * (k - s - r)) % 2,
+                  scale // (ds * do), inner, outer)
                  for s, (ds, inner), (do, outer) in pairs for r in range(k - s + 1)]
-        for args in product(range(algebra.rank), repeat=k):
+        for code in range(n ** k):
+            args = _digits(code, k, n)
             odd = [0]
             for a in args:
                 odd.append(odd[-1] + parities[a])
-            total = {}
-            for r, s, u, weight, inner, outer in terms:
-                vec = inner.get(args[r:r + s])
-                if vec is None:
-                    continue
+            total = [0] * n
+            for low, width, r, s, u, weight, inner, outer in terms:
+                head, middle = divmod(code // low, width)
+                tail = code % low
                 if (u + s * odd[r]) % 2:
                     weight = -weight
-                head, tail = args[:r], args[r + s:]
-                for mid, c_mid in vec.items():
-                    out = outer.get(head + (mid,) + tail)
-                    if out is not None:
-                        c_mid *= weight
-                        for j, c in out.items():
-                            total[j] = total.get(j, 0) + c_mid * c
-            if any(total.values()):
+                for mid in range(n):
+                    c_mid = inner.get(mid + n * middle)
+                    if c_mid:
+                        base = n * ((head * n + mid) * low + tail)
+                        for j in range(n):
+                            c = outer.get(base + j)
+                            if c:
+                                total[j] += weight * c_mid * c
+            if any(total):
                 failures.append((k, args))
     return failures
 
 
 def contraction_identity_holds(algebra):
-    """sum_i <x, b_i><y, D b_i*> == <x, y> on all basis pairs, where D
-    takes the i-th dual basis functional to sum_a ginv[a][i] b_a."""
-    g, ginv, n = algebra.pairing, algebra.pairing_inverse, range(algebra.rank)
-    return all(sum(g[x][i] * g[y][a] * ginv[a][i] for i in n for a in n) == g[x][y]
-               for x in n for y in n)
+    """sum_{i,a} <x, b_i><y, b_a> ginv[a][i] == <x, y> on all basis pairs,
+    read off the scaled tables: with G the scalar product's table and C
+    the inverse's, C[i][a] = dgi * ginv[a][i], it is
+    sum_{i,a} G[x][i] G[y][a] C[i][a] == dg * dgi * G[x][y]."""
+    (dg, g), (dgi, c), _ = algebra._scaled
+    n = algebra.rank
+    basis = range(n)
+    return all(sum(g.get(i + n * x, 0) * g.get(a + n * y, 0) * c.get(a + n * i, 0)
+                   for i in basis for a in basis) == dg * dgi * g.get(y + n * x, 0)
+               for x in basis for y in basis)
 
 
 # ---------------------------------------------------------------------------
@@ -403,38 +434,6 @@ def partition_function(algebra, og):
                 term *= eps2[odd]
             total += term
     return Fraction(total, denominator)
-
-
-def _vertex_factors(structure, pairing, rank):
-    """The nonzero vertex factors sum_j m(x_{n-1}, ..., x_1)_j <b_j, x_0>
-    of a cycle of n half-edges, keyed by the code sum_i x_i * rank^i of
-    the states (x_0, x_1, ..., x_{n-1}) of the cycle read from its first
-    half-edge, from the scaled m_{n-1} and pairing rows: the factors
-    times dm_{n-1} * dg."""
-    table = {}
-    for args, out in structure.items():
-        rest = 0
-        for x in args:
-            rest = rest * rank + x
-        for x0 in pairing:
-            factor = sum(c * pairing[j][x0] for j, c in out.items())
-            if factor:
-                table[x0 + rest * rank] = factor
-    return table
-
-
-def _absorb(table, place, rank, columns):
-    """T'(.., a, ..) = sum_b T(.., b, ..) ginv[a][b] at the slot whose
-    place value in the code is `place`, with `columns[b]` the nonzero
-    {a: ginv[a][b]}, scaled by dgi."""
-    out = {}
-    for code, value in table.items():
-        b = code // place % rank
-        rest = code - b * place
-        for a, entry in columns[b].items():
-            new = rest + a * place
-            out[new] = out.get(new, 0) + value * entry
-    return {code: value for code, value in out.items() if value}
 
 
 def partition_function_chain(algebra, chain):

@@ -205,7 +205,7 @@ def collapse_steps(cycles, pairing, steps):
 class RibbonGraph:
     """An immutable connected ribbon graph with valences >= 3."""
 
-    __slots__ = ("vertices", "pairing", "half_edges", "_sigma", "_vertex_of", "_edges")
+    __slots__ = ("vertices", "pairing", "half_edges", "_sigma", "_edges")
 
     def __init__(self, vertex_cycles, edge_pairs):
         cycles = [tuple(c) for c in vertex_cycles]
@@ -236,7 +236,6 @@ class RibbonGraph:
         self.pairing = pairing
         self.half_edges = half_edges
         self._sigma = None
-        self._vertex_of = None
         self._edges = None
 
     @classmethod
@@ -272,11 +271,6 @@ class RibbonGraph:
             self._sigma = nxt
         return self._sigma
 
-    def vertex_of(self, h):
-        if self._vertex_of is None:
-            self._vertex_of = {x: c for c in self.vertices for x in c}
-        return self._vertex_of[h]
-
     def edge_tuple(self):
         """The sorted (min, max) edge pairs, computed once per graph."""
         if self._edges is None:
@@ -304,33 +298,6 @@ class RibbonGraph:
 
     def valences(self):
         return tuple(sorted((len(c) for c in self.vertices), reverse=True))
-
-    def boundary_cycles(self):
-        """Face orbits of the map, plus (genus, punctures).
-
-        The face permutation sends h to sigma(pairing(h)); its orbits
-        are the boundary components of the thickened surface, and the
-        genus comes from chi = 2 - 2g - s.
-        """
-        sigma = self.sigma()
-        seen = set()
-        faces = []
-        for h in self.half_edges:
-            if h in seen:
-                continue
-            orbit = []
-            x = h
-            while x not in seen:
-                seen.add(x)
-                orbit.append(x)
-                x = sigma[self.pairing[x]]
-            faces.append(_rotate_min(orbit))
-        s = len(faces)
-        chi = self.euler_characteristic
-        genus2 = 2 - s - chi
-        if genus2 % 2 != 0 or genus2 < 0:
-            raise GraphError("impossible Euler characteristic")
-        return faces, genus2 // 2, s
 
     def literal(self):
         """Canonical-comparison form: (vertex cycles, edge pairs)."""

@@ -43,7 +43,7 @@ from fatcomplex.ribbon import (
 class PlanarTree:
     """A planar tree with labelled leaves in counterclockwise order."""
 
-    __slots__ = ("leaf_count", "vertices", "pairing", "_vertex_of")
+    __slots__ = ("leaf_count", "vertices", "pairing")
 
     def __init__(self, leaf_count, vertex_cycles, edge_pairs):
         self._set(leaf_count, _normalize_cycles([tuple(c) for c in vertex_cycles]), edge_pairs)
@@ -57,7 +57,6 @@ class PlanarTree:
             pairing[a] = b
             pairing[b] = a
         self.pairing = pairing
-        self._vertex_of = {x: c for c in vertices for x in c}
 
     @classmethod
     def _trusted(cls, leaf_count, vertices, edge_pairs):
@@ -87,9 +86,6 @@ class PlanarTree:
             for i, h in enumerate(c):
                 nxt[h] = c[(i + 1) % len(c)]
         return nxt
-
-    def vertex_of(self, h):
-        return self._vertex_of[h]
 
     def contour(self):
         """Half-edges in the order the contour walk from leaf 0 meets them:

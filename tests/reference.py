@@ -41,6 +41,7 @@ from fatcomplex.ribbon import (
     RibbonGraph,
     _edge_list,
     _position_tables,
+    _rotate_min,
     _vsym,
     canonical_form,
     canonical_oriented,
@@ -355,10 +356,42 @@ def canonical_tree(tree):
     return PlanarTree._trusted(tree.leaf_count, cycles, pairs)
 
 
+def vertex_of(g, h):
+    """The vertex cycle of a ribbon graph or planar tree holding `h`."""
+    return next(c for c in g.vertices if h in c)
+
+
 def is_loop(g, edge):
     """Whether both half-edges of `edge` lie at one vertex of `g`."""
     a, b = edge
-    return g.vertex_of(a) is g.vertex_of(b)
+    return vertex_of(g, a) is vertex_of(g, b)
+
+
+def boundary_cycles(g):
+    """Face orbits of a ribbon graph, plus (genus, punctures).
+
+    The face permutation sends h to sigma(pairing(h)); its orbits
+    are the boundary components of the thickened surface, and the
+    genus comes from chi = 2 - 2g - s.
+    """
+    sigma = g.sigma()
+    seen = set()
+    faces = []
+    for h in g.half_edges:
+        if h in seen:
+            continue
+        orbit = []
+        x = h
+        while x not in seen:
+            seen.add(x)
+            orbit.append(x)
+            x = sigma[g.pairing[x]]
+        faces.append(_rotate_min(orbit))
+    s = len(faces)
+    genus2 = 2 - s - g.euler_characteristic
+    if genus2 % 2 != 0 or genus2 < 0:
+        raise GraphError("impossible Euler characteristic")
+    return faces, genus2 // 2, s
 
 
 def reversed_orientation(og):
@@ -688,7 +721,7 @@ def lemma_region_sign(tree, edge_order, v0=None):
             raise ConfigurationMismatch("need exactly one non-trivalent vertex")
         v0 = big[0]
     else:
-        v0 = tree.vertex_of(v0[0])
+        v0 = vertex_of(tree, v0[0])
     if len(edge_order) % 2 != 0:
         raise ConfigurationMismatch("need an even number of edges")
     if set(edge_order) != set(tree.internal_edges()):

@@ -343,7 +343,9 @@ def _references(node, module, names, defs):
 def test_every_library_definition_is_reachable():
     # roots: `cli.main`, module-level code (it runs on import and holds
     # `checks.SUITES`), `fatcomplex.__all__` and all that perfbench reads
-    # off `fatcomplex`; what only the tests use belongs in tests/reference.py
+    # off `fatcomplex`; what only the tests use belongs in tests/reference.py.
+    # A method of a reached class is reached when it is a special method
+    # or when reached code reads its name as an attribute.
     import fatcomplex
 
     root = Path(__file__).resolve().parents[1]
@@ -351,26 +353,49 @@ def test_every_library_definition_is_reachable():
               for path in (root / "src" / "fatcomplex").glob("*.py")}
     defs = {(module, node.name): node for module, tree in parsed.items()
             for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    methods = {(module, node.name, method.name): method for (module, _), node in defs.items()
+               if isinstance(node, ast.ClassDef)
+               for method in node.body if isinstance(method, ast.FunctionDef)}
     package = _fatcomplex_names(parsed["__init__"], {})
     names = {module: _fatcomplex_names(tree, package) for module, tree in parsed.items()}
     todo = [("cli", "main")] + [package[name] for name in fatcomplex.__all__]
+    attributes = set()
+
+    def read(parts, module, known):
+        for part in parts:
+            todo.extend(_references(part, module, known, defs))
+            attributes.update(sub.attr for sub in ast.walk(part) if isinstance(sub, ast.Attribute))
+
     for module, tree in parsed.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                todo += _references(node, module, names[module], defs)
+        read([node for node in tree.body
+              if not isinstance(node, (ast.FunctionDef, ast.ClassDef))], module, names[module])
     for path in (root / "perfbench").glob("*.py"):
         tree = ast.parse(path.read_text())
         bench = _fatcomplex_names(tree, package)
-        todo += list(bench.values()) + list(_references(tree, None, bench, defs))
-    reached = set()
-    while todo:
-        module, name = todo.pop()
-        while (module, name) not in defs and name in names.get(module, {}):
-            module, name = names[module][name]  # a re-export
-        if (module, name) in defs and (module, name) not in reached:
-            reached.add((module, name))
-            todo += _references(defs[module, name], module, names[module], defs)
-    unreached = sorted("%s.%s" % key for key in defs.keys() - reached)
+        todo += list(bench.values())
+        read([tree], None, bench)
+    reached, pending = set(), True
+    while pending:
+        while todo:
+            module, name = todo.pop()
+            while (module, name) not in defs and name in names.get(module, {}):
+                module, name = names[module][name]  # a re-export
+            node = defs.get((module, name))
+            if node is not None and (module, name) not in reached:
+                reached.add((module, name))
+                # a class is read without its methods
+                read([node] if isinstance(node, ast.FunctionDef) else
+                     node.bases + node.decorator_list
+                     + [s for s in node.body if not isinstance(s, ast.FunctionDef)],
+                     module, names[module])
+        # reached methods can read more names, so repeat until none is new
+        pending = [(module, cls, name) for module, cls, name in methods.keys() - reached
+                   if (module, cls) in reached
+                   and (name in attributes or name.startswith("__"))]
+        for module, cls, name in pending:
+            reached.add((module, cls, name))
+            read([methods[module, cls, name]], module, names[module])
+    unreached = sorted(".".join(key) for key in (defs.keys() | methods.keys()) - reached)
     assert not unreached, "nothing reaches these definitions: " + ", ".join(unreached)
 
 

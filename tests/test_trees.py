@@ -38,6 +38,7 @@ from reference import (
     reference_faces,
     reference_trivalent_trees,
     region_touch_sets,
+    vertex_of,
 )
 
 
@@ -181,7 +182,7 @@ def test_case_2a_orientation_words():
     assert lemma_region_sign(t0, [(5, 6), (7, 8)], v0=(5, 0, 1)) == -1
     # the underlying region permutation sign is +1: regions at v0 plus
     # the two off-regions b1 = 2, b2 = 3 sort evenly into cyclic order
-    v0 = t0.vertex_of(5)
+    v0 = vertex_of(t0, 5)
     regions = list(regions_touching(t0, v0)) + [2, 3]
     assert word_parity(regions, sorted(regions)) == 1
 
@@ -231,7 +232,7 @@ def test_regions_touching_counts():
     assert len(regions_touching(c, c.vertices[0])) == 5
     # caterpillar with 5 leaves: vertex adjacent to leaves 0 and 1
     t = PlanarTree(5, [(5, 0, 1), (6, 2, 7), (8, 3, 4)], [(5, 6), (7, 8)])
-    v = t.vertex_of(0)
+    v = vertex_of(t, 0)
     regs = regions_touching(t, v)
     assert len(regs) == 3
 
@@ -259,7 +260,7 @@ def _reference_region_touch_sets(tree):
     index = {c: i for i, c in enumerate(tree.vertices)}
     adj = {i: [] for i in index.values()}
     for a, b in tree.internal_edges():
-        u, w = index[tree.vertex_of(a)], index[tree.vertex_of(b)]
+        u, w = index[vertex_of(tree, a)], index[vertex_of(tree, b)]
         adj[u].append(w)
         adj[w].append(u)
     leaf_vertex = {x: i for c, i in index.items() for x in c if x not in tree.pairing}
@@ -283,7 +284,7 @@ def _reference_branch_leaves(tree, h):
         if x in seen:
             continue
         seen.add(x)
-        for y in tree.vertex_of(x):
+        for y in vertex_of(tree, x):
             if y == x:
                 continue
             if y in tree.pairing:
@@ -315,7 +316,7 @@ def test_region_growth_along_chains_of_k2():
         for i, (e,) in enumerate(simplex[1]):
             before = tree_at(simplex, i)
             after = tree_at(simplex, i + 1)
-            u, w = before.vertex_of(e[0]), before.vertex_of(e[1])
+            u, w = vertex_of(before, e[0]), vertex_of(before, e[1])
             merged = [c for c in after.vertices if c not in before.vertices][0]
             ru = set(regions_touching(before, u))
             rw = set(regions_touching(before, w))
@@ -406,7 +407,7 @@ def test_degree_statement_chainwise():
         for simplex, sign in maximal_chains(n):
             seed, steps = simplex
             edges = [e for (e,) in steps]
-            raw_region_sign = (lemma_region_sign(seed, edges, v0=seed.vertex_of(edges[0][0]))
+            raw_region_sign = (lemma_region_sign(seed, edges, v0=vertex_of(seed, edges[0][0]))
                                * (-1) ** k)
             assert raw_region_sign * sign == twist
 
@@ -446,7 +447,7 @@ def test_region_lookup_facts():
                     flanks = touch[index[x]] & touch[index[y]]
                     assert flanks == {cr[x], cr[y]} and cr[x] != cr[y]
                     for h in (x, y):
-                        if len(t.vertex_of(h)) == 3:
+                        if len(vertex_of(t, h)) == 3:
                             assert touch[index[h]] - flanks == {cr[sigma[h]]}
 
 
@@ -456,7 +457,7 @@ def test_region_rule_at_either_end_of_the_first_edge_on_k6():
         for order in permutations(seed.internal_edges()):
             sign = order_sign(seed, order)
             for h in order[0]:
-                assert lemma_region_sign(seed, list(order), v0=seed.vertex_of(h)) == sign
+                assert lemma_region_sign(seed, list(order), v0=vertex_of(seed, h)) == sign
 
 
 def test_region_sign_gives_the_scan_seed_sign_on_k2_to_k8():
@@ -490,7 +491,7 @@ def test_region_sign_at_either_end_of_e1_on_every_maximal_chain_of_k2_k4():
             for v0 in ends[codes.index(order[0])]:
                 assert region_sign(face, order, v0, L) == sign
             for h in edges[0]:
-                assert lemma_region_sign(seed, edges, v0=seed.vertex_of(h)) == sign
+                assert lemma_region_sign(seed, edges, v0=vertex_of(seed, h)) == sign
 
 
 def test_region_sign_matches_the_tree_rule_at_a_big_vertex():
