@@ -6,7 +6,7 @@ from fatcomplex.ribbon import (
     build_graph,
     natural_orientation,
 )
-from fatcomplex.trees import PlanarTree, maximal_chains
+from fatcomplex.trees import maximal_chains
 from fatcomplex.graph_complex import (
     GraphChain,
     d_integral,
@@ -28,7 +28,6 @@ __all__ = [
     "OrientedRibbonGraph",
     "build_graph",
     "natural_orientation",
-    "PlanarTree",
     "maximal_chains",
     "GraphChain",
     "d_integral",

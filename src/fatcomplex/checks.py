@@ -14,42 +14,37 @@ from fractions import Fraction
 from itertools import permutations
 
 from fatcomplex import ainfinity, coefficients, graph_complex, trees
-from fatcomplex.ribbon import collapse_steps
 
 
 def check_orientation(**_):
     """`trees.region_sign`, the rule the chain scan uses, against the
-    collapse bookkeeping: with v0 the big vertex on the seeds with one,
+    collapse bookkeeping `trees.chain_sign`: with v0 the big vertex on the
+    seeds with one, picked by the region-mask sizes of their vertices,
     and with v0 the child of e_1 on the maximal chains of K^2 and K^4."""
     rows = []
     for valence in (5, 7, 9):
-        seeds = [t for t in trees.enumerate_faces(valence - 1, valence - 3)
-                 if sorted(len(c) for c in t.vertices) == [3, 3, valence]]
-        ok = bool(seeds)
-        for t in seeds:
-            code = trees.edge_bits(t)
-            face = sum(code.values())
-            masks = trees.face_layout(face, t.leaf_count)[2]
-            v0 = next(v for v, mask in enumerate(masks) if mask.bit_count() > 3)
-            ok = ok and all(
-                trees.region_sign(face, [code[e] for e in order], v0, t.leaf_count)
-                == collapse_steps(t.vertices, t.pairing, [order])[2]
-                for order in permutations(t.internal_edges()))
+        L = valence + 2
+        seeds = []
+        for face in trees.face_sets(valence - 1, valence - 3):
+            codes, _, masks, _ = trees.face_layout(face, L)
+            if sorted(mask.bit_count() for mask in masks) == [3, 3, valence]:
+                v0 = next(v for v, mask in enumerate(masks) if mask.bit_count() > 3)
+                seeds.append((face, codes, v0))
+        ok = bool(seeds) and all(
+            trees.region_sign(face, order, v0, L) == trees.chain_sign(face, order, L)
+            for face, codes, v0 in seeds for order in permutations(codes))
         rows.append(("orientation", "region sign rule, big vertex valence %d" % valence, ok))
     for n in (2, 4):
         ok = True
-        for (seed, steps), sign in trees.maximal_chains(n):
-            code = trees.edge_bits(seed)
-            face = sum(code.values())
-            order = [code[e] for (e,) in steps]
+        for (face, order), sign in trees.maximal_chains(n):
             # the child of edge i is vertex i + 1
             v0 = trees.face_layout(face, n + 3)[0].index(order[0]) + 1
             if trees.region_sign(face, order, v0, n + 3) != sign:
                 ok = False
             for i in range(n - 1):
-                swapped = list(steps)
+                swapped = list(order)
                 swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                if collapse_steps(seed.vertices, seed.pairing, swapped)[2] != -sign:
+                if trees.chain_sign(face, swapped, n + 3) != -sign:
                     ok = False
         rows.append(("orientation",
                      "chain signs on K^%d: region rule and antisymmetry" % n, ok))

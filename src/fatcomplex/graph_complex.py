@@ -47,16 +47,6 @@ class GraphChain:
         self.grading = grading
         self.terms = {}
 
-    def add(self, key, coeff):
-        coeff = Fraction(coeff)
-        if not coeff:
-            return
-        cur = self.terms.get(key, Fraction(0)) + coeff
-        if cur:
-            self.terms[key] = cur
-        else:
-            self.terms.pop(key, None)
-
     def items(self):
         return sorted(self.terms.items())
 

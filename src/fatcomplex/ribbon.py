@@ -27,8 +27,10 @@ read off the tables, are least, and drops a root at its first larger
 element).
 
 The same low-level machinery (orientation words and edge collapse with
-induced sign) also drives planar trees, where some half-edges are
-unpaired leaves.
+induced sign, `collapse_oriented`, one search for the edge's endpoints
+per collapse) also gives the chain signs of associahedron faces
+(`trees.chain_sign`), on the cycles and pairing of a face's tree, where
+some half-edges are unpaired leaves.
 """
 
 
@@ -123,30 +125,6 @@ def _edge_list(pairing):
     return sorted({(min(a, b), max(a, b)) for a, b in pairing.items()})
 
 
-def collapse_cycles(cycles, pairing, half_edge):
-    """Collapse the edge containing `half_edge`, no orientation tracking.
-
-    Returns (new_cycles, new_pairing, merged_cycle).  The merged vertex
-    cycle is (h_1..h_n, k_1..k_m) when the endpoints are (e-, h_1..h_n)
-    and (e+, k_1..k_m).
-    """
-    h = half_edge
-    hbar = pairing[h]
-    u = w = None
-    for c in cycles:
-        if h in c:
-            u = tuple(c)
-        if hbar in c:
-            w = tuple(c)
-    if u == w:
-        raise LoopCollapse("cannot collapse a loop")
-    iu, iw = u.index(h), w.index(hbar)
-    merged = u[iu + 1:] + u[:iu] + w[iw + 1:] + w[:iw]
-    new_cycles = [merged] + [tuple(c) for c in cycles if h not in c and hbar not in c]
-    new_pairing = {a: b for a, b in pairing.items() if a not in (h, hbar)}
-    return _normalize_cycles(new_cycles), new_pairing, merged
-
-
 def collapse_oriented(cycles, pairing, sign, half_edge):
     """Collapse a non-loop edge with the induced orientation sign.
 
@@ -154,6 +132,9 @@ def collapse_oriented(cycles, pairing, sign, half_edge):
     Orient the edge from the vertex of `half_edge` to its mate, put
     source first and target second; the coalesced vertex replaces them
     in front and the remaining vertices and edges keep their order.
+    The coalesced cycle is (h_1..h_n, k_1..k_m) when the endpoints are
+    (e-, h_1..h_n) and (e+, k_1..k_m).  Returns (new_cycles, new_pairing,
+    new_sign).
     """
     h = half_edge
     hbar = pairing[h]
@@ -179,7 +160,10 @@ def collapse_oriented(cycles, pairing, sign, half_edge):
     word.extend(legs)
     s = sign * word_parity(reference_word(cycles), word)
 
-    new_cycles, new_pairing, merged = collapse_cycles(cycles, pairing, h)
+    iu, iw = u.index(h), w.index(hbar)
+    merged = u[iu + 1:] + u[:iu] + w[iw + 1:] + w[:iw]
+    new_cycles = _normalize_cycles([merged] + others)
+    new_pairing = {a: b for a, b in pairing.items() if a not in (h, hbar)}
     word2 = [_vsym(merged)] + [_vsym(c) for c in others]
     for a, b in other_edges:
         word2.extend((a, b))

@@ -2,123 +2,38 @@
 
 A face of K^n is a planar tree with n+3 leaves in fixed counterclockwise
 order and internal vertices of valence >= 3; a tree with n-k internal
-edges is a k-face.  Trees are stored like ribbon graphs whose pairing is
-partial: leaves are unpaired half-edge labels 0..n+2, internal
-half-edges are labels >= n+3.  A face is the set of leaf intervals
-(first, size), pairwise nested or disjoint, that its edges cut off on
-the side away from leaf 0, kept as one int, the face bitmask, with bit
+edges is a k-face.  A face is the set of leaf intervals (first, size),
+pairwise nested or disjoint, that its edges cut off on the side away
+from leaf 0, kept as one int, the face bitmask, with bit
 first * L + size for each (L the leaf count): bits run in interval order.
-Only `face_bit` and `face_intervals` encode and decode it.  `face_sets`
-lists the faces of K^n, `tree_from_face` builds a face's tree,
-`edge_bits` reads each edge's bit off a tree, and `dihedral_orbits`
-lists trivalent trees up to leaf rotations and reflections.
+The bitmask is the only face type.  Only `face_bit` and
+`face_intervals` encode and decode it.  `face_sets` lists the faces of
+K^n, and `dihedral_orbits` lists trivalent faces up to leaf rotations
+and reflections.
 
-A chain T_0 -> ... -> T_m is a simplex (seed, steps) that collapses one
-internal edge per step.  Signs follow the same Conant-Vogtmann
-bookkeeping as for graphs; the designated orientation of the terminal
-corolla is the natural one for even n and the leaf-0 counterclockwise
-word for odd n, which in both cases is the reference ordering.
-
-Every region fact of a tree comes from one table, `branch_intervals`:
-region j is the gap between leaf j and leaf j+1, the corner after a
-half-edge lies in the region closing off its branch, and `one_sided` of
-either half-edge's interval is its edge's cut interval (`edge_bits`).
 A face's vertices, edges and regions are read off its bitmask
-(`face_layout`), and one region sign rule on that layout,
-`region_sign`, gives chain signs from the corner regions, for seeds with
-one big vertex and for maximal chains alike.
+(`face_layout`): region j is the gap between leaf j and leaf j+1, and
+the corner after a half-edge lies in the region closing off its branch.
+One region sign rule on that layout, `region_sign`, gives chain signs
+from the corner regions, for seeds with one big vertex and for maximal
+chains alike.
+
+A chain collapses one edge of a face per step, given as the face and
+its edge bits in collapse order; the face after a step is the face
+without the bits collapsed so far.  Its sign, `chain_sign`, is the
+Conant-Vogtmann bookkeeping of `ribbon.collapse_steps` on the tables of
+the face's tree (`tree_from_face`), stored like a ribbon graph whose
+pairing is partial: leaves are unpaired half-edge labels 0..n+2,
+internal half-edges are labels >= n+3.  The designated orientation of
+the terminal corolla is the natural one for even n and the leaf-0
+counterclockwise word for odd n, which in both cases is the reference
+ordering.
 """
 
 import math
-from itertools import permutations
+from itertools import accumulate, permutations
 
-from fatcomplex.ribbon import (
-    GraphError,
-    _edge_list,
-    _normalize_cycles,
-    collapse_steps,
-)
-
-
-class PlanarTree:
-    """A planar tree with labelled leaves in counterclockwise order."""
-
-    __slots__ = ("leaf_count", "vertices", "pairing")
-
-    def __init__(self, leaf_count, vertex_cycles, edge_pairs):
-        self._set(leaf_count, _normalize_cycles([tuple(c) for c in vertex_cycles]), edge_pairs)
-        self._validate()
-
-    def _set(self, leaf_count, vertices, edge_pairs):
-        self.leaf_count = leaf_count
-        self.vertices = vertices
-        pairing = {}
-        for a, b in edge_pairs:
-            pairing[a] = b
-            pairing[b] = a
-        self.pairing = pairing
-
-    @classmethod
-    def _trusted(cls, leaf_count, vertices, edge_pairs):
-        """A tree from parts known to be valid, with no checks:
-        `vertices` normalized and `edge_pairs` its internal edges."""
-        t = cls.__new__(cls)
-        t._set(leaf_count, vertices, edge_pairs)
-        return t
-
-    def _validate(self):
-        labels = [x for c in self.vertices for x in c]
-        if len(labels) != len(set(labels)):
-            raise GraphError("duplicate half-edge label")
-        leaves = [x for x in labels if x not in self.pairing]
-        if sorted(leaves) != list(range(self.leaf_count)):
-            raise GraphError("leaves must be exactly 0..leaf_count-1")
-        if any(len(c) < 3 for c in self.vertices):
-            raise GraphError("internal vertex of valence < 3")
-        if len(self.vertices) != len(self.pairing) // 2 + 1:
-            raise GraphError("not a tree: vertices != internal edges + 1")
-        if self.contour_leaves() != tuple(range(self.leaf_count)):
-            raise GraphError("leaves are not in counterclockwise order")
-
-    def sigma(self):
-        nxt = {}
-        for c in self.vertices:
-            for i, h in enumerate(c):
-                nxt[h] = c[(i + 1) % len(c)]
-        return nxt
-
-    def contour(self):
-        """Half-edges in the order the contour walk from leaf 0 meets them:
-        after a leaf it turns to the next half-edge at the leaf's vertex,
-        after an internal half-edge to the next one at its mate's vertex.
-        Around a tree it meets each half-edge once."""
-        sigma = self.sigma()
-        cur = 0
-        for _ in range(len(sigma)):
-            yield cur
-            cur = sigma[self.pairing.get(cur, cur)]
-            if cur == 0:
-                return
-
-    def contour_leaves(self):
-        """Leaves in the order the contour walk from leaf 0 meets them."""
-        return tuple(h for h in self.contour() if h not in self.pairing)
-
-    def internal_edges(self):
-        return _edge_list(self.pairing)
-
-    def literal(self):
-        return (self.leaf_count, self.vertices, tuple(self.internal_edges()))
-
-    def __eq__(self, other):
-        return isinstance(other, PlanarTree) and self.literal() == other.literal()
-
-    def __hash__(self):
-        return hash(self.literal())
-
-    def __repr__(self):
-        return "PlanarTree(%d, %r, %r)" % (self.leaf_count, list(self.vertices),
-                                           self.internal_edges())
+from fatcomplex.ribbon import GraphError, _normalize_cycles, collapse_steps
 
 
 # ---------------------------------------------------------------------------
@@ -187,22 +102,26 @@ def face_layout(face, leaf_count):
 
 
 def tree_from_face(face, leaf_count):
-    """The planar tree of a face bitmask, unchecked.  Edge r in preorder
-    from leaf 0, by (lo, -size), is (L + 2r, L + 2r + 1) with L + 2r at
-    the parent; a vertex lists the half-edge towards leaf 0, then its
-    branches in leaf order."""
-    intervals = sorted((iv for _, iv in face_intervals(face, leaf_count)),
-                       key=lambda iv: (iv[0], -iv[1]))
-    holder, ends = paint_leaves(intervals, leaf_count)
-    branches = [[] for _ in range(len(intervals) + 1)]
+    """The planar tree of a face bitmask as (cycles, pairing, edges): its
+    normalized vertex cycles, with leaves the unpaired labels 0..L-1, its
+    pairing of internal half-edges, and {edge bit: the edge's half-edge
+    at its parent}.  Edge r in preorder from leaf 0, by (lo, -size), is
+    (L + 2r, L + 2r + 1) with L + 2r at the parent; a vertex lists the
+    half-edge towards leaf 0, then its branches in leaf order."""
+    pairs = sorted(face_intervals(face, leaf_count), key=lambda p: (p[1][0], -p[1][1]))
+    holder, ends = paint_leaves([iv for _, iv in pairs], leaf_count)
+    branches = [[] for _ in range(len(pairs) + 1)]
     for leaf, v in enumerate(holder):
         branches[v].append((leaf, leaf))
-    for i, ((lo, _), (parent, child)) in enumerate(zip(intervals, ends)):
-        branches[parent].append((lo, leaf_count + 2 * i))
-        branches[child].append((-1, leaf_count + 2 * i + 1))
+    pairing, edges = {}, {}
+    for i, ((bit, (lo, _)), (parent, child)) in enumerate(zip(pairs, ends)):
+        h = leaf_count + 2 * i
+        branches[parent].append((lo, h))
+        branches[child].append((-1, h + 1))
+        pairing[h], pairing[h + 1] = h + 1, h
+        edges[bit] = h
     cycles = [tuple(h for _, h in sorted(b)) for b in branches]
-    pairs = [(leaf_count + 2 * i, leaf_count + 2 * i + 1) for i in range(len(intervals))]
-    return PlanarTree._trusted(leaf_count, _normalize_cycles(cycles), pairs)
+    return _normalize_cycles(cycles), pairing, edges
 
 
 def face_sets(n, k):
@@ -246,15 +165,10 @@ def face_sets(n, k):
     return runs(1, n + 2, n - k, False)
 
 
-def enumerate_faces(n, k):
-    """All k-faces of K^n: trees with n+3 leaves and n-k internal edges."""
-    return [tree_from_face(face, n + 3) for face in face_sets(n, k)]
-
-
 def enumerate_trivalent_trees(leaf_count):
-    """All trivalent planar trees with the given leaves, Catalan-many: the
-    vertices of K^(leaf_count - 3)."""
-    return enumerate_faces(leaf_count - 3, 0)
+    """All trivalent planar trees with the given leaves as face bitmasks,
+    Catalan-many: the vertices of K^(leaf_count - 3)."""
+    return face_sets(leaf_count - 3, 0)
 
 
 def dihedral_orbits(leaf_count):
@@ -290,52 +204,26 @@ def face_count(n, k):
 # collapses and chains
 # ---------------------------------------------------------------------------
 
+def chain_sign(face, order, leaf_count):
+    """The sign of the chain collapsing the edges of `face` whose bits are
+    listed in `order`, one at a time in that order: the induced-orientation
+    bookkeeping of `collapse_steps` on the tables of the face's tree."""
+    cycles, pairing, edges = tree_from_face(face, leaf_count)
+    return collapse_steps(cycles, pairing, [[(edges[bit], edges[bit] + 1) for bit in order]])[2]
+
+
 def maximal_chains(n):
     """All maximal chains of K^n, ending at the corolla, as
-    [((seed, steps), sign)]: a trivalent seed and one edge per step.
+    [((top face, edge bits in collapse order), sign)]: a trivalent top
+    face and one edge per step.
 
-    Catalan(n+1) * n! chains; the sign is the induced-orientation
-    bookkeeping against the designated orientation of the corolla.
+    Catalan(n+1) * n! chains; the sign is `chain_sign`, against the
+    designated orientation of the corolla.
     """
-    out = []
-    for seed in enumerate_trivalent_trees(n + 3):
-        for order in permutations(seed.internal_edges()):
-            steps = tuple((e,) for e in order)
-            out.append(((seed, steps), collapse_steps(seed.vertices, seed.pairing, steps)[2]))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# regions
-# ---------------------------------------------------------------------------
-
-def branch_intervals(tree):
-    """The leaves of the branch through each half-edge h, as (first, size):
-    the cyclic interval first, first+1, ..., first+size-1 mod the leaf
-    count.  The branch through a leaf is the leaf; the branch through an
-    internal h is the subtree reached by crossing h.
-
-    The contour walk meets the leaves in order, and between crossing an
-    internal h and crossing its mate back it walks around exactly the
-    branch through h, so one walk gives every interval.
-    """
-    L = tree.leaf_count
-    met = {}
-    count = 0
-    for h in tree.contour():
-        met[h] = count
-        if h not in tree.pairing:
-            count += 1
-    return {h: (h, 1) if h not in tree.pairing
-            else (met[h] % L, (met[tree.pairing[h]] - met[h]) % L)
-            for h in met}
-
-
-def edge_bits(tree):
-    """{internal edge: its bit, for the interval it cuts off away from leaf
-    0}; the bits sum to the tree's face bitmask (`tree_from_face` inverts)."""
-    intervals, L = branch_intervals(tree), tree.leaf_count
-    return {(x, y): face_bit(*one_sided(*intervals[x], L), L) for x, y in tree.internal_edges()}
+    L = n + 3
+    return [((face, order), chain_sign(face, order, L))
+            for face in face_sets(n, 0)
+            for order in permutations(bit for bit, _ in face_intervals(face, L))]
 
 
 # ---------------------------------------------------------------------------
@@ -379,21 +267,12 @@ def region_sign(face, order, v0, leaf_count):
 # dual cells
 # ---------------------------------------------------------------------------
 
-def _chain_key(seed, steps):
-    """The faces along a chain (seed, steps), each the seed collapsed by
-    the steps before it, keyed by its face bitmask: a collapse keeps the
-    branch through every half-edge it leaves, so each key is the seed's
-    without the bits of the edges collapsed so far."""
-    bits = edge_bits(seed)
-    key = [sum(bits.values())]
-    for step in steps:
-        key.append(key[-1] & ~sum(bits[e] for e in step))
-    return tuple(key)
-
-
 def dual_cell_boundary_check(n):
     """Both sides of d D(T) == (-1)^n sum of D(T') over the codimension-1
-    faces T', as {chain key: coefficient}.
+    faces T', as {chain key: coefficient}.  A chain's key lists the faces
+    along it: a collapse keeps the branch through every half-edge it
+    leaves, so each face is the top face without the bits of the edges
+    collapsed so far.
 
     D(T') uses on T' the orientation induced from the designated
     orientation of the corolla along the collapse T' -> T, so each
@@ -404,8 +283,8 @@ def dual_cell_boundary_check(n):
     """
     lhs = {}
     rhs = {}
-    for simplex, sign in maximal_chains(n):
-        key = _chain_key(*simplex)
+    for (top, order), sign in maximal_chains(n):
+        key = tuple(accumulate(order, lambda face, bit: face & ~bit, initial=top))
         for i in range(n + 1):
             face = key[:i] + key[i + 1:]
             lhs[face] = lhs.get(face, 0) + sign * (-1) ** i

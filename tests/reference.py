@@ -8,11 +8,17 @@ reads region masks for the cyclic-set cocycle on corner chains,
 instead of a tree, `boundary_matrix` keys expansions from position
 tables instead of building each as a graph, and `verify_ainfinity` and
 `cyclicity_failures` sum the scaled integer tables of an algebra
-instead of its `Fraction` structure constants.  Some are helpers that
-only the tests call: `canonical_over` and `canonical_tree` key an
-object over fixed labels from its cycles and pairing, and `traverse`,
-`is_loop` and `reversed_orientation` read a walk, a loop or the
-opposite orientation off a graph.
+instead of its `Fraction` structure constants.  The library sees a
+face of K^n only as its bitmask; here a face is also a planar tree,
+`PlanarTree`, checked by a contour walk, whose branch intervals
+(`branch_intervals`) give each edge's bit (`edge_bits`), and the
+maximal chains are listed by seed tree (`tree_chains`, keyed by
+`chain_key`), as `trees.maximal_chains` lists them by face.  Some are
+helpers that only the tests call: `canonical_over` and
+`canonical_tree` key an object over fixed labels from its cycles and
+pairing, `traverse`, `is_loop` and `reversed_orientation` read a walk,
+a loop or the opposite orientation off a graph, and `chain_add` adds a
+term to a `GraphChain`.
 
 The cyclic-set cocycle: the basic datum is a chain of cyclically
 ordered finite sets C_0 -> C_1 -> ... -> C_2k joined by
@@ -40,12 +46,12 @@ from fatcomplex.ribbon import (
     OrientedRibbonGraph,
     RibbonGraph,
     _edge_list,
+    _normalize_cycles,
     _position_tables,
     _rotate_min,
     _vsym,
     canonical_form,
     canonical_oriented,
-    collapse_cycles,
     collapse_oriented,
     collapse_steps,
     graph_from_key,
@@ -54,12 +60,11 @@ from fatcomplex.ribbon import (
     word_parity,
 )
 from fatcomplex.trees import (
-    PlanarTree,
-    _chain_key,
-    branch_intervals,
+    face_bit,
     face_layout,
-    maximal_chains,
+    face_sets,
     one_sided,
+    tree_from_face,
 )
 
 
@@ -243,7 +248,7 @@ def corner_chain(cycles, pairing, steps, cycle):
             if pairing.get(a) != b:
                 raise GraphError("edge %r is not in the graph at its step" % ((a, b),))
             moved = corner_collapse_map(cycles, pairing, a)
-            cycles, pairing, _ = collapse_cycles(cycles, pairing, a)
+            cycles, pairing = collapse_oriented(cycles, pairing, 1, a)[:2]
             levels = [tuple(moved.get(x, x) for x in xs) for xs in levels]
         corner = levels[-1][0]
         levels.append(next(c for c in cycles if corner in c))
@@ -500,8 +505,21 @@ def chain_of(og, coeff=1):
     key, sign = canonical_oriented(og)
     chain = GraphChain(grading=og.graph.codimension)
     if sign is not None:
-        chain.add(key, Fraction(coeff) * sign)
+        chain_add(chain, key, Fraction(coeff) * sign)
     return chain
+
+
+def chain_add(chain, key, coeff):
+    """Add coeff times the class `key` to a `GraphChain`, dropping a term
+    that cancels."""
+    coeff = Fraction(coeff)
+    if not coeff:
+        return
+    cur = chain.terms.get(key, Fraction(0)) + coeff
+    if cur:
+        chain.terms[key] = cur
+    else:
+        chain.terms.pop(key, None)
 
 
 def dual_cell_simplices(base):
@@ -525,6 +543,163 @@ def dual_cell_simplices(base):
             if cycles != base.vertices or pairing != base.pairing:
                 raise GraphError("dual cell chain did not land on the base")
             yield (top, steps), sign
+
+
+# ---------------------------------------------------------------------------
+# planar trees as objects: the contour walk, and the chains the library
+# lists by face bitmask
+# ---------------------------------------------------------------------------
+
+class PlanarTree:
+    """A planar tree with labelled leaves in counterclockwise order."""
+
+    __slots__ = ("leaf_count", "vertices", "pairing")
+
+    def __init__(self, leaf_count, vertex_cycles, edge_pairs):
+        self._set(leaf_count, _normalize_cycles([tuple(c) for c in vertex_cycles]), edge_pairs)
+        self._validate()
+
+    def _set(self, leaf_count, vertices, edge_pairs):
+        self.leaf_count = leaf_count
+        self.vertices = vertices
+        pairing = {}
+        for a, b in edge_pairs:
+            pairing[a] = b
+            pairing[b] = a
+        self.pairing = pairing
+
+    @classmethod
+    def _trusted(cls, leaf_count, vertices, edge_pairs):
+        """A tree from parts known to be valid, with no checks:
+        `vertices` normalized and `edge_pairs` its internal edges."""
+        t = cls.__new__(cls)
+        t._set(leaf_count, vertices, edge_pairs)
+        return t
+
+    def _validate(self):
+        labels = [x for c in self.vertices for x in c]
+        if len(labels) != len(set(labels)):
+            raise GraphError("duplicate half-edge label")
+        leaves = [x for x in labels if x not in self.pairing]
+        if sorted(leaves) != list(range(self.leaf_count)):
+            raise GraphError("leaves must be exactly 0..leaf_count-1")
+        if any(len(c) < 3 for c in self.vertices):
+            raise GraphError("internal vertex of valence < 3")
+        if len(self.vertices) != len(self.pairing) // 2 + 1:
+            raise GraphError("not a tree: vertices != internal edges + 1")
+        if self.contour_leaves() != tuple(range(self.leaf_count)):
+            raise GraphError("leaves are not in counterclockwise order")
+
+    def sigma(self):
+        nxt = {}
+        for c in self.vertices:
+            for i, h in enumerate(c):
+                nxt[h] = c[(i + 1) % len(c)]
+        return nxt
+
+    def contour(self):
+        """Half-edges in the order the contour walk from leaf 0 meets them:
+        after a leaf it turns to the next half-edge at the leaf's vertex,
+        after an internal half-edge to the next one at its mate's vertex.
+        Around a tree it meets each half-edge once."""
+        sigma = self.sigma()
+        cur = 0
+        for _ in range(len(sigma)):
+            yield cur
+            cur = sigma[self.pairing.get(cur, cur)]
+            if cur == 0:
+                return
+
+    def contour_leaves(self):
+        """Leaves in the order the contour walk from leaf 0 meets them."""
+        return tuple(h for h in self.contour() if h not in self.pairing)
+
+    def internal_edges(self):
+        return _edge_list(self.pairing)
+
+    def literal(self):
+        return (self.leaf_count, self.vertices, tuple(self.internal_edges()))
+
+    def __eq__(self, other):
+        return isinstance(other, PlanarTree) and self.literal() == other.literal()
+
+    def __hash__(self):
+        return hash(self.literal())
+
+    def __repr__(self):
+        return "PlanarTree(%d, %r, %r)" % (self.leaf_count, list(self.vertices),
+                                           self.internal_edges())
+
+
+def face_tree(face, leaf_count):
+    """The planar tree of a face bitmask, from the tables of
+    `trees.tree_from_face`, unchecked."""
+    cycles, pairing, edges = tree_from_face(face, leaf_count)
+    return PlanarTree._trusted(leaf_count, cycles, [(h, pairing[h]) for h in edges.values()])
+
+
+def enumerate_faces(n, k):
+    """All k-faces of K^n as planar trees, in `face_sets` order."""
+    return [face_tree(face, n + 3) for face in face_sets(n, k)]
+
+
+def trivalent_trees(leaf_count):
+    """All trivalent planar trees with the given leaves, in `face_sets`
+    order: the vertices of K^(leaf_count - 3)."""
+    return enumerate_faces(leaf_count - 3, 0)
+
+
+def branch_intervals(tree):
+    """The leaves of the branch through each half-edge h, as (first, size):
+    the cyclic interval first, first+1, ..., first+size-1 mod the leaf
+    count.  The branch through a leaf is the leaf; the branch through an
+    internal h is the subtree reached by crossing h.
+
+    The contour walk meets the leaves in order, and between crossing an
+    internal h and crossing its mate back it walks around exactly the
+    branch through h, so one walk gives every interval.
+    """
+    L = tree.leaf_count
+    met = {}
+    count = 0
+    for h in tree.contour():
+        met[h] = count
+        if h not in tree.pairing:
+            count += 1
+    return {h: (h, 1) if h not in tree.pairing
+            else (met[h] % L, (met[tree.pairing[h]] - met[h]) % L)
+            for h in met}
+
+
+def edge_bits(tree):
+    """{internal edge: its bit, for the interval it cuts off away from leaf
+    0}; the bits sum to the tree's face bitmask (`tree_from_face` inverts)."""
+    intervals, L = branch_intervals(tree), tree.leaf_count
+    return {(x, y): face_bit(*one_sided(*intervals[x], L), L) for x, y in tree.internal_edges()}
+
+
+def tree_chains(n):
+    """All maximal chains of K^n as tree simplices [((seed, steps), sign)]:
+    a trivalent seed tree, one edge per step, and the sign of the collapse
+    bookkeeping.  `trees.maximal_chains` lists the same chains by face."""
+    out = []
+    for seed in trivalent_trees(n + 3):
+        for order in permutations(seed.internal_edges()):
+            steps = tuple((e,) for e in order)
+            out.append(((seed, steps), collapse_steps(seed.vertices, seed.pairing, steps)[2]))
+    return out
+
+
+def chain_key(seed, steps):
+    """The faces along a chain (seed, steps), each the seed collapsed by
+    the steps before it, keyed by its face bitmask: a collapse keeps the
+    branch through every half-edge it leaves, so each key is the seed's
+    without the bits of the edges collapsed so far."""
+    bits = edge_bits(seed)
+    key = [sum(bits.values())]
+    for step in steps:
+        key.append(key[-1] & ~sum(bits[e] for e in step))
+    return tuple(key)
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +846,8 @@ def region_touch_sets(tree):
 def dual_cell(n):
     """The signed sum of maximal chains of K^n, as {chain key: sign}."""
     out = {}
-    for simplex, sign in maximal_chains(n):
-        key = _chain_key(*simplex)
+    for simplex, sign in tree_chains(n):
+        key = chain_key(*simplex)
         out[key] = out.get(key, 0) + sign
     return out
 

@@ -263,6 +263,8 @@ def first_entry_plus_one(right, *args):
     # the maximal-chain rows use the same rule at an endpoint of e_1
     pytest.param("orientation", "trees", "region_sign", plus_one, "chain signs on K^2",
                  id="orientation-chain-row-region_sign"),
+    # the collapse bookkeeping that the rule is checked against
+    ("orientation", "trees", "chain_sign", plus_one, "region sign rule"),
     ("complex", "graph_complex", "boundary_matrix", first_entry_plus_one, "d.d = 0"),
     ("cocycle", "graph_complex", "eval_w_key", plus_one, "W[1]* kills boundaries"),
     ("ainf", "ainfinity", "partition_function", plus_one, "Z_x cocycle"),

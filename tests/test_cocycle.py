@@ -4,11 +4,11 @@ import pytest
 
 from fatcomplex.coefficients import double_factorial
 from fatcomplex.ribbon import GraphError, OrientedRibbonGraph, build_graph
-from fatcomplex.trees import PlanarTree, maximal_chains
 from reference import (
     CyclicSetChain,
     EvenLength,
     LengthMismatch,
+    PlanarTree,
     RepeatedElement,
     adjusted_cz,
     c_fat,
@@ -20,6 +20,7 @@ from reference import (
     cz,
     dual_cell_simplices,
     region_chain,
+    tree_chains,
 )
 from test_trees import tree_at
 
@@ -193,7 +194,7 @@ def reference_tree_corner_chain(trees, edges, vertex_cycle):
 
 
 def test_corner_model_agrees_with_region_model_on_k2():
-    for simplex, _ in maximal_chains(2):
+    for simplex, _ in tree_chains(2):
         for cycle in simplex[0].vertices:
             corner = window_corner_chain(*simplex, cycle)
             region = region_chain(*simplex, cycle)
@@ -202,7 +203,7 @@ def test_corner_model_agrees_with_region_model_on_k2():
 
 
 def test_corner_model_agrees_with_region_model_on_k4_windows():
-    for simplex, _ in maximal_chains(4)[:200]:
+    for simplex, _ in tree_chains(4)[:200]:
         for start, k in ((0, 1), (2, 1), (0, 2)):
             top, steps = tree_at(simplex, start), simplex[1][start:start + 2 * k]
             for cycle in top.vertices:
@@ -216,7 +217,7 @@ def test_corner_chain_matches_frozen_tree_tracker_on_k2_k4_windows():
     # vertex of its first tree: the same ambient and corner sets
     checked = 0
     for n in (2, 4):
-        for simplex, _ in maximal_chains(n):
+        for simplex, _ in tree_chains(n):
             trees = [tree_at(simplex, i) for i in range(n + 1)]
             edges = [e for (e,) in simplex[1]]
             for start in range(n + 1):
@@ -233,7 +234,7 @@ def test_corner_chain_matches_frozen_tree_tracker_on_k2_k4_windows():
 
 def test_cup_product_single_part_is_window():
     # against the region model, summed over the seed's vertices
-    simplex, _ = maximal_chains(2)[3]
+    simplex, _ = tree_chains(2)[3]
     seed, steps = simplex
     want = sum((len(c) - 2) * adjusted_cz(1, region_chain(seed, steps, c))
                for c in seed.vertices)
@@ -268,6 +269,6 @@ def test_cup_product_vanishing_factor():
     # if some window has no growing vertex the product vanishes; windows
     # always have a growing vertex on maximal chains, so force a length
     # mismatch error instead
-    simplex, _ = maximal_chains(2)[0]
+    simplex, _ = tree_chains(2)[0]
     with pytest.raises(LengthMismatch):
         cup_product((1, 1), simplex)

@@ -32,17 +32,15 @@ from fatcomplex.coefficients import (
 )
 from fatcomplex.ribbon import word_parity
 from fatcomplex.trees import (
-    PlanarTree,
-    branch_intervals,
     dihedral_orbits,
-    enumerate_trivalent_trees,
     face_count,
     face_layout,
     face_sets,
-    maximal_chains,
     one_sided,
 )
 from reference import (
+    PlanarTree,
+    branch_intervals,
     canonical_tree,
     cup_product,
     cut_intervals,
@@ -51,6 +49,8 @@ from reference import (
     reference_trivalent_trees,
     reference_windows,
     region_touch_sets,
+    tree_chains,
+    trivalent_trees,
 )
 from test_trees import order_sign
 
@@ -136,11 +136,11 @@ def _reflect_leaves(tree):
 def _rotation_orbits(leaf_count):
     """Trivalent trees up to the leaf rotation i -> i+1 mod leaf_count, as
     [(representative, orbit size)]; the representative of an orbit is its
-    first member in `enumerate_trivalent_trees` order.  A rotation moves
+    first member in `trivalent_trees` order.  A rotation moves
     every cut interval one leaf on."""
     seen = set()
     out = []
-    for seed in enumerate_trivalent_trees(leaf_count):
+    for seed in trivalent_trees(leaf_count):
         key = cut_intervals(seed)
         if key in seen:
             continue
@@ -226,7 +226,7 @@ def test_dihedral_orbits_keep_little_in_memory():
 def test_per_seed_sums_agree_across_rotation_orbits_k2_k4():
     for m in (1, 2):
         by_orbit = {}
-        for seed in enumerate_trivalent_trees(2 * m + 3):
+        for seed in trivalent_trees(2 * m + 3):
             sums = scan_seed(seed, m)
             assert scan_seed(rotate_leaves(seed), m) == sums
             by_orbit.setdefault(_orbit_key(seed), []).append(sums)
@@ -249,7 +249,7 @@ def test_per_seed_sums_agree_across_rotation_orbits_k6():
 
 
 def test_per_seed_sums_invariant_under_reflection_k4():
-    for seed in enumerate_trivalent_trees(7):
+    for seed in trivalent_trees(7):
         assert scan_seed(_reflect_leaves(seed), 2) == scan_seed(seed, 2)
 
 
@@ -272,7 +272,7 @@ def test_reflection_has_degree_minus_one_to_the_m():
     # K^4 and on the reference-order chain of every K^6 seed
     for leaves in (5, 7, 9):
         m = (leaves - 3) // 2
-        for seed in enumerate_trivalent_trees(leaves):
+        for seed in trivalent_trees(leaves):
             edges = seed.internal_edges()
             for order in (permutations(edges) if leaves < 9 else [edges]):
                 sign = order_sign(seed, order)
@@ -424,7 +424,7 @@ def _reference_scan_seed(seed, m):
 
 def test_pruned_scan_matches_reference_on_every_k2_k4_seed():
     # the face scan of one seed against the unpruned scan
-    seeds = enumerate_trivalent_trees(5) + enumerate_trivalent_trees(7)
+    seeds = trivalent_trees(5) + trivalent_trees(7)
     assert len(seeds) == 5 + 42
     nonzero = 0
     for seed in seeds:
@@ -455,7 +455,7 @@ def test_pruned_scan_matches_reference_on_k6_orbits():
 
 def test_pruned_scan_matches_reference_on_k8_orbits():
     orbits = dihedral_orbits(11)
-    seeds = {face_bits(t): t for t in enumerate_trivalent_trees(11)}
+    seeds = {face_bits(t): t for t in trivalent_trees(11)}
     nonzero = 0
     for i in (0, 100, 227):
         want = _reference_scan_seed(seeds[orbits[i][0]], 4)
@@ -558,7 +558,7 @@ def test_scan_builds_no_tree_and_collapses_nothing(monkeypatch):
         raise AssertionError("the scan built a tree or collapsed an edge")
 
     monkeypatch.setattr(coefficients, "_B_SINGLE_CACHE", {})
-    monkeypatch.setattr(trees.PlanarTree, "_trusted", forbidden)
+    monkeypatch.setattr(trees, "tree_from_face", forbidden)
     monkeypatch.setattr(ribbon, "collapse_oriented", forbidden)
     assert b_single_all(1) == {(1,): Fraction(1, 12)}
     assert b_single_all(2) == {(2,): Fraction(-1, 120), (1, 1): Fraction(29, 720)}
@@ -572,7 +572,7 @@ def test_scan_matches_fraction_cocycle_over_maximal_chains():
     # through `corner_chain`, `cyclic_sign` and `cz` (corner model),
     # chain by chain
     for m, count in ((1, 10), (2, 1008)):
-        chains = maximal_chains(2 * m)
+        chains = tree_chains(2 * m)
         assert len(chains) == count
         want = {comp: (-1) ** m * sum(sign * cup_product(comp, simplex)
                                       for simplex, sign in chains)
@@ -654,7 +654,7 @@ def test_orbit_scan_matches_scan_over_all_seeds(monkeypatch, workers):
             monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
             monkeypatch.setattr(coefficients.os, "cpu_count", lambda: 2)
         totals = dict.fromkeys(compositions_of(m), 0)
-        for seed in enumerate_trivalent_trees(2 * m + 3):
+        for seed in trivalent_trees(2 * m + 3):
             for comp, v in scan_seed(seed, m).items():
                 totals[comp] += v
         assert b_single_all(m, workers=workers) == coefficients._b_from_totals(m, totals)

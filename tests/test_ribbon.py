@@ -21,6 +21,7 @@ from fatcomplex.ribbon import (
 )
 from reference import (
     BadSplit,
+    PlanarTree,
     automorphisms,
     boundary_cycles,
     canonical_over,
@@ -28,12 +29,14 @@ from reference import (
     collapse_edge,
     corner_chain,
     enumerate_expansions,
+    enumerate_faces,
     expand_vertex,
     is_loop,
     isomorphisms_between,
     reversed_orientation,
     transport_sign,
     traverse,
+    trivalent_trees,
     vertex_of,
 )
 
@@ -793,8 +796,6 @@ def reference_tree_keyer(tree, sign):
     """The tree keyer as first written: leaves keep their labels, and the
     internal half-edges are numbered from the leaf count in the order of
     the sigma-then-pairing traversal from leaf 0."""
-    from fatcomplex.trees import PlanarTree
-
     sigma = tree.sigma()
     new = {0: 0}
     pending = [0]
@@ -831,14 +832,8 @@ def _reverse_unfixed(labels, fixed):
 def test_canonical_over_matches_reference_tree_keyer():
     # each tree as enumerated, and with its internal half-edges relabeled
     # in reverse order, where the transported sign is not always +1
-    from fatcomplex.trees import (
-        PlanarTree,
-        enumerate_faces,
-        enumerate_trivalent_trees,
-    )
-
     trees = [t for n in range(1, 6) for k in range(n + 1) for t in enumerate_faces(n, k)]
-    trees += enumerate_trivalent_trees(9)
+    trees += trivalent_trees(9)
     checked = flips = moves = 0
     for t in trees:
         m = _reverse_unfixed([x for c in t.vertices for x in c], range(t.leaf_count))

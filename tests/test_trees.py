@@ -1,5 +1,5 @@
 import math
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import pytest
 
@@ -15,10 +15,8 @@ from fatcomplex.ribbon import (
     word_parity,
 )
 from fatcomplex.trees import (
-    PlanarTree,
+    chain_sign,
     dual_cell_boundary_check,
-    edge_bits,
-    enumerate_faces,
     enumerate_trivalent_trees,
     face_count,
     face_layout,
@@ -29,15 +27,21 @@ from fatcomplex.trees import (
 )
 from reference import (
     ConfigurationMismatch,
+    PlanarTree,
     canonical_tree,
+    chain_key,
     corner_regions,
     corolla,
     dual_cell,
+    edge_bits,
+    enumerate_faces,
     face_bits,
     lemma_region_sign,
     reference_faces,
     reference_trivalent_trees,
     region_touch_sets,
+    tree_chains,
+    trivalent_trees,
     vertex_of,
 )
 
@@ -80,21 +84,21 @@ def test_trivalent_tree_counts_up_to_nine_leaves():
 
 
 def test_enumerate_faces_pentagon():
-    assert len(enumerate_faces(2, 2)) == 1
-    assert len(enumerate_faces(2, 1)) == 5
-    assert len(enumerate_faces(2, 0)) == 5
-    assert len(enumerate_faces(1, 0)) == 2
+    assert len(face_sets(2, 2)) == 1
+    assert len(face_sets(2, 1)) == 5
+    assert len(face_sets(2, 0)) == 5
+    assert len(face_sets(1, 0)) == 2
 
 
 def test_face_counts_k3_k4():
-    assert [len(enumerate_faces(3, k)) for k in range(4)] == [14, 21, 9, 1]
-    assert [len(enumerate_faces(4, k)) for k in range(5)] == [42, 84, 56, 14, 1]
+    assert [len(face_sets(3, k)) for k in range(4)] == [14, 21, 9, 1]
+    assert [len(face_sets(4, k)) for k in range(5)] == [42, 84, 56, 14, 1]
 
 
 def test_face_count_matches_enumeration():
     for n in range(7):
         for k in range(n + 1):
-            assert face_count(n, k) == len(enumerate_faces(n, k))
+            assert face_count(n, k) == len(face_sets(n, k))
 
 
 def _checked(tree):
@@ -105,8 +109,10 @@ def _checked(tree):
 
 def test_trees_are_valid_and_deduplicated():
     # every face of K^0..K^6 and every trivalent tree with 9 and 11
-    # leaves: a valid tree whose bitmask and edge bits give back its face,
-    # and the faces are the reference generator's, each once
+    # leaves: the tables of `tree_from_face` make a valid tree whose
+    # bitmask and edge bits, read off the contour walk, give back its
+    # face and its edge table, and the faces are the reference
+    # generator's, each once
     for n in range(7):
         for k in range(n + 1):
             faces = trees.face_sets(n, k)
@@ -114,27 +120,32 @@ def test_trees_are_valid_and_deduplicated():
             reference = reference_faces(n, k)
             assert {face_bits(t) for t in reference} == set(faces)
             literals = {t.literal() for t in reference}
-            built = [_checked(tree_from_face(face, n + 3)) for face in faces]
-            for face, tree in zip(faces, built):
+            built = []
+            for face in faces:
+                cycles, pairing, edges = tree_from_face(face, n + 3)
+                tree = PlanarTree(n + 3, cycles, [(h, pairing[h]) for h in edges.values()])
+                assert tree.pairing == pairing
                 assert face_bits(tree) == face
                 # one bit per edge: two equal bits would carry, leaving
                 # the sum fewer bits than the face has
                 assert sum(edge_bits(tree).values()) == face
+                assert {bit: x for (x, _), bit in edge_bits(tree).items()} == edges
                 assert tree.literal() in literals
+                built.append(tree)
             assert len({canonical_tree(t).literal() for t in built}) == len(faces)
     for leaves in (9, 11):
-        built = enumerate_trivalent_trees(leaves)
+        built = trivalent_trees(leaves)
         assert [_checked(t) for t in built] == reference_trivalent_trees(leaves)
-        assert [face_bits(t) for t in built] == trees.face_sets(leaves - 3, 0)
+        assert [face_bits(t) for t in built] == enumerate_trivalent_trees(leaves)
 
 
 def test_enumerators_reject_bad_input():
     with pytest.raises(GraphError):
         enumerate_trivalent_trees(2)
     with pytest.raises(GraphError):
-        enumerate_faces(2, 3)
+        face_sets(2, 3)
     with pytest.raises(GraphError):
-        enumerate_faces(2, -1)
+        face_sets(2, -1)
 
 
 def test_bad_leaf_order_rejected():
@@ -152,14 +163,24 @@ def test_maximal_chain_counts():
 
 def test_chain_sign_antisymmetry_under_transposition():
     for n in (2, 3):
-        for seed in enumerate_trivalent_trees(n + 3):
-            edges = seed.internal_edges()
-            for order in permutations(edges):
-                base = order_sign(seed, order)
+        for face in enumerate_trivalent_trees(n + 3):
+            for order in permutations(face_layout(face, n + 3)[0]):
+                base = chain_sign(face, order, n + 3)
                 for i in range(n - 1):
                     swapped = list(order)
                     swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                    assert order_sign(seed, swapped) == -base
+                    assert chain_sign(face, swapped, n + 3) == -base
+
+
+def test_maximal_chains_match_the_tree_chains():
+    # the face chains of K^0..K^4 against the chains of seed trees, keyed
+    # through the contour walk: the same chain keys with the same signs
+    for n in range(5):
+        faces = {tuple(accumulate(order, lambda f, bit: f & ~bit, initial=face)): sign
+                 for (face, order), sign in maximal_chains(n)}
+        tree_side = {chain_key(*simplex): sign for simplex, sign in tree_chains(n)}
+        assert len(faces) == len(tree_side) == math.factorial(n) * catalan(n + 1)
+        assert faces == tree_side
 
 
 def test_case_2a_orientation_words():
@@ -305,14 +326,14 @@ def _reference_corner_region(tree, h):
 def test_regions_touching_agrees_with_path_model():
     # every face of K^0..K^5 and the trivalent trees with 9 and 11 leaves
     faces = [t for n in range(6) for k in range(n + 1) for t in enumerate_faces(n, k)]
-    for t in faces + enumerate_trivalent_trees(9) + enumerate_trivalent_trees(11):
+    for t in faces + trivalent_trees(9) + trivalent_trees(11):
         assert region_touch_sets(t) == _reference_region_touch_sets(t)
         for c in t.vertices:
             assert regions_touching(t, c) == tuple(_reference_corner_region(t, h) for h in c)
 
 
 def test_region_growth_along_chains_of_k2():
-    for simplex, _ in maximal_chains(2):
+    for simplex, _ in tree_chains(2):
         for i, (e,) in enumerate(simplex[1]):
             before = tree_at(simplex, i)
             after = tree_at(simplex, i + 1)
@@ -404,7 +425,7 @@ def test_degree_statement_chainwise():
         k = n // 2
         twist = (-1) ** math.comb(n + 1, 2)
         assert twist == (-1) ** k
-        for simplex, sign in maximal_chains(n):
+        for simplex, sign in tree_chains(n):
             seed, steps = simplex
             edges = [e for (e,) in steps]
             raw_region_sign = (lemma_region_sign(seed, edges, v0=vertex_of(seed, edges[0][0]))
@@ -416,7 +437,7 @@ def test_lemma_region_sign_k0_and_bad_configuration():
     # k = 0: no edges to collapse, the sign is trivially +1
     assert lemma_region_sign(corolla(2), []) == 1
     # all-trivalent seeds need v0 to be named
-    seed = enumerate_trivalent_trees(5)[0]
+    seed = trivalent_trees(5)[0]
     with pytest.raises(ConfigurationMismatch):
         lemma_region_sign(seed, list(seed.internal_edges()))
     # wrong edge list
@@ -453,7 +474,7 @@ def test_region_lookup_facts():
 
 def test_region_rule_at_either_end_of_the_first_edge_on_k6():
     # every order of three K^6 seeds, with v0 at either endpoint of e_1
-    for seed in [enumerate_trivalent_trees(9)[i] for i in (0, 200, 428)]:
+    for seed in [trivalent_trees(9)[i] for i in (0, 200, 428)]:
         for order in permutations(seed.internal_edges()):
             sign = order_sign(seed, order)
             for h in order[0]:
@@ -468,10 +489,8 @@ def test_region_sign_gives_the_scan_seed_sign_on_k2_to_k8():
     for n in (2, 4, 6, 8):
         L = n + 3
         for face in face_sets(n, 0):
-            seed = tree_from_face(face, L)
-            bits = edge_bits(seed)
-            order = sorted(seed.internal_edges(), key=bits.get)
-            assert region_sign(face, face_layout(face, L)[0], 1, L) == order_sign(seed, order)
+            codes = face_layout(face, L)[0]
+            assert region_sign(face, codes, 1, L) == chain_sign(face, codes, L)
             count += 1
     assert count == 5 + 42 + 429 + 4862
 
@@ -481,7 +500,7 @@ def test_region_sign_at_either_end_of_e1_on_every_maximal_chain_of_k2_k4():
     # either endpoint of the first edge collapsed
     for n, count in ((2, 10), (4, 1008)):
         L = n + 3
-        chains = maximal_chains(n)
+        chains = tree_chains(n)
         assert len(chains) == count
         for (seed, steps), sign in chains:
             face, code = face_bits(seed), edge_bits(seed)
