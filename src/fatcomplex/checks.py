@@ -29,22 +29,23 @@ def check_orientation(**_):
             codes, _, masks, _ = trees.face_layout(face, L)
             if sorted(mask.bit_count() for mask in masks) == [3, 3, valence]:
                 v0 = next(v for v, mask in enumerate(masks) if mask.bit_count() > 3)
-                seeds.append((face, codes, v0))
+                seeds.append((face, codes, v0, trees.tree_from_face(face, L)))
         ok = bool(seeds) and all(
-            trees.region_sign(face, order, v0, L) == trees.chain_sign(face, order, L)
-            for face, codes, v0 in seeds for order in permutations(codes))
+            trees.region_sign(face, order, v0, L) == trees.chain_sign(tree, order)
+            for face, codes, v0, tree in seeds for order in permutations(codes))
         rows.append(("orientation", "region sign rule, big vertex valence %d" % valence, ok))
     for n in (2, 4):
         ok = True
-        for (face, order), sign in trees.maximal_chains(n):
+        # every order of a face's bits is a chain of the list
+        signs = dict(trees.maximal_chains(n))
+        for (face, order), sign in signs.items():
             # the child of edge i is vertex i + 1
             v0 = trees.face_layout(face, n + 3)[0].index(order[0]) + 1
             if trees.region_sign(face, order, v0, n + 3) != sign:
                 ok = False
             for i in range(n - 1):
-                swapped = list(order)
-                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                if trees.chain_sign(face, swapped, n + 3) != -sign:
+                swapped = order[:i] + (order[i + 1], order[i]) + order[i + 2:]
+                if signs[face, swapped] != -sign:
                     ok = False
         rows.append(("orientation",
                      "chain signs on K^%d: region rule and antisymmetry" % n, ok))

@@ -114,7 +114,7 @@ import functools
 import math
 import os
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 
 from fatcomplex.linalg import SingularMatrix, matrix_inverse
 from fatcomplex.trees import dihedral_orbits, face_layout, region_sign
@@ -157,11 +157,7 @@ def compositions_of(m):
     """Ordered sequences of positive integers summing to m."""
     if m == 0:
         return [()]
-    out = []
-    for first in range(1, m + 1):
-        for rest in compositions_of(m - first):
-            out.append((first,) + rest)
-    return out
+    return [(first,) + rest for first in range(1, m + 1) for rest in compositions_of(m - first)]
 
 
 def parse_partition(text, allow_zero=False):
@@ -173,11 +169,7 @@ def parse_partition(text, allow_zero=False):
 
 def double_factorial(n):
     """(2k-1)!! style double factorial with (-1)!! == 1."""
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+    return math.prod(range(n, 1, -2))
 
 
 def closed_form_a_diagonal(m):
@@ -478,12 +470,9 @@ class MmmPolynomial:
 
     def __init__(self, terms=None):
         self.terms = {}
-        if terms:
-            for key, val in terms.items():
-                key = tuple(sorted(key, reverse=True))
-                val = Fraction(val)
-                if val:
-                    self.terms[key] = self.terms.get(key, Fraction(0)) + val
+        for key, val in (terms or {}).items():
+            key = tuple(sorted(key, reverse=True))
+            self.terms[key] = self.terms.get(key, 0) + Fraction(val)
         self.terms = {k: v for k, v in self.terms.items() if v}
 
     @classmethod
@@ -551,18 +540,9 @@ class MmmPolynomial:
 
 
 def monomial_text(key):
-    if not key:
-        return "1"
-    bits = []
-    i = 0
-    while i < len(key):
-        j = i
-        while j < len(key) and key[j] == key[i]:
-            j += 1
-        power = j - i
-        bits.append("k%d" % key[i] if power == 1 else "k%d^%d" % (key[i], power))
-        i = j
-    return "*".join(bits)
+    """The monomial of a nonincreasing partition, such as k1^2*k0, or 1."""
+    powers = [(part, len(list(run))) for part, run in groupby(key)]
+    return "*".join("k%d" % k if p == 1 else "k%d^%d" % (k, p) for k, p in powers) or "1"
 
 
 def format_rational(x):

@@ -8,16 +8,19 @@ orientation normalized to +1 on the canonical representative; classes
 admitting an orientation-reversing automorphism are identically zero
 and never stored.
 
-Every boundary comes from `boundary_matrix`, as a sparse integer matrix
-on classes or, for the forest complex, on objects over a base.  It keys
-each single-vertex expansion from its position tables, with no graph
-built per term.  The classes of each half-edge count are grown once per
-process, keying one one-vertex map per class, and kept as keys and
-nonzero flags.  A `ClassCorpus` takes the levels within its bound from
-there and keeps the boundary column of each class, so the checks that
-share a corpus build each column once.  The forest complex keeps only
-its matrices.  Its d.d check is an exact sparse product, and its
-acyclicity check compares exact integer ranks (`linalg.sparse_rank`).
+Every boundary comes from one row core, `_rows`, on classes or, for the
+forest complex, on objects over a base.  It keys each single-vertex
+expansion from its position tables, with no graph built per term, and
+tells rows apart by walk code: a row's key is built at most once, when
+first hit by `boundary_matrix` and the corpus, and by `d_chain` and
+`d_integral` only for the rows whose sum is nonzero.  The classes of
+each half-edge count are grown once per process, keying one one-vertex
+map per class, and kept as keys and nonzero flags.  A `ClassCorpus`
+takes the levels within its bound from there and keeps the boundary
+column of each class, so the checks that share a corpus build each
+column once.  The forest complex keeps only its matrices.  Its d.d
+check is an exact sparse product, and its acyclicity check compares
+exact integer ranks (`linalg.sparse_rank`).
 """
 
 import math
@@ -60,54 +63,64 @@ class GraphChain:
         return "GraphChain(%d terms, grading=%r)" % (len(self.terms), self.grading)
 
 
-def boundary_matrix(columns, canon=oriented_key):
-    """The boundary on the oriented graphs `columns`, as a sparse integer
-    matrix: one term per single-vertex expansion of each column, taken as
-    given, keyed from its position tables (`ribbon.vertex_expansions`) by
-    `canon(vertices, succ, mate, sign)` -> (key, sign), where sign None
-    marks a zero class.  No expansion is built as a graph.
-
-    Returns (rows, matrix): the sorted keys of every class hit, zero
-    classes included, and {(row, col): value} over their positions,
-    without zero entries; a zero class has no entries.
-    """
+def _rows(columns, canon, first):
+    """The boundary on the oriented graphs `columns`: one term per
+    single-vertex expansion of each column, taken as given and keyed from
+    its position tables (`ribbon.vertex_expansions`, no graph built) by
+    `canon(vertices, succ, mate, sign)` -> (code, sign, literal).  Rows
+    are told apart by code, sign None marks a zero class, and `literal()`
+    builds the row's key.  Returns `first(sign, literal)` at the first
+    hit of each row, in order of first hit, and {(row, col): value} over
+    their indices, zero values included."""
     found = {}
+    rows = []
     entries = {}
     for col, og in enumerate(columns):
         for tables in vertex_expansions(og):
-            key, sign = canon(*tables)
-            row = found.setdefault(key, len(found))
+            code, sign, literal = canon(*tables)
+            row = found.setdefault(code, len(rows))
+            if row == len(rows):
+                rows.append(first(sign, literal))
             if sign is not None:
                 entries[row, col] = entries.get((row, col), 0) + sign
+    return rows, entries
+
+
+def boundary_matrix(columns, canon=oriented_key):
+    """The boundary on `columns` by `_rows`, with each row's key built at
+    its first hit, as (rows, matrix): the sorted keys of every class hit,
+    zero classes included, and {(row, col): value} over their positions,
+    without zero entries; a zero class has no entries."""
+    found, entries = _rows(columns, canon, lambda sign, literal: literal())
     rows = sorted(found)
-    position = {found[key]: r for r, key in enumerate(rows)}
-    return rows, {(position[r], c): v for (r, c), v in entries.items() if v}
+    position = {key: r for r, key in enumerate(rows)}
+    return rows, {(position[found[r]], c): v for (r, c), v in entries.items() if v}
 
 
 def d_integral(og):
-    """Boundary of <Gamma> in the integral subcomplex: one term per
-    single-vertex expansion, with the orientation induced from Gamma."""
-    chain = GraphChain(grading=og.graph.codimension - 1)
-    if canonical_oriented(og)[1] is not None:
-        rows, matrix = boundary_matrix([og])
-        chain.terms = {rows[r]: Fraction(v) for (r, _), v in matrix.items()}
-    return chain
+    """Boundary of <Gamma> in the integral subcomplex: `d_chain` of
+    <Gamma>, the key of Gamma with its sign, or of zero for a zero class."""
+    key, sign = canonical_oriented(og)
+    chain = GraphChain(grading=og.graph.codimension)
+    chain.terms = {} if sign is None else {key: Fraction(sign)}
+    return d_chain(chain)
 
 
 def d_chain(chain):
-    """The boundary of a chain, summed in integers: the coefficients are
-    scaled by the lcm D of their denominators, and each nonzero term is
-    divided by D once."""
+    """The boundary of a chain, summed in integers by row code: the
+    coefficients are scaled by the lcm D of their denominators, and each
+    nonzero term is divided by D once.  Only the keys of the nonzero
+    terms are built."""
     out = GraphChain(grading=None if chain.grading is None else chain.grading - 1)
     terms = chain.items()
     scale = math.lcm(*(coeff.denominator for _, coeff in terms))
     scaled = [coeff.numerator * (scale // coeff.denominator) for _, coeff in terms]
-    rows, matrix = boundary_matrix(
-        [OrientedRibbonGraph(graph_from_key(key), 1) for key, _ in terms])
-    sums = [0] * len(rows)
-    for (r, c), v in matrix.items():
+    literals, entries = _rows([OrientedRibbonGraph(graph_from_key(key), 1) for key, _ in terms],
+                              oriented_key, lambda sign, literal: literal)
+    sums = [0] * len(literals)
+    for (r, c), v in entries.items():
         sums[r] += scaled[c] * v
-    out.terms = {key: Fraction(v, scale) for key, v in zip(rows, sums) if v}
+    out.terms = dict(sorted((literals[r](), Fraction(v, scale)) for r, v in enumerate(sums) if v))
     return out
 
 
@@ -216,8 +229,8 @@ class ClassCorpus:
     chord gaps (mate(h) - h) mod H, which determine the map, so only the
     one map per class with the least gaps among their rotations is keyed.
 
-    The expansions are the rows of `boundary_matrix` on the classes with
-    H - 2 half-edges, zero classes included, so one keying pass grows a
+    The expansions are the rows of `_rows` on the classes with H - 2
+    half-edges, zero classes included, so one keying pass grows a
     level and gives the columns of the level below it.  A level grown
     before costs no keying.  The columns that its growth would have
     given, like those of the classes at the bound and of the classes past
@@ -240,27 +253,28 @@ class ClassCorpus:
                 succ = list(cycle[1:]) + [0]
                 hit = set(self._build(level))
                 for mate in _rotation_classes(total):
-                    hit.add(self._key([cycle], succ, mate, 1)[0])
+                    hit.add(self._first(*oriented_key([cycle], succ, mate, 1)[1:]))
                 _LEVELS[total] = tuple((key, self._nonzero[key]) for key in sorted(hit))
             level = [key for key, _ in _LEVELS[total]]
             self._nonzero.update(_LEVELS[total])
             found += level
         self.keys = sorted(found)
 
-    def _key(self, vertices, succ, mate, sign):
-        """`oriented_key`, noting whether the class is zero."""
-        key, sign = oriented_key(vertices, succ, mate, sign)
+    def _first(self, sign, literal):
+        """The key of a class at its first hit, noting whether it is zero."""
+        key = literal()
         self._nonzero[key] = sign is not None
-        return key, sign
+        return key
 
     def _build(self, keys):
-        """Build the columns of `keys` in one boundary matrix and return
+        """Build the columns of `keys` in one pass of `_rows` and return
         the keys of every class hit."""
-        rows, matrix = boundary_matrix(
-            [OrientedRibbonGraph(graph_from_key(key), 1) for key in keys], self._key)
+        rows, entries = _rows([OrientedRibbonGraph(graph_from_key(key), 1) for key in keys],
+                              oriented_key, self._first)
         columns = [{} for _ in keys]
-        for (r, c), v in matrix.items():
-            columns[c][rows[r]] = v
+        for (r, c), v in entries.items():
+            if v:
+                columns[c][rows[r]] = v
         for key, column in zip(keys, columns):
             self._columns[key] = column if self._nonzero[key] else {}
         return rows

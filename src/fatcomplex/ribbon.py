@@ -18,13 +18,15 @@ vertex adds the position, inside its cycle, of its least image label,
 and its inversions against the least image labels of the even-valent
 vertices before it.
 
-An isomorphism class is keyed by the literal (normalized cycles, sorted
-edge pairs) of its relabeling with the least walk code: a walk from a
-root half-edge labels the half-edges 0..H-1, and its code lists the
+An isomorphism class is told apart by its least walk code: a walk from
+a root half-edge labels the half-edges 0..H-1, and its code lists the
 labels of the sigma-successor and the mate of each half-edge in label
 order (`_least_code`, which walks only the roots whose first elements,
 read off the tables, are least, and drops a root at its first larger
-element).
+element).  The code determines the relabeled graph, so equal codes are
+equal classes.  The class's key, the literal (normalized cycles, sorted
+edge pairs) of that relabeling, is built from a tied walk (`_literal`)
+only when asked for, so a boundary builds one key per row it keeps.
 
 The same low-level machinery (orientation words and edge collapse with
 induced sign, `collapse_oriented`, one search for the edge's endpoints
@@ -32,6 +34,8 @@ per collapse) also gives the chain signs of associahedron faces
 (`trees.chain_sign`), on the cycles and pairing of a face's tree, where
 some half-edges are unpaired leaves.
 """
+
+from functools import partial
 
 
 class GraphError(ValueError):
@@ -394,35 +398,39 @@ def _position_tables(cycles, pairing, labels):
 
 
 def key_over(fixed, vertices, succ, mate, sign):
-    """The key of an object over a base and its sign, from position
-    tables whose first positions are the base's sorted labels `fixed`
-    and whose others lie above them.  The base keeps its labels.  A walk
-    from position 0 visits positions in the order it reaches them and
-    from each reaches its sigma-successor, then its mate, and the others
-    get the labels fixed[-1] + 1, ... as it reaches them.  Returns
-    ((cycles, pairs), sign): the relabeled normalized cycles, the sorted
-    (min, max) pairs (a leaf is its own mate and forms no pair), and
-    `sign` transported along the relabeling."""
+    """An object over a base, from position tables whose first positions
+    are the base's sorted labels `fixed` and whose others lie above them,
+    as (code, sign, literal).  The base keeps its labels; a walk from
+    position 0 visits positions in the order it reaches them, from each
+    reaches its sigma-successor, then its mate, and labels the others
+    fixed[-1] + 1, ... as it reaches them.  The code, the final labels of
+    each position's sigma-successor and mate in walk order, tells objects
+    over the base apart, as the walk starts at the base's least label.
+    `sign` is transported along the relabeling, and `literal()` builds
+    the key: the relabeled normalized cycles and the sorted (min, max)
+    pairs (a leaf is its own mate and forms no pair)."""
     final = list(fixed) + [None] * (len(succ) - len(fixed))
     fresh = fixed[-1] + 1
     seen = [False] * len(succ)
     seen[0] = True
     order = [0]
+    code = []
     for h in order:
-        nxt = succ[h]
-        if not seen[nxt]:
-            seen[nxt] = True
-            order.append(nxt)
-            if final[nxt] is None:
-                final[nxt] = fresh
-                fresh += 1
-        nxt = mate[h]
-        if not seen[nxt]:
-            seen[nxt] = True
-            order.append(nxt)
-            if final[nxt] is None:
-                final[nxt] = fresh
-                fresh += 1
+        for nxt in (succ[h], mate[h]):
+            if not seen[nxt]:
+                seen[nxt] = True
+                order.append(nxt)
+                if final[nxt] is None:
+                    final[nxt] = fresh
+                    fresh += 1
+            code.append(final[nxt])
+    return (tuple(code), sign * _transport_sign(vertices, final),
+            partial(_literal_over, vertices, mate, final))
+
+
+def _literal_over(vertices, mate, final):
+    """The key of `key_over` from the object's cycles and pairing over
+    positions and the final label of each position."""
     cycles = []
     for c in vertices:
         image = [final[h] for h in c]
@@ -430,14 +438,13 @@ def key_over(fixed, vertices, succ, mate, sign):
         cycles.append(tuple(image[i:] + image[:i]))
     cycles.sort()
     pairs = sorted([(final[h], final[m]) for h, m in enumerate(mate) if final[h] < final[m]])
-    return (tuple(cycles), tuple(pairs)), sign * _transport_sign(vertices, final)
+    return tuple(cycles), tuple(pairs)
 
 
 def _least_code(succ, mate):
-    """The key of the map with sigma `succ` and pairing `mate` over
-    positions from the root with the least walk code, and, in root
-    order, (order, label) for every root that ties with it (one per
-    automorphism).
+    """The least walk code of the map with sigma `succ` and pairing
+    `mate` over positions, as a tuple, and, in root order, (order, label)
+    for every root that reaches it (one per automorphism).
 
     Each root half-edge seeds the labelling of a walk that visits
     positions in label order and labels the sigma-successor, then the
@@ -466,15 +473,7 @@ def _least_code(succ, mate):
     Each is the walk's step when every valence is >= 3 and no half-edge
     is its own mate, the precondition here (trees and forests key through
     `key_over`): any other coincidence is a valence below 3 or a loop or
-    gap-2 root at r, s r, m r or s^2 r, which an earlier case takes.  The
-    best code is listed only once a second root needs comparing.
-
-    The key is built once, from the first tied root.  The walk reaches
-    every vertex first at one half-edge, which therefore carries the
-    vertex's least label, and it reaches vertices in increasing order of
-    those labels.  So the relabeled normalized cycles are the cycles read
-    from their entry half-edges, in the order of entry, and the sorted
-    edge pairs are read off the labels in increasing order.
+    gap-2 root at r, s r, m r or s^2 r, which an earlier case takes.
     """
     n = len(succ)
     ranks = None
@@ -490,7 +489,6 @@ def _least_code(succ, mate):
     if ranks:
         least = min(ranks)
         roots = [r for r, k in zip(roots, ranks) if k == least]
-    best = None
     ties = []
     for root in roots:
         label = [-1] * n
@@ -498,9 +496,6 @@ def _least_code(succ, mate):
         order = [root]
         walk = iter(order)
         if ties:
-            if best is None:
-                first, known = ties[0]
-                best = [known[succ[h]] * n + known[mate[h]] for h in first]
             for k, h in enumerate(walk):
                 nxt = succ[h]
                 if label[nxt] < 0:
@@ -529,11 +524,19 @@ def _least_code(succ, mate):
             if label[nxt] < 0:
                 label[nxt] = len(order)
                 order.append(nxt)
-        best = None
+        best = [label[succ[h]] * n + label[mate[h]] for h in order]
         ties = [(order, label)]
+    return tuple(best), ties
 
-    order, label = ties[0]
-    entered = [False] * n
+
+def _literal(succ, mate, order, label):
+    """The key of the map with sigma `succ` and pairing `mate`, relabeled
+    by the walk of `_least_code` with `order` and `label`.  The walk
+    enters each vertex at its least label, in increasing order of those
+    labels, so the normalized cycles are the cycles read from their entry
+    half-edges in order of entry, and the sorted pairs are read off the
+    labels in increasing order."""
+    entered = [False] * len(succ)
     cycles = []
     for h in order:
         if not entered[h]:
@@ -545,7 +548,7 @@ def _least_code(succ, mate):
                 x = succ[x]
             cycles.append(tuple(cycle))
     pairs = tuple([(i, label[mate[h]]) for i, h in enumerate(order) if label[mate[h]] > i])
-    return (tuple(cycles), pairs), ties
+    return tuple(cycles), pairs
 
 
 def canonical_form(g):
@@ -554,32 +557,33 @@ def canonical_form(g):
     their roots: `_least_code` with each tied root's order as a map
     old -> new label."""
     _, _, succ, mate = _position_tables(g.vertices, g.pairing, g.half_edges)
-    lit, ties = _least_code(succ, mate)
+    _, ties = _least_code(succ, mate)
     labels = g.half_edges
-    return lit, [{labels[h]: i for i, h in enumerate(order)} for order, _ in ties]
+    return _literal(succ, mate, *ties[0]), [{labels[h]: i for i, h in enumerate(order)}
+                                            for order, _ in ties]
 
 
 def oriented_key(vertices, succ, mate, sign):
-    """Canonical key of the oriented class with position tables
-    `vertices` (in reference order), `succ` and `mate` and orientation
-    `sign`.
-
-    Returns (literal, sign), with sign None when the class carries an
-    orientation-reversing automorphism (so <Gamma> = 0).  The sign of
-    each tied root is `_transport_sign` along its labels.
+    """The oriented class with position tables `vertices` (in reference
+    order), `succ` and `mate` and orientation `sign`, as (code, sign,
+    literal): its least walk code, which tells classes apart, its sign,
+    None when the class carries an orientation-reversing automorphism
+    (so <Gamma> = 0), and a callable building its key, the literal of
+    the first tied root (`_literal`).  The sign of each tied root is
+    `_transport_sign` along its labels.
     """
-    lit, ties = _least_code(succ, mate)
+    code, ties = _least_code(succ, mate)
     signs = {_transport_sign(vertices, label) for _, label in ties}
-    if len(signs) == 2:
-        return lit, None
-    return lit, sign * signs.pop()
+    return (code, sign * signs.pop() if len(signs) == 1 else None,
+            partial(_literal, succ, mate, *ties[0]))
 
 
 def canonical_oriented(og):
-    """`oriented_key` of an oriented graph."""
+    """The key and sign of an oriented graph, by `oriented_key`."""
     g = og.graph
     _, vertices, succ, mate = _position_tables(g.vertices, g.pairing, g.half_edges)
-    return oriented_key(vertices, succ, mate, og.sign)
+    _, sign, literal = oriented_key(vertices, succ, mate, og.sign)
+    return literal(), sign
 
 
 def graph_from_key(lit):

@@ -204,11 +204,12 @@ def face_count(n, k):
 # collapses and chains
 # ---------------------------------------------------------------------------
 
-def chain_sign(face, order, leaf_count):
-    """The sign of the chain collapsing the edges of `face` whose bits are
-    listed in `order`, one at a time in that order: the induced-orientation
-    bookkeeping of `collapse_steps` on the tables of the face's tree."""
-    cycles, pairing, edges = tree_from_face(face, leaf_count)
+def chain_sign(tree, order):
+    """The sign of the chain collapsing the edges whose bits are listed in
+    `order`, one at a time in that order, of the face whose tree tables
+    (`tree_from_face`) are `tree`: the induced-orientation bookkeeping of
+    `collapse_steps` on those tables."""
+    cycles, pairing, edges = tree
     return collapse_steps(cycles, pairing, [[(edges[bit], edges[bit] + 1) for bit in order]])[2]
 
 
@@ -218,11 +219,11 @@ def maximal_chains(n):
     face and one edge per step.
 
     Catalan(n+1) * n! chains; the sign is `chain_sign`, against the
-    designated orientation of the corolla.
+    designated orientation of the corolla, on tables built once per face.
     """
     L = n + 3
-    return [((face, order), chain_sign(face, order, L))
-            for face in face_sets(n, 0)
+    return [((face, order), chain_sign(tree, order))
+            for face in face_sets(n, 0) for tree in [tree_from_face(face, L)]
             for order in permutations(bit for bit, _ in face_intervals(face, L))]
 
 

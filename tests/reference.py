@@ -350,7 +350,8 @@ def canonical_over(fixed, cycles, pairing, sign):
     fixed = sorted(fixed)
     assert labels[:len(fixed)] == fixed
     _, vertices, succ, mate = _position_tables(cycles, pairing, labels)
-    return key_over(fixed, vertices, succ, mate, sign)
+    _, sign, literal = key_over(fixed, vertices, succ, mate, sign)
+    return literal(), sign
 
 
 def canonical_tree(tree):

@@ -265,7 +265,7 @@ def first_entry_plus_one(right, *args):
                  id="orientation-chain-row-region_sign"),
     # the collapse bookkeeping that the rule is checked against
     ("orientation", "trees", "chain_sign", plus_one, "region sign rule"),
-    ("complex", "graph_complex", "boundary_matrix", first_entry_plus_one, "d.d = 0"),
+    ("complex", "graph_complex", "_rows", first_entry_plus_one, "d.d = 0"),
     ("cocycle", "graph_complex", "eval_w_key", plus_one, "W[1]* kills boundaries"),
     ("ainf", "ainfinity", "partition_function", plus_one, "Z_x cocycle"),
     # a wrong two-part answer is a failed theorem, not a soft conjecture
@@ -291,21 +291,21 @@ def test_verify_grows_one_corpus_and_each_column_once(monkeypatch):
     corpora = []
     columns = []
     real_corpus = graph_complex.ClassCorpus
-    real_matrix = graph_complex.boundary_matrix
+    real_rows = graph_complex._rows
 
     class CountedCorpus(real_corpus):
         def __init__(self, *args):
             corpora.append(args)
             super().__init__(*args)
 
-    def recorded_matrix(cols, *canon):
-        # the corpus keys its columns with its own bound method
-        if canon and isinstance(getattr(canon[0], "__self__", None), real_corpus):
+    def recorded_rows(cols, canon, first):
+        # the corpus takes each row's first hit with its own bound method
+        if isinstance(getattr(first, "__self__", None), real_corpus):
             columns.extend(og.graph.literal() for og in cols)
-        return real_matrix(cols, *canon)
+        return real_rows(cols, canon, first)
 
     monkeypatch.setattr(graph_complex, "ClassCorpus", CountedCorpus)
-    monkeypatch.setattr(graph_complex, "boundary_matrix", recorded_matrix)
+    monkeypatch.setattr(graph_complex, "_rows", recorded_rows)
     code, _ = run_cli(["verify", "--suite", "all", "--max-half-edges", "8"])
     assert code == 0
     assert corpora == [(8,)]

@@ -552,6 +552,43 @@ def test_warm_corpus_is_the_cold_one_and_keys_nothing(monkeypatch):
         assert corpus.columns(cold.keys) == cold.columns(cold.keys)
 
 
+def test_keys_are_built_once_per_row_and_not_for_rows_that_cancel(monkeypatch):
+    # d_chain of the boundary of a class of codimension >= 2 builds no
+    # key, as every row cancels; growing the classes within 10 half-edges
+    # from an empty level memo builds one key per class; a forest complex
+    # builds one key per object below its base
+    from fatcomplex import graph_complex, ribbon
+
+    built = []
+
+    def counting(builder):
+        def build(*args):
+            built.append(builder(*args))
+            return built[-1]
+        return build
+
+    chains = [d_integral(OrientedRibbonGraph(g, 1)) for g in enumerate_graphs(10)
+              if g.codimension >= 2]
+    chains = [chain for chain in chains if not chain.is_zero()]
+    monkeypatch.setattr(ribbon, "_literal", counting(ribbon._literal))
+    assert len(chains) > 200
+    assert all(d_chain(chain).is_zero() for chain in chains)
+    assert built == []
+
+    monkeypatch.setattr(graph_complex, "_LEVELS", {})
+    corpus = ClassCorpus(10)
+    assert len(built) == len(set(built)) == len(corpus.keys) == 276
+    assert set(built) == set(corpus.keys)
+
+    built.clear()
+    monkeypatch.setattr(ribbon, "_literal_over", counting(ribbon._literal_over))
+    base = enumerate_graphs(10, valences=(5, 5))[0]
+    fc = forest_complex(base)
+    below = [key for level in fc.levels[:-1] for key in level]
+    assert len(built) == len(set(built)) == len(below) > 50
+    assert sorted(built) == sorted(below)
+
+
 def reference_d_chain(chain):
     """The sum of coeff times the reference boundary column of each term."""
     out = {}

@@ -745,6 +745,81 @@ def test_canonical_form_matches_reference_on_14_half_edge_expansions():
     assert checked > 1000 and symmetric > 0
 
 
+def _relabeled_variants(rng, og, moved):
+    """`og`, and `og` with the labels in `moved` permuted among
+    themselves and with them moved onto fresh labels above all others,
+    each with its orientation transported."""
+    g = og.graph
+    top = max(g.half_edges) + 1
+    out = [og]
+    for image in (rng.sample(moved, len(moved)),
+                  rng.sample(range(top, top + 3 * len(moved)), len(moved))):
+        mapping = {h: h for h in g.half_edges}
+        mapping.update(zip(moved, image))
+        g2 = g.relabel(mapping)
+        out.append(OrientedRibbonGraph(g2, og.sign * transport_sign(g, g2, mapping)))
+    return out
+
+
+def _one_to_one(pairs):
+    """Whether the (a, b) pairs match each a to one b and each b to one a."""
+    forward, backward = {}, {}
+    return all(forward.setdefault(a, b) == b and backward.setdefault(b, a) == a
+               for a, b in pairs)
+
+
+def test_walk_codes_tell_classes_apart_at_d_chain_size():
+    # every expansion of a seeded sample of 12-half-edge classes, the size
+    # `d_chain` keys, with two seeded relabelings of each: equal codes are
+    # equal classes and the other way round, and the key built from the
+    # first tied walk, with its sign, is the word reference's; then the
+    # same one-to-one match of codes and keys for the forest keyer, on
+    # every object and expansion of the forest complexes over a sample of
+    # bases, with the labels outside the base relabeled
+    import random
+
+    from fatcomplex.graph_complex import ClassCorpus, ForestComplex
+    from fatcomplex.ribbon import _position_tables, key_over, oriented_key
+    from reference import reference_canonical_oriented
+
+    rng = random.Random(39)
+    keys = [key for key in ClassCorpus(12).keys if len(key[1]) == 6]
+    seen = []
+    for key in rng.sample(keys, 25):
+        og = OrientedRibbonGraph(graph_from_key(key), 1)
+        for exp in [e for cycle in og.graph.vertices if len(cycle) >= 4
+                    for e, _ in enumerate_expansions(og, cycle)]:
+            for x in _relabeled_variants(rng, exp, list(exp.graph.half_edges)):
+                g = x.graph
+                _, vertices, succ, mate = _position_tables(g.vertices, g.pairing, g.half_edges)
+                code, sign, literal = oriented_key(vertices, succ, mate, x.sign)
+                assert (literal(), sign) == reference_canonical_oriented(x)
+                seen.append((code, literal()))
+    assert _one_to_one(seen)
+    assert len(seen) > 1000 and 100 < len(set(seen)) < len(seen)
+
+    seen = []
+    bases = [g for g in ClassCorpus(10).graphs() if 1 <= g.codimension <= 3]
+    for base in rng.sample(bases, 12):
+        fc = ForestComplex(base)
+        fixed = list(base.half_edges)
+        for level in fc.levels:
+            for key in level:
+                obj = OrientedRibbonGraph(graph_from_key(key), 1)
+                moved = [h for h in obj.graph.half_edges if h not in fc.base_labels]
+                objects = [obj] + [e for cycle in obj.graph.vertices if len(cycle) >= 4
+                                   for e, _ in enumerate_expansions(obj, cycle)]
+                for x in [v for o in objects for v in _relabeled_variants(rng, o, moved)]:
+                    g = x.graph
+                    _, vertices, succ, mate = _position_tables(g.vertices, g.pairing,
+                                                               g.half_edges)
+                    code, sign, literal = key_over(fixed, vertices, succ, mate, x.sign)
+                    assert (literal(), sign) == reference_canonical_over(fc.base_labels, x)
+                    seen.append((code, literal()))
+    assert _one_to_one(seen)
+    assert len(seen) > 1000 and 100 < len(set(seen)) < len(seen)
+
+
 def test_canonical_form_fixes_every_class_key_within_12_half_edges():
     # the graph of a key is its own canonical representative: its key is
     # itself, reached first from root 0 by the identity, which carries

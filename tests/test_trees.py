@@ -164,12 +164,13 @@ def test_maximal_chain_counts():
 def test_chain_sign_antisymmetry_under_transposition():
     for n in (2, 3):
         for face in enumerate_trivalent_trees(n + 3):
+            tree = tree_from_face(face, n + 3)
             for order in permutations(face_layout(face, n + 3)[0]):
-                base = chain_sign(face, order, n + 3)
+                base = chain_sign(tree, order)
                 for i in range(n - 1):
                     swapped = list(order)
                     swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                    assert chain_sign(face, swapped, n + 3) == -base
+                    assert chain_sign(tree, swapped) == -base
 
 
 def test_maximal_chains_match_the_tree_chains():
@@ -490,7 +491,7 @@ def test_region_sign_gives_the_scan_seed_sign_on_k2_to_k8():
         L = n + 3
         for face in face_sets(n, 0):
             codes = face_layout(face, L)[0]
-            assert region_sign(face, codes, 1, L) == chain_sign(face, codes, L)
+            assert region_sign(face, codes, 1, L) == chain_sign(tree_from_face(face, L), codes)
             count += 1
     assert count == 5 + 42 + 429 + 4862
 
